@@ -1,9 +1,9 @@
 """Live telemetry in one page: monitor a frame stream, scrape yourself.
 
-Attaches a LiveMonitor to an RBCD system, streams a handful of `cap`
-frames while a background MetricsServer serves /metrics, /healthz and
-/snapshot.json, then fetches all three endpoints over real HTTP and
-prints a tiny text dashboard.  A second pass with a deliberately tight
+Attaches a LiveMonitor to an RBCD system as one of its `observers=`,
+streams a handful of `cap` frames while a background MetricsServer
+serves /metrics, /healthz and /snapshot.json, then fetches all three
+endpoints over real HTTP and prints a tiny text dashboard.  A second pass with a deliberately tight
 energy budget shows a watchdog tripping and /healthz going 503.
 
 Run:  python examples/live_dashboard.py
@@ -29,7 +29,7 @@ FRAMES = 5
 
 def stream(monitor: LiveMonitor) -> None:
     workload = make_cap(detail=1)
-    with RBCDSystem(config=CFG, monitor=monitor) as system:
+    with RBCDSystem(config=CFG, observers=[monitor]) as system:
         for t in workload.times(FRAMES):
             system.detect_frame(workload.scene.frame_at(float(t), CFG))
 

@@ -122,26 +122,17 @@ class RBCDSystem:
         Optional :class:`repro.observability.Tracer`; frames rendered
         through this system then record stage spans (wall time +
         simulated cycles).  Tracing never changes detection results.
-    provenance:
-        Optional :class:`repro.observability.provenance.ProvenanceRecorder`;
-        frames then record per-pair evidence (witness pixel, ZEB
-        elements, FF-Stack depth, Figure-5 case).  Strictly
-        observational — results and counters are bit-identical with
-        the recorder on or off, at any worker count.
-    monitor:
-        Optional :class:`repro.observability.live.LiveMonitor`; every
-        detected frame then feeds the live telemetry stream (sliding
-        windows, latency quantiles, watchdog rules) without changing
-        any result — the same strictly-observational contract as the
-        tracer and the provenance recorder.
-    tile_profiler:
-        Optional :class:`repro.observability.tileprofile.TileProfiler`;
-        every detected frame then accumulates per-tile
-        cycle/energy/activity/cache-hit grids (the schema-v6
-        ``tile_profile`` bench block and the attribution engine's
-        spatial layer).  Strictly observational: results, counters,
-        and cycles are bit-identical with the profiler on or off, at
-        any worker count.
+    observers:
+        :class:`~repro.observability.observer.FrameObserver` instances
+        handed to the GPU (see :class:`~repro.gpu.pipeline.GPU`): a
+        :class:`~repro.observability.provenance.ProvenanceRecorder`,
+        :class:`~repro.observability.live.LiveMonitor`,
+        :class:`~repro.observability.tileprofile.TileProfiler`, or your
+        own.  Strictly observational — results, counters and cycles are
+        bit-identical with any set of observers attached, at any worker
+        count.  A :class:`~repro.observability.FlightRecorder` is not an
+        observer: wire it with its ``attach_config`` /
+        ``attach_tracer`` / ``attach_monitor`` methods.
     tile_cache:
         Cross-frame tile redundancy elimination
         (:mod:`repro.gpu.tilecache`): ``True``/``False`` force the
@@ -158,16 +149,6 @@ class RBCDSystem:
         (:mod:`repro.serve`) shares one worker pool across every
         tenant's system.  Results are unchanged: any executor produces
         bit-identical collisions, stats, and cycles.
-    recorder:
-        Optional :class:`repro.observability.FlightRecorder`; the
-        system then fingerprints its config into the recorder, routes
-        a tracer through it (a recorder-owned bounded tracer when the
-        ``tracer`` parameter is ``None``), and — when a ``monitor`` is
-        also given — subscribes the recorder to its snapshots and
-        watchdog transitions.  Always-on black-box recording with the
-        same strictly-observational contract as every other observer:
-        results are bit-identical with the recorder on or off
-        (``tests/integration/test_flightrecorder_differential.py``).
     """
 
     def __init__(
@@ -179,12 +160,9 @@ class RBCDSystem:
         executor_backend: str | None = None,
         config: GPUConfig | None = None,
         tracer=None,
-        provenance=None,
-        monitor=None,
+        observers=(),
         tile_cache: bool | None = None,
-        tile_profiler=None,
         executor=None,
-        recorder=None,
     ) -> None:
         if config is None:
             width, height = resolution
@@ -200,23 +178,16 @@ class RBCDSystem:
         if tile_cache is not None:
             config = config.with_tile_cache(tile_cache)
         self.config = config
-        self.recorder = recorder
-        if recorder is not None:
-            recorder.attach_config(config)
-            tracer = recorder.attach_tracer(tracer)
-            if monitor is not None:
-                recorder.attach_monitor(monitor)
         self._gpu = GPU(
             config, rbcd_enabled=True, executor=executor, tracer=tracer,
-            provenance=provenance, monitor=monitor,
-            tile_profiler=tile_profiler,
+            observers=observers,
         )
         log_event(
             _LOG, "rbcd.system.created", level=logging.DEBUG,
             width=config.screen_width, height=config.screen_height,
             workers=config.executor_workers,
             backend=config.executor_backend,
-            monitored=monitor is not None,
+            observers=len(self._gpu.observers),
         )
 
     def close(self) -> None:

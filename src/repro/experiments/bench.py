@@ -363,9 +363,9 @@ def run_scene(
     first_tile_profile: dict[str, Any] | None = None
     energy: FrameEnergyReport | None = None
 
+    observers = [recorder] if profiler is None else [recorder, profiler]
     with RBCDSystem(
-        config=config, tracer=tracer, provenance=recorder,
-        tile_profiler=profiler,
+        config=config, tracer=tracer, observers=observers
     ) as system:
         for run in range(runs):
             tracer.reset()

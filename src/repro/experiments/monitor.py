@@ -20,7 +20,7 @@ into exit code 1, which makes the CLI usable as a CI canary::
 
 Monitoring is strictly observational: the rendered frames, collision
 pairs, counters and energy are bit-identical with or without the
-monitor attached (see ``tests/integration/test_live_differential.py``).
+monitor attached (see ``tests/integration/test_observer_differential.py``).
 """
 
 from __future__ import annotations
@@ -186,9 +186,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         max_frame_ms=args.max_frame_ms,
     )
     monitor = LiveMonitor(window=args.window, rules=rules)
-    recorder = None
+    recorder = tracer = None
     if args.flight_recorder is not None:
         recorder = FlightRecorder(dump_dir=args.flight_recorder)
+        tracer = recorder.attach_tracer()
+        recorder.attach_monitor(monitor)
 
     try:
         with MetricsServer(monitor, host=args.host, port=args.port) as server:
@@ -200,9 +202,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 flush=True,
             )
             with RBCDSystem(
-                config=config, workers=args.workers, monitor=monitor,
-                recorder=recorder,
+                config=config, workers=args.workers, tracer=tracer,
+                observers=[monitor],
             ) as system:
+                if recorder is not None:
+                    recorder.attach_config(system.config)
                 rendered = run_stream(
                     system, workload, args.frames, interval_s=args.interval
                 )

@@ -12,9 +12,6 @@ without touching any stage logic:
 ``vectorized``
     Fully vectorized numpy, the default.  Bit-identical to the
     reference: same IEEE operations in the same per-element order.
-``numba``
-    Optional JIT-compiled loops; registered lazily and reported as
-    unavailable (with the import error) when numba is not installed.
 
 Every backend implements the same four kernels (see
 :class:`KernelBackend`) and must produce **byte-identical** outputs —
@@ -37,19 +34,12 @@ from repro.gpu.config import DEFAULT_KERNEL_BACKEND, KERNEL_BACKEND_ENV
 
 __all__ = [
     "KernelBackend",
-    "KernelUnavailableError",
     "register_backend",
-    "register_optional_backend",
     "get_backend",
     "backend_names",
-    "available_backends",
     "DEFAULT_KERNEL_BACKEND",
     "KERNEL_BACKEND_ENV",
 ]
-
-
-class KernelUnavailableError(RuntimeError):
-    """A registered backend cannot run in this environment."""
 
 
 @dataclass(frozen=True)
@@ -87,82 +77,26 @@ class KernelBackend:
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
-# Backends that may be unavailable (missing optional dependency): name
-# -> zero-argument probe returning a KernelBackend or raising
-# KernelUnavailableError.  Probed lazily and the outcome cached.
-_OPTIONAL: dict[str, Callable[[], KernelBackend]] = {}
-_OPTIONAL_ERRORS: dict[str, str] = {}
 
 
 def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Register an always-available backend under ``backend.name``."""
-    if backend.name in _REGISTRY or backend.name in _OPTIONAL:
+    """Register a backend under ``backend.name``."""
+    if backend.name in _REGISTRY:
         raise ValueError(f"kernel backend {backend.name!r} already registered")
     _REGISTRY[backend.name] = backend
     return backend
 
 
-def register_optional_backend(
-    name: str, probe: Callable[[], KernelBackend]
-) -> None:
-    """Register a backend that may fail to load (optional dependency).
-
-    ``probe`` is called at most once, on first resolution; it returns
-    the backend or raises :class:`KernelUnavailableError`.
-    """
-    if name in _REGISTRY or name in _OPTIONAL:
-        raise ValueError(f"kernel backend {name!r} already registered")
-    _OPTIONAL[name] = probe
-
-
-def _resolve_optional(name: str) -> KernelBackend | None:
-    probe = _OPTIONAL.pop(name, None)
-    if probe is None:
-        return None
-    try:
-        backend = probe()
-    except KernelUnavailableError as exc:
-        _OPTIONAL_ERRORS[name] = str(exc)
-        return None
-    if backend.name != name:
-        raise ValueError(
-            f"optional backend probe for {name!r} returned {backend.name!r}"
-        )
-    _REGISTRY[name] = backend
-    return backend
-
-
 def backend_names() -> tuple[str, ...]:
-    """Every registered backend name, available or not (sorted)."""
-    return tuple(sorted({*_REGISTRY, *_OPTIONAL, *_OPTIONAL_ERRORS}))
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends that can actually run here (sorted)."""
-    for name in list(_OPTIONAL):
-        _resolve_optional(name)
+    """Every registered backend name (sorted)."""
     return tuple(sorted(_REGISTRY))
 
 
 def get_backend(name: str) -> KernelBackend:
-    """Resolve a backend by name.
-
-    Raises ``ValueError`` for unknown names and
-    :class:`KernelUnavailableError` for registered backends whose
-    optional dependency is missing (the numba backend without numba).
-    """
+    """Resolve a backend by name; ``ValueError`` for unknown names."""
     backend = _REGISTRY.get(name)
     if backend is not None:
         return backend
-    if name in _OPTIONAL:
-        backend = _resolve_optional(name)
-        if backend is not None:
-            return backend
-    if name in _OPTIONAL_ERRORS:
-        raise KernelUnavailableError(
-            f"kernel backend {name!r} is registered but unavailable: "
-            f"{_OPTIONAL_ERRORS[name]}"
-        )
     raise ValueError(
         f"unknown kernel backend {name!r}; registered: "
         f"{', '.join(backend_names())}"
@@ -175,8 +109,6 @@ def get_backend(name: str) -> KernelBackend:
 # call time even while this module is still initializing.
 from repro.gpu.kernels import reference as _reference  # noqa: E402
 from repro.gpu.kernels import vectorized as _vectorized  # noqa: E402
-from repro.gpu.kernels import numba_backend as _numba_backend  # noqa: E402
 
 register_backend(_reference.BACKEND)
 register_backend(_vectorized.BACKEND)
-register_optional_backend("numba", _numba_backend.probe)

@@ -70,7 +70,6 @@ __all__ = [
     "tile_stats_of",
     "tile_registry_of",
     "tile_energy_registry",
-    "tile_profile_of",
 ]
 
 
@@ -412,26 +411,3 @@ def tile_energy_registry(result: RBCDTileResult, model) -> CounterRegistry:
     :meth:`~repro.energy.rbcd_power.RBCDEnergyModel.tile_breakdown`.
     """
     return model.tile_breakdown(result).registry()
-
-
-def tile_profile_of(result: RBCDTileResult, config: GPUConfig, model=None,
-                    replayed: bool = False):
-    """Single-tile spatial-profile shard for one computed tile.
-
-    Returns a one-frame
-    :class:`~repro.observability.tileprofile.TileProfiler` holding just
-    this tile's contribution.  Every grid cell is a per-tile sum, so
-    shards collected from any worker interleaving
-    :meth:`~repro.observability.tileprofile.TileProfiler.merge` to
-    exactly the grids the serial absorb loop records — the spatial
-    analogue of :func:`tile_registry_of`'s counter-merge property.
-    ``model`` is an optional
-    :class:`~repro.energy.rbcd_power.RBCDEnergyModel` (duck-typed) for
-    the dynamic-energy grid.
-    """
-    from repro.observability.tileprofile import TileProfiler
-
-    shard = TileProfiler()
-    shard.begin_frame(config)
-    shard.record_tile(result, replayed=replayed, energy_model=model)
-    return shard

@@ -186,9 +186,7 @@ class GPU:
         rendering_mode: str = "tbr",
         executor: TileExecutor | None = None,
         tracer=None,
-        provenance=None,
-        monitor=None,
-        tile_profiler=None,
+        observers=(),
     ) -> None:
         """``rendering_mode``:
 
@@ -213,26 +211,18 @@ class GPU:
         is purely observational — it changes no result and no cycle
         count — and defaults to the zero-overhead null tracer.
 
-        ``provenance`` accepts a
-        :class:`repro.observability.provenance.ProvenanceRecorder`;
-        every RBCD frame then records per-pair evidence (witness pixel,
-        ZEB elements, FF-Stack depth, Figure-5 case).  Like the tracer
-        it is strictly observational and off by default.
-
-        ``monitor`` accepts a
-        :class:`repro.observability.live.LiveMonitor`; every rendered
-        frame is then turned into a streaming
-        :class:`~repro.observability.live.MetricSnapshot` (counters,
-        energy, cycle and wall timings) feeding the live windows and
-        watchdogs.  Strictly observational, like the tracer and the
-        provenance recorder.
-
-        ``tile_profiler`` accepts a
-        :class:`repro.observability.tileprofile.TileProfiler`; every
-        RBCD frame then accumulates per-tile cycle/energy/activity/
-        cache-hit grids, recorded at absorb time in tile-schedule order
-        (so the grids are identical at any worker count).  Strictly
-        observational, same contract as the recorders above.
+        ``observers`` is a sequence of
+        :class:`~repro.observability.observer.FrameObserver` — e.g. a
+        :class:`~repro.observability.provenance.ProvenanceRecorder`
+        (per-pair evidence), a
+        :class:`~repro.observability.live.LiveMonitor` (streaming
+        snapshots and watchdogs) or a
+        :class:`~repro.observability.tileprofile.TileProfiler`
+        (per-tile grids).  :meth:`render_frame` calls their hooks at
+        frame begin, after each absorbed RBCD tile (main process,
+        tile-schedule order) and at frame end.  Observers are strictly
+        observational: every result is bit-identical with any set of
+        them attached, at any worker count.
         """
         if rendering_mode not in ("tbr", "tbdr", "imr"):
             raise ValueError('rendering_mode must be "tbr", "tbdr" or "imr"')
@@ -250,9 +240,7 @@ class GPU:
         self.rbcd_enabled = rbcd_enabled
         self.rendering_mode = rendering_mode
         self.tracer = ensure_tracer(tracer)
-        self.provenance = provenance
-        self.monitor = monitor
-        self.tile_profiler = tile_profiler
+        self.observers = tuple(observers)
         self._executor = executor
         self._owns_executor = executor is None
         self._energy_account: EnergyAccount | None = None
@@ -314,17 +302,44 @@ class GPU:
         keep_tile_timing: bool = False,
         keep_fragments: bool = False,
     ) -> FrameResult:
-        """Render one frame; returns image, stats and collisions."""
-        if self.rendering_mode == "imr":
-            return self._render_frame_imr(frame)
+        """Render one frame; returns image, stats and collisions.
+
+        The one place observer hooks fire, for every rendering mode:
+        ``begin_frame`` first, ``record_tile`` per absorbed RBCD tile,
+        ``end_frame`` last.  A frame that raises closes its spans and
+        gets no ``end_frame``.
+        """
         wall_t0 = time.perf_counter()
+        for observer in self.observers:
+            observer.begin_frame(self.config)
+        with self.tracer.span(
+            "frame", category="frame", draws=len(frame.draws)
+        ) as frame_span:
+            if self.rendering_mode == "imr":
+                result = self._render_imr(frame)
+            else:
+                result = self._render_tiled(
+                    frame, keep_tile_timing, keep_fragments
+                )
+            frame_span.cycles = result.stats.gpu_cycles
+            frame_span.annotate(
+                fragments=result.stats.fragments_produced,
+                energy_j=result.energy.total_j,
+            )
+        wall_s = time.perf_counter() - wall_t0
+        for observer in self.observers:
+            observer.end_frame(result, wall_s)
+        return result
+
+    def _render_tiled(
+        self, frame: Frame, keep_tile_timing: bool, keep_fragments: bool
+    ) -> FrameResult:
+        """The TBR / TBDR flow of Figure 3 (see the module docstring)."""
         tracer = self.tracer
         config = self.config
         stats = GPUStats(frames=1)
         vertex_cache = Cache(config.vertex_cache)
         tile_cache = Cache(config.tile_cache)
-
-        frame_span = tracer.start("frame", category="frame", draws=len(frame.draws))
 
         # -- geometry pipeline --------------------------------------------
         with tracer.span("geometry") as geometry_span:
@@ -360,34 +375,40 @@ class GPU:
             geometry_span.cycles = stats.geometry_cycles
 
         # -- raster pipeline: functional pass ------------------------------
-        raster_span = tracer.start("raster")
-        with tracer.span("raster.fetch"):
-            tile_load_misses = fetch_tile_lists(binning, config, stats, tile_cache)
-        with tracer.span("raster.rasterize"):
-            frags = rasterize(soup, config, stats)
-
-        if frame.raster_only:
-            depth = DepthTestResult(
-                passed=np.zeros(frags.count, dtype=bool),
-                z_buffer=np.ones((config.screen_height, config.screen_width)),
-                winner=np.full(
-                    (config.screen_height, config.screen_width), -1, dtype=np.int64
-                ),
-            )
-            shading = ShadingResult(
-                color=np.zeros((config.screen_height, config.screen_width, 3)),
-                shaded_mask=np.zeros(frags.count, dtype=bool),
-                shader_cycles_total=0.0,
-            )
-        else:
-            with tracer.span("raster.early-z"):
-                depth = depth_test(frags, config, stats)
-            with tracer.span("raster.shade"):
-                shading = shade_fragments(
-                    frame, frags, depth, config, stats,
-                    deferred_shading=self.rendering_mode == "tbdr",
+        with tracer.span("raster") as raster_span:
+            with tracer.span("raster.fetch"):
+                tile_load_misses = fetch_tile_lists(
+                    binning, config, stats, tile_cache
                 )
-        tracer.end(raster_span)
+            with tracer.span("raster.rasterize"):
+                frags = rasterize(soup, config, stats)
+
+            if frame.raster_only:
+                depth = DepthTestResult(
+                    passed=np.zeros(frags.count, dtype=bool),
+                    z_buffer=np.ones(
+                        (config.screen_height, config.screen_width)
+                    ),
+                    winner=np.full(
+                        (config.screen_height, config.screen_width), -1,
+                        dtype=np.int64,
+                    ),
+                )
+                shading = ShadingResult(
+                    color=np.zeros(
+                        (config.screen_height, config.screen_width, 3)
+                    ),
+                    shaded_mask=np.zeros(frags.count, dtype=bool),
+                    shader_cycles_total=0.0,
+                )
+            else:
+                with tracer.span("raster.early-z"):
+                    depth = depth_test(frags, config, stats)
+                with tracer.span("raster.shade"):
+                    shading = shade_fragments(
+                        frame, frags, depth, config, stats,
+                        deferred_shading=self.rendering_mode == "tbdr",
+                    )
 
         # -- RBCD unit -----------------------------------------------------------
         report: CollisionReport | None = None
@@ -396,9 +417,7 @@ class GPU:
         cpu_fallback = False
         if self.rbcd_enabled:
             with tracer.span("rbcd") as rbcd_span:
-                if self.provenance is not None:
-                    self.provenance.begin_frame()
-                unit = RBCDUnit(config, provenance=self.provenance)
+                unit = RBCDUnit(config)
                 report = self._run_rbcd(
                     unit, frags, stats, overlap_cycles, insertion_limit,
                     tile_keys=tile_keys,
@@ -476,14 +495,7 @@ class GPU:
             stats.tile_cache_store_misses * line + stats.color_writes * 4
         )
 
-        energy = self.energy_account.frame_report(stats)
-        frame_span.cycles = stats.gpu_cycles
-        frame_span.annotate(
-            fragments=stats.fragments_produced, energy_j=energy.total_j
-        )
-        tracer.end(frame_span)
-
-        result = FrameResult(
+        return FrameResult(
             color=shading.color,
             z_buffer=depth.z_buffer,
             stats=stats,
@@ -491,17 +503,14 @@ class GPU:
             cpu_fallback=cpu_fallback,
             tile_timing=timing if keep_tile_timing else None,
             fragments=frags if keep_fragments else None,
-            energy=energy,
+            energy=self.energy_account.frame_report(stats),
             tilecache=(
                 self._tile_cache.frame_registry()
                 if self._tile_cache is not None else None
             ),
         )
-        if self.monitor is not None:
-            self.monitor.observe(result, wall_s=time.perf_counter() - wall_t0)
-        return result
 
-    def _render_frame_imr(self, frame: Frame) -> FrameResult:
+    def _render_imr(self, frame: Frame) -> FrameResult:
         """Immediate-mode baseline: no tiling, off-chip overdraw.
 
         Primitives stream straight from assembly to the rasterizer in
@@ -510,13 +519,10 @@ class GPU:
         traffic TBR avoids), while the polygon-list traffic of the
         tiling engine disappears entirely.
         """
-        wall_t0 = time.perf_counter()
         tracer = self.tracer
         config = self.config
         stats = GPUStats(frames=1)
         vertex_cache = Cache(config.vertex_cache)
-
-        frame_span = tracer.start("frame", category="frame", draws=len(frame.draws))
 
         with tracer.span("geometry") as geometry_span:
             with tracer.span("geometry.shade"):
@@ -532,15 +538,14 @@ class GPU:
             stats.geometry_cycles = max(vertex_cycles, assembly_cycles)
             geometry_span.cycles = stats.geometry_cycles
 
-        raster_span = tracer.start("raster")
-        with tracer.span("raster.rasterize"):
-            frags = rasterize(soup, config, stats)
-        stats.prims_rasterized = soup.count
-        with tracer.span("raster.early-z"):
-            depth = depth_test(frags, config, stats)
-        with tracer.span("raster.shade"):
-            shading = shade_fragments(frame, frags, depth, config, stats)
-        tracer.end(raster_span)
+        with tracer.span("raster") as raster_span:
+            with tracer.span("raster.rasterize"):
+                frags = rasterize(soup, config, stats)
+            stats.prims_rasterized = soup.count
+            with tracer.span("raster.early-z"):
+                depth = depth_test(frags, config, stats)
+            with tracer.span("raster.shade"):
+                shading = shade_fragments(frame, frags, depth, config, stats)
 
         # Streaming pipeline: raster and shading overlap; the longer
         # stage sets the pace.
@@ -565,22 +570,13 @@ class GPU:
 
         energy = self.energy_account.frame_report(stats)
         raster_span.cycles = stats.raster_pipeline_cycles
-        frame_span.cycles = stats.gpu_cycles
-        frame_span.annotate(
-            fragments=stats.fragments_produced, energy_j=energy.total_j
-        )
-        tracer.end(frame_span)
-
-        result = FrameResult(
+        return FrameResult(
             color=shading.color,
             z_buffer=depth.z_buffer,
             stats=stats,
             collisions=None,
             energy=energy,
         )
-        if self.monitor is not None:
-            self.monitor.observe(result, wall_s=time.perf_counter() - wall_t0)
-        return result
 
     def _run_rbcd(
         self,
@@ -605,10 +601,12 @@ class GPU:
         which keeps the absorbed stream — and therefore every output —
         bit-identical to a cache-off run at any worker count.
 
-        Per-tile spans are recorded at absorb time (the merge is where
-        the main process first sees a tile), carrying the simulated
-        insertion/overlap cycles the worker computed; their wall time is
-        the host-side merge cost, not the worker compute time.
+        Per-tile spans and observer ``record_tile`` hooks fire at
+        absorb time (the merge is where the main process first sees a
+        tile), so both see tiles in tile-schedule order at any worker
+        count.  The spans carry the simulated insertion/overlap cycles
+        the worker computed; their wall time is the host-side merge
+        cost, not the worker compute time.
         """
         tracer = self.tracer
         tasks = gather_tile_tasks(frags, self.config)
@@ -619,11 +617,7 @@ class GPU:
             )
         else:
             stream = ((r, False) for r in self.executor.run(self.config, tasks))
-        profiler = self.tile_profiler
-        rbcd_energy_model = None
-        if profiler is not None:
-            profiler.begin_frame(self.config)
-            rbcd_energy_model = self.energy_account.rbcd_model
+        observers = self.observers
         for result, replayed in stream:
             with tracer.span(
                 "rbcd.tile", category="tile", tile=result.tile_index
@@ -638,15 +632,9 @@ class GPU:
                         elements=result.analyzed_elements,
                     )
                 unit.absorb(result, replayed=replayed)
+                for observer in observers:
+                    observer.record_tile(result, replayed)
                 tile_span.cycles = result.insertion_cycles + result.overlap_cycles
-            if profiler is not None:
-                # Absorb time is where the main process first sees the
-                # tile, in tile-schedule order — recording here makes
-                # the grids deterministic at any worker count, exactly
-                # like the provenance hook inside absorb().
-                profiler.record_tile(
-                    result, replayed=replayed, energy_model=rbcd_energy_model
-                )
             overlap_cycles[result.tile_index] = result.overlap_cycles
             insertion_limit[result.tile_index] = result.insertion_cycles
 

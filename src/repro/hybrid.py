@@ -84,25 +84,21 @@ class HybridCDSystem:
         raster_only: bool = True,
         workers: int = 1,
         tracer=None,
-        provenance=None,
-        monitor=None,
+        observers=(),
     ) -> None:
         """``workers`` configures the RBCD side's parallel tile engine
         (ignored when an explicit ``rbcd_system`` is injected).
         ``tracer`` records hybrid-level spans (classify / software pass)
         and, when this object builds its own RBCD system, the GPU-side
-        stage spans as well.  ``provenance`` likewise threads a
-        :class:`~repro.observability.provenance.ProvenanceRecorder` into
-        a self-built RBCD system, and ``monitor`` a
-        :class:`~repro.observability.live.LiveMonitor` (both purely
-        observational)."""
+        stage spans as well.  ``observers`` likewise go to a self-built
+        RBCD system (see :class:`~repro.core.RBCDSystem`)."""
         self.tracer = ensure_tracer(tracer)
         self.rbcd = (
             rbcd_system
             if rbcd_system is not None
             else RBCDSystem(
                 resolution, workers=workers, tracer=tracer,
-                provenance=provenance, monitor=monitor,
+                observers=observers,
             )
         )
         self.raster_only = raster_only

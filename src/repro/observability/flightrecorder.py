@@ -29,7 +29,7 @@ Strictly observational: recording reads spans, snapshots and log
 records; it never feeds anything back into the pipeline.  The
 contract is the repo's usual one — recorder-on is bit-identical to
 recorder-off at any worker count
-(``tests/integration/test_flightrecorder_differential.py``) and the
+(``tests/integration/test_observer_differential.py``) and the
 ring contents themselves are deterministic modulo the wall-clock
 fields named in :data:`WALL_FIELDS`.
 
@@ -227,7 +227,9 @@ class FlightRecorder:
     bounds how many documents an incident storm may write (the
     default 1 keeps a CI job or a misbehaving tenant from filling the
     disk — later triggers are counted in ``dumps_suppressed``).
-    Explicit :meth:`dump` calls ignore the limit.
+    Explicit :meth:`dump` calls ignore the limit.  With no ``dump_dir``
+    nothing auto-dumps: triggers are counted in :attr:`triggers` and
+    :meth:`dump` needs an explicit path.
     """
 
     def __init__(
@@ -399,15 +401,16 @@ class FlightRecorder:
     # -- triggers and dumps --------------------------------------------------
 
     def trigger(self, kind: str, **detail) -> Path | None:
-        """Fire a trigger; auto-dump if ``kind`` is armed and within
-        the dump limit.  Returns the dump path if one was written.
+        """Fire a trigger; auto-dump if ``kind`` is armed, a ``dump_dir``
+        is set, and the dump limit allows.  Returns the dump path if one
+        was written.  Without a ``dump_dir`` triggers are only counted.
 
         Dump failures are logged, not raised — a full disk must not
         take the serving path down with it.
         """
         with self._lock:
             self.triggers[kind] = self.triggers.get(kind, 0) + 1
-            if kind not in self.dump_on:
+            if kind not in self.dump_on or self.dump_dir is None:
                 return None
             if (
                 self.dump_limit is not None

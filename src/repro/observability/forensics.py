@@ -451,7 +451,7 @@ def run_forensics(
     divergences: list[Divergence] = []
 
     times = workload.times(frames)
-    with GPU(config, rbcd_enabled=True, provenance=recorder) as gpu:
+    with GPU(config, rbcd_enabled=True, observers=[recorder]) as gpu:
         for frame_index, t in enumerate(times):
             frame = scene.frame_at(float(t), config)
             result = gpu.render_frame(frame, keep_fragments=True)

@@ -22,8 +22,8 @@ Three consumption paths:
 * :attr:`LiveMonitor.alerts` / structured log events through
   :mod:`repro.observability.log`.
 
-Determinism contract (the recorder/tracer contract, asserted by
-``tests/integration/test_live_differential.py``): monitoring is
+Determinism contract (the observer contract, asserted by
+``tests/integration/test_observer_differential.py``): monitoring is
 strictly observational.  Attaching a monitor changes no collision
 pair, counter, or simulated cycle; every deterministic snapshot field
 is a pure function of the frame stream, so workers 1 and 4 produce
@@ -42,6 +42,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.observability.counters import CounterRegistry
 from repro.observability.log import get_logger, log_event
+from repro.observability.observer import FrameObserver
 from repro.observability.openmetrics import (
     MetricFamily,
     metric_name_of,
@@ -287,10 +288,12 @@ def aggregate_window_values(
     return values
 
 
-class LiveMonitor:
+class LiveMonitor(FrameObserver):
     """Streaming telemetry over a sequence of rendered frames.
 
-    Feed frames with :meth:`observe` (a
+    A :class:`~repro.observability.observer.FrameObserver`: attached in
+    ``observers=``, every finished frame is fed to :meth:`observe`.
+    Frames can also be fed by hand with :meth:`observe` (a
     :class:`~repro.gpu.pipeline.FrameResult`) or :meth:`observe_frame`
     (raw stats + energy).  Read back at any time — all public readers
     and the writer are serialized by one lock, so a background
@@ -357,6 +360,9 @@ class LiveMonitor:
                 fn(kind, payload)
 
     # -- ingestion -----------------------------------------------------------
+
+    def end_frame(self, result, wall_s: float) -> None:
+        self.observe(result, wall_s=wall_s)
 
     def observe(self, result, wall_s: float = 0.0) -> MetricSnapshot:
         """Ingest one :class:`~repro.gpu.pipeline.FrameResult`."""

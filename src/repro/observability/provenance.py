@@ -16,11 +16,12 @@ totals:
 Design invariant — *strictly observational*: the evidence fields are
 computed unconditionally inside :func:`repro.rbcd.overlap.analyze_tile`
 (they ride in :class:`~repro.rbcd.overlap.OverlapResult`), and the
-recorder merely collects them when :meth:`RBCDUnit.absorb` runs — in
-the owning process, in tile-schedule order.  Detection results,
-``rbcd.*`` counters, and energy reports are therefore bit-identical
-with the recorder on or off, at any worker count
-(``tests/integration/test_provenance_differential.py``).
+recorder merely collects them in its ``record_tile`` hook, which the
+pipeline calls right after :meth:`RBCDUnit.absorb` — in the owning
+process, in tile-schedule order.  Detection results, ``rbcd.*``
+counters, and energy reports are therefore bit-identical with the
+recorder on or off, at any worker count
+(``tests/integration/test_observer_differential.py``).
 
 Merge semantics: recordings are totally ordered by
 ``(frame, tile, record)`` where ``record`` is the emission index within
@@ -36,6 +37,7 @@ import json
 from dataclasses import dataclass
 
 from repro.observability.counters import CounterRegistry
+from repro.observability.observer import FrameObserver
 from repro.rbcd.element import dequantize_depth
 from repro.rbcd.overlap import (
     CASE_CROSSING,
@@ -156,17 +158,16 @@ def evidence_from_tile(result, gpu_config, frame: int = 0) -> list[PairEvidence]
     ]
 
 
-class ProvenanceRecorder:
+class ProvenanceRecorder(FrameObserver):
     """Opt-in, strictly observational collector of pair evidence.
 
-    Pass one to :class:`repro.core.RBCDSystem`,
-    :class:`repro.hybrid.HybridCDSystem`, or
-    :class:`repro.gpu.pipeline.GPU` (``provenance=``); each RBCD frame
-    then appends its evidence.  The recorder also tallies Figure-5 case
-    histograms, exposed as ``rbcd.case.*`` / ``rbcd.evidence.*``
-    counters via :meth:`registry` — deliberately in a *separate*
-    registry from the unit's own counters, so enabling recording cannot
-    change any existing counter value.
+    A :class:`~repro.observability.observer.FrameObserver`: pass one in
+    ``observers=``; each RBCD frame then appends its evidence.  The
+    recorder also tallies Figure-5 case histograms, exposed as
+    ``rbcd.case.*`` / ``rbcd.evidence.*`` counters via :meth:`registry`
+    — deliberately in a *separate* registry from the unit's own
+    counters, so enabling recording cannot change any existing counter
+    value.
     """
 
     def __init__(self) -> None:
@@ -174,6 +175,7 @@ class ProvenanceRecorder:
 
     def reset(self) -> None:
         self.records: list[PairEvidence] = []
+        self.config = None  # the GPUConfig of the frame being recorded
         self.frames = 0
         self.tiles_recorded = 0
         self.case_counts = {
@@ -183,17 +185,18 @@ class ProvenanceRecorder:
         }
         self.self_pairs_filtered = 0
 
-    # -- recording hooks (called by the pipeline / RBCD unit) ---------------
+    # -- FrameObserver hooks ------------------------------------------------
 
-    def begin_frame(self) -> None:
-        """Mark the start of a new RBCD frame (called by the pipeline)."""
+    def begin_frame(self, config) -> None:
+        """Start a new frame; its ``GPUConfig`` maps tiles to pixels."""
+        self.config = config
         self.frames += 1
 
     @property
     def current_frame(self) -> int:
         return max(self.frames - 1, 0)
 
-    def record_tile(self, result, gpu_config) -> None:
+    def record_tile(self, result, replayed: bool = False) -> None:
         """Collect one absorbed tile's evidence (tile-schedule order)."""
         self.tiles_recorded += 1
         overlap = result.overlap
@@ -206,7 +209,7 @@ class ProvenanceRecorder:
         )
         self.self_pairs_filtered += overlap.self_pairs_filtered
         self.records.extend(
-            evidence_from_tile(result, gpu_config, frame=self.current_frame)
+            evidence_from_tile(result, self.config, frame=self.current_frame)
         )
 
     # -- views --------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 The paper's Figures 10-14 argue spatially: RBCD cycles and energy
 concentrate in the tiles the colliding geometry covers.  A
-:class:`TileProfiler` makes that observable for any run — attached to a
-:class:`~repro.gpu.pipeline.GPU` (or threaded through
-:class:`~repro.core.RBCDSystem`) it accumulates screen-shaped grids of
+:class:`TileProfiler` makes that observable for any run — passed in
+``observers=`` it accumulates screen-shaped grids of
 
 * ``cycles``   — simulated RBCD work per tile (ZEB insertion + Z-Overlap),
 * ``energy_j`` — *dynamic* RBCD joules per tile (static leakage accrues
@@ -19,23 +18,25 @@ in the schema-v6 ``tile_profile`` block, and the attribution engine
 (:mod:`repro.observability.attribution`) diffs two such blocks to
 localize a cycle/energy regression to screen regions.
 
-Contract (the same one the tracer, provenance recorder, and
-:class:`~repro.observability.live.LiveMonitor` obey, differential-tested
-by ``tests/integration/test_tileprofile_differential.py``):
+Contract (the :class:`~repro.observability.observer.FrameObserver`
+contract every observer obeys, differential-tested by
+``tests/integration/test_observer_differential.py``):
 
 * **zero feedback** — recording reads tile results and writes only the
   profiler's own grids, so every detection output is bit-identical with
   the profiler attached or not;
 * **deterministic at any worker count** — tiles are recorded at absorb
   time in tile-schedule order on the main process, and every grid cell
-  is a plain per-tile sum, so any shard grouping (see
-  :func:`repro.gpu.parallel.tile_profile_of`) merges to the same grids
-  the serial path records.
+  is a plain per-tile sum, so any shard grouping merges
+  (:meth:`TileProfiler.merge`) to the same grids the serial path
+  records.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
+
+from repro.observability.observer import FrameObserver
 
 __all__ = ["GRID_NAMES", "TileProfiler"]
 
@@ -45,14 +46,14 @@ __all__ = ["GRID_NAMES", "TileProfiler"]
 GRID_NAMES = ("cycles", "energy_j", "activity", "hits", "lookups")
 
 
-class TileProfiler:
+class TileProfiler(FrameObserver):
     """Accumulates per-tile RBCD activity grids across frames.
 
-    Attach via ``GPU(tile_profiler=...)`` or
-    ``RBCDSystem(tile_profiler=...)``; the pipeline calls
-    :meth:`begin_frame` once per RBCD frame and :meth:`record_tile`
-    once per absorbed tile.  Grid dimensions are fixed by the first
-    frame's config — a profiler never spans screen configurations.
+    Attach in ``observers=``; the pipeline calls :meth:`begin_frame`
+    once per frame and :meth:`record_tile` once per absorbed tile.
+    Grid dimensions are fixed by the first frame's config — a profiler
+    never spans screen configurations — and the energy grid is priced
+    by that config's :class:`~repro.energy.rbcd_power.RBCDEnergyModel`.
     """
 
     def __init__(self) -> None:
@@ -60,6 +61,7 @@ class TileProfiler:
         self._tiles_y = 0
         self.frames = 0
         self._grids: dict[str, list[float]] = {}
+        self._energy_model = None
 
     @property
     def tiles_x(self) -> int:
@@ -78,6 +80,7 @@ class TileProfiler:
         self._tiles_x = self._tiles_y = 0
         self.frames = 0
         self._grids = {}
+        self._energy_model = None
 
     def begin_frame(self, config) -> None:
         """Start recording one frame under ``config`` (a ``GPUConfig``)."""
@@ -93,28 +96,30 @@ class TileProfiler:
                 f"tiles but this frame has {config.tiles_x}x"
                 f"{config.tiles_y}: reset() between configurations"
             )
+        model = self._energy_model
+        if model is None or model.gpu_config is not config:
+            # Lazy import: repro.energy imports repro.gpu, which imports
+            # this package.
+            from repro.energy.rbcd_power import RBCDEnergyModel
+
+            self._energy_model = RBCDEnergyModel(config)
         self.frames += 1
 
-    def record_tile(self, result, replayed: bool = False,
-                    energy_model=None) -> None:
+    def record_tile(self, result, replayed: bool = False) -> None:
         """Absorb one tile's :class:`~repro.rbcd.unit.RBCDTileResult`.
 
-        ``energy_model`` is a
-        :class:`~repro.energy.rbcd_power.RBCDEnergyModel` (duck-typed:
-        anything with ``tile_breakdown``); when omitted the energy grid
-        stays zero.  Purely observational: reads the result, mutates
-        only this profiler.
+        Purely observational: reads the result, mutates only this
+        profiler.
         """
-        if not self._grids:
+        if self._energy_model is None:
             raise RuntimeError("record_tile() before begin_frame()")
         idx = result.tile_index
         self._grids["cycles"][idx] += (
             result.insertion_cycles + result.overlap_cycles
         )
-        if energy_model is not None:
-            self._grids["energy_j"][idx] += (
-                energy_model.tile_breakdown(result).total_j
-            )
+        self._grids["energy_j"][idx] += (
+            self._energy_model.tile_breakdown(result).total_j
+        )
         self._grids["activity"][idx] += result.zeb.insertions
         if replayed:
             self._grids["hits"][idx] += 1

@@ -28,7 +28,7 @@ Each span records two clocks:
 Tracing is strictly observational: span bookkeeping never feeds back
 into the cycle model, so enabling a tracer changes no collision pair,
 contact record, or simulated cycle count (asserted by
-``tests/integration/test_trace_differential.py``).
+``tests/integration/test_observer_differential.py``).
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span``
 is a no-op context manager — the instrumented pipeline pays one

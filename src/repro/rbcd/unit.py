@@ -138,19 +138,11 @@ class RBCDUnit:
 
     The unit accumulates a per-frame :class:`CollisionReport`; call
     :meth:`reset` between frames (the pipeline does this).
-
-    ``provenance`` is an optional, strictly observational
-    :class:`repro.observability.provenance.ProvenanceRecorder` (duck
-    typed: anything with ``record_tile(result, gpu_config)``).  It is
-    notified after each tile is absorbed — in tile-schedule order, in
-    the owning process — so recordings are deterministic at any worker
-    count and can never feed back into detection.
     """
 
-    def __init__(self, gpu_config: GPUConfig, provenance=None) -> None:
+    def __init__(self, gpu_config: GPUConfig) -> None:
         self.gpu_config = gpu_config
         self.config: RBCDConfig = gpu_config.rbcd
-        self.provenance = provenance
         self.report = CollisionReport()
         self.insertions = 0
         self.overflow_events = 0
@@ -206,10 +198,9 @@ class RBCDUnit:
         ``replayed=True`` marks a result replayed from the cross-frame
         tile cache (:mod:`repro.gpu.tilecache`) rather than freshly
         computed.  Replay is exact, so the absorb path is *identical* —
-        same counters, same pair records, same provenance — and the
-        flag only feeds :attr:`tiles_replayed`, which lives outside
-        :meth:`counters` precisely so cache-on output stays
-        bit-identical to cache-off.
+        same counters, same pair records — and the flag only feeds
+        :attr:`tiles_replayed`, which lives outside :meth:`counters`
+        precisely so cache-on output stays bit-identical to cache-off.
         """
         if replayed:
             self.tiles_replayed += 1
@@ -221,8 +212,6 @@ class RBCDUnit:
         self.stack_overflows += result.overlap.stack_overflows
         self.unmatched_backfaces += result.overlap.unmatched_backfaces
         self._record_pairs(result.tile_index, result.zeb, result.overlap)
-        if self.provenance is not None:
-            self.provenance.record_tile(result, self.gpu_config)
 
     def _record_pairs(
         self, tile_index: int, zeb: ZEBTile, overlap: OverlapResult

@@ -258,10 +258,13 @@ class CollisionService:
         config: GPUConfig | None = None,
         rules: list[WatchdogRule] | None = None,
         window: int | None = None,
-        provenance=None,
-        tile_profiler=None,
+        observers=(),
     ) -> TenantSession:
-        """Create a tenant session (its own system + telemetry shards)."""
+        """Create a tenant session (its own system + telemetry shards).
+
+        The tenant's system observes its frames with
+        ``[its monitor, *observers]`` (see :class:`~repro.core.RBCDSystem`).
+        """
         if not tenant or not set(tenant) <= _TENANT_OK:
             raise ValueError(
                 f"tenant id {tenant!r} must be non-empty [A-Za-z0-9._-]"
@@ -282,10 +285,8 @@ class CollisionService:
         system = RBCDSystem(
             config=config if config is not None else self.base_config,
             executor=self.executor,
-            monitor=monitor,
             tracer=self.tracer,
-            provenance=provenance,
-            tile_profiler=tile_profiler,
+            observers=[monitor, *observers],
         )
         if self.recorder is not None:
             self.recorder.attach_monitor(monitor, stream=tenant)

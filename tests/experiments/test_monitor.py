@@ -37,7 +37,7 @@ class TestRunStream:
         workload = workload_by_alias("cap", detail=1)
         monitor = LiveMonitor(window=8, rules=[])
         seen = []
-        with RBCDSystem(config=config, monitor=monitor) as system:
+        with RBCDSystem(config=config, observers=[monitor]) as system:
             # More frames than one animation loop => t wraps around.
             rendered = run_stream(
                 system, workload, frames=workload.default_frames + 2,
@@ -148,7 +148,7 @@ class TestLiveEndpointEndToEnd:
         monitor = LiveMonitor(window=8, rules=rules)
         scrapes = {}
         with MetricsServer(monitor) as server:
-            with RBCDSystem(config=config, monitor=monitor) as system:
+            with RBCDSystem(config=config, observers=[monitor]) as system:
                 run_stream(system, workload, frames=frames)
             scrapes["metrics"] = fetch(server.url + "/metrics")
             scrapes["healthz"] = fetch(server.url + "/healthz")
@@ -204,7 +204,7 @@ class TestLiveEndpointEndToEnd:
         monitor = LiveMonitor(window=8, rules=rules)
         statuses = []
         with MetricsServer(monitor) as server:
-            with RBCDSystem(config=config, monitor=monitor) as system:
+            with RBCDSystem(config=config, observers=[monitor]) as system:
                 run_stream(
                     system, workload, frames=3,
                     on_frame=lambda i, r: statuses.append(

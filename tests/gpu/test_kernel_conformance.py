@@ -4,10 +4,8 @@ The kernel API contract (:mod:`repro.gpu.kernels`) is that all
 registered backends compute the *same function* — not approximately,
 byte for byte.  This suite is the enforcement: each test runs the
 reference backend (the hardware-literal executable spec) next to every
-other registered backend — plus the numba backend's pure-python cores,
-which are importable without numba — over golden fixtures and
-hypothesis-generated fragment streams, and asserts full observable
-equality:
+other registered backend over golden fixtures and hypothesis-generated
+fragment streams, and asserts full observable equality:
 
 * rasterizer fragments (coordinates, depth *bit patterns*, triangle
   provenance, emission order);
@@ -24,8 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu import kernels
 from repro.gpu.config import GPUConfig, RBCDConfig
-from repro.gpu.kernels import KernelUnavailableError
-from repro.gpu.kernels import numba_backend
 from repro.gpu.pipeline import GPU
 from repro.rbcd.element import quantize_depth
 from tests.conftest import sphere_pair_frame, two_boxes_frame
@@ -37,17 +33,8 @@ TILE_PIXELS = 256
 REFERENCE = kernels.get_backend("reference")
 
 
-def conformance_backends():
-    """Every backend under test, reference included (it must match
-    itself), plus the numba cores run as pure python when numba itself
-    is not installed."""
-    backends = [kernels.get_backend(n) for n in kernels.available_backends()]
-    if "numba" not in {b.name for b in backends}:
-        backends.append(numba_backend.make_backend(force_python=True))
-    return backends
-
-
-BACKENDS = conformance_backends()
+# Every backend under test, reference included (it must match itself).
+BACKENDS = [kernels.get_backend(n) for n in kernels.backend_names()]
 BACKEND_IDS = [b.name for b in BACKENDS]
 
 
@@ -88,10 +75,9 @@ class TestRegistry:
         names = kernels.backend_names()
         assert "reference" in names
         assert "vectorized" in names
-        assert "numba" in names  # registered, possibly unavailable
 
     def test_available_backends_always_include_core_pair(self):
-        available = kernels.available_backends()
+        available = kernels.backend_names()
         assert {"reference", "vectorized"} <= set(available)
         for name in available:
             assert kernels.get_backend(name).name == name
@@ -100,14 +86,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.get_backend("no-such-backend")
 
-    def test_numba_backend_gated_not_broken(self):
-        """Without numba the probe raises the dedicated error; with it,
-        the backend resolves.  Either way import never fails."""
-        if numba_backend.available():
-            assert kernels.get_backend("numba").name == "numba"
-        else:
-            with pytest.raises(KernelUnavailableError, match="numba"):
-                kernels.get_backend("numba")
+    def test_numba_is_an_unknown_backend(self, monkeypatch):
+        """The numba backend was removed: naming it is a plain typo."""
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernels.get_backend("numba")
+        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "numba")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            GPU(GPUConfig().with_screen(64, 32))
 
     def test_config_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "reference")
@@ -293,7 +278,7 @@ def test_earlyz_conforms_on_generated_streams(backend, pixels, data):
 
 @pytest.mark.parametrize(
     "name",
-    [b.name for b in BACKENDS if b.name in kernels.available_backends()],
+    kernels.backend_names(),
 )
 def test_frame_fingerprints_identical_across_backends(name, tiny_config):
     reference_config = tiny_config.with_kernel_backend("reference")

@@ -172,3 +172,60 @@ class TestRenderFrame:
         result = GPU(small_config, rbcd_enabled=False).render_frame(frame)
         cy, cx = small_config.screen_height // 2, small_config.screen_width // 2
         assert result.color[cy, cx, 0] == pytest.approx(1.0)  # red wins centre
+
+
+class TestFailedFrame:
+    """A frame that raises mid-pipeline must not leave spans open."""
+
+    @staticmethod
+    def cap_frames(config):
+        import dataclasses
+
+        from repro.scenes.benchmarks import workload_by_alias
+
+        good = workload_by_alias("cap", detail=1).scene.frame_at(1.0, config)
+        # 8192 does not fit the ZEB's 13-bit object-id field.
+        draws = list(good.draws)
+        index = next(i for i, d in enumerate(draws) if d.collisionable)
+        draws[index] = dataclasses.replace(draws[index], object_id=8192)
+        return good, dataclasses.replace(good, draws=tuple(draws))
+
+    def test_failed_frame_closes_its_spans(self, small_config):
+        from repro.observability.tracer import Tracer
+
+        good, bad = self.cap_frames(small_config)
+        tracer = Tracer(keep_spans=False)
+        closed = []
+        tracer.add_listener(closed.append)
+        with GPU(small_config, tracer=tracer) as gpu:
+            gpu.render_frame(good)
+            with pytest.raises(ValueError):
+                gpu.render_frame(bad)
+            assert tracer.current is None
+            assert tracer.spans == []
+            tracer.reset()
+            closed.clear()
+            gpu.render_frame(good)
+        (frame_span,) = [s for s in closed if s.name == "frame"]
+        assert frame_span.parent == -1 and frame_span.depth == 0
+        assert tracer.spans == []
+
+    def test_failed_frame_gets_no_end_frame(self, small_config):
+        from repro.observability.observer import FrameObserver
+
+        class Ends(FrameObserver):
+            begun = ended = 0
+
+            def begin_frame(self, config):
+                self.begun += 1
+
+            def end_frame(self, result, wall_s):
+                self.ended += 1
+
+        good, bad = self.cap_frames(small_config)
+        ends = Ends()
+        with GPU(small_config, observers=[ends]) as gpu:
+            with pytest.raises(ValueError):
+                gpu.render_frame(bad)
+            gpu.render_frame(good)
+        assert (ends.begun, ends.ended) == (2, 1)

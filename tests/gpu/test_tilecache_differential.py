@@ -44,7 +44,7 @@ def animation_fingerprints(
     fingerprints: list[dict] = []
     evidence: list[dict] = []
     hits = 0
-    with GPU(config, rbcd_enabled=True, provenance=recorder) as gpu:
+    with GPU(config, rbcd_enabled=True, observers=[recorder]) as gpu:
         for t in workload.times(FRAMES):
             frame = workload.scene.frame_at(float(t), config)
             result = gpu.render_frame(frame)

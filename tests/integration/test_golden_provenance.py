@@ -47,7 +47,7 @@ def snapshot_scene(alias: str) -> dict:
     frame = workload.scene.frame_at(FRAME_TIMES[alias], config)
 
     recorder = ProvenanceRecorder()
-    gpu = GPU(config, rbcd_enabled=True, provenance=recorder)
+    gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
     try:
         result = gpu.render_frame(frame)
     finally:

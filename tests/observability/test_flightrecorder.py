@@ -2,10 +2,12 @@
 
 The integration-level zero-feedback proof (recorder on == recorder off,
 bit-identical, at any worker count) lives in
-``tests/integration/test_flightrecorder_differential.py``; this file
-covers the recorder's own mechanics with fabricated streams.
+``tests/integration/test_observer_differential.py``; this file covers
+the recorder's own mechanics with fabricated streams, plus the
+no-``dump_dir`` trigger paths through the real pipeline and service.
 """
 
+import dataclasses
 import json
 import logging
 
@@ -269,6 +271,67 @@ class TestTriggersAndDumps:
         assert rec.trigger("alert") is None  # OSError swallowed + logged
         assert rec.triggers["alert"] == 1
         rec.close()
+
+
+class TestNoDumpDir:
+    """Without a ``dump_dir``, auto-triggers are counted, never written,
+    and never raise into the pipeline or the service."""
+
+    CONFIG = GPUConfig().with_screen(64, 32)
+
+    @staticmethod
+    def frame(object_id=1):
+        from tests.conftest import two_boxes_frame
+
+        frame = two_boxes_frame(TestNoDumpDir.CONFIG, 0.8)
+        draw = dataclasses.replace(frame.draws[0], object_id=object_id)
+        return dataclasses.replace(frame, draws=(draw, *frame.draws[1:]))
+
+    def test_watchdog_alert_does_not_raise_from_detect_frame(self):
+        from repro.core import RBCDSystem
+
+        always = WatchdogRule(
+            "always", "window.energy.joules_per_frame", "gt", 0.0
+        )
+        monitor = LiveMonitor(window=4, rules=[always])
+        with FlightRecorder() as rec:
+            rec.attach_monitor(monitor)
+            with RBCDSystem(config=self.CONFIG, observers=[monitor]) as system:
+                system.detect_frame(self.frame())
+        assert [a.rule for a in monitor.alerts] == ["always"]
+        assert rec.triggers == {"alert": 1}
+        assert rec.dumps_written == 0 and rec.dump_paths == []
+
+    def test_rejection_raises_admission_error(self):
+        from repro.serve import AdmissionError, CollisionService
+
+        with FlightRecorder() as rec, CollisionService(
+            base_config=self.CONFIG, rules=[], max_pending=1, recorder=rec
+        ) as service:
+            service.register("t0")
+            service.submit("t0", self.frame())
+            with pytest.raises(AdmissionError):
+                service.submit("t0", self.frame())
+            service.drain()
+        assert rec.triggers == {"rejection": 1}
+        assert rec.dumps_written == 0
+
+    def test_tenant_exception_stays_in_its_future(self):
+        from repro.serve import CollisionService
+
+        with FlightRecorder() as rec, CollisionService(
+            base_config=self.CONFIG, rules=[], recorder=rec
+        ) as service:
+            service.register("bad")
+            service.register("good")
+            # 8192 does not fit the ZEB's 13-bit object-id field.
+            failing = service.submit("bad", self.frame(object_id=8192))
+            served = service.submit("good", self.frame())
+            assert service.step() == 2
+        assert isinstance(failing.exception(timeout=0), ValueError)
+        assert served.result(timeout=0).result.pairs == {(1, 2)}
+        assert rec.triggers == {"exception": 1}
+        assert rec.dumps_written == 0
 
 
 class TestDeterministicEvents:

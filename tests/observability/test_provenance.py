@@ -37,7 +37,7 @@ from tests.conftest import sphere_pair_frame, two_boxes_frame
 
 def render_with_recorder(config, frame):
     recorder = ProvenanceRecorder()
-    gpu = GPU(config, rbcd_enabled=True, provenance=recorder)
+    gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
     try:
         result = gpu.render_frame(frame, keep_fragments=True)
     finally:
@@ -109,8 +109,8 @@ class TestShardMerge:
         shard_recorders = []
         for tile in tiles:
             shard = ProvenanceRecorder()
-            shard.begin_frame()
-            shard.record_tile(tile, config)
+            shard.begin_frame(config)
+            shard.record_tile(tile)
             shard_recorders.append(shard)
         return reference, shard_recorders
 

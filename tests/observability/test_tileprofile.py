@@ -1,14 +1,12 @@
 """TileProfiler unit tests: grids, merging, round-trips, guard rails."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.energy.rbcd_power import RBCDEnergyModel
 from repro.gpu.config import GPUConfig
 from repro.observability.tileprofile import GRID_NAMES, TileProfiler
-
-
-class FakeZeb:
-    def __init__(self, insertions):
-        self.insertions = insertions
 
 
 class FakeResult:
@@ -19,19 +17,9 @@ class FakeResult:
         self.tile_index = tile_index
         self.insertion_cycles = insertion
         self.overlap_cycles = overlap
-        self.zeb = FakeZeb(insertions)
-
-
-class FakeEnergyModel:
-    """tile_breakdown stand-in pricing every tile at a fixed joule cost."""
-
-    def __init__(self, per_tile_j=2.0):
-        self.per_tile_j = per_tile_j
-
-    def tile_breakdown(self, result):
-        class Breakdown:
-            total_j = self.per_tile_j
-        return Breakdown()
+        self.zeb = SimpleNamespace(insertions=insertions)
+        self.analyzed_elements = 2 * insertions
+        self.overlap = SimpleNamespace(pair_records=1)
 
 
 def small_config():
@@ -52,11 +40,15 @@ class TestRecording:
     def test_record_tile_accumulates_all_grids(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(3), replayed=True,
-                             energy_model=FakeEnergyModel(2.5))
+        profiler.record_tile(FakeResult(3), replayed=True)
         profiler.record_tile(FakeResult(3))
+        # Energy is priced by the begin_frame config's RBCD model.
+        tile_j = RBCDEnergyModel(small_config()).tile_breakdown(
+            FakeResult(3)
+        ).total_j
+        assert tile_j > 0.0
         assert profiler.grid("cycles")[3] == 30.0
-        assert profiler.grid("energy_j")[3] == 2.5  # model on 1st call only
+        assert profiler.grid("energy_j")[3] == 2 * tile_j
         assert profiler.grid("activity")[3] == 6.0
         assert profiler.grid("hits")[3] == 1.0
         assert profiler.grid("lookups")[3] == 2.0
@@ -149,8 +141,7 @@ class TestRoundTrip:
     def test_as_dict_from_dict_round_trips(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(1), replayed=True,
-                             energy_model=FakeEnergyModel())
+        profiler.record_tile(FakeResult(1), replayed=True)
         data = profiler.as_dict()
         rebuilt = TileProfiler.from_dict(data)
         assert rebuilt.as_dict() == data

@@ -226,7 +226,7 @@ class TestFigure5CaseCoverage:
             projection=simple_projection(aspect),
         )
         recorder = ProvenanceRecorder()
-        gpu = GPU(config, rbcd_enabled=True, provenance=recorder)
+        gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
         try:
             result = gpu.render_frame(frame)
         finally:

@@ -124,7 +124,7 @@ def test_provenance_matches_solo_recorder():
     plan = plan_tenants(TENANTS, detail=1, seed=7)[0]
 
     solo_recorder = ProvenanceRecorder()
-    with RBCDSystem(config=config, provenance=solo_recorder) as system:
+    with RBCDSystem(config=config, observers=[solo_recorder]) as system:
         for seq in range(FRAMES):
             system.detect_frame(plan.frame_at(seq, config))
 
@@ -136,8 +136,8 @@ def test_provenance_matches_solo_recorder():
         for other in plans:
             service.register(
                 other.tenant,
-                provenance=(
-                    served_recorder if other.tenant == plan.tenant else None
+                observers=(
+                    [served_recorder] if other.tenant == plan.tenant else ()
                 ),
             )
         for seq in range(FRAMES):
