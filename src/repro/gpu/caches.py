@@ -1,4 +1,4 @@
-"""Functional set-associative cache model with LRU replacement.
+"""Functional set-associative cache model with exact LRU replacement.
 
 Used for the vertex cache and the tile cache, whose hit/miss behaviour
 feeds the activity factors of Figure 11 (tile-cache loads and misses)
@@ -13,24 +13,28 @@ import numpy as np
 from repro.gpu.config import CacheConfig
 
 
-class Cache:
-    """Set-associative LRU cache over 64-bit byte addresses.
+def _check_address(address: int) -> None:
+    if address < 0:
+        raise ValueError(f"cache address must be non-negative, got {address}")
 
-    The implementation keeps per-set tag arrays and an LRU counter; it
-    is deliberately simple (one access at a time) because the hot path
-    batches accesses with :meth:`access_many`, which deduplicates
-    consecutive same-line accesses first.
+
+class Cache:
+    """Set-associative LRU cache over non-negative byte addresses.
+
+    Each set is a plain list of its resident line numbers, most recently
+    used first and at most ``ways`` long.  A hit moves the line to the
+    front; a miss drops the last (least recently used) line when the set
+    is full and puts the new line at the front.  :meth:`access_many` is
+    the hot path: it maps addresses to lines with numpy, collapses runs
+    of the same line (all but the first would hit) and walks the rest
+    in one Python loop.  The single-access methods go through it too, so
+    there is one replacement path.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets = config.num_sets
         self._ways = config.ways
-        # tags[set][way]; -1 = invalid
-        self._tags = np.full((self._sets, self._ways), -1, dtype=np.int64)
-        # Higher stamp = more recently used.
-        self._stamps = np.zeros((self._sets, self._ways), dtype=np.int64)
-        self._clock = 0
+        self._sets: list[list[int]] = [[] for _ in range(config.num_sets)]
         self.accesses = 0
         self.misses = 0
 
@@ -40,9 +44,8 @@ class Cache:
 
     def flush(self) -> None:
         """Invalidate all lines (between frames, if desired)."""
-        self._tags.fill(-1)
-        self._stamps.fill(0)
-        self._clock = 0
+        for lines in self._sets:
+            lines.clear()
 
     @property
     def hits(self) -> int:
@@ -54,61 +57,54 @@ class Cache:
             return 0.0
         return self.misses / self.accesses
 
-    def _line_of(self, address: int) -> int:
-        return address // self.config.line_bytes
-
     def access(self, address: int) -> bool:
         """Touch one byte address; returns True on hit."""
-        return self.access_line(self._line_of(address))
+        return self.access_many(np.array([address])) == 0
 
     def access_line(self, line: int) -> bool:
         """Touch one line number; returns True on hit."""
-        self.accesses += 1
-        self._clock += 1
-        set_idx = line % self._sets
-        tags = self._tags[set_idx]
-        hit_ways = np.nonzero(tags == line)[0]
-        if hit_ways.size:
-            self._stamps[set_idx, hit_ways[0]] = self._clock
-            return True
-        self.misses += 1
-        victim = int(self._stamps[set_idx].argmin())
-        self._tags[set_idx, victim] = line
-        self._stamps[set_idx, victim] = self._clock
-        return False
+        return self.access(line * self.config.line_bytes)
 
     def access_range(self, address: int, length: int) -> int:
         """Touch every line of ``[address, address+length)``; returns misses."""
+        _check_address(address)
         if length <= 0:
             return 0
-        first = self._line_of(address)
-        last = self._line_of(address + length - 1)
-        before = self.misses
-        for line in range(first, last + 1):
-            self.access_line(line)
-        return self.misses - before
+        line_bytes = self.config.line_bytes
+        first = address // line_bytes
+        last = (address + length - 1) // line_bytes
+        return self.access_many(np.arange(first, last + 1) * line_bytes)
 
     def access_many(self, addresses: np.ndarray) -> int:
         """Touch a sequence of byte addresses in order; returns misses.
 
-        Consecutive accesses to the same line are collapsed to one
-        (they would all hit anyway), which keeps the Python loop short
-        for streaming patterns.
+        Consecutive accesses to the same line are collapsed to one (they
+        would all hit anyway) but still count in :attr:`accesses`.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
         if addrs.size == 0:
             return 0
+        _check_address(int(addrs.min()))
         lines = addrs // self.config.line_bytes
-        keep = np.ones(lines.size, dtype=bool)
-        keep[1:] = lines[1:] != lines[:-1]
-        collapsed = lines[keep]
-        repeats = np.diff(np.append(np.nonzero(keep)[0], lines.size))
-        before_miss = self.misses
-        before_acc = self.accesses
-        for line in collapsed:
-            self.access_line(int(line))
-        # The collapsed duplicates still count as (hit) accesses.
-        extra = int(lines.size - collapsed.size)
-        self.accesses += extra
-        del before_acc, repeats
-        return self.misses - before_miss
+        keep = np.empty(lines.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+
+        sets = self._sets
+        num_sets = len(sets)
+        ways = self._ways
+        misses = 0
+        for line in lines[keep].tolist():
+            resident = sets[line % num_sets]
+            if resident and resident[0] == line:
+                continue
+            if line in resident:
+                resident.remove(line)
+            else:
+                misses += 1
+                if len(resident) == ways:
+                    resident.pop()
+            resident.insert(0, line)
+        self.accesses += lines.size
+        self.misses += misses
+        return misses

@@ -46,6 +46,12 @@ class CacheConfig:
     latency_cycles: int = 1
 
     def __post_init__(self) -> None:
+        for field_name in ("size_bytes", "line_bytes", "ways"):
+            value = getattr(self, field_name)
+            if value <= 0:
+                raise ValueError(
+                    f"{self.name}: {field_name} must be positive, got {value}"
+                )
         if self.size_bytes % (self.line_bytes * self.ways) != 0:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible by "

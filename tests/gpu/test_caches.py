@@ -103,3 +103,34 @@ class TestBatchAccess:
         addresses = np.arange(0, 64 * 16, 4)  # sequential words
         misses = cache.access_many(addresses)
         assert misses == 16
+
+
+class TestNegativeAddresses:
+    # A negative address names no line; before validation, line -1
+    # matched the oracle's invalid-tag sentinel and hit in a cold cache.
+    def cold_cache(self) -> Cache:
+        return Cache(CacheConfig("t", 512, 64, 2))
+
+    def test_access_rejects_negative_address(self):
+        cache = self.cold_cache()
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.access(-1)
+        assert cache.accesses == 0
+
+    def test_access_many_rejects_negative_address(self):
+        cache = self.cold_cache()
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.access_many(np.array([-1, -5]))
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.access_many(np.array([0, 64, -64]))
+        assert cache.accesses == cache.misses == 0
+
+    def test_access_line_rejects_negative_line(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.cold_cache().access_line(-1)
+
+    def test_access_range_rejects_negative_address(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.cold_cache().access_range(-64, 128)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.cold_cache().access_range(-64, 0)

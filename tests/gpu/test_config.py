@@ -76,6 +76,21 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig("t", 1000, 64, 2)
 
+    @pytest.mark.parametrize(
+        "size_bytes,line_bytes,ways,field_name",
+        [
+            (0, 64, 2, "size_bytes"),
+            (-128, 64, 2, "size_bytes"),
+            (4096, 0, 2, "line_bytes"),
+            (4096, -64, 2, "line_bytes"),
+            (4096, 64, 0, "ways"),
+            (4096, 64, -2, "ways"),
+        ],
+    )
+    def test_non_positive_geometry_rejected(self, size_bytes, line_bytes, ways, field_name):
+        with pytest.raises(ValueError, match=f"vcache: {field_name} must be positive"):
+            CacheConfig("vcache", size_bytes, line_bytes, ways)
+
     def test_queue_config_fields(self):
         q = QueueConfig("fragment", 64, 233)
         assert q.entries == 64 and q.bytes_per_entry == 233
