@@ -96,14 +96,14 @@ def run_paused_animation():
     workload = workload_by_alias("cap", detail=1)
     frame = workload.scene.frame_at(1.0, config)
     per_frame = []
-    with GPU(config, rbcd_enabled=True) as gpu:
-        for _ in range(TILECACHE_FRAMES):
-            result = gpu.render_frame(frame)
-            counters = result.tilecache.as_dict()
-            per_frame.append((
-                counters["gpu.tilecache.hits"],
-                counters["gpu.tilecache.lookups"],
-            ))
+    gpu = GPU(config, rbcd_enabled=True)
+    for _ in range(TILECACHE_FRAMES):
+        result = gpu.render_frame(frame)
+        counters = result.tilecache.as_dict()
+        per_frame.append((
+            counters["gpu.tilecache.hits"],
+            counters["gpu.tilecache.lookups"],
+        ))
     return per_frame
 
 

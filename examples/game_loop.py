@@ -9,14 +9,8 @@ A stack of balls drops onto a floor.  Every frame:
 3. for comparison, the same frame's CD is also priced on the software
    baseline (broad+GJK), showing the work RBCD removed from the CPU.
 
-Run:  python examples/game_loop.py [--workers N]
-
-``--workers N`` fans the per-tile RBCD simulation out to N processes
-(the parallel tile engine); the detected pairs and cycle counts are
-bit-identical to the serial run — only wall-clock time changes.
+Run:  python examples/game_loop.py
 """
-
-import argparse
 
 from repro.core import RBCDSystem
 from repro.cpu.model import CPUModel
@@ -30,10 +24,6 @@ DT = 1.0 / 60.0
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args()
-
     physics = PhysicsWorld()
     physics.add_body(
         RigidBody(0, make_box(Vec3(4.0, 0.4, 4.0)), Vec3(0, 0, 0), inverse_mass=0.0)
@@ -43,7 +33,7 @@ def main() -> None:
     for i, start in enumerate(drops, start=1):
         physics.add_body(RigidBody(i, ball, start, restitution=0.4))
 
-    system = RBCDSystem(resolution=(320, 200), workers=args.workers)
+    system = RBCDSystem(resolution=(320, 200))
     camera = Camera(eye=Vec3(0.0, 3.0, 9.0), target=Vec3(0.0, 1.5, 0.0))
 
     # Software CD world over the same meshes, for the cost comparison.
@@ -80,7 +70,6 @@ def main() -> None:
             )
             print(f"frame {frame:3d}  ball heights: [{heights}]  pairs: {pairs}")
 
-    system.close()
     print()
     print(f"contacts resolved over the run : {contacts_resolved}")
     for i in (1, 2, 3):

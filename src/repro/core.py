@@ -107,17 +107,9 @@ class RBCDSystem:
         (Section 2.2).
     zeb_count, list_length:
         RBCD unit configuration (Table 2 defaults: 2 ZEBs, M=8).
-    workers, executor_backend:
-        Host-side tile-execution engine: fan per-tile RBCD work out to
-        ``workers`` workers ("thread" or "process" backend; the default
-        picks "process" when ``workers > 1``).  Results are merged
-        deterministically, so any worker count produces bit-identical
-        collisions, stats, and simulated cycles.  Use :meth:`close` (or
-        a ``with`` block) to release pooled workers.
     config:
         Full :class:`GPUConfig` override; when given, the other
-        keyword parameters are ignored (except ``workers`` /
-        ``executor_backend``, which still apply when non-default).
+        keyword parameters are ignored.
     tracer:
         Optional :class:`repro.observability.Tracer`; frames rendered
         through this system then record stage spans (wall time +
@@ -129,8 +121,8 @@ class RBCDSystem:
         :class:`~repro.observability.live.LiveMonitor`,
         :class:`~repro.observability.tileprofile.TileProfiler`, or your
         own.  Strictly observational — results, counters and cycles are
-        bit-identical with any set of observers attached, at any worker
-        count.  A :class:`~repro.observability.FlightRecorder` is not an
+        bit-identical with any set of observers attached.  A
+        :class:`~repro.observability.FlightRecorder` is not an
         observer: wire it with its ``attach_config`` /
         ``attach_tracer`` / ``attach_monitor`` methods.
     tile_cache:
@@ -141,14 +133,9 @@ class RBCDSystem:
         detection output is bit-identical either way — so the switch
         only moves the modelled-savings counters surfaced on
         :attr:`RBCDFrameResult.tilecache`.
-    executor:
-        An already-built :class:`~repro.gpu.parallel.TileExecutor` to
-        run per-tile work on, instead of building one from the config.
-        The system does **not** own an injected executor — :meth:`close`
-        leaves it running — which is how the serving frontend
-        (:mod:`repro.serve`) shares one worker pool across every
-        tenant's system.  Results are unchanged: any executor produces
-        bit-identical collisions, stats, and cycles.
+
+    The system holds no resources: :meth:`close` and the ``with`` block
+    are no-ops, kept so callers can scope a system without caring.
     """
 
     def __init__(
@@ -156,13 +143,10 @@ class RBCDSystem:
         resolution: tuple[int, int] = (800, 480),
         zeb_count: int = 2,
         list_length: int = 8,
-        workers: int = 1,
-        executor_backend: str | None = None,
         config: GPUConfig | None = None,
         tracer=None,
         observers=(),
         tile_cache: bool | None = None,
-        executor=None,
     ) -> None:
         if config is None:
             width, height = resolution
@@ -171,28 +155,20 @@ class RBCDSystem:
                 list_length=list_length,
                 ff_stack_entries=max(list_length, 8),
             )
-        if workers != 1 or executor_backend is not None:
-            config = config.with_executor(
-                workers=workers, backend=executor_backend
-            )
         if tile_cache is not None:
             config = config.with_tile_cache(tile_cache)
         self.config = config
         self._gpu = GPU(
-            config, rbcd_enabled=True, executor=executor, tracer=tracer,
-            observers=observers,
+            config, rbcd_enabled=True, tracer=tracer, observers=observers
         )
         log_event(
             _LOG, "rbcd.system.created", level=logging.DEBUG,
             width=config.screen_width, height=config.screen_height,
-            workers=config.executor_workers,
-            backend=config.executor_backend,
             observers=len(self._gpu.observers),
         )
 
     def close(self) -> None:
-        """Shut down the tile-executor worker pool, if any."""
-        self._gpu.close()
+        """No-op: the system holds no resources (see the class doc)."""
 
     def reset_tile_cache(self) -> None:
         """Drop every cached tile result (no-op when the cache is off).
@@ -292,18 +268,15 @@ def detect_collisions(
     objects: list[tuple[int, TriangleMesh, Mat4]],
     camera: Camera | None = None,
     resolution: tuple[int, int] = (256, 256),
-    workers: int = 1,
 ) -> set[tuple[int, int]]:
     """One-shot render-based collision detection.
 
     When no camera is given, one is synthesized to frame all objects
     (see :func:`default_camera_for`).  Returns the set of colliding
-    ``(id_low, id_high)`` pairs.  ``workers > 1`` runs the per-tile
-    RBCD work on a process pool; the result is identical.
+    ``(id_low, id_high)`` pairs.
     """
     if not objects:
         return set()
     if camera is None:
         camera = default_camera_for(objects)
-    with RBCDSystem(resolution=resolution, workers=workers) as system:
-        return system.detect(objects, camera).pairs
+    return RBCDSystem(resolution=resolution).detect(objects, camera).pairs

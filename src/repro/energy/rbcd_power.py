@@ -104,8 +104,7 @@ class RBCDEnergyModel:
         Static leakage is excluded — it accrues with *frame* time, not
         per tile — so summing tile breakdowns over any shard grouping
         reproduces the frame's dynamic energy exactly
-        (``breakdown(stats)`` minus its ``static_j``), which is what
-        lets energy survive the parallel executor's merge.
+        (``breakdown(stats)`` minus its ``static_j``).
         """
         return RBCDEnergyBreakdown(
             insertion_j=result.zeb.insertions

@@ -13,8 +13,7 @@ merge algebra, so multi-frame runs accumulate with ``sum(reports)``;
 because every energy term is linear in the counters it is priced from,
 summing per-frame reports is bit-identical to pricing the summed stats
 (asserted by ``tests/energy/test_energy_algebra.py``) — the same
-linearity that lets per-tile energy survive the parallel executor's
-shard merge.
+linearity that lets per-tile energy sum to the frame's.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Regenerates every figure and table of the paper's evaluation section
 and prints them as ASCII tables:
 
     python -m repro.experiments [--width W] [--height H] [--frames N]
-                                [--detail D] [--workers K]
-                                [--executor {serial,thread,process}]
+                                [--detail D]
 
 Full WVGA (the default) takes a few minutes; ``--width 400 --height 240``
 gives a quick pass with the same shapes.
@@ -30,14 +29,6 @@ def main(argv=None) -> int:
     parser.add_argument("--height", type=int, default=480)
     parser.add_argument("--frames", type=int, default=8)
     parser.add_argument("--detail", type=int, default=2)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="parallel tile-execution workers (results are identical)",
-    )
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default=None,
-        help="tile-executor backend (default: process when --workers > 1)",
-    )
     args = parser.parse_args(argv)
 
     start = time.time()
@@ -48,8 +39,7 @@ def main(argv=None) -> int:
     )
     runs = run_all_benchmarks(
         width=args.width, height=args.height, frames=args.frames,
-        detail=args.detail, workers=args.workers,
-        executor_backend=args.executor,
+        detail=args.detail,
     )
     print(f"...done in {time.time() - start:.0f}s\n")
 
@@ -69,8 +59,7 @@ def main(argv=None) -> int:
     print("Sweeping ZEB list lengths for Table 3...", flush=True)
     sweeps = run_overflow_sweeps(
         width=args.width, height=args.height, frames=args.frames,
-        detail=args.detail, workers=args.workers,
-        executor_backend=args.executor,
+        detail=args.detail,
     )
     print(tables.render_figure(figures.table3_overflow(sweeps)))
     detected = all(s.all_collisions_detected(8, 16) for s in sweeps)

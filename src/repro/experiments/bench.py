@@ -86,10 +86,8 @@ hit/skip histograms (``per_frame_hits``/``per_frame_lookups``), the
 modelled savings, and the *effective* cycle/joule totals (reported
 total minus savings plus signature overhead).  Replay is exact, so all
 v4-era numbers are identical with the cache on or off; only the new
-block moves.  The validator accepts v4 documents too (additive change),
-but the regress layer treats ``tile_cache`` as a config key — a v4
-baseline (implicitly cache-off) gates cleanly against a cache-off v5
-run and refuses a cache-on one.
+block moves.  The regress layer treats ``tile_cache`` as a config key,
+so cache-on and cache-off documents never gate against each other.
 
 Schema v6 adds **per-tile spatial profiles**
 (:class:`~repro.observability.tileprofile.TileProfiler`,
@@ -99,7 +97,8 @@ cycle/energy/activity/cache-hit grids.  Profiling is strictly
 observational (differential-tested), so all other numbers are
 identical with it on or off; the regress layer treats ``tile_profile``
 as a config key like ``tile_cache``, so profiled and unprofiled
-documents never gate against each other silently.  The grids feed the
+documents never gate against each other silently.  The validator
+accepts v6 documents only.  The grids feed the
 regression **attribution** engine
 (:mod:`repro.observability.attribution`): ``--explain`` prints the
 top-k attributed causes when ``--gate`` fails (``--explain-json``
@@ -161,11 +160,7 @@ __all__ = [
 
 SCHEMA_NAME = "rbcd-bench"
 SCHEMA_VERSION = 6
-# Older schema versions the validator still accepts: v5 and v6 are
-# purely additive over v4, so stored v4/v5 baselines remain valid
-# documents (whether they may *gate* against a v6 run is the regress
-# layer's call, via the config keys).
-SUPPORTED_VERSIONS = (4, 5, 6)
+SUPPORTED_VERSIONS = (6,)
 
 # Default history file for --append-history (repo-relative).
 HISTORY_PATH = Path("benchmarks/history/HISTORY.ndjson")
@@ -665,12 +660,9 @@ def validate_bench_document(doc: Any) -> None:
     """Raise ``ValueError`` (listing every problem) if ``doc`` is not a
     well-formed rbcd-bench document.
 
-    Accepts any version in :data:`SUPPORTED_VERSIONS`: v5 is additive
-    over v4 (config ``tile_cache`` + per-scene ``tilecache``) and v6
-    over v5 (config ``tile_profile`` + per-scene ``tile_profile``), so
-    the new keys are required at their version and skipped below it.
-    Unknown *extra* keys are tolerated at any version — additive schema
-    growth must not invalidate stored baselines.
+    Accepts only the versions in :data:`SUPPORTED_VERSIONS`.  Unknown
+    *extra* keys are tolerated — additive schema growth must not
+    invalidate stored baselines.
     """
     errors: list[str] = []
     if not isinstance(doc, Mapping):
@@ -681,7 +673,6 @@ def validate_bench_document(doc: Any) -> None:
     if version not in SUPPORTED_VERSIONS:
         _fail(errors, "version",
               f"expected one of {SUPPORTED_VERSIONS}, got {version!r}")
-        version = SCHEMA_VERSION  # check the rest at the current schema
 
     config = doc.get("config")
     runs = None
@@ -697,10 +688,9 @@ def validate_bench_document(doc: Any) -> None:
             value = config.get(key)
             if not isinstance(value, str) or not value:
                 _fail(errors, f"config.{key}", "expected a non-empty string")
-        if version >= 5 and not isinstance(config.get("tile_cache"), bool):
-            _fail(errors, "config.tile_cache", "expected a bool (schema v5)")
-        if version >= 6 and not isinstance(config.get("tile_profile"), bool):
-            _fail(errors, "config.tile_profile", "expected a bool (schema v6)")
+        for key in ("tile_cache", "tile_profile"):
+            if not isinstance(config.get(key), bool):
+                _fail(errors, f"config.{key}", "expected a bool")
         runs = config.get("runs")
 
     stats = doc.get("stats")
@@ -781,28 +771,26 @@ def validate_bench_document(doc: Any) -> None:
             for key in _CASE_KEYS:
                 _check_int(errors, f"{base}.cases.{key}", cases.get(key))
 
-        if version >= 5:
-            tilecache = entry.get("tilecache")
-            tpath = f"{base}.tilecache"
-            if not isinstance(tilecache, Mapping):
-                _fail(errors, tpath, "missing or not an object (schema v5)")
-            else:
-                if not isinstance(tilecache.get("enabled"), bool):
-                    _fail(errors, f"{tpath}.enabled", "expected a bool")
-                for key in _TILECACHE_INT_KEYS:
-                    _check_int(errors, f"{tpath}.{key}", tilecache.get(key))
-                for key in _TILECACHE_FLOAT_KEYS:
-                    _check_number(errors, f"{tpath}.{key}", tilecache.get(key))
-                for key in _TILECACHE_LIST_KEYS:
-                    values = tilecache.get(key)
-                    if not isinstance(values, list):
-                        _fail(errors, f"{tpath}.{key}", "expected a list")
-                        continue
-                    for i, value in enumerate(values):
-                        _check_int(errors, f"{tpath}.{key}[{i}]", value)
+        tilecache = entry.get("tilecache")
+        tpath = f"{base}.tilecache"
+        if not isinstance(tilecache, Mapping):
+            _fail(errors, tpath, "missing or not an object")
+        else:
+            if not isinstance(tilecache.get("enabled"), bool):
+                _fail(errors, f"{tpath}.enabled", "expected a bool")
+            for key in _TILECACHE_INT_KEYS:
+                _check_int(errors, f"{tpath}.{key}", tilecache.get(key))
+            for key in _TILECACHE_FLOAT_KEYS:
+                _check_number(errors, f"{tpath}.{key}", tilecache.get(key))
+            for key in _TILECACHE_LIST_KEYS:
+                values = tilecache.get(key)
+                if not isinstance(values, list):
+                    _fail(errors, f"{tpath}.{key}", "expected a list")
+                    continue
+                for i, value in enumerate(values):
+                    _check_int(errors, f"{tpath}.{key}[{i}]", value)
 
-        if version >= 6:
-            _check_tile_profile(errors, base, entry.get("tile_profile"))
+        _check_tile_profile(errors, base, entry.get("tile_profile"))
 
     if errors:
         raise ValueError(

@@ -4,7 +4,7 @@
 :class:`~repro.serve.CollisionService`, registers N simulated tenants
 (scenes assigned round-robin from the four benchmark workloads, phase
 offsets drawn from a fixed seed), drives their frame streams through
-the shared tile-executor pool, and serves the labelled telemetry over
+the service, and serves the labelled telemetry over
 HTTP while the run lasts::
 
     $ PYTHONPATH=src python -m repro.experiments.loadgen \\
@@ -84,8 +84,8 @@ __all__ = [
 ]
 
 SCHEMA_NAME = "rbcd-serve-bench"
-SCHEMA_VERSION = 1
-SUPPORTED_VERSIONS = (1,)
+SCHEMA_VERSION = 2
+SUPPORTED_VERSIONS = (2,)
 
 
 class TenantPlan:
@@ -132,8 +132,6 @@ def _make_service(
         args_like["width"], args_like["height"]
     )
     return CollisionService(
-        workers=args_like["workers"],
-        executor_backend=args_like["backend"],
         base_config=config,
         window=args_like["window"],
         rules=rules,
@@ -333,7 +331,7 @@ def build_document(
     workload: Mapping[str, Any],
     saturation: Mapping[str, Any] | None,
 ) -> dict[str, Any]:
-    """Assemble the ``rbcd-serve-bench`` v1 document.
+    """Assemble the ``rbcd-serve-bench`` v2 document.
 
     ``workload`` (closed-loop, deterministic counters) is the section
     the cross-run determinism gate covers; ``saturation`` is
@@ -348,8 +346,6 @@ def build_document(
             "width": args_like["width"],
             "height": args_like["height"],
             "detail": args_like["detail"],
-            "workers": args_like["workers"],
-            "backend": args_like["backend"] or "auto",
             "window": args_like["window"],
             "max_pending": args_like["max_pending"],
             "seed": args_like["seed"],
@@ -392,7 +388,7 @@ def history_line(doc: Mapping[str, Any]) -> str:
         "config": {
             key: config.get(key)
             for key in ("tenants", "frames", "width", "height", "detail",
-                        "workers", "backend", "max_frame_ms")
+                        "max_frame_ms")
         },
         "workload": {
             "frames_served": workload.get("frames_served"),
@@ -546,7 +542,6 @@ def validate_serve_bench_document(doc: Any) -> None:
     _check_int(errors, "config.frames", config.get("frames"), minimum=1)
     _check_int(errors, "config.width", config.get("width"), minimum=1)
     _check_int(errors, "config.height", config.get("height"), minimum=1)
-    _check_int(errors, "config.workers", config.get("workers"), minimum=1)
     _check_int(errors, "config.seed", config.get("seed"))
     workload = doc.get("workload")
     if not isinstance(workload, Mapping):
@@ -615,14 +610,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke preset: 160x96, detail 1",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="shared tile-executor workers (default: 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default=None,
-        help="executor backend (default: from worker count)",
     )
     parser.add_argument(
         "--rate", type=float, default=None, metavar="HZ",
@@ -749,7 +736,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args_like = {
         "tenants": args.tenants, "frames": args.frames,
         "width": args.width, "height": args.height, "detail": args.detail,
-        "workers": args.workers, "backend": args.backend,
         "window": args.window, "max_pending": args.max_pending,
         "seed": args.seed, "max_frame_ms": args.max_frame_ms,
     }

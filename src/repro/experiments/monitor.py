@@ -106,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=0.0,
         help="seconds to sleep between frames (default: 0)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="tile-executor workers (default: 1)",
-    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port", type=int, default=0,
@@ -202,8 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 flush=True,
             )
             with RBCDSystem(
-                config=config, workers=args.workers, tracer=tracer,
-                observers=[monitor],
+                config=config, tracer=tracer, observers=[monitor],
             ) as system:
                 if recorder is not None:
                     recorder.attach_config(system.config)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import TileExecutor, gather_tile_tasks
+from repro.gpu.parallel import gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.gpu.raster import FragmentSoup
 from repro.rbcd.unit import RBCDUnit
@@ -40,28 +40,15 @@ class OverflowSweepResult:
         return all(not missed for missed in self.missed_pairs(m, reference_m))
 
 
-def rerun_unit(
-    frags: FragmentSoup,
-    gpu_config: GPUConfig,
-    executor: TileExecutor | None = None,
-) -> RBCDUnit:
-    """Feed a frame's collisionable fragments through a fresh RBCD unit.
-
-    When an ``executor`` is given, tiles run through it (its pool is
-    reusable across configs); the merge stays in tile-schedule order
-    either way, so the result is identical.
-    """
+def rerun_unit(frags: FragmentSoup, gpu_config: GPUConfig) -> RBCDUnit:
+    """Feed a frame's collisionable fragments through a fresh RBCD unit,
+    tile by tile in tile-schedule order."""
     unit = RBCDUnit(gpu_config)
-    tasks = gather_tile_tasks(frags, gpu_config)
-    if executor is not None:
-        for result in executor.run(gpu_config, tasks):
-            unit.absorb(result)
-    else:
-        for task in tasks:
-            unit.process_tile(
-                task.tile_index, task.x, task.y, task.z, task.object_id,
-                task.front,
-            )
+    for task in gather_tile_tasks(frags, gpu_config):
+        unit.process_tile(
+            task.tile_index, task.x, task.y, task.z, task.object_id,
+            task.front,
+        )
     return unit
 
 
@@ -81,22 +68,20 @@ def overflow_sweep(
     spares = {m: 0 for m in m_values}
     pairs: dict[int, list[set]] = {m: [] for m in m_values}
 
-    with gpu:
-        for t in workload.times(frames):
-            frame = workload.scene.frame_at(float(t), gpu_config)
-            result = gpu.render_frame(frame, keep_fragments=True)
-            for m in m_values:
-                cfg_m = gpu_config.with_rbcd(
-                    list_length=m,
-                    ff_stack_entries=max(m, gpu_config.rbcd.ff_stack_entries),
-                    spare_entries_per_tile=spare_entries,
-                )
-                # The per-M reruns reuse the frame GPU's executor pool.
-                unit = rerun_unit(result.fragments, cfg_m, gpu.executor)
-                insertions[m] += unit.insertions
-                overflows[m] += unit.overflow_events
-                spares[m] += unit.spare_allocations
-                pairs[m].append({(p.id_a, p.id_b) for p in unit.report.pairs})
+    for t in workload.times(frames):
+        frame = workload.scene.frame_at(float(t), gpu_config)
+        result = gpu.render_frame(frame, keep_fragments=True)
+        for m in m_values:
+            cfg_m = gpu_config.with_rbcd(
+                list_length=m,
+                ff_stack_entries=max(m, gpu_config.rbcd.ff_stack_entries),
+                spare_entries_per_tile=spare_entries,
+            )
+            unit = rerun_unit(result.fragments, cfg_m)
+            insertions[m] += unit.insertions
+            overflows[m] += unit.overflow_events
+            spares[m] += unit.spare_allocations
+            pairs[m].append({(p.id_a, p.id_b) for p in unit.report.pairs})
 
     rates = {
         m: (overflows[m] / insertions[m] if insertions[m] else 0.0)

@@ -4,11 +4,6 @@ Full-resolution simulations take seconds per frame, and every figure
 bench consumes the same underlying runs, so this module memoizes the
 expensive simulation by its parameters: all figure/table benches of one
 pytest session share a single set of renders.
-
-``workers``/``executor_backend`` select the parallel tile-execution
-engine (see :mod:`repro.gpu.parallel`); they are part of the memo key
-but never change results — the engine's merge is deterministic — only
-wall-clock time.
 """
 
 from __future__ import annotations
@@ -21,22 +16,13 @@ from repro.gpu.config import GPUConfig
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
 
 
-def _experiment_config(
-    width: int, height: int, workers: int, backend: str | None
-) -> GPUConfig:
-    config = GPUConfig().with_screen(width, height)
-    if workers != 1 or backend is not None:
-        config = config.with_executor(workers=workers, backend=backend)
-    return config
-
-
 @lru_cache(maxsize=8)
 def _cached_run(
     alias: str, width: int, height: int, frames: int, detail: int,
-    zeb_counts: tuple[int, ...], workers: int = 1, backend: str | None = None,
+    zeb_counts: tuple[int, ...],
 ) -> WorkloadRun:
     workload = workload_by_alias(alias, detail)
-    config = _experiment_config(width, height, workers, backend)
+    config = GPUConfig().with_screen(width, height)
     return run_workload(workload, config, frames=frames, zeb_counts=zeb_counts)
 
 
@@ -44,10 +30,9 @@ def _cached_run(
 def _cached_sweep(
     alias: str, width: int, height: int, frames: int, detail: int,
     m_values: tuple[int, ...], spare_entries: int,
-    workers: int = 1, backend: str | None = None,
 ) -> OverflowSweepResult:
     workload = workload_by_alias(alias, detail)
-    config = _experiment_config(width, height, workers, backend)
+    config = GPUConfig().with_screen(width, height)
     return overflow_sweep(
         workload, config, m_values=m_values, frames=frames,
         spare_entries=spare_entries,
@@ -60,15 +45,10 @@ def run_all_benchmarks(
     frames: int = 8,
     detail: int = 2,
     zeb_counts: tuple[int, ...] = (1, 2),
-    workers: int = 1,
-    executor_backend: str | None = None,
 ) -> list[WorkloadRun]:
     """All four Table-1 benchmarks under every system (memoized)."""
     return [
-        _cached_run(
-            alias, width, height, frames, detail, tuple(zeb_counts),
-            workers, executor_backend,
-        )
+        _cached_run(alias, width, height, frames, detail, tuple(zeb_counts))
         for alias in BENCHMARKS
     ]
 
@@ -80,14 +60,12 @@ def run_overflow_sweeps(
     detail: int = 2,
     m_values: tuple[int, ...] = (4, 8, 16),
     spare_entries: int = 0,
-    workers: int = 1,
-    executor_backend: str | None = None,
 ) -> list[OverflowSweepResult]:
     """Table-3 overflow sweeps for all benchmarks (memoized)."""
     return [
         _cached_sweep(
             alias, width, height, frames, detail, tuple(m_values),
-            spare_entries, workers, executor_backend,
+            spare_entries,
         )
         for alias in BENCHMARKS
     ]

@@ -114,27 +114,24 @@ def run_workload(
     broad_pairs: list[set] = []
     narrow_pairs: list[set] = []
 
-    # The multi-timestep loop reuses one GPU (and its tile-executor
-    # pool) across every frame; close the pool when the run ends.
-    with rbcd_gpu:
-        for t in workload.times(frames):
-            frame = workload.scene.frame_at(float(t), gpu_config)
+    for t in workload.times(frames):
+        frame = workload.scene.frame_at(float(t), gpu_config)
 
-            base = baseline_gpu.render_frame(frame)
-            baseline_total += base.stats
+        base = baseline_gpu.render_frame(frame)
+        baseline_total += base.stats
 
-            rb = rbcd_gpu.render_frame(frame, keep_tile_timing=True)
-            rbcd_pairs.append({(p.id_a, p.id_b) for p in rb.collisions.pairs})
-            for k in zeb_counts:
-                rbcd_totals[k] += _reschedule_stats(rb, k, gpu_config)
+        rb = rbcd_gpu.render_frame(frame, keep_tile_timing=True)
+        rbcd_pairs.append({(p.id_a, p.id_b) for p in rb.collisions.pairs})
+        for k in zeb_counts:
+            rbcd_totals[k] += _reschedule_stats(rb, k, gpu_config)
 
-            workload.scene.sync_world(world, float(t))
-            broad = world.detect("broad")
-            cpu_broad_ops += broad.ops
-            broad_pairs.append(set(broad.pairs))
-            narrow = world.detect("broad+narrow")
-            cpu_narrow_ops += narrow.ops
-            narrow_pairs.append(set(narrow.pairs))
+        workload.scene.sync_world(world, float(t))
+        broad = world.detect("broad")
+        cpu_broad_ops += broad.ops
+        broad_pairs.append(set(broad.pairs))
+        narrow = world.detect("broad+narrow")
+        cpu_narrow_ops += narrow.ops
+        narrow_pairs.append(set(narrow.pairs))
 
     seconds = gpu_config.cycles_to_seconds
     baseline_cost = SystemCosts(

@@ -172,16 +172,6 @@ class GPUConfig:
     # RBCD unit attached to this GPU (None-able at the pipeline level).
     rbcd: RBCDConfig = field(default_factory=RBCDConfig)
 
-    # Host-side tile execution engine (simulation parallelism, not a
-    # hardware parameter): per-tile RBCD work is independent across
-    # tiles, so the simulator may fan tiles out to worker threads or
-    # processes.  Results are merged in tile-schedule order, keeping
-    # every output bit-identical to the serial path; simulated cycles
-    # come from per-tile timings, so they are invariant too.
-    executor_backend: str = "serial"   # "serial" | "thread" | "process"
-    executor_workers: int = 1          # worker count for pooled backends
-    executor_chunk_tiles: int = 16     # tiles per dispatched work item
-
     # Kernel backend running the per-pixel/per-tile hot loops
     # (rasterize / early-Z / ZEB insert / Z-Overlap).  All registered
     # backends are bit-identical (enforced by the conformance suite),
@@ -207,14 +197,6 @@ class GPUConfig:
             raise ValueError("tile_cache_enabled must be a bool")
         if self.tile_size <= 0:
             raise ValueError("tile size must be positive")
-        if self.executor_backend not in ("serial", "thread", "process"):
-            raise ValueError(
-                'executor_backend must be "serial", "thread" or "process"'
-            )
-        if self.executor_workers < 1:
-            raise ValueError("executor_workers must be >= 1")
-        if self.executor_chunk_tiles < 1:
-            raise ValueError("executor_chunk_tiles must be >= 1")
 
     # -- derived geometry ---------------------------------------------------
 
@@ -257,30 +239,6 @@ class GPUConfig:
         """Copy with the cross-frame tile cache switched on or off
         (see :mod:`repro.gpu.tilecache`)."""
         return replace(self, tile_cache_enabled=bool(enabled))
-
-    def with_executor(
-        self,
-        workers: int = 1,
-        backend: str | None = None,
-        chunk_tiles: int | None = None,
-    ) -> "GPUConfig":
-        """Copy with the tile-execution engine reconfigured.
-
-        When ``backend`` is omitted it is inferred from the worker
-        count: one worker runs serially, more use a process pool (the
-        only pooled backend that sidesteps the GIL for the numpy-light
-        portions of tile work).
-        """
-        if backend is None:
-            backend = "serial" if workers <= 1 else "process"
-        return replace(
-            self,
-            executor_backend=backend,
-            executor_workers=workers,
-            executor_chunk_tiles=(
-                self.executor_chunk_tiles if chunk_tiles is None else chunk_tiles
-            ),
-        )
 
 
 # The WVGA Mali-400-like configuration used by all paper experiments.

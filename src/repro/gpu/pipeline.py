@@ -54,7 +54,6 @@ from repro.gpu.fragment import (
 from repro.gpu.parallel import (
     TileExecutor,
     gather_tile_tasks,
-    make_executor,
     run_with_tile_cache,
 )
 from repro.gpu.raster import FragmentSoup, rasterize
@@ -184,7 +183,6 @@ class GPU:
         config: GPUConfig | None = None,
         rbcd_enabled: bool = True,
         rendering_mode: str = "tbr",
-        executor: TileExecutor | None = None,
         tracer=None,
         observers=(),
     ) -> None:
@@ -198,12 +196,6 @@ class GPU:
           paper scopes RBCD to tile-based GPUs, so IMR is baseline-only
           (``rbcd_enabled`` must be False); it exists to quantify the
           TBR-vs-IMR memory-traffic trade the paper describes.
-
-        ``executor`` injects a :class:`~repro.gpu.parallel.TileExecutor`
-        for the RBCD tile fan-out; by default one is built lazily from
-        the config's ``executor_*`` fields (and owned — closed — by
-        this GPU).  Parallel execution changes nothing observable:
-        results merge deterministically in tile-schedule order.
 
         ``tracer`` accepts a :class:`repro.observability.Tracer`; every
         frame then records stage spans (frame → geometry/raster/rbcd →
@@ -219,10 +211,9 @@ class GPU:
         snapshots and watchdogs) or a
         :class:`~repro.observability.tileprofile.TileProfiler`
         (per-tile grids).  :meth:`render_frame` calls their hooks at
-        frame begin, after each absorbed RBCD tile (main process,
-        tile-schedule order) and at frame end.  Observers are strictly
-        observational: every result is bit-identical with any set of
-        them attached, at any worker count.
+        frame begin, after each absorbed RBCD tile (tile-schedule
+        order) and at frame end.  Observers are strictly observational:
+        every result is bit-identical with any set of them attached.
         """
         if rendering_mode not in ("tbr", "tbdr", "imr"):
             raise ValueError('rendering_mode must be "tbr", "tbdr" or "imr"')
@@ -234,15 +225,14 @@ class GPU:
         self.config = config if config is not None else GPUConfig()
         # Fail fast on unknown/unavailable kernel backends: resolving
         # here surfaces a typo'd REPRO_KERNEL_BACKEND at construction
-        # instead of mid-frame (workers re-resolve by name from the
-        # pickled config, so the instance itself is not stored).
+        # instead of mid-frame (tile compute re-resolves by name from
+        # the config, so the instance itself is not stored).
         kernels.get_backend(self.config.kernel_backend)
         self.rbcd_enabled = rbcd_enabled
         self.rendering_mode = rendering_mode
         self.tracer = ensure_tracer(tracer)
         self.observers = tuple(observers)
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._executor = TileExecutor()
         self._energy_account: EnergyAccount | None = None
         # Cross-frame tile-result cache (repro.gpu.tilecache): persists
         # across render_frame calls so frame N+1 can replay frame N's
@@ -263,13 +253,6 @@ class GPU:
         return self._energy_account
 
     @property
-    def executor(self) -> TileExecutor:
-        """The tile-execution engine (built from the config on first use)."""
-        if self._executor is None:
-            self._executor = make_executor(self.config)
-        return self._executor
-
-    @property
     def tile_cache(self) -> TileResultCache | None:
         """The cross-frame tile cache (None when disabled)."""
         return self._tile_cache
@@ -283,18 +266,6 @@ class GPU:
         """
         if self._tile_cache is not None:
             self._tile_cache.reset()
-
-    def close(self) -> None:
-        """Shut down an owned worker pool (serial backend: no-op)."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "GPU":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def render_frame(
         self,
@@ -589,34 +560,30 @@ class GPU:
     ) -> CollisionReport:
         """Feed every collisionable fragment, tile by tile, to the unit.
 
-        Tiles are dispatched through the configured
-        :class:`~repro.gpu.parallel.TileExecutor` and the results are
-        absorbed back in tile-schedule order, so the report, counters,
-        and cycle arrays are identical whatever the backend or worker
-        count.
+        Tiles are computed by the serial
+        :class:`~repro.gpu.parallel.TileExecutor` and absorbed in
+        tile-schedule order.
 
         When the cross-frame tile cache is enabled, ``tile_keys``
         carries the canonical signature keys and only signature misses
         reach the executor; hits replay the cached result in place,
         which keeps the absorbed stream — and therefore every output —
-        bit-identical to a cache-off run at any worker count.
+        bit-identical to a cache-off run.
 
         Per-tile spans and observer ``record_tile`` hooks fire at
-        absorb time (the merge is where the main process first sees a
-        tile), so both see tiles in tile-schedule order at any worker
-        count.  The spans carry the simulated insertion/overlap cycles
-        the worker computed; their wall time is the host-side merge
-        cost, not the worker compute time.
+        absorb time, in tile-schedule order.  The spans carry the
+        simulated insertion/overlap cycles of the computed tile; their
+        wall time is the absorb cost, not the tile compute time.
         """
         tracer = self.tracer
         tasks = gather_tile_tasks(frags, self.config)
         stats.rbcd_fragments_in += sum(t.fragment_count for t in tasks)
         if self._tile_cache is not None and tile_keys is not None:
             stream = run_with_tile_cache(
-                self.executor, self.config, tasks, self._tile_cache, tile_keys
+                self._executor, self.config, tasks, self._tile_cache, tile_keys
             )
         else:
-            stream = ((r, False) for r in self.executor.run(self.config, tasks))
+            stream = ((r, False) for r in self._executor.run(self.config, tasks))
         observers = self.observers
         for result, replayed in stream:
             with tracer.span(

@@ -43,6 +43,10 @@ def shade_draws(
     caller's choice whether to flush between frames); each draw's
     vertex buffer lives at a distinct synthetic base address so draws
     do not falsely alias.
+
+    Raises ``ValueError`` naming the draw when its clip-space positions
+    are not all finite (a NaN or inf in the model matrix, the
+    view/projection or the mesh vertices).
     """
     if vertex_cache is None:
         vertex_cache = Cache(config.vertex_cache)
@@ -51,8 +55,17 @@ def shade_draws(
     base_address = 0
     for draw_index, draw in enumerate(frame.draws):
         mesh = draw.mesh
-        mvp = frame.projection @ frame.view @ draw.model
-        clip = transform_points_homogeneous(mvp, mesh.vertices)
+        # A NaN/inf input is reported below, naming the draw, instead of
+        # as numpy's arithmetic warnings.
+        with np.errstate(invalid="ignore", over="ignore"):
+            mvp = frame.projection @ frame.view @ draw.model
+            clip = transform_points_homogeneous(mvp, mesh.vertices)
+        if not np.isfinite(clip).all():
+            raise ValueError(
+                f"draw {draw_index} (object_id {draw.object_id}) has "
+                f"non-finite clip-space vertex positions: check its model "
+                f"matrix, the view/projection and the mesh vertices"
+            )
 
         # Vertex fetch: indexed access through the vertex cache in face
         # order (the access pattern the post-transform cache sees).

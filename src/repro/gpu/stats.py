@@ -8,8 +8,7 @@ runs can accumulate.
 
 The merge algebra (``a + b``, ``sum``-compatibility, ``Cls.sum``) comes
 from :class:`repro.observability.counters.CounterAlgebra` — the one
-shared implementation the parallel executor's deterministic reduction
-relies on — and :meth:`GPUStats.registry` exposes the same numbers as a
+shared implementation the per-tile merge relies on — and :meth:`GPUStats.registry` exposes the same numbers as a
 named :class:`~repro.observability.counters.CounterRegistry`
 (``gpu.geometry.*`` / ``gpu.raster.*`` / ``gpu.rbcd.*`` / ``gpu.mem.*``)
 for exporters and the bench harness.

@@ -99,10 +99,9 @@ def config_token(config: GPUConfig) -> bytes:
     """Canonical bytes of every config field that shapes a tile's
     collisionable fragment stream or its RBCD processing.
 
-    The kernel backend and the executor fields are deliberately
-    excluded: all kernel backends are bit-identical (enforced by the
-    conformance suite) and the executor only reorders host work, so
-    including them would cost hits without buying exactness.  The
+    The kernel backend is deliberately excluded: all kernel backends
+    are bit-identical (enforced by the conformance suite), so including
+    it would cost hits without buying exactness.  The
     fragment-shading fields (``cycles_per_fragment`` etc.) are excluded
     too — they never reach the RBCD unit.
     """

@@ -82,13 +82,10 @@ class HybridCDSystem:
         resolution: tuple[int, int] = (800, 480),
         rbcd_system: RBCDSystem | None = None,
         raster_only: bool = True,
-        workers: int = 1,
         tracer=None,
         observers=(),
     ) -> None:
-        """``workers`` configures the RBCD side's parallel tile engine
-        (ignored when an explicit ``rbcd_system`` is injected).
-        ``tracer`` records hybrid-level spans (classify / software pass)
+        """``tracer`` records hybrid-level spans (classify / software pass)
         and, when this object builds its own RBCD system, the GPU-side
         stage spans as well.  ``observers`` likewise go to a self-built
         RBCD system (see :class:`~repro.core.RBCDSystem`)."""
@@ -96,15 +93,12 @@ class HybridCDSystem:
         self.rbcd = (
             rbcd_system
             if rbcd_system is not None
-            else RBCDSystem(
-                resolution, workers=workers, tracer=tracer,
-                observers=observers,
-            )
+            else RBCDSystem(resolution, tracer=tracer, observers=observers)
         )
         self.raster_only = raster_only
 
     def close(self) -> None:
-        """Release the RBCD system's worker pool, if any."""
+        """Close the RBCD system (a no-op kept for ``with`` blocks)."""
         self.rbcd.close()
 
     def __enter__(self) -> "HybridCDSystem":

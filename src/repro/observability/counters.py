@@ -3,7 +3,7 @@
 Two layers:
 
 * :class:`CounterAlgebra` — a mixin giving any counter dataclass the
-  field-wise merge algebra the parallel tile engine relies on
+  field-wise merge algebra the per-tile merge relies on
   (``a + b``, ``sum``-compatible ``__radd__``, ``Cls.sum``,
   ``as_dict``).  ``GPUStats``, ``TileStats`` and ``OpCounter`` all
   derive their merge from this one implementation instead of carrying
@@ -116,8 +116,8 @@ class CounterRegistry:
     The registry preserves registration order (merged registries list
     the left operand's names first), so exported dictionaries are
     deterministic.  Merging is a plain per-name sum — associative and
-    commutative up to ordering — which is exactly what the parallel
-    executor's deterministic reduction requires.
+    commutative up to ordering — so per-tile registries merge to the
+    frame's totals in any grouping.
     """
 
     def __init__(self, specs: Iterable[CounterSpec] = ()) -> None:

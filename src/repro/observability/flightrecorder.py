@@ -181,7 +181,7 @@ def config_fingerprint(config) -> dict[str, Any]:
 
     Carries the fields that shape results (screen, tiles, RBCD unit)
     plus the execution knobs that must *not* change them
-    (kernel backend, executor, tile cache), and a blake2b digest of
+    (kernel backend, tile cache), and a blake2b digest of
     the tile-cache canonical key so two dumps can be compared for
     config drift at a glance.
     """
@@ -198,8 +198,6 @@ def config_fingerprint(config) -> dict[str, Any]:
         "zeb_count": config.rbcd.zeb_count,
         "list_length": config.rbcd.list_length,
         "kernel_backend": config.kernel_backend,
-        "executor_backend": config.executor_backend,
-        "executor_workers": config.executor_workers,
         "tile_cache_enabled": config.tile_cache_enabled,
         "token": hashlib.blake2b(
             config_token(config), digest_size=16

@@ -260,8 +260,7 @@ class _FrameReplays:
             ).with_rbcd(
                 list_length=_LONG_LIST, ff_stack_entries=_DEEP_STACK
             )
-            with GPU(config, rbcd_enabled=True) as gpu:
-                result = gpu.render_frame(self.frame)
+            result = GPU(config, rbcd_enabled=True).render_frame(self.frame)
             assert result.collisions is not None
             return {
                 (p.id_a, p.id_b) for p in result.collisions.pairs
@@ -451,51 +450,51 @@ def run_forensics(
     divergences: list[Divergence] = []
 
     times = workload.times(frames)
-    with GPU(config, rbcd_enabled=True, observers=[recorder]) as gpu:
-        for frame_index, t in enumerate(times):
-            frame = scene.frame_at(float(t), config)
-            result = gpu.render_frame(frame, keep_fragments=True)
-            assert result.collisions is not None
-            assert result.fragments is not None
-            found = {(p.id_a, p.id_b) for p in result.collisions.pairs}
+    gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
+    for frame_index, t in enumerate(times):
+        frame = scene.frame_at(float(t), config)
+        result = gpu.render_frame(frame, keep_fragments=True)
+        assert result.collisions is not None
+        assert result.fragments is not None
+        found = {(p.id_a, p.id_b) for p in result.collisions.pairs}
 
-            for object_id, obj in collisionables:
-                world.set_transform(object_id, obj.animator.transform(float(t)))
-            exact = {tuple(p) for p in world.detect("broad+exact").pairs}
+        for object_id, obj in collisionables:
+            world.set_transform(object_id, obj.animator.transform(float(t)))
+        exact = {tuple(p) for p in world.detect("broad+exact").pairs}
 
-            rbcd_pairs.append(found)
-            oracle_pairs.append(exact)
+        rbcd_pairs.append(found)
+        oracle_pairs.append(exact)
 
-            replays = _FrameReplays(frame, result.fragments, config)
-            for pair in sorted(found - exact):
-                witness = recorder.witness_pixels(*pair, frame=frame_index)
-                contained = _convex_intersect(scene, float(t), *pair)
-                cause, detail = _classify_false_positive(
-                    pair, replays, contained, witness
+        replays = _FrameReplays(frame, result.fragments, config)
+        for pair in sorted(found - exact):
+            witness = recorder.witness_pixels(*pair, frame=frame_index)
+            contained = _convex_intersect(scene, float(t), *pair)
+            cause, detail = _classify_false_positive(
+                pair, replays, contained, witness
+            )
+            divergences.append(
+                Divergence(
+                    frame=frame_index,
+                    id_a=pair[0],
+                    id_b=pair[1],
+                    kind="false_positive",
+                    cause=cause,
+                    detail=detail,
+                    witness_pixels=witness,
                 )
-                divergences.append(
-                    Divergence(
-                        frame=frame_index,
-                        id_a=pair[0],
-                        id_b=pair[1],
-                        kind="false_positive",
-                        cause=cause,
-                        detail=detail,
-                        witness_pixels=witness,
-                    )
+            )
+        for pair in sorted(exact - found):
+            cause, detail = _classify_false_negative(pair, replays)
+            divergences.append(
+                Divergence(
+                    frame=frame_index,
+                    id_a=pair[0],
+                    id_b=pair[1],
+                    kind="false_negative",
+                    cause=cause,
+                    detail=detail,
                 )
-            for pair in sorted(exact - found):
-                cause, detail = _classify_false_negative(pair, replays)
-                divergences.append(
-                    Divergence(
-                        frame=frame_index,
-                        id_a=pair[0],
-                        id_b=pair[1],
-                        kind="false_negative",
-                        cause=cause,
-                        detail=detail,
-                    )
-                )
+            )
 
     return ForensicsReport(
         alias=workload.alias,

@@ -26,7 +26,7 @@ Determinism contract (the observer contract, asserted by
 ``tests/integration/test_observer_differential.py``): monitoring is
 strictly observational.  Attaching a monitor changes no collision
 pair, counter, or simulated cycle; every deterministic snapshot field
-is a pure function of the frame stream, so workers 1 and 4 produce
+is a pure function of the frame stream, so repeat runs produce
 bit-identical snapshots (wall-clock fields excluded — they measure the
 host, not the model).
 """

@@ -28,7 +28,7 @@ Merge semantics: recordings are totally ordered by
 the tile's output buffer.  Because tiles are absorbed in tile-schedule
 order, a single recorder observes that order natively; recorders fed
 from shards merge deterministically by sorting on the same key
-(:meth:`ProvenanceRecorder.merge`), so workers 1 ≡ 4 bit-identically.
+(:meth:`ProvenanceRecorder.merge`).
 """
 
 from __future__ import annotations

@@ -42,9 +42,8 @@ __all__ = [
 ]
 
 # Scene-level deterministic metrics gated when present in the baseline:
-# dotted paths into the scene entry.  (The tilecache.effective_* pair is
-# schema v5; v4 baselines simply don't have it, and baseline-missing
-# metrics are skipped.)
+# dotted paths into the scene entry (baseline-missing metrics are
+# skipped).
 DETERMINISTIC_SCENE_METRICS = (
     "totals.gpu_cycles",
     "counters.gpu.mem.dram_bytes_read",
@@ -59,12 +58,8 @@ DETERMINISTIC_SCENE_METRICS = (
 
 # Workload-config keys that must match for two documents to be
 # comparable at all, each with the default assumed when the key is
-# absent from an older-schema document (None = the key has existed
-# since schema v2, absence is a mismatch in its own right).  A v4
-# document predates the tile cache, which is exactly what "cache off"
-# means, so it stays comparable to a cache-off v5 run and is refused
-# against a cache-on one; likewise pre-v6 documents are implicitly
-# tile-profile-off.
+# absent.  Every key is required by the current schema, so every
+# default is None: absence is a mismatch in its own right.
 CONFIG_TABLE = (
     ("width", None),
     ("height", None),
@@ -73,14 +68,9 @@ CONFIG_TABLE = (
     ("quick", None),
     ("kernel_backend", None),
     ("broad_phase", None),
-    ("tile_cache", False),
-    ("tile_profile", False),
+    ("tile_cache", None),
+    ("tile_profile", None),
 )
-
-_CONFIG_KEYS = tuple(key for key, _ in CONFIG_TABLE)
-_CONFIG_DEFAULTS = {
-    key: default for key, default in CONFIG_TABLE if default is not None
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,8 +298,7 @@ def compare_documents(
     if not isinstance(base_scenes, Mapping) or not isinstance(cur_scenes, Mapping):
         report.errors.append("both documents need a scenes block")
         return report
-    for key in _CONFIG_KEYS:
-        default = _CONFIG_DEFAULTS.get(key)
+    for key, default in CONFIG_TABLE:
         base_value = base_config.get(key, default)
         cur_value = cur_config.get(key, default)
         if base_value != cur_value:

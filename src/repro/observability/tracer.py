@@ -132,7 +132,7 @@ class Tracer:
         restore, the outer ones — which is how the serving frontend
         stamps ``tenant`` / ``stream`` / ``frame_seq`` onto every span
         of a frame, including the per-tile spans recorded at absorb
-        time after the executor merge.
+        time.
         """
         saved = self._context
         self._context = {**saved, **attrs}

@@ -187,7 +187,7 @@ class QuantileSketch:
     bucket.  Bucket counts are plain integers, so :meth:`merge` (a
     per-bucket sum) is exactly associative and commutative, and the
     quantiles of a merged sketch do not depend on how the sample stream
-    was sharded — the property the parallel shard-merge tests assert.
+    was sharded — the property the shard-merge tests assert.
     """
 
     def __init__(

@@ -56,10 +56,9 @@ def _multi_object_lists(zeb: ZEBTile) -> np.ndarray:
 class RBCDTileResult:
     """Everything the unit produced for one tile.
 
-    Instances are self-contained (plain ints and numpy arrays), so they
-    pickle cleanly across process boundaries: the parallel tile engine
-    computes them in workers and the owning :class:`RBCDUnit` absorbs
-    them afterwards, in tile-schedule order.
+    Instances are self-contained (plain ints and numpy arrays):
+    :func:`compute_tile` builds them and the owning :class:`RBCDUnit`
+    absorbs them afterwards, in tile-schedule order.
     """
 
     tile_index: int
@@ -239,7 +238,7 @@ class RBCDUnit:
 
         Per-tile results absorbed in any grouping produce the same
         registry (each counter is a plain sum), so a registry merged
-        from parallel shards equals the serial one — the property
+        from shards equals the serial one — the property
         ``tests/gpu/test_parallel.py`` asserts over randomized shards.
         """
         registry = CounterRegistry()

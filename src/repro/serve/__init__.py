@@ -2,8 +2,8 @@
 
 ``repro.serve`` turns the simulator into the thing the paper says the
 hardware is — a collision service many clients offload queries to.
-:class:`CollisionService` multiplexes N tenant scene streams onto one
-shared tile-executor pool with watchdog-rule admission control;
+:class:`CollisionService` multiplexes N tenant scene streams, each rendered
+through its own system, with watchdog-rule admission control;
 :class:`ServiceMetricsServer` exposes the labelled OpenMetrics /
 health endpoints; ``python -m repro.experiments.loadgen`` drives it
 with simulated clients and measures the saturation point.
@@ -11,7 +11,7 @@ with simulated clients and measures the saturation point.
 The two contracts everything here is tested against:
 
 * **tenant isolation** — each tenant's per-frame results are
-  bit-identical to running its stream solo, at any worker count
+  bit-identical to running its stream solo
   (``tests/serve/test_tenant_isolation.py``);
 * **exact telemetry merge** — per-tenant counter shards sum to the
   global registry through the associative/commutative

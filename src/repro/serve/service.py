@@ -1,23 +1,22 @@
-"""Multi-tenant collision service over the shared tile-executor pool.
+"""Multi-tenant collision service.
 
 The paper frames RBCD as a service the CPU offloads collision queries
 to; this module makes that literal for the simulator.  A
 :class:`CollisionService` accepts frames from N independent tenant
 scene streams, admission-controls each stream with the existing
-watchdog rules, batches ready frames across tenants onto **one**
-shared :class:`~repro.gpu.parallel.TileExecutor` pool (the "device"),
-and demultiplexes the results back to per-tenant futures.
+watchdog rules, batches ready frames across tenants, renders each
+through its tenant's own system, and demultiplexes the results back to
+per-tenant futures.
 
 Isolation contract (the serving analogue of the zero-feedback
 telemetry contract, asserted by
 ``tests/serve/test_tenant_isolation.py``): every tenant owns a private
-:class:`~repro.core.RBCDSystem` — its own GPU state, ZEBs, tile cache
-— and only the worker pool is shared.  Per-tile RBCD work is a pure
-function of ``(config, fragments)`` and batches are rendered one frame
-at a time, so each tenant's per-frame results (pairs, contacts,
-counters, cycles, joules, provenance) are bit-identical to running
-that tenant's stream solo, at any worker count, no matter how many
-other tenants it shares the pool with.  Admission control only ever
+:class:`~repro.core.RBCDSystem` — its own GPU state, ZEBs, tile cache.
+Per-tile RBCD work is a pure function of ``(config, fragments)`` and
+batches are rendered one frame at a time, so each tenant's per-frame
+results (pairs, contacts, counters, cycles, joules, provenance) are
+bit-identical to running that tenant's stream solo, no matter how many
+other tenants share the service.  Admission control only ever
 rejects frames *before* they enter the pipeline; it never alters an
 admitted frame's result.
 
@@ -32,8 +31,7 @@ Telemetry is tenant-scoped end to end:
 * a shared :class:`~repro.observability.tracer.Tracer` (optional)
   records every span of a served frame inside
   ``tracer.context(tenant=..., stream=..., frame_seq=...)``, so even
-  the per-tile spans recorded after the executor shard merge are
-  attributable to their tenant;
+  the per-tile spans are attributable to their tenant;
 * :meth:`CollisionService.to_openmetrics` renders ``tenant="..."``
   labelled series, and per-tenant watchdog alerts flow through the
   structured JSON log layer under the tenant's logger.
@@ -43,13 +41,14 @@ from __future__ import annotations
 
 import logging
 import threading
+import warnings
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.core import RBCDFrameResult, RBCDSystem
+from repro.gpu.commands import Frame
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import TileExecutor, make_executor
 from repro.observability.counters import CounterRegistry
 from repro.observability.live import (
     LiveMonitor,
@@ -112,10 +111,10 @@ class ServedFrame:
 class TenantSession:
     """One tenant's private slice of the service.
 
-    ``system`` is the tenant's own :class:`~repro.core.RBCDSystem`
-    (sharing only the service's executor pool); ``monitor`` its
-    telemetry shard; ``serve_counters`` the admission/batching shard
-    merged into the global registry alongside the monitor totals.
+    ``system`` is the tenant's own :class:`~repro.core.RBCDSystem`;
+    ``monitor`` its telemetry shard; ``serve_counters`` the
+    admission/batching shard merged into the global registry alongside
+    the monitor totals.
     """
 
     tenant: str
@@ -146,14 +145,15 @@ def _serve_counters() -> CounterRegistry:
 
 
 class CollisionService:
-    """Admission-controlled, batching frontend over shared tile workers.
+    """Admission-controlled, batching frontend over per-tenant systems.
 
     Parameters
     ----------
-    workers, executor_backend:
-        The shared pool: every tenant's per-tile RBCD work runs on this
-        one executor (``make_executor`` semantics — "thread" or
-        "process"; workers=1 stays serial).
+    workers:
+        Deprecated, no effect: every tenant renders through its own
+        serial tile loop.  The keyword stays only because the benchmark
+        harness (``perfbench/workloads.py``) passes it.  Values below 1
+        still raise ``ValueError``; any value but 1 warns.
     base_config:
         Default :class:`~repro.gpu.config.GPUConfig` for tenants that
         do not bring their own (``register(config=...)`` overrides).
@@ -192,7 +192,6 @@ class CollisionService:
     def __init__(
         self,
         workers: int = 1,
-        executor_backend: str | None = None,
         base_config: GPUConfig | None = None,
         window: int = 120,
         rules=None,
@@ -201,16 +200,20 @@ class CollisionService:
         admit_unhealthy: bool = False,
         recorder=None,
     ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if workers != 1:
+            warnings.warn(
+                "CollisionService(workers=) has no effect and will be "
+                "removed: tiles run in one serial loop per tenant",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.base_config = (
             base_config if base_config is not None else GPUConfig()
         )
-        pool_config = self.base_config.with_executor(
-            workers=workers, backend=executor_backend
-        )
-        self.workers = pool_config.executor_workers
-        self.executor: TileExecutor = make_executor(pool_config)
         self.window = window
         self._rules = rules
         self.recorder = recorder
@@ -228,7 +231,7 @@ class CollisionService:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Fail pending frames, close tenant systems and the pool."""
+        """Fail pending frames; later submissions raise."""
         with self._lock:
             self._closed = True
             sessions = list(self._tenants.values())
@@ -238,9 +241,6 @@ class CollisionService:
                     future.set_exception(
                         AdmissionError(session.tenant, "shutdown")
                     )
-        for session in sessions:
-            session.system.close()
-        self.executor.close()
         log_event(_LOG, "serve.closed", level=logging.DEBUG,
                   tenants=len(sessions))
 
@@ -284,7 +284,6 @@ class CollisionService:
         )
         system = RBCDSystem(
             config=config if config is not None else self.base_config,
-            executor=self.executor,
             tracer=self.tracer,
             observers=[monitor, *observers],
         )
@@ -299,14 +298,11 @@ class CollisionService:
         )
         with self._lock:
             if self._closed:
-                system.close()
                 raise RuntimeError("service is closed")
             if tenant in self._tenants:
-                system.close()
                 raise ValueError(f"tenant {tenant!r} already registered")
             self._tenants[tenant] = session
-        log_event(_LOG, "serve.tenant.registered", tenant=tenant,
-                  workers=self.workers)
+        log_event(_LOG, "serve.tenant.registered", tenant=tenant)
         return session
 
     def tenants(self) -> list[str]:
@@ -327,7 +323,10 @@ class CollisionService:
         :class:`AdmissionError` when the tenant's backlog is full or
         its watchdog rules are in breach — rejection happens strictly
         before the frame touches the pipeline, so admitted frames are
-        never affected.
+        never affected.  Raises ``KeyError`` for an unknown tenant and
+        ``TypeError`` for anything but a
+        :class:`~repro.gpu.commands.Frame`, before the frame is queued
+        or counted.
         """
         with self._lock:
             if self._closed:
@@ -335,6 +334,11 @@ class CollisionService:
             session = self._tenants.get(tenant)
         if session is None:
             raise KeyError(f"unknown tenant {tenant!r}")
+        if not isinstance(frame, Frame):
+            raise TypeError(
+                f"submit expects a repro.gpu.commands.Frame, "
+                f"got {type(frame).__name__}"
+            )
         healthy = session.monitor.healthy
         with self._lock:
             if len(session.pending) >= self.max_pending:
@@ -367,8 +371,8 @@ class CollisionService:
         """Render one batch: at most one ready frame per tenant.
 
         Tenants are visited in sorted-id order; each admitted frame is
-        rendered through that tenant's own system (all tenants share
-        the executor pool underneath) and its future resolved with the
+        rendered through that tenant's own system and its future
+        resolved with the
         demultiplexed :class:`ServedFrame`.  Returns the number of
         frames rendered (0 = nothing pending).
         """
@@ -475,7 +479,6 @@ class CollisionService:
             batches = self.batches
         return {
             "batches": batches,
-            "workers": self.workers,
             "tenants": {
                 s.tenant: {
                     "pending": len(s.pending),
@@ -503,7 +506,7 @@ class CollisionService:
         families.append(
             MetricFamily(
                 "repro_serve_batches", "counter",
-                help="Cross-tenant batches dispatched to the shared pool.",
+                help="Cross-tenant batches rendered by the service.",
             ).add(batches, suffix="_total")
         )
         health = MetricFamily(

@@ -1,12 +1,10 @@
-"""Energy merge algebra: sharding invariance, linearity, executor parity.
+"""Energy merge algebra: sharding invariance and linearity.
 
-The parallel tile-execution engine merges per-shard results in a
-deterministic order, so anything carried through the merge must form a
-commutative monoid.  These tests pin that down for the energy
-breakdowns (satellite of the energy-accounting PR): randomized
-shardings of the same work always price to the same joules, per-frame
-reports sum to the priced sum of stats, and a 4-worker run reports
-bit-identical energy to the serial one.
+Per-tile and per-frame energy merge by plain sums, so anything carried
+through the merge must form a commutative monoid.  These tests pin that
+down for the energy breakdowns: randomized shardings of the same work
+always price to the same joules, and per-frame reports sum to the
+priced sum of stats.
 """
 
 import random
@@ -163,8 +161,8 @@ class TestPricingLinearity:
         )
 
     def test_tile_shards_sum_to_frame_dynamic_energy(self):
-        """Per-tile dynamic pricing (what the parallel executor ships)
-        reassembles exactly into the frame breakdown minus static."""
+        """Per-tile dynamic pricing reassembles exactly into the frame
+        breakdown minus static."""
         config = GPUConfig().with_screen(64, 32)
         model = RBCDEnergyModel(config)
         rng = random.Random(8)
@@ -198,8 +196,6 @@ class TestPricingLinearity:
             )
 
     def test_tile_energy_registry_names(self):
-        from repro.gpu.parallel import tile_energy_registry
-
         config = GPUConfig().with_screen(64, 32)
         model = RBCDEnergyModel(config)
         tile = SimpleNamespace(
@@ -207,34 +203,9 @@ class TestPricingLinearity:
             analyzed_elements=20,
             overlap=SimpleNamespace(pair_records=2),
         )
-        reg = tile_energy_registry(tile, model).as_dict()
+        reg = model.tile_breakdown(tile).registry().as_dict()
         assert reg["energy.rbcd.insertion_j"] == pytest.approx(
             10 * model.insertion_energy_per_fragment_j()
         )
         assert reg["energy.rbcd.static_j"] == 0.0
         assert reg["energy.rbcd.total_j"] > 0.0
-
-
-class TestExecutorParity:
-    def test_energy_bit_identical_across_worker_counts(self):
-        """Satellite differential test: serial vs 4-way sharded
-        execution must report the *same bits* for every energy field —
-        the merge is ordered, so no float-reassociation escape hatch."""
-        from repro.core import RBCDSystem
-        from repro.scenes.benchmarks import workload_by_alias
-
-        workload = workload_by_alias("crazy", detail=1)
-        config = GPUConfig().with_screen(96, 48)
-        frame = workload.scene.frame_at(0.5, config)
-
-        reports = []
-        for workers in (1, 4):
-            with RBCDSystem(
-                config=config, workers=workers, executor_backend="thread"
-            ) as system:
-                result = system.detect_frame(frame)
-            assert result.energy is not None
-            reports.append(result.energy)
-        serial, sharded = reports
-        assert serial.as_dict() == sharded.as_dict()
-        assert serial.registry().as_dict() == sharded.registry().as_dict()

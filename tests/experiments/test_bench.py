@@ -9,6 +9,7 @@ from repro.experiments.bench import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     aggregate_stage_runs,
+    gate_against_baseline,
     main,
     run_bench,
     stage_summary,
@@ -327,37 +328,21 @@ def valid_doc_profiled():
     return doc
 
 
-def valid_doc_v5():
-    """The same document as a pre-tile-profile schema v5 baseline."""
-    doc = valid_doc()
-    doc["version"] = 5
-    del doc["config"]["tile_profile"]
-    del doc["scenes"]["crazy"]["tile_profile"]
-    return doc
-
-
-def valid_doc_v4():
-    """The same document as a pre-tile-cache schema v4 baseline."""
-    doc = valid_doc_v5()
-    doc["version"] = 4
-    del doc["config"]["tile_cache"]
-    del doc["scenes"]["crazy"]["tilecache"]
-    return doc
-
-
 class TestValidator:
     def test_accepts_valid(self):
         validate_bench_document(valid_doc())
 
-    def test_accepts_v4_document(self):
-        # v5 is additive: stored v4 baselines must stay valid without
-        # the tile_cache config key or the tilecache scene block.
-        validate_bench_document(valid_doc_v4())
-
-    def test_accepts_v5_document(self):
-        # v6 is additive: stored v5 baselines must stay valid without
-        # the tile_profile config key or the tile_profile scene block.
-        validate_bench_document(valid_doc_v5())
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_rejects_pre_v6_documents(self, version):
+        # Only v6 is accepted: an older document is refused with a
+        # version error, by the validator and therefore by the gate.
+        old = valid_doc()
+        old["version"] = version
+        with pytest.raises(ValueError, match=r"version: expected one of \(6,\)"):
+            validate_bench_document(old)
+        report = gate_against_baseline(valid_doc(), old)
+        assert not report.ok
+        assert any("baseline document invalid" in e for e in report.errors)
 
     def test_accepts_enabled_tile_profile(self):
         validate_bench_document(valid_doc_profiled())
@@ -387,12 +372,6 @@ class TestValidator:
         doc["config"]["future_knob"] = 7
         doc["scenes"]["crazy"]["future_block"] = {"x": 1}
         validate_bench_document(doc)
-
-    def test_v4_document_still_needs_v4_keys(self):
-        doc = valid_doc_v4()
-        del doc["scenes"]["crazy"]["energy"]
-        with pytest.raises(ValueError, match="energy"):
-            validate_bench_document(doc)
 
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):

@@ -72,31 +72,6 @@ class TestGateAgainstBaseline:
             for c in report.comparisons
         )
 
-    def test_v4_baseline_gates_clean_against_cache_off_v5(self, bench_doc):
-        # A stored pre-tile-cache baseline is implicitly cache-off: it
-        # must keep gating against a cache-off v5 run of the same tree.
-        v4 = copy.deepcopy(bench_doc)
-        v4["version"] = 4
-        del v4["config"]["tile_cache"]
-        for scene in v4["scenes"].values():
-            del scene["tilecache"]
-        report = gate_against_baseline(bench_doc, v4)
-        assert report.ok, report.render()
-
-    def test_v4_baseline_refuses_cache_on_v5(self, bench_doc):
-        # ... but never against a cache-on run: the documents were
-        # measured under different configurations.
-        v4 = copy.deepcopy(bench_doc)
-        v4["version"] = 4
-        del v4["config"]["tile_cache"]
-        for scene in v4["scenes"].values():
-            del scene["tilecache"]
-        cached = copy.deepcopy(bench_doc)
-        cached["config"]["tile_cache"] = True
-        report = gate_against_baseline(cached, v4)
-        assert not report.ok
-        assert any("config.tile_cache" in e for e in report.errors)
-
     def test_cache_on_vs_cache_off_refused_both_ways(self, bench_doc):
         cached = copy.deepcopy(bench_doc)
         cached["config"]["tile_cache"] = True
@@ -203,14 +178,8 @@ class TestTileProfileComparability:
 
     def test_profile_off_vs_off_gates_clean(self, bench_doc):
         # Both sides off (the v6 default) is the normal CI path and
-        # must stay comparable — including against stored v5 baselines
-        # that predate the key entirely.
-        v5 = copy.deepcopy(bench_doc)
-        v5["version"] = 5
-        del v5["config"]["tile_profile"]
-        for scene in v5["scenes"].values():
-            del scene["tile_profile"]
-        report = gate_against_baseline(bench_doc, v5)
+        # must stay comparable.
+        report = gate_against_baseline(bench_doc, copy.deepcopy(bench_doc))
         assert report.ok, report.render()
 
 

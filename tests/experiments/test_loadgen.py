@@ -268,7 +268,7 @@ def good_document():
         "version": SCHEMA_VERSION,
         "config": {
             "tenants": 2, "frames": 2, "width": 96, "height": 64,
-            "detail": 1, "workers": 1, "backend": "auto", "window": 8,
+            "detail": 1, "window": 8,
             "max_pending": 8, "seed": 0, "max_frame_ms": 100.0,
         },
         "workload": {
@@ -305,7 +305,7 @@ class TestDocumentValidator:
 
     @pytest.mark.parametrize("mutate,expected", [
         (lambda d: d.__setitem__("schema", "rbcd-bench"), "schema"),
-        (lambda d: d.__setitem__("version", 2), "version"),
+        (lambda d: d.__setitem__("version", 1), "version"),
         (lambda d: d["config"].__setitem__("tenants", 0), "config.tenants"),
         (lambda d: d["config"].__setitem__("frames", True), "config.frames"),
         (lambda d: d["workload"].__setitem__("frames_served", -1),

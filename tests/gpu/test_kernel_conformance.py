@@ -285,10 +285,8 @@ def test_frame_fingerprints_identical_across_backends(name, tiny_config):
     backend_config = tiny_config.with_kernel_backend(name)
     for separation in (0.6, 1.4):
         frame = sphere_pair_frame(tiny_config, separation)
-        with GPU(reference_config) as gpu:
-            want = frame_fingerprint(gpu.render_frame(frame))
-        with GPU(backend_config) as gpu:
-            got = frame_fingerprint(gpu.render_frame(frame))
+        want = frame_fingerprint(GPU(reference_config).render_frame(frame))
+        got = frame_fingerprint(GPU(backend_config).render_frame(frame))
         assert got == want
 
 
@@ -297,7 +295,6 @@ def test_env_var_selection_reaches_pipeline(monkeypatch, tiny_config):
     config = GPUConfig().with_screen(64, 32)
     assert config.kernel_backend == "reference"
     frame = two_boxes_frame(config, 0.8)
-    with GPU(config) as gpu:
-        want = frame_fingerprint(gpu.render_frame(frame))
-    with GPU(tiny_config.with_kernel_backend("vectorized")) as gpu:
-        assert frame_fingerprint(gpu.render_frame(frame)) == want
+    want = frame_fingerprint(GPU(config).render_frame(frame))
+    gpu = GPU(tiny_config.with_kernel_backend("vectorized"))
+    assert frame_fingerprint(gpu.render_frame(frame)) == want

@@ -1,9 +1,8 @@
-"""Parallel tile-execution engine: determinism and merge algebra.
+"""The serial tile loop and the counter merge algebra behind it.
 
-The acceptance bar for the engine: rendering any frame with any
-backend, worker count, or chunk size yields a ``FrameResult`` — pairs,
-contact records, the full stats dict, simulated cycles — exactly equal
-to the serial path's.
+Per-tile results merge into frame totals by plain sums, so any
+grouping of a frame's tiles — shuffled, sharded — reaches the totals
+the absorb loop produces.
 """
 
 import random
@@ -11,22 +10,14 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import RBCDSystem
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import (
-    ProcessPoolTileExecutor,
-    SerialTileExecutor,
-    ThreadPoolTileExecutor,
-    chunk_tasks,
-    gather_tile_tasks,
-    make_executor,
-    tile_registry_of,
-    tile_stats_of,
-)
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks, tile_registry_of
 from repro.gpu.pipeline import GPU
 from repro.observability.counters import CounterRegistry
 from repro.rbcd.unit import RBCDUnit
 from repro.gpu.stats import GPUStats, TileStats
-from tests.conftest import sphere_pair_frame, two_boxes_frame
+from tests.conftest import two_boxes_frame
 
 
 def frame_fingerprint(result):
@@ -41,57 +32,6 @@ def frame_fingerprint(result):
         "stats": result.stats.as_dict(),
         "gpu_cycles": result.gpu_cycles,
     }
-
-
-class TestDeterminism:
-    def test_worker_count_does_not_change_frame_result(self, small_config):
-        """The issue's regression check: 1, 2 and 8 workers ≡ serial."""
-        frame = sphere_pair_frame(small_config, 0.8)
-        serial = frame_fingerprint(GPU(small_config).render_frame(frame))
-        for workers in (1, 2, 8):
-            config = small_config.with_executor(workers=workers, backend="process")
-            with GPU(config) as gpu:
-                parallel = frame_fingerprint(gpu.render_frame(frame))
-            assert parallel == serial
-
-    def test_thread_backend_matches_serial(self, small_config):
-        frame = two_boxes_frame(small_config, 0.8)
-        serial = frame_fingerprint(GPU(small_config).render_frame(frame))
-        config = small_config.with_executor(workers=4, backend="thread")
-        with GPU(config) as gpu:
-            assert frame_fingerprint(gpu.render_frame(frame)) == serial
-
-    @pytest.mark.parametrize("chunk", [1, 3, 64])
-    def test_chunk_size_does_not_change_frame_result(self, small_config, chunk):
-        frame = two_boxes_frame(small_config, 0.8)
-        serial = frame_fingerprint(GPU(small_config).render_frame(frame))
-        config = small_config.with_executor(
-            workers=2, backend="thread", chunk_tiles=chunk
-        )
-        with GPU(config) as gpu:
-            assert frame_fingerprint(gpu.render_frame(frame)) == serial
-
-    def test_executor_reused_across_frames(self, small_config):
-        config = small_config.with_executor(workers=2, backend="thread")
-        with GPU(config) as gpu:
-            first_executor = gpu.executor
-            for separation in (0.6, 0.8, 1.5):
-                frame = two_boxes_frame(small_config, separation)
-                serial = frame_fingerprint(GPU(small_config).render_frame(frame))
-                assert frame_fingerprint(gpu.render_frame(frame)) == serial
-                assert gpu.executor is first_executor
-
-    def test_stall_model_cycles_invariant_under_workers(self, small_config):
-        # Simulated cycles come from per-tile timings, not wall clock:
-        # the double-buffered-ZEB stall accounting must not move.
-        frame = sphere_pair_frame(small_config, 0.7)
-        serial = GPU(small_config).render_frame(frame)
-        config = small_config.with_executor(workers=8, backend="process")
-        with GPU(config) as gpu:
-            parallel = gpu.render_frame(frame)
-        assert parallel.stats.raster_stall_cycles == serial.stats.raster_stall_cycles
-        assert parallel.stats.raster_pipeline_cycles == serial.stats.raster_pipeline_cycles
-        assert parallel.stats.gpu_cycles == serial.stats.gpu_cycles
 
 
 class TestStatsMergeAlgebra:
@@ -145,72 +85,36 @@ class TestStatsMergeAlgebra:
 
 
 class TestExecutorMachinery:
-    def test_factory_maps_config_to_backend(self):
-        base = GPUConfig()
-        assert isinstance(make_executor(base), SerialTileExecutor)
-        assert isinstance(
-            make_executor(base.with_executor(workers=2, backend="thread")),
-            ThreadPoolTileExecutor,
-        )
-        assert isinstance(
-            make_executor(base.with_executor(workers=2)),
-            ProcessPoolTileExecutor,
-        )
-        # One worker degenerates to serial whatever the backend says.
-        assert isinstance(
-            make_executor(base.with_executor(workers=1, backend="thread")),
-            SerialTileExecutor,
-        )
-
-    def test_config_validates_executor_fields(self):
-        with pytest.raises(ValueError):
-            GPUConfig(executor_backend="gpu")
-        with pytest.raises(ValueError):
-            GPUConfig(executor_workers=0)
-        with pytest.raises(ValueError):
-            GPUConfig(executor_chunk_tiles=0)
-
-    def test_chunk_tasks_preserves_order_and_content(self, small_config):
-        frame = two_boxes_frame(small_config, 0.8)
-        result = GPU(small_config).render_frame(frame, keep_fragments=True)
-        tasks = gather_tile_tasks(result.fragments, small_config)
-        chunks = chunk_tasks(tasks, 3)
-        assert [t for chunk in chunks for t in chunk] == tasks
-        assert all(len(chunk) <= 3 for chunk in chunks)
-        with pytest.raises(ValueError):
-            chunk_tasks(tasks, 0)
-
     def test_run_on_empty_task_list(self):
-        config = GPUConfig()
-        assert SerialTileExecutor().run(config, []) == []
-        with ThreadPoolTileExecutor(2) as executor:
-            assert executor.run(config, []) == []
+        assert TileExecutor().run(GPUConfig(), []) == []
 
-    def test_close_is_idempotent_and_reopenable(self):
-        config = GPUConfig().with_screen(64, 32).with_executor(
-            workers=2, backend="thread"
-        )
-        executor = ThreadPoolTileExecutor(2)
-        executor.close()
-        executor.close()
-        # A closed pool is lazily rebuilt on next use.
-        soup_gpu = GPU(config)
-        frame_result = GPU(config.with_executor(workers=1)).render_frame(
-            two_boxes_frame(config, 0.8), keep_fragments=True
-        )
-        tasks = gather_tile_tasks(frame_result.fragments, config)
-        results = executor.run(config, tasks)
-        assert [r.tile_index for r in results] == [t.tile_index for t in tasks]
-        executor.close()
-        soup_gpu.close()
+    def test_close_is_idempotent_and_reopenable(self, small_config):
+        # The system holds no resources: close() is a no-op that may be
+        # called any number of times, and the system keeps detecting.
+        frame = two_boxes_frame(small_config, 0.8)
+        system = RBCDSystem(config=small_config)
+        before = frame_fingerprint(GPU(small_config).render_frame(frame))
+        system.close()
+        system.close()
+        with system:
+            result = system.detect_frame(frame)
+        assert result.report.as_sorted_pairs() == before["pairs"]
+        assert result.stats.as_dict() == before["stats"]
 
     def test_tile_stats_of_result(self, small_config):
         result = GPU(small_config).render_frame(
             two_boxes_frame(small_config, 0.8), keep_fragments=True
         )
         tasks = gather_tile_tasks(result.fragments, small_config)
-        tile_results = SerialTileExecutor().run(small_config, tasks)
-        stats = [tile_stats_of(r) for r in tile_results]
+        tile_results = TileExecutor().run(small_config, tasks)
+        stats = [
+            TileStats(
+                tile_index=r.tile_index,
+                collisionable_fragments=r.zeb.insertions,
+                overlap_cycles=r.overlap_cycles,
+            )
+            for r in tile_results
+        ]
         assert [s.tile_index for s in stats] == [t.tile_index for t in tasks]
         total = sum(stats, TileStats())
         assert total.collisionable_fragments == sum(
@@ -221,8 +125,8 @@ class TestExecutorMachinery:
 class TestShardedMergeAlgebra:
     """Counter merges must be associative and commutative over any
     randomized sharding of the per-tile results — the property that
-    lets the parallel executor group tiles arbitrarily and still merge
-    to the serial totals."""
+    lets tiles be grouped arbitrarily and still merge to the serial
+    totals."""
 
     @staticmethod
     def random_tile_stats(rng):
@@ -277,7 +181,7 @@ class TestShardedMergeAlgebra:
             two_boxes_frame(config, 0.8), keep_fragments=True
         )
         tasks = gather_tile_tasks(result.fragments, config)
-        tiles = SerialTileExecutor().run(config, tasks)
+        tiles = TileExecutor().run(config, tasks)
         assert len(tiles) >= 2, "scene too small to exercise sharding"
 
         unit = RBCDUnit(config)

@@ -197,15 +197,15 @@ class TestFailedFrame:
         tracer = Tracer(keep_spans=False)
         closed = []
         tracer.add_listener(closed.append)
-        with GPU(small_config, tracer=tracer) as gpu:
-            gpu.render_frame(good)
-            with pytest.raises(ValueError):
-                gpu.render_frame(bad)
-            assert tracer.current is None
-            assert tracer.spans == []
-            tracer.reset()
-            closed.clear()
-            gpu.render_frame(good)
+        gpu = GPU(small_config, tracer=tracer)
+        gpu.render_frame(good)
+        with pytest.raises(ValueError):
+            gpu.render_frame(bad)
+        assert tracer.current is None
+        assert tracer.spans == []
+        tracer.reset()
+        closed.clear()
+        gpu.render_frame(good)
         (frame_span,) = [s for s in closed if s.name == "frame"]
         assert frame_span.parent == -1 and frame_span.depth == 0
         assert tracer.spans == []
@@ -224,8 +224,8 @@ class TestFailedFrame:
 
         good, bad = self.cap_frames(small_config)
         ends = Ends()
-        with GPU(small_config, observers=[ends]) as gpu:
-            with pytest.raises(ValueError):
-                gpu.render_frame(bad)
-            gpu.render_frame(good)
+        gpu = GPU(small_config, observers=[ends])
+        with pytest.raises(ValueError):
+            gpu.render_frame(bad)
+        gpu.render_frame(good)
         assert (ends.begun, ends.ended) == (2, 1)

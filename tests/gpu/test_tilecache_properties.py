@@ -18,6 +18,8 @@ The cache's exactness argument rests on four properties of
   counted.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,10 +184,11 @@ class TestSensitivity:
         assert config_token(CFG) != config_token(mutate(CFG))
 
     @pytest.mark.parametrize("mutate", [
-        # Bit-identical knobs must NOT invalidate signatures: backend
-        # and executor choices never change a tile's result.
+        # Knobs that never change a tile's result must NOT invalidate
+        # signatures: the kernel backend, fragment-shading cost, and
+        # the cache switch itself.
         lambda c: c.with_kernel_backend("reference"),
-        lambda c: c.with_executor(workers=4, backend="thread"),
+        lambda c: replace(c, cycles_per_fragment=8.0),
         lambda c: c.with_tile_cache(True),
     ])
     def test_result_invariant_fields_stay_out_of_the_token(self, mutate):
@@ -286,20 +289,20 @@ class TestForcedCollisions:
 
         def render_all(cfg):
             frames = []
-            with GPU(cfg, rbcd_enabled=True) as gpu:
-                for t in workload.times(3):
-                    result = gpu.render_frame(
-                        workload.scene.frame_at(float(t), cfg)
-                    )
-                    frames.append({
-                        "pairs": result.collisions.as_sorted_pairs(),
-                        "stats": result.stats.as_dict(),
-                        "cycles": result.gpu_cycles,
-                    })
-                    yielded = result.tilecache
-                frames.append(
-                    yielded.as_dict() if yielded is not None else None
+            gpu = GPU(cfg, rbcd_enabled=True)
+            for t in workload.times(3):
+                result = gpu.render_frame(
+                    workload.scene.frame_at(float(t), cfg)
                 )
+                frames.append({
+                    "pairs": result.collisions.as_sorted_pairs(),
+                    "stats": result.stats.as_dict(),
+                    "cycles": result.gpu_cycles,
+                })
+                yielded = result.tilecache
+            frames.append(
+                yielded.as_dict() if yielded is not None else None
+            )
             return frames
 
         baseline = render_all(config.with_tile_cache(False))

@@ -94,3 +94,59 @@ class TestRBCDSystem:
 
     def test_version_exported(self):
         assert repro.__version__
+
+
+NON_FINITE = "draw 1 \\(object_id 2\\) has non-finite clip-space"
+
+
+def frame_with(bad: str):
+    """Two overlapping boxes; the second draw (or the camera) carries a
+    NaN/inf in the named input."""
+    from repro.geometry.mesh import TriangleMesh
+    from repro.gpu.commands import DrawCommand, Frame
+
+    box = make_box(Vec3(0.5, 0.5, 0.5))
+    model = Mat4.translation(Vec3(0.35, 0, 0))
+    mesh = box
+    if bad == "model":
+        model = Mat4.translation(Vec3(np.nan, 0, 0))
+    elif bad == "vertices":
+        vertices = box.vertices.copy()
+        vertices[3, 1] = np.inf
+        mesh = TriangleMesh(vertices, box.faces)
+    camera = Camera(eye=Vec3(0, 0, 6), target=Vec3.zero())
+    view = camera.view()
+    if bad == "view":
+        view = Mat4(np.where(np.eye(4) == 1, np.inf, view.a))
+    draws = (
+        DrawCommand(box, Mat4.translation(Vec3(-0.35, 0, 0)), object_id=1),
+        DrawCommand(mesh, model, object_id=2),
+    )
+    return Frame(
+        draws=draws, view=view, projection=camera.projection(160 / 96)
+    )
+
+
+class TestNonFiniteInput:
+    """A NaN or inf anywhere in a draw's transform chain is refused with
+    an error naming the draw, not an unrelated failure in tiling."""
+
+    @pytest.mark.parametrize("bad", ["model", "vertices"])
+    def test_detect_frame_names_the_draw(self, bad):
+        system = RBCDSystem(resolution=(160, 96))
+        with pytest.raises(ValueError, match=NON_FINITE):
+            system.detect_frame(frame_with(bad))
+
+    def test_detect_frame_bad_view_names_the_first_draw(self):
+        system = RBCDSystem(resolution=(160, 96))
+        with pytest.raises(
+            ValueError, match="draw 0 \\(object_id 1\\) has non-finite"
+        ):
+            system.detect_frame(frame_with("view"))
+
+    def test_detect_collisions_names_the_draw(self):
+        objs = objects(0.7)
+        objs[1] = (2, objs[1][1], Mat4.translation(Vec3(0, np.inf, 0)))
+        camera = Camera(eye=Vec3(0, 0, 6), target=Vec3.zero())
+        with pytest.raises(ValueError, match=NON_FINITE):
+            detect_collisions(objs, camera=camera)

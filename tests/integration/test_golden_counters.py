@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import SerialTileExecutor, gather_tile_tasks
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.scenes.benchmarks import workload_by_alias
 
@@ -68,7 +68,7 @@ def snapshot_scene(alias: str) -> dict:
     frame_counters = {name: registry[name] for name in FRAME_COUNTER_NAMES}
 
     tiles = []
-    executor = SerialTileExecutor()
+    executor = TileExecutor()
     tasks = gather_tile_tasks(result.fragments, config)
     for tile in executor.run(config, tasks):
         tiles.append({

@@ -39,12 +39,9 @@ def render_exposition() -> str:
     workload = workload_by_alias(SCENE, detail=DETAIL)
     monitor = LiveMonitor(window=8)
     gpu = GPU(config, rbcd_enabled=True)
-    try:
-        for t, wall_s in zip(workload.times(FRAMES), WALL_S):
-            result = gpu.render_frame(workload.scene.frame_at(float(t), config))
-            monitor.observe(result, wall_s=wall_s)
-    finally:
-        gpu.close()
+    for t, wall_s in zip(workload.times(FRAMES), WALL_S):
+        result = gpu.render_frame(workload.scene.frame_at(float(t), config))
+        monitor.observe(result, wall_s=wall_s)
     return monitor.to_openmetrics()
 
 

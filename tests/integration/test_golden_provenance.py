@@ -48,10 +48,7 @@ def snapshot_scene(alias: str) -> dict:
 
     recorder = ProvenanceRecorder()
     gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
-    try:
-        result = gpu.render_frame(frame)
-    finally:
-        gpu.close()
+    result = gpu.render_frame(frame)
     assert result.collisions is not None
 
     return {

@@ -41,29 +41,29 @@ def snapshot_scene(alias: str) -> dict:
 
     frames = []
     tracer = Tracer()
-    with GPU(config, rbcd_enabled=True, tracer=tracer) as gpu:
-        cache = gpu.tile_cache
-        assert cache is not None
-        for t in FRAME_TIMES:
-            tracer.reset()
-            frame = workload.scene.frame_at(float(t), config)
-            result = gpu.render_frame(frame)
-            counters = result.tilecache.as_dict()
-            # The replayed-tile count the RBCD unit tallied at absorb
-            # time, surfaced through the rbcd span annotation.
-            (rbcd_span,) = tracer.by_name("rbcd")
-            frames.append({
-                "time": t,
-                "hit_tiles": sorted(cache.frame_hit_tiles),
-                "miss_tiles": sorted(cache.frame_miss_tiles),
-                "tiles_replayed": rbcd_span.attrs["tiles_replayed"],
-                "counters": {
-                    name: counters[name]
-                    for name in sorted(counters)
-                },
-                "pairs": [list(p) for p in result.collisions.as_sorted_pairs()],
-            })
-        entries = cache.entries
+    gpu = GPU(config, rbcd_enabled=True, tracer=tracer)
+    cache = gpu.tile_cache
+    assert cache is not None
+    for t in FRAME_TIMES:
+        tracer.reset()
+        frame = workload.scene.frame_at(float(t), config)
+        result = gpu.render_frame(frame)
+        counters = result.tilecache.as_dict()
+        # The replayed-tile count the RBCD unit tallied at absorb
+        # time, surfaced through the rbcd span annotation.
+        (rbcd_span,) = tracer.by_name("rbcd")
+        frames.append({
+            "time": t,
+            "hit_tiles": sorted(cache.frame_hit_tiles),
+            "miss_tiles": sorted(cache.frame_miss_tiles),
+            "tiles_replayed": rbcd_span.attrs["tiles_replayed"],
+            "counters": {
+                name: counters[name]
+                for name in sorted(counters)
+            },
+            "pairs": [list(p) for p in result.collisions.as_sorted_pairs()],
+        })
+    entries = cache.entries
 
     return {
         "scene": alias,

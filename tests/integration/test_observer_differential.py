@@ -5,11 +5,12 @@ One harness for the zero-feedback contract every observer obeys — the
 (provenance recorder, live monitor, tile profiler) and the two
 observers that attach their own way (the tracer, and the flight
 recorder with its bounded tracer, monitor feed and log capture).  For
-each observer × workers {1, 4} × scene, an observed run is bit-identical
-to a bare one — pairs, contact records, counters, cycles and joules —
-and the observer demonstrably saw the stream.  The observer-specific
-properties follow: what each one records is itself deterministic across
-worker counts and repeat runs, and agrees with the pipeline's numbers.
+each observer × stream length {1, 4 frames} × scene, an observed run is
+bit-identical to a bare one — pairs, contact records, counters, cycles
+and joules — and the observer demonstrably saw the stream.  The
+observer-specific properties follow: what each one records is itself
+deterministic across repeat runs, and agrees with the pipeline's
+numbers.
 """
 
 import functools
@@ -36,24 +37,22 @@ from tests.gpu.test_parallel import frame_fingerprint
 # The four benchmark scenes plus hand-built primitive pairs that are
 # guaranteed to collide (and not to) at this resolution.
 SCENES = ("primitives", *BENCHMARKS)
-FRAMES = 3
-
-
-def config_for(workers: int) -> GPUConfig:
-    config = GPUConfig().with_screen(160, 96)
-    if workers != 1:
-        config = config.with_executor(workers=workers, backend="thread")
-    return config
+# Every scene is observed as a single frame and as a stream of FRAMES,
+# so observers are checked both fresh and carrying cross-frame state.
+FRAMES = 4
+STREAMS = [1, FRAMES]
+CONFIG = GPUConfig().with_screen(160, 96)
 
 
 @functools.lru_cache(maxsize=None)
 def scene_frames(alias: str) -> tuple:
-    config = config_for(1)
+    config = CONFIG
     if alias == "primitives":
         return (
             sphere_pair_frame(config, 0.7),
             two_boxes_frame(config, 0.8),
             two_boxes_frame(config, 1.4),
+            sphere_pair_frame(config, 1.5),
         )
     workload = workload_by_alias(alias, detail=1)
     return tuple(
@@ -69,15 +68,13 @@ def fingerprint(result) -> dict:
 
 
 def render(config, frames, tracer=None, observers=()) -> list[dict]:
-    with GPU(
-        config, rbcd_enabled=True, tracer=tracer, observers=observers
-    ) as gpu:
-        return [fingerprint(gpu.render_frame(f)) for f in frames]
+    gpu = GPU(config, rbcd_enabled=True, tracer=tracer, observers=observers)
+    return [fingerprint(gpu.render_frame(f)) for f in frames]
 
 
 @functools.lru_cache(maxsize=None)
-def bare_run(alias: str, workers: int) -> list[dict]:
-    return render(config_for(workers), scene_frames(alias))
+def bare_run(alias: str, frames: int = FRAMES) -> list[dict]:
+    return render(CONFIG, scene_frames(alias)[:frames])
 
 
 # -- one entry per observer ---------------------------------------------------
@@ -129,8 +126,8 @@ OBSERVERS = {
 
 
 @functools.lru_cache(maxsize=None)
-def observed_run(observer: str, alias: str, workers: int):
-    return OBSERVERS[observer](config_for(workers), scene_frames(alias))
+def observed_run(observer: str, alias: str, frames: int = FRAMES):
+    return OBSERVERS[observer](CONFIG, scene_frames(alias)[:frames])
 
 
 def saw_tracer(tracer, bare):
@@ -170,11 +167,11 @@ SAW = {
 
 
 @pytest.mark.parametrize("alias", SCENES)
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("frames", STREAMS)
 @pytest.mark.parametrize("observer", list(OBSERVERS))
-def test_observer_changes_nothing(observer, workers, alias):
-    bare = bare_run(alias, workers)
-    observed, state = observed_run(observer, alias, workers)
+def test_observer_changes_nothing(observer, frames, alias):
+    bare = bare_run(alias, frames)
+    observed, state = observed_run(observer, alias, frames)
     assert observed == bare
     SAW[observer](state, bare)
 
@@ -201,14 +198,11 @@ class HookLog(FrameObserver):
 def test_hooks_fire_once_per_frame_in_every_mode(mode):
     """begin → one record_tile per RBCD tile → end, the same way for
     every rendering mode (IMR has no RBCD unit, so no tiles)."""
-    config = config_for(1)
     log = HookLog()
-    frame = sphere_pair_frame(config, 0.7)
-    with GPU(
-        config, rbcd_enabled=mode != "imr", rendering_mode=mode,
+    GPU(
+        CONFIG, rbcd_enabled=mode != "imr", rendering_mode=mode,
         observers=[log],
-    ) as gpu:
-        gpu.render_frame(frame)
+    ).render_frame(sphere_pair_frame(CONFIG, 0.7))
     tiles = log.calls.count("tile")
     assert log.calls == ["begin"] + ["tile"] * tiles + ["end"]
     assert (tiles > 0) == (mode != "imr")
@@ -218,29 +212,29 @@ def test_hooks_fire_once_per_frame_in_every_mode(mode):
 
 
 @pytest.mark.parametrize("alias", SCENES)
-def test_monitor_snapshots_identical_across_worker_counts(alias):
-    """Workers 1 and 4 feed the monitor the exact same snapshot stream
+def test_monitor_snapshots_identical_across_repeat_runs(alias):
+    """Two runs feed the monitor the exact same snapshot stream
     (wall-clock series excluded: they measure the host, not the model)."""
-    _, one = observed_run("monitor", alias, 1)
-    _, four = observed_run("monitor", alias, 4)
+    _, one = observed_run("monitor", alias)
+    _, again = with_monitor(CONFIG, scene_frames(alias))
     assert (
         one.latest.deterministic_fingerprint()
-        == four.latest.deterministic_fingerprint()
+        == again.latest.deterministic_fingerprint()
     )
-    assert one.totals() == four.totals()
-    values_one, values_four = one.window_values(), four.window_values()
+    assert one.totals() == again.totals()
+    values_one, values_again = one.window_values(), again.window_values()
     deterministic = {k for k in values_one if "wall" not in k}
-    assert deterministic == {k for k in values_four if "wall" not in k}
+    assert deterministic == {k for k in values_again if "wall" not in k}
     for key in deterministic:
-        assert values_one[key] == values_four[key], key
+        assert values_one[key] == values_again[key], key
     assert [a.as_dict() for a in one.alerts] == [
-        a.as_dict() for a in four.alerts
+        a.as_dict() for a in again.alerts
     ]
 
 
 def test_monitor_deterministic_across_repeat_runs():
-    _, cached = observed_run("monitor", "cap", 1)
-    _, again = with_monitor(config_for(1), scene_frames("cap"))
+    _, cached = observed_run("monitor", "cap")
+    _, again = with_monitor(CONFIG, scene_frames("cap"))
     assert (
         again.latest.deterministic_fingerprint()
         == cached.latest.deterministic_fingerprint()
@@ -248,21 +242,21 @@ def test_monitor_deterministic_across_repeat_runs():
 
 
 @pytest.mark.parametrize("alias", SCENES)
-def test_evidence_identical_across_worker_counts(alias):
-    _, serial = observed_run("provenance", alias, 1)
-    _, parallel = observed_run("provenance", alias, 4)
-    assert parallel.records == serial.records
-    assert parallel.case_counts == serial.case_counts
-    assert parallel.self_pairs_filtered == serial.self_pairs_filtered
-    assert parallel.registry().as_dict() == serial.registry().as_dict()
+def test_evidence_identical_across_repeat_runs(alias):
+    _, first = observed_run("provenance", alias)
+    _, again = with_provenance(CONFIG, scene_frames(alias))
+    assert again.records == first.records
+    assert again.case_counts == first.case_counts
+    assert again.self_pairs_filtered == first.self_pairs_filtered
+    assert again.registry().as_dict() == first.registry().as_dict()
 
 
 @pytest.mark.parametrize("alias", SCENES)
 def test_evidence_matches_the_collision_report(alias):
     """Every emitted pair carries evidence: records correspond 1:1 to
     the report's contact records, frame by frame."""
-    bare = bare_run(alias, 1)
-    _, recorder = observed_run("provenance", alias, 1)
+    bare = bare_run(alias)
+    _, recorder = observed_run("provenance", alias)
     assert recorder.pairs_recorded == sum(
         fp["pair_records_written"] for fp in bare
     )
@@ -277,7 +271,7 @@ def test_evidence_matches_the_collision_report(alias):
 def test_recorder_counters_stay_out_of_the_unit_registry(alias):
     """The recorder's counters live in their own registry; attaching it
     adds no names to the frame's GPU registry."""
-    observed, recorder = observed_run("provenance", alias, 1)
+    observed, recorder = observed_run("provenance", alias)
     assert recorder.registry().as_dict()
     for fp in observed:
         assert not any(
@@ -290,8 +284,8 @@ def test_recorder_counters_stay_out_of_the_unit_registry(alias):
 def test_traced_spans_report_the_untraced_cycles(alias):
     """The tracer's numbers come *from* the pipeline: frame, geometry
     and raster spans carry the untraced run's cycles exactly."""
-    bare = bare_run(alias, 1)
-    _, tracer = observed_run("tracer", alias, 1)
+    bare = bare_run(alias)
+    _, tracer = observed_run("tracer", alias)
     for name, value in (
         ("frame", lambda fp: fp["gpu_cycles"]),
         ("geometry", lambda fp: fp["stats"]["geometry_cycles"]),
@@ -303,17 +297,17 @@ def test_traced_spans_report_the_untraced_cycles(alias):
 
 
 @pytest.mark.parametrize("alias", SCENES)
-def test_tile_grids_identical_across_worker_counts(alias):
+def test_tile_grids_identical_across_repeat_runs(alias):
     """Per-tile sums absorbed in tile-schedule order carry no
     scheduling noise: no wall-clock exclusion at all."""
-    _, one = observed_run("tile_profiler", alias, 1)
-    _, four = observed_run("tile_profiler", alias, 4)
-    assert one.as_dict() == four.as_dict()
+    _, one = observed_run("tile_profiler", alias)
+    _, again = with_tile_profiler(CONFIG, scene_frames(alias))
+    assert one.as_dict() == again.as_dict()
 
 
 def test_tile_grids_deterministic_across_repeat_runs():
-    _, cached = observed_run("tile_profiler", "cap", 1)
-    _, again = with_tile_profiler(config_for(1), scene_frames("cap"))
+    _, cached = observed_run("tile_profiler", "cap")
+    _, again = with_tile_profiler(CONFIG, scene_frames("cap"))
     assert again.as_dict() == cached.as_dict()
 
 
@@ -324,10 +318,9 @@ def test_tile_cycles_sum_to_rbcd_stage_cycles(alias):
     profiler = TileProfiler()
     tracer = Tracer()
     fingerprints = render(
-        config_for(1), scene_frames(alias), tracer=tracer,
-        observers=[profiler],
+        CONFIG, scene_frames(alias), tracer=tracer, observers=[profiler]
     )
-    assert fingerprints == bare_run(alias, 1)
+    assert fingerprints == bare_run(alias)
     traced = sum(span.cycles for span in tracer.by_name("rbcd.tile"))
     assert sum(profiler.grid("cycles")) == pytest.approx(traced)
 
@@ -336,7 +329,7 @@ def test_tile_cycles_sum_to_rbcd_stage_cycles(alias):
 def test_tile_energy_sums_to_dynamic_rbcd_energy(alias):
     """The energy grid reproduces the dynamic (non-static) RBCD joules:
     static leakage accrues with time, not per tile, and is excluded."""
-    observed, profiler = observed_run("tile_profiler", alias, 1)
+    observed, profiler = observed_run("tile_profiler", alias)
     dynamic = sum(
         fp["energy"]["rbcd"]["insertion_j"]
         + fp["energy"]["rbcd"]["overlap_j"]
@@ -357,14 +350,14 @@ def _comparable(records):
 
 
 @pytest.mark.parametrize("alias", SCENES)
-def test_ring_contents_identical_across_worker_counts(alias):
-    one = observed_run("flight_recorder", alias, 1)[1].document()
-    four = observed_run("flight_recorder", alias, 4)[1].document()
-    one, four = one["streams"]["default"], four["streams"]["default"]
-    assert _comparable(one["spans"]) == _comparable(four["spans"])
-    assert _comparable(one["snapshots"]) == _comparable(four["snapshots"])
-    assert _comparable(one["alerts"]) == _comparable(four["alerts"])
-    assert one["counters"] == four["counters"]
+def test_ring_contents_identical_across_repeat_runs(alias):
+    one = observed_run("flight_recorder", alias)[1].document()
+    again = with_flight_recorder(CONFIG, scene_frames(alias))[1].document()
+    one, again = one["streams"]["default"], again["streams"]["default"]
+    assert _comparable(one["spans"]) == _comparable(again["spans"])
+    assert _comparable(one["snapshots"]) == _comparable(again["snapshots"])
+    assert _comparable(one["alerts"]) == _comparable(again["alerts"])
+    assert one["counters"] == again["counters"]
 
 
 def test_ring_contents_deterministic_across_repeat_runs():
@@ -373,7 +366,7 @@ def test_ring_contents_deterministic_across_repeat_runs():
     rings = []
     for _ in range(2):
         _, recorder = with_flight_recorder(
-            config_for(1), scene_frames("crazy"), capture_logs=False
+            CONFIG, scene_frames("crazy"), capture_logs=False
         )
         stream = recorder.document()["streams"]["default"]
         rings.append({
@@ -384,15 +377,15 @@ def test_ring_contents_deterministic_across_repeat_runs():
 
 
 @pytest.mark.parametrize("backend", kernels.backend_names())
-@pytest.mark.parametrize("workers", [1, 4])
-def test_kernel_backend_matrix_under_observation(backend, workers):
-    """Every kernel backend × worker count reproduces the reference
+@pytest.mark.parametrize("frames", STREAMS)
+def test_kernel_backend_matrix_under_observation(backend, frames):
+    """Every kernel backend × stream length reproduces the reference
     backend's fingerprints with a monitor attached."""
-    frames = scene_frames("cap")
-    reference = config_for(1).with_kernel_backend("reference")
-    want = render(reference, frames, observers=[LiveMonitor(window=8)])
-    config = config_for(workers).with_kernel_backend(backend)
-    got = render(config, frames, observers=[LiveMonitor(window=8)])
+    stream = scene_frames("cap")[:frames]
+    reference = CONFIG.with_kernel_backend("reference")
+    want = render(reference, stream, observers=[LiveMonitor(window=8)])
+    config = CONFIG.with_kernel_backend(backend)
+    got = render(config, stream, observers=[LiveMonitor(window=8)])
     assert got == want
 
 

@@ -12,11 +12,7 @@ import json
 import pytest
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import (
-    SerialTileExecutor,
-    gather_tile_tasks,
-    tile_evidence_of,
-)
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.observability.export import (
     provenance_instant_events,
@@ -38,11 +34,7 @@ from tests.conftest import sphere_pair_frame, two_boxes_frame
 def render_with_recorder(config, frame):
     recorder = ProvenanceRecorder()
     gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
-    try:
-        result = gpu.render_frame(frame, keep_fragments=True)
-    finally:
-        gpu.close()
-    return recorder, result
+    return recorder, gpu.render_frame(frame, keep_fragments=True)
 
 
 @pytest.fixture
@@ -105,7 +97,7 @@ class TestShardMerge:
         """Per-tile shard recorders + the serial reference recorder."""
         reference, result = render_with_recorder(config, frame)
         tasks = gather_tile_tasks(result.fragments, config)
-        tiles = SerialTileExecutor().run(config, tasks)
+        tiles = TileExecutor().run(config, tasks)
         shard_recorders = []
         for tile in tiles:
             shard = ProvenanceRecorder()
@@ -157,11 +149,11 @@ class TestShardMerge:
             small_config, frame
         )
         tasks = gather_tile_tasks(result.fragments, small_config)
-        tiles = SerialTileExecutor().run(small_config, tasks)
+        tiles = TileExecutor().run(small_config, tasks)
         sharded = [
             ev
             for tile in tiles
-            for ev in tile_evidence_of(tile, small_config, frame=0)
+            for ev in evidence_from_tile(tile, small_config, frame=0)
         ]
         assert sharded == reference.records
 
@@ -169,7 +161,7 @@ class TestShardMerge:
         frame = two_boxes_frame(small_config, 1.6)  # separated: no pairs
         _, result = render_with_recorder(small_config, frame)
         tasks = gather_tile_tasks(result.fragments, small_config)
-        for tile in SerialTileExecutor().run(small_config, tasks):
+        for tile in TileExecutor().run(small_config, tasks):
             assert evidence_from_tile(tile, small_config) == []
 
 

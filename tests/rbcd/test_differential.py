@@ -1,28 +1,23 @@
-"""Differential harness: serial ≡ vectorized ≡ parallel ZEB builds.
+"""Differential harness: sequential spec ≡ vectorized ≡ tile loop.
 
 Randomized (seeded) fragment soups are pushed through the three
 implementations of the ZEB insertion path —
 
 * :func:`insert_sequential`, the hardware-literal executable spec;
 * :func:`build_zeb_tile`, the vectorized builder;
-* the parallel tile engine (thread and process pools, several worker
-  counts) feeding :func:`compute_tile`;
+* the frame's tile loop (:func:`gather_tile_tasks` →
+  :class:`TileExecutor` → :func:`compute_tile` → absorb);
 
 — and every observable is asserted bit-identical: z-codes, object ids,
 facing bits, per-list counts, and the overflow/spare counters, across
-M ∈ {2, 4, 8}, spare-pool on/off, and worker counts {1, 2, 8}.
+M ∈ {2, 4, 8}, spare-pool on/off, and several seeded soups.
 """
 
 import numpy as np
 import pytest
 
 from repro.gpu.config import GPUConfig, RBCDConfig
-from repro.gpu.parallel import (
-    ProcessPoolTileExecutor,
-    SerialTileExecutor,
-    ThreadPoolTileExecutor,
-    gather_tile_tasks,
-)
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup
 from repro.rbcd.element import quantize_depth
 from repro.rbcd.unit import RBCDUnit
@@ -126,7 +121,7 @@ def test_spare_pool_exhaustion_matches():
 
 
 # ---------------------------------------------------------------------------
-# Parallel path
+# Tile loop
 # ---------------------------------------------------------------------------
 
 SCREEN = (64, 32)  # 4 x 2 tiles of 16 x 16
@@ -180,19 +175,14 @@ def run_serial_reference(config: GPUConfig, soup: FragmentSoup):
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_parallel_path_matches_serial_reference(m, workers):
-    config = (
-        GPUConfig().with_screen(*SCREEN)
-        .with_rbcd(list_length=m)
-        .with_executor(workers=workers, backend="thread", chunk_tiles=2)
-    )
-    soup = random_frame_soup(seed=m * 10 + workers)
+@pytest.mark.parametrize("soup_seed", [1, 2, 8])
+def test_tile_loop_matches_serial_reference(m, soup_seed):
+    config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=m)
+    soup = random_frame_soup(seed=m * 10 + soup_seed)
     serial_unit, per_tile = run_serial_reference(config, soup)
 
     tasks = gather_tile_tasks(soup, config)
-    with ThreadPoolTileExecutor(workers) as executor:
-        results = executor.run(config, tasks)
+    results = TileExecutor().run(config, tasks)
 
     # Results arrive in tile-schedule order with bit-identical tiles...
     assert [r.tile_index for r in results] == [t.tile_index for t in tasks]
@@ -201,7 +191,7 @@ def test_parallel_path_matches_serial_reference(m, workers):
         assert result.insertion_cycles == per_tile[result.tile_index].insertion_cycles
         assert result.overlap_cycles == per_tile[result.tile_index].overlap_cycles
 
-    # ...and the deterministic merge reproduces the serial unit exactly.
+    # ...and absorbing them in order reproduces the serial unit exactly.
     merged_unit = RBCDUnit(config)
     for result in results:
         merged_unit.absorb(result)
@@ -209,19 +199,17 @@ def test_parallel_path_matches_serial_reference(m, workers):
 
 
 @pytest.mark.parametrize("spare", [0, 8])
-@pytest.mark.parametrize("workers", [2, 8])
-def test_process_pool_matches_serial_reference(spare, workers):
+@pytest.mark.parametrize("soup_seed", [2, 8])
+def test_spare_pool_matches_serial_reference(spare, soup_seed):
     config = (
         GPUConfig().with_screen(*SCREEN)
         .with_rbcd(list_length=4, spare_entries_per_tile=spare)
-        .with_executor(workers=workers, backend="process", chunk_tiles=3)
     )
-    soup = random_frame_soup(seed=100 + spare + workers)
+    soup = random_frame_soup(seed=100 + spare + soup_seed)
     serial_unit, per_tile = run_serial_reference(config, soup)
 
     tasks = gather_tile_tasks(soup, config)
-    with ProcessPoolTileExecutor(workers) as executor:
-        results = executor.run(config, tasks)
+    results = TileExecutor().run(config, tasks)
 
     merged_unit = RBCDUnit(config)
     for result in results:
@@ -230,13 +218,12 @@ def test_process_pool_matches_serial_reference(spare, workers):
     assert unit_fingerprint(merged_unit) == unit_fingerprint(serial_unit)
 
 
-def test_parallel_tile_matches_sequential_spec_per_tile():
+def test_tile_loop_matches_sequential_spec_per_tile():
     # Close the triangle: executor results == insert_sequential per tile.
     config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=4)
     soup = random_frame_soup(seed=42)
     tasks = gather_tile_tasks(soup, config)
-    with ThreadPoolTileExecutor(2) as executor:
-        results = executor.run(config, tasks)
+    results = TileExecutor().run(config, tasks)
     ts = config.tile_size
     for task, result in zip(tasks, results):
         local = (task.y % ts).astype(np.int64) * ts + (task.x % ts).astype(np.int64)
@@ -255,7 +242,7 @@ def test_serial_executor_is_the_reference():
     soup = random_frame_soup(seed=5)
     tasks = gather_tile_tasks(soup, config)
     serial_unit, per_tile = run_serial_reference(config, soup)
-    results = SerialTileExecutor().run(config, tasks)
+    results = TileExecutor().run(config, tasks)
     merged = RBCDUnit(config)
     for result in results:
         merged.absorb(result)
@@ -297,16 +284,14 @@ def _backend_matrix() -> list[str]:
 
 
 @pytest.mark.parametrize("backend", _backend_matrix())
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_backend_matrix_serial_vs_parallel(backend, workers):
-    """serial ≡ vectorized ≡ parallel, for every kernel backend.
+@pytest.mark.parametrize("soup_seed", [1, 2, 8])
+def test_backend_matrix_matches_reference(backend, soup_seed):
+    """sequential spec ≡ every kernel backend through the tile loop.
 
     The serial reference always runs the ``reference`` backend; the
-    parallel run uses the backend under test at several worker counts.
-    Fingerprints must agree across the whole matrix, which pins both
-    axes at once: kernel implementation and execution strategy.
+    tile loop uses the backend under test, over several seeded soups.
     """
-    soup = random_frame_soup(seed=31)
+    soup = random_frame_soup(seed=30 + soup_seed)
     serial_config = (
         GPUConfig().with_screen(*SCREEN)
         .with_rbcd(list_length=4)
@@ -314,23 +299,17 @@ def test_backend_matrix_serial_vs_parallel(backend, workers):
     )
     serial_unit, _ = run_serial_reference(serial_config, soup)
 
-    config = (
-        serial_config
-        .with_kernel_backend(backend)
-        .with_executor(workers=workers, backend="thread", chunk_tiles=2)
-    )
+    config = serial_config.with_kernel_backend(backend)
     tasks = gather_tile_tasks(soup, config)
-    with ThreadPoolTileExecutor(workers) as executor:
-        results = executor.run(config, tasks)
     merged = RBCDUnit(config)
-    for result in results:
+    for result in TileExecutor().run(config, tasks):
         merged.absorb(result)
     assert unit_fingerprint(merged) == unit_fingerprint(serial_unit)
 
 
 @pytest.mark.parametrize("backend", _backend_matrix())
-def test_backend_matrix_process_pool(backend):
-    """Workers resolve the backend by name from the pickled config."""
+def test_backend_matrix_with_spare_pool(backend):
+    """The backend matrix again with the spare pool on."""
     soup = random_frame_soup(seed=77)
     serial_config = (
         GPUConfig().with_screen(*SCREEN)
@@ -339,15 +318,9 @@ def test_backend_matrix_process_pool(backend):
     )
     serial_unit, _ = run_serial_reference(serial_config, soup)
 
-    config = (
-        serial_config
-        .with_kernel_backend(backend)
-        .with_executor(workers=2, backend="process", chunk_tiles=3)
-    )
+    config = serial_config.with_kernel_backend(backend)
     tasks = gather_tile_tasks(soup, config)
-    with ProcessPoolTileExecutor(2) as executor:
-        results = executor.run(config, tasks)
     merged = RBCDUnit(config)
-    for result in results:
+    for result in TileExecutor().run(config, tasks):
         merged.absorb(result)
     assert unit_fingerprint(merged) == unit_fingerprint(serial_unit)

@@ -227,10 +227,7 @@ class TestFigure5CaseCoverage:
         )
         recorder = ProvenanceRecorder()
         gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
-        try:
-            result = gpu.render_frame(frame)
-        finally:
-            gpu.close()
+        result = gpu.render_frame(frame)
 
         assert result.collisions.as_sorted_pairs() == [(1, 2), (3, 4)]
         # Every defined case id fires; no emission uses an unknown id.

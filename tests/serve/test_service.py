@@ -2,6 +2,8 @@
 
 import urllib.error
 import urllib.request
+import warnings
+from collections import deque
 
 import pytest
 
@@ -71,6 +73,28 @@ class TestRegistration:
         with make_service() as service:
             with pytest.raises(KeyError):
                 service.submit("ghost", object())
+
+    def test_non_frame_submission_is_refused_before_queueing(self):
+        with make_service() as service:
+            service.register("alice")
+            with pytest.raises(TypeError, match="Frame, got str"):
+                service.submit("alice", "not a frame")
+            assert service.session("alice").pending == deque()
+            assert service.tenant_registry("alice")[
+                "serve.frames_submitted"
+            ] == 0
+            assert service.step() == 0
+
+    def test_workers_keyword_is_deprecated_and_inert(self):
+        with pytest.raises(ValueError, match="workers"):
+            make_service(workers=0)
+        with pytest.warns(DeprecationWarning, match="workers"):
+            service = make_service(workers=2)
+        with service:
+            assert "workers" not in service.snapshot_dict()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_service(workers=1).close()
 
 
 class TestBatchingAndDemux:
@@ -320,3 +344,17 @@ class TestServiceMetricsServer:
                 assert fetch(server.url + "/healthz")[0] == 503
                 assert fetch(server.url + "/healthz/alice")[0] == 503
                 assert fetch(server.url + "/healthz/bob")[0] == 200
+
+
+def test_non_finite_frame_fails_only_its_future():
+    from tests.integration.test_core_api import NON_FINITE, frame_with
+
+    with make_service() as service:
+        service.register("alice")
+        service.register("bob")
+        bad = service.submit("alice", frame_with("model"))
+        good = service.submit("bob", make_frames(1)[0])
+        assert service.drain() == 2
+        with pytest.raises(ValueError, match=NON_FINITE):
+            bad.result(timeout=10)
+        assert good.result(timeout=10).result.report is not None

@@ -2,13 +2,15 @@
 
 The serving contract under test: a tenant's stream served through a
 :class:`~repro.serve.CollisionService` — batched against seven other
-tenants on one shared executor pool, with per-tenant monitors, a
+tenants, with per-tenant monitors, a
 shared tracer and request-scoped context attached — produces results
 bit-identical to running that tenant's stream alone on a private
 :class:`~repro.core.RBCDSystem` with **no telemetry at all**.  One
 comparison therefore proves both laws at once: multi-tenant batching
 does not perturb results, and telemetry on ≡ telemetry off.
 """
+
+import contextlib
 
 import pytest
 
@@ -21,13 +23,7 @@ from repro.serve import CollisionService
 
 TENANTS = 8
 FRAMES = 2
-
-
-def config_for(workers: int) -> GPUConfig:
-    config = GPUConfig().with_screen(96, 64)
-    if workers != 1:
-        config = config.with_executor(workers=workers, backend="thread")
-    return config
+CONFIG = GPUConfig().with_screen(96, 64)
 
 
 def result_fingerprint(result) -> tuple:
@@ -77,23 +73,30 @@ def solo_fingerprints(plan, config):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_each_tenant_is_bit_identical_to_solo(workers):
-    config = config_for(workers)
+    """``workers`` is the deprecated no-op keyword: any value serves
+    the same results (and anything but 1 warns)."""
+    config = CONFIG
     plans = plan_tenants(TENANTS, detail=1, seed=7)
     assert len(plans) == TENANTS
 
-    # Served: 8 tenants interleaved on one pool, full telemetry on.
+    # Served: 8 tenants interleaved, full telemetry on.
     # admit_unhealthy keeps watchdog breaches (the "crazy" scene blows
     # the paper's activity envelope at this tiny resolution) from
     # rejecting lockstep frames — admission may only reject, and a
     # rejected frame would make the streams diverge by construction.
     served = {plan.tenant: [] for plan in plans}
-    with CollisionService(
-        workers=workers,
-        executor_backend="thread" if workers != 1 else None,
-        base_config=config,
-        tracer=Tracer(),
-        admit_unhealthy=True,
-    ) as service:
+    warns = (
+        pytest.warns(DeprecationWarning, match="workers")
+        if workers != 1 else contextlib.nullcontext()
+    )
+    with warns:
+        service = CollisionService(
+            workers=workers,
+            base_config=config,
+            tracer=Tracer(),
+            admit_unhealthy=True,
+        )
+    with service:
         for plan in plans:
             service.register(plan.tenant)
         futures = []
@@ -120,7 +123,7 @@ def test_each_tenant_is_bit_identical_to_solo(workers):
 
 def test_provenance_matches_solo_recorder():
     """Evidence records for a served tenant equal the solo recorder's."""
-    config = config_for(1)
+    config = CONFIG
     plan = plan_tenants(TENANTS, detail=1, seed=7)[0]
 
     solo_recorder = ProvenanceRecorder()
