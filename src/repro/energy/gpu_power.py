@@ -40,11 +40,11 @@ class GPUEnergyParams:
 class GPUEnergyBreakdown(CounterAlgebra):
     """Per-category energy of one frame (or an accumulation).
 
-    The merge algebra (``a + b``, ``sum``-compatible ``__radd__``,
-    ``Cls.sum``) comes from
+    The accumulation algebra (``a + b``, ``sum``-compatible
+    ``__radd__``, ``Cls.sum``) comes from
     :class:`~repro.observability.counters.CounterAlgebra`: every field
-    is a plain sum, so per-frame (or per-shard) breakdowns accumulate
-    exactly like the counters they are priced from.
+    is a plain sum, so per-frame breakdowns accumulate exactly like the
+    counters they are priced from.
     """
 
     geometry_j: float = 0.0

@@ -102,8 +102,8 @@ class RBCDEnergyModel:
         (:class:`~repro.rbcd.unit.RBCDTileResult`).
 
         Static leakage is excluded — it accrues with *frame* time, not
-        per tile — so summing tile breakdowns over any shard grouping
-        reproduces the frame's dynamic energy exactly
+        per tile — so summing a frame's tile breakdowns reproduces its
+        dynamic energy exactly
         (``breakdown(stats)`` minus its ``static_j``).
         """
         return RBCDEnergyBreakdown(

@@ -61,11 +61,15 @@ from typing import Any, Mapping, Sequence
 from repro.experiments.bench import HISTORY_PATH
 from repro.gpu.config import GPUConfig
 from repro.observability.flightrecorder import FlightRecorder
-from repro.observability.live import PAPER_ACTIVITY_ENVELOPE, default_rules
+from repro.observability.live import (
+    PAPER_ACTIVITY_ENVELOPE,
+    MetricsServer,
+    default_rules,
+)
 from repro.observability.log import configure_json_logging
 from repro.observability.netutil import linger, write_port_file
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
-from repro.serve import AdmissionError, CollisionService, ServiceMetricsServer
+from repro.serve import AdmissionError, CollisionService
 
 __all__ = [
     "SCHEMA_NAME",
@@ -762,7 +766,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args_like, rules_factory(), admit_unhealthy=closed_loop,
             recorder=recorder,
         ) as service:
-            server = ServiceMetricsServer(
+            server = MetricsServer(
                 service, host=args.host, port=args.port
             ).start()
             try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import gather_tile_tasks
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.gpu.raster import FragmentSoup
 from repro.rbcd.unit import RBCDUnit
@@ -44,11 +44,10 @@ def rerun_unit(frags: FragmentSoup, gpu_config: GPUConfig) -> RBCDUnit:
     """Feed a frame's collisionable fragments through a fresh RBCD unit,
     tile by tile in tile-schedule order."""
     unit = RBCDUnit(gpu_config)
-    for task in gather_tile_tasks(frags, gpu_config):
-        unit.process_tile(
-            task.tile_index, task.x, task.y, task.z, task.object_id,
-            task.front,
-        )
+    for result in TileExecutor().run(
+        gpu_config, gather_tile_tasks(frags, gpu_config)
+    ):
+        unit.absorb(result)
     return unit
 
 

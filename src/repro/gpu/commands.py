@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.vec import Mat4
 
@@ -62,7 +64,18 @@ class DrawCommand:
     fragment_cycles: float | None = None
 
     def __post_init__(self) -> None:
-        if self.object_id is not None and self.object_id < 0:
+        if self.object_id is None:
+            return
+        # A float id would be truncated down the pipeline (3.2 and 3.7
+        # both become 3, and their pair is dropped as a self-pair).
+        if isinstance(self.object_id, bool) or not isinstance(
+            self.object_id, (int, np.integer)
+        ):
+            raise TypeError(
+                f"object_id must be an integer or None, got "
+                f"{self.object_id!r} ({type(self.object_id).__name__})"
+            )
+        if self.object_id < 0:
             raise ValueError("object_id must be non-negative")
 
     @property

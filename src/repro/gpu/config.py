@@ -8,6 +8,7 @@ comments and exercised by the sensitivity benches.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -103,10 +104,36 @@ class RBCDConfig:
             )
         if self.ff_stack_entries < 1:
             raise ValueError("FF-Stack needs at least one entry")
+        if self.spare_entries_per_tile < 0:
+            raise ValueError(
+                f"spare_entries_per_tile must be >= 0, "
+                f"got {self.spare_entries_per_tile!r}"
+            )
 
     def zeb_size_bytes(self, tile_pixels: int) -> int:
         """On-chip size of one ZEB (8 KB for 256 lists x 8 x 32 bit)."""
         return tile_pixels * self.list_length * self.element_bits // 8
+
+
+_POSITIVE_FIELDS = (
+    "frequency_hz",
+    "primitive_assembly_tris_per_cycle",
+    "rasterizer_frags_per_cycle",
+    "early_z_quads_in_flight",
+    "num_vertex_processors",
+    "num_fragment_processors",
+    "num_texture_caches",
+    "mem_bandwidth_bytes_per_cycle",
+)
+_COST_FIELDS = (
+    "cycles_per_vertex",
+    "cycles_per_fragment",
+    "raster_setup_cycles_per_tri",
+    "binning_cycles_per_prim_tile",
+    "tile_list_record_bytes",
+    "mem_latency_min_cycles",
+    "mem_latency_max_cycles",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,6 +224,20 @@ class GPUConfig:
             raise ValueError("tile_cache_enabled must be a bool")
         if self.tile_size <= 0:
             raise ValueError("tile size must be positive")
+        # Throughputs, counts and the clock divide cycle and time
+        # figures; per-unit costs multiply them.
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
+        for name in _COST_FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}"
+                )
 
     # -- derived geometry ---------------------------------------------------
 

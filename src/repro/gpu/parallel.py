@@ -15,7 +15,7 @@ Determinism argument:
    fragments)`` — no shared state.
 2. Results come back in task order, which is the tile-schedule order
    produced by :func:`gather_tile_tasks`.
-3. The merge (absorbing results and summing stats) runs over that
+3. Absorbing the results (and summing their stats) runs over that
    order, so contact-record ordering, counters and the per-tile cycle
    arrays fed to the stall model are fixed.  Simulated ``gpu_cycles``
    are computed from those per-tile timings — never from wall clock.
@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.gpu.config import GPUConfig
-from repro.observability.counters import CounterRegistry
 from repro.rbcd.unit import RBCDTileResult, compute_tile
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "TileExecutor",
     "gather_tile_tasks",
     "run_with_tile_cache",
-    "tile_registry_of",
 ]
 
 
@@ -163,29 +161,3 @@ def run_with_tile_cache(
             cache.store(task.tile_index, tile_keys[task.tile_index], result)
             yield result, False
 
-
-def tile_registry_of(result: RBCDTileResult) -> CounterRegistry:
-    """Named-counter view of one tile's RBCD activity.
-
-    Registries merge by plain per-name sums, so any shard grouping of a
-    frame's tile results merges to the same totals the serial absorb
-    loop produces.
-    """
-    registry = CounterRegistry()
-    for name, kind, value in (
-        ("rbcd.zeb_insertions", "int", result.zeb.insertions),
-        ("rbcd.zeb_overflow_events", "int", result.zeb.overflow_events),
-        ("rbcd.zeb_spare_allocations", "int", result.zeb.spare_allocations),
-        ("rbcd.overlap_lists_analyzed", "int", result.analyzed_lists),
-        ("rbcd.overlap_elements_read", "int", result.analyzed_elements),
-        ("rbcd.ff_stack_overflows", "int", result.overlap.stack_overflows),
-        ("rbcd.unmatched_backfaces", "int", result.overlap.unmatched_backfaces),
-        ("rbcd.pair_records_written", "int", result.overlap.pair_records),
-    ):
-        registry.counter(name, kind=kind)
-        registry.set(name, value)
-    registry.counter("rbcd.insertion_cycles", kind="float", unit="cycles")
-    registry.set("rbcd.insertion_cycles", result.insertion_cycles)
-    registry.counter("rbcd.overlap_cycles", kind="float", unit="cycles")
-    registry.set("rbcd.overlap_cycles", result.overlap_cycles)
-    return registry

@@ -6,10 +6,11 @@ fragments produced, raster/fragment/geometry cycles, and the RBCD
 unit's own activity.  ``GPUStats`` instances add together so multi-frame
 runs can accumulate.
 
-The merge algebra (``a + b``, ``sum``-compatibility, ``Cls.sum``) comes
-from :class:`repro.observability.counters.CounterAlgebra` — the one
-shared implementation the per-tile merge relies on — and :meth:`GPUStats.registry` exposes the same numbers as a
-named :class:`~repro.observability.counters.CounterRegistry`
+The accumulation algebra (``a + b``, ``sum``-compatibility,
+``Cls.sum``) comes from
+:class:`repro.observability.counters.CounterAlgebra`, and
+:meth:`GPUStats.registry` exposes the same numbers as a named
+:class:`~repro.observability.counters.CounterRegistry`
 (``gpu.geometry.*`` / ``gpu.raster.*`` / ``gpu.rbcd.*`` / ``gpu.mem.*``)
 for exporters and the bench harness.
 """
@@ -18,11 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from repro.observability.counters import (
-    CounterAlgebra,
-    CounterRegistry,
-    registry_from_counters,
-)
+from repro.observability.counters import CounterAlgebra, CounterRegistry
 
 # Field -> namespace for the registry view.  Fields not listed fall in
 # the "gpu" root namespace (currently only ``frames`` and the whole-GPU
@@ -120,7 +117,7 @@ class GPUStats(CounterAlgebra):
     # -- whole GPU -----------------------------------------------------------------
     gpu_cycles: float = 0.0             # geometry + raster wall clock
 
-    # Merge algebra (``+``, ``__radd__``, ``sum``, ``as_dict``) is
+    # Accumulation algebra (``+``, ``__radd__``, ``sum``, ``as_dict``) is
     # inherited from CounterAlgebra: every field is a plain sum.
 
     def registry(self) -> CounterRegistry:
@@ -189,30 +186,3 @@ class GPUStats(CounterAlgebra):
                  f"{k:<{width}} : {v:,.1f}" for k, v in d.items() if v]
         return "\n".join(lines)
 
-
-@dataclass
-class TileStats(CounterAlgebra):
-    """Per-tile activity used by the tile-pipeline timing model.
-
-    Adding two tiles' stats aggregates their activity; ``tile_index``
-    becomes the earlier one's (an accumulation is no longer one tile),
-    declared as a ``min``-combined field in the shared merge algebra.
-    """
-
-    _MERGE_SPECIAL = {"tile_index": min}
-
-    tile_index: int = 0
-    prims: int = 0
-    fragments: int = 0
-    collisionable_fragments: int = 0
-    shaded_fragments: int = 0
-    shader_cycles: float = 0.0          # total fragment-shader cycles
-    raster_cycles: float = 0.0
-    overlap_cycles: float = 0.0
-    tc_load_lines: int = 0
-    tc_load_misses: int = 0
-
-    def registry(self) -> CounterRegistry:
-        """Named counter view (``tile.<field>``; ``tile_index`` skipped —
-        an aggregated registry is not one tile)."""
-        return registry_from_counters(self, "tile", skip=("tile_index",))

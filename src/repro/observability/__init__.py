@@ -66,7 +66,6 @@ from repro.observability.window import (
     Ewma,
     QuantileSketch,
     SlidingWindow,
-    WindowAggregate,
 )
 from repro.observability.attribution import (
     AttributionReport,
@@ -202,7 +201,6 @@ __all__ = [
     # streaming aggregation
     "SlidingWindow",
     "Ewma",
-    "WindowAggregate",
     "QuantileSketch",
     # OpenMetrics exposition
     "MetricFamily",

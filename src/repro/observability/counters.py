@@ -1,32 +1,31 @@
-"""Typed, mergeable counters: the simulator's metrics substrate.
+"""Typed counters: the simulator's metrics substrate.
 
 Two layers:
 
-* :class:`CounterAlgebra` — a mixin giving any counter dataclass the
-  field-wise merge algebra the per-tile merge relies on
-  (``a + b``, ``sum``-compatible ``__radd__``, ``Cls.sum``,
-  ``as_dict``).  ``GPUStats``, ``TileStats`` and ``OpCounter`` all
-  derive their merge from this one implementation instead of carrying
-  their own copies, so the determinism argument ("every counter is a
-  plain sum") lives in exactly one place.
+* :class:`CounterAlgebra` — a mixin giving any counter dataclass a
+  field-wise accumulation algebra (``a + b``, ``sum``-compatible
+  ``__radd__``, ``Cls.sum``, ``as_dict``).  ``GPUStats`` and
+  ``OpCounter`` derive it from this one implementation instead of
+  carrying their own copies, so multi-frame runs accumulate every
+  counter as a plain sum.
 * :class:`CounterRegistry` — named, typed counters
   (``gpu.rbcd.zeb_insertions``, ``cpu.ops.flop``, ...) with the same
   algebra.  Registries are the uniform exchange format: every counter
   dataclass exposes a ``registry()`` view, registries from different
-  subsystems merge into one namespace, and exporters/benches consume
-  the merged registry without knowing which dataclass a number came
-  from.
+  subsystems (and the per-tenant shards of a service) merge into one
+  namespace, and exporters/benches consume the merged registry without
+  knowing which dataclass a number came from.
 
 Counter naming scheme (see docs/MODEL.md, "Observability"):
 ``<subsystem>.<stage>.<quantity>`` — e.g. ``gpu.raster.fragments_produced``,
-``gpu.rbcd.zeb_insertions``, ``tile.overlap_cycles``, ``cpu.ops.cmp``.
+``gpu.rbcd.zeb_insertions``, ``cpu.ops.cmp``.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterable, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "CounterAlgebra",
@@ -37,29 +36,22 @@ __all__ = [
 
 
 class CounterAlgebra:
-    """Field-wise merge algebra for counter dataclasses.
-
-    Subclasses may declare ``_MERGE_SPECIAL`` mapping a field name to a
-    two-argument combiner for fields that are not plain sums (e.g. a
-    tile index merged with ``min``).  Everything else is ``a + b``.
-    """
-
-    _MERGE_SPECIAL: ClassVar[Mapping[str, Callable]] = {}
+    """Field-wise sum algebra for counter dataclasses: ``a + b`` adds
+    every field."""
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         out = type(self)()
         for f in fields(self):
-            combine = self._MERGE_SPECIAL.get(f.name)
             a, b = getattr(self, f.name), getattr(other, f.name)
-            setattr(out, f.name, combine(a, b) if combine else a + b)
+            setattr(out, f.name, a + b)
         return out
 
     def __radd__(self, other):
         # Support plain ``sum(iterable)``: the implicit 0 start value
-        # (and any int-zero partial accumulator) folds away, so merges
-        # can ``sum()`` per-tile counters directly.
+        # (and any int-zero partial accumulator) folds away, so callers
+        # can ``sum()`` counters directly.
         if isinstance(other, type(self)):
             return other.__add__(self)
         if isinstance(other, (int, float)) and other == 0:
@@ -116,8 +108,8 @@ class CounterRegistry:
     The registry preserves registration order (merged registries list
     the left operand's names first), so exported dictionaries are
     deterministic.  Merging is a plain per-name sum — associative and
-    commutative up to ordering — so per-tile registries merge to the
-    frame's totals in any grouping.
+    commutative up to ordering — so per-tenant registries merge to the
+    service's totals in any grouping.
     """
 
     def __init__(self, specs: Iterable[CounterSpec] = ()) -> None:
@@ -229,7 +221,6 @@ def registry_from_counters(
     obj: CounterAlgebra,
     prefix: str,
     *,
-    skip: Iterable[str] = (),
     units: Mapping[str, str] | None = None,
 ) -> CounterRegistry:
     """Registry view of a counter dataclass, names ``<prefix>.<field>``.
@@ -238,12 +229,9 @@ def registry_from_counters(
     ``units`` optionally maps field names to unit strings (fields named
     ``*_cycles`` default to "cycles", ``*_bytes*`` to "bytes").
     """
-    skip = set(skip)
     units = dict(units or {})
     registry = CounterRegistry()
     for f in fields(obj):
-        if f.name in skip:
-            continue
         value = getattr(obj, f.name)
         unit = units.get(f.name)
         if unit is None:

@@ -28,10 +28,9 @@ can never be mistaken for evidence.
 Strictly observational: recording reads spans, snapshots and log
 records; it never feeds anything back into the pipeline.  The
 contract is the repo's usual one — recorder-on is bit-identical to
-recorder-off at any worker count
-(``tests/integration/test_observer_differential.py``) and the
-ring contents themselves are deterministic modulo the wall-clock
-fields named in :data:`WALL_FIELDS`.
+recorder-off (``tests/integration/test_observer_differential.py``)
+and the ring contents themselves are deterministic modulo the
+wall-clock fields named in :data:`WALL_FIELDS`.
 
 The post-mortem replay (:func:`window_values_from_snapshots`) rebuilds
 a monitor's sliding windows, EWMAs and quantile sketches from the

@@ -17,8 +17,9 @@ Three consumption paths:
   Prometheus-compatible scraper;
 * :class:`MetricsServer` — a stdlib ``http.server`` endpoint on a
   background thread serving ``/metrics``, ``/healthz`` and
-  ``/snapshot.json`` (``python -m repro.experiments.monitor`` wires it
-  to an endless frame stream);
+  ``/snapshot.json`` for a monitor (``python -m
+  repro.experiments.monitor`` wires it to an endless frame stream) or
+  for a multi-tenant :class:`~repro.serve.service.CollisionService`;
 * :attr:`LiveMonitor.alerts` / structured log events through
   :mod:`repro.observability.log`.
 
@@ -100,8 +101,8 @@ class MetricSnapshot:
     (``gpu.*`` from :class:`~repro.gpu.stats.GPUStats` plus ``energy.*``
     from :class:`~repro.energy.report.FrameEnergyReport`); ``derived``
     holds the per-frame ratios the watchdogs consume.  All of those are
-    deterministic — bit-identical at any worker count, monitoring on or
-    off.  ``wall_s`` is host time and excluded from the
+    deterministic — bit-identical run to run, monitoring on or off.
+    ``wall_s`` is host time and excluded from the
     :meth:`deterministic_fingerprint`.
     """
 
@@ -551,8 +552,14 @@ class LiveMonitor(FrameObserver):
                 "totals": dict(self._total_counters),
             }
 
-    def health_dict(self) -> dict[str, Any]:
-        """The ``/healthz`` document."""
+    def health_dict(self, tenant: str | None = None) -> dict[str, Any]:
+        """The ``/healthz`` document.
+
+        A single stream has no tenants, so any ``tenant`` raises
+        :class:`KeyError` (``/healthz/<tenant>`` answers 404).
+        """
+        if tenant is not None:
+            raise KeyError(f"unknown tenant {tenant!r}")
         with self._lock:
             healthy = not self._active_rules
             return {
@@ -635,33 +642,40 @@ class LiveMonitor(FrameObserver):
 
 
 class _MetricsHandler(BaseHTTPRequestHandler):
-    """Routes /metrics, /healthz and /snapshot.json to the monitor."""
+    """Routes /metrics, /healthz[/<tenant>] and /snapshot.json to the
+    bound source."""
 
     server_version = "repro-live/1.0"
-    monitor: LiveMonitor  # set by MetricsServer via the handler subclass
+    source: Any  # set by MetricsServer via the handler subclass
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         path = self.path.split("?", 1)[0]
-        monitor = self.monitor
+        source = self.source
         if path == "/metrics":
-            body = monitor.to_openmetrics().encode("utf-8")
+            body = source.to_openmetrics().encode("utf-8")
             self._respond(200, OPENMETRICS_CONTENT_TYPE, body)
-        elif path == "/healthz":
-            health = monitor.health_dict()
-            status = 200 if health["status"] == "ok" else 503
-            body = (json.dumps(health, indent=2) + "\n").encode("utf-8")
-            self._respond(status, "application/json; charset=utf-8", body)
+        elif path == "/healthz" or path.startswith("/healthz/"):
+            tenant = path[len("/healthz/"):] if path != "/healthz" else None
+            try:
+                health = source.health_dict(tenant)
+            except KeyError:
+                self._json(404, {"error": f"unknown tenant {tenant!r}"})
+                return
+            self._json(200 if health["status"] == "ok" else 503, health)
         elif path == "/snapshot.json":
-            body = (
-                json.dumps(monitor.snapshot_dict(), indent=2) + "\n"
-            ).encode("utf-8")
-            self._respond(200, "application/json; charset=utf-8", body)
+            self._json(200, source.snapshot_dict())
         else:
-            body = json.dumps({
+            self._json(404, {
                 "error": "not found",
-                "endpoints": ["/metrics", "/healthz", "/snapshot.json"],
-            }).encode("utf-8")
-            self._respond(404, "application/json; charset=utf-8", body)
+                "endpoints": [
+                    "/metrics", "/healthz", "/healthz/<tenant>",
+                    "/snapshot.json",
+                ],
+            })
+
+    def _json(self, status: int, doc) -> None:
+        body = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        self._respond(status, "application/json; charset=utf-8", body)
 
     def _respond(self, status: int, content_type: str, body: bytes) -> None:
         self.send_response(status)
@@ -678,7 +692,15 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 
 class MetricsServer:
-    """Background-thread HTTP endpoint over a :class:`LiveMonitor`.
+    """Background-thread HTTP endpoint over a telemetry source.
+
+    The source is anything with ``to_openmetrics()``,
+    ``health_dict(tenant=None)`` and ``snapshot_dict()`` — a
+    :class:`LiveMonitor` or a
+    :class:`~repro.serve.service.CollisionService`.  Endpoints:
+    ``/metrics`` (OpenMetrics text), ``/healthz`` (503 while the source
+    is in breach), ``/healthz/<tenant>`` (one tenant's verdict; 404 when
+    ``health_dict`` raises :class:`KeyError`) and ``/snapshot.json``.
 
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`port` after :meth:`start`).  The server thread is a daemon;
@@ -687,11 +709,11 @@ class MetricsServer:
 
     def __init__(
         self,
-        monitor: LiveMonitor,
+        source,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.monitor = monitor
+        self.source = source
         self.host = host
         self._requested_port = port
         self._server: ThreadingHTTPServer | None = None
@@ -711,7 +733,7 @@ class MetricsServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         handler = type(
-            "BoundMetricsHandler", (_MetricsHandler,), {"monitor": self.monitor}
+            "BoundMetricsHandler", (_MetricsHandler,), {"source": self.source}
         )
         self._server = ThreadingHTTPServer(
             (self.host, self._requested_port), handler

@@ -11,8 +11,7 @@ caller of the hooks, for every rendering mode:
 
 * :meth:`begin_frame` before any work, with the frame's ``GPUConfig``;
 * :meth:`record_tile` once per RBCD tile, right after the unit absorbs
-  it — on the main process, in tile-schedule order, so recordings are
-  identical at any worker count (and never fires without an RBCD unit);
+  it, in tile-schedule order (and never fires without an RBCD unit);
 * :meth:`end_frame` with the finished
   :class:`~repro.gpu.pipeline.FrameResult` and the host wall seconds
   the frame took.  A frame that raises gets no ``end_frame``.

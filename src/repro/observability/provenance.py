@@ -17,18 +17,14 @@ Design invariant — *strictly observational*: the evidence fields are
 computed unconditionally inside :func:`repro.rbcd.overlap.analyze_tile`
 (they ride in :class:`~repro.rbcd.overlap.OverlapResult`), and the
 recorder merely collects them in its ``record_tile`` hook, which the
-pipeline calls right after :meth:`RBCDUnit.absorb` — in the owning
-process, in tile-schedule order.  Detection results, ``rbcd.*``
-counters, and energy reports are therefore bit-identical with the
-recorder on or off, at any worker count
+pipeline calls right after :meth:`RBCDUnit.absorb`, in tile-schedule
+order.  Detection results, ``rbcd.*`` counters, and energy reports are
+therefore bit-identical with the recorder on or off
 (``tests/integration/test_observer_differential.py``).
 
-Merge semantics: recordings are totally ordered by
-``(frame, tile, record)`` where ``record`` is the emission index within
-the tile's output buffer.  Because tiles are absorbed in tile-schedule
-order, a single recorder observes that order natively; recorders fed
-from shards merge deterministically by sorting on the same key
-(:meth:`ProvenanceRecorder.merge`).
+Recordings come out ordered by ``(frame, tile, record)``, where
+``record`` is the emission index within the tile's output buffer,
+because tiles are absorbed in tile-schedule order.
 """
 
 from __future__ import annotations
@@ -82,10 +78,6 @@ class PairEvidence:
         """The canonical ``(low, high)`` object-id pair."""
         a, b = self.id_front, self.id_back
         return (a, b) if a <= b else (b, a)
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.frame, self.tile, self.record)
 
     def as_record(self) -> dict:
         """The ndjson evidence record (see MODEL.md §9 for the schema)."""
@@ -269,32 +261,6 @@ class ProvenanceRecorder(FrameObserver):
     ) -> list[tuple[int, int]]:
         """Sorted distinct pixels where a pair was emitted."""
         return sorted({(ev.x, ev.y) for ev in self.pairs_for(id_a, id_b, frame)})
-
-    # -- merge --------------------------------------------------------------
-
-    def merge(self, other: "ProvenanceRecorder") -> "ProvenanceRecorder":
-        """Deterministic shard merge: counts sum, records re-sort.
-
-        Records are totally ordered by ``(frame, tile, record)``, so
-        merging shards in any grouping or order yields the same
-        recorder — the provenance analogue of the counter algebra.
-        ``frames`` takes the max (shards observe the same frames, they
-        do not repeat them).
-        """
-        merged = ProvenanceRecorder()
-        merged.records = sorted(
-            self.records + other.records, key=lambda ev: ev.sort_key
-        )
-        merged.frames = max(self.frames, other.frames)
-        merged.tiles_recorded = self.tiles_recorded + other.tiles_recorded
-        for case in merged.case_counts:
-            merged.case_counts[case] = (
-                self.case_counts[case] + other.case_counts[case]
-            )
-        merged.self_pairs_filtered = (
-            self.self_pairs_filtered + other.self_pairs_filtered
-        )
-        return merged
 
 
 # ---------------------------------------------------------------------------

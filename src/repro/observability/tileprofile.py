@@ -25,11 +25,8 @@ contract every observer obeys, differential-tested by
 * **zero feedback** — recording reads tile results and writes only the
   profiler's own grids, so every detection output is bit-identical with
   the profiler attached or not;
-* **deterministic at any worker count** — tiles are recorded at absorb
-  time in tile-schedule order on the main process, and every grid cell
-  is a plain per-tile sum, so any shard grouping merges
-  (:meth:`TileProfiler.merge`) to the same grids the serial path
-  records.
+* **deterministic** — tiles are recorded at absorb time in
+  tile-schedule order, and every grid cell is a plain per-tile sum.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ __all__ = ["GRID_NAMES", "TileProfiler"]
 
 # The grids a profiler records, in stored order.  All are per-tile sums
 # (floats in the document; ``activity``/``hits``/``lookups`` happen to
-# be integral), so merging shards is plain elementwise addition.
+# be integral).
 GRID_NAMES = ("cycles", "energy_j", "activity", "hits", "lookups")
 
 
@@ -132,35 +129,6 @@ class TileProfiler(FrameObserver):
         if not self._grids:
             return []
         return list(self._grids[name])
-
-    def merge(self, other: "TileProfiler") -> "TileProfiler":
-        """Fold another profiler's grids into this one (shard merge).
-
-        Elementwise addition — associative and commutative, so any
-        grouping of per-tile shards merges to the serial result.  An
-        empty side is the identity.
-        """
-        if not other._grids:
-            return self
-        if not self._grids:
-            self._tiles_x = other._tiles_x
-            self._tiles_y = other._tiles_y
-            self._grids = {
-                name: list(values) for name, values in other._grids.items()
-            }
-            self.frames += other.frames
-            return self
-        if (self._tiles_x, self._tiles_y) != (other._tiles_x, other._tiles_y):
-            raise ValueError(
-                "cannot merge tile profiles with different dimensions"
-            )
-        for name in GRID_NAMES:
-            mine = self._grids[name]
-            theirs = other._grids[name]
-            for i, value in enumerate(theirs):
-                mine[i] += value
-        self.frames += other.frames
-        return self
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready view: dimensions, frame count, and every grid."""

@@ -23,7 +23,7 @@ Each span records two clocks:
   (the perf number ``repro.experiments.bench`` tracks across PRs);
 * **simulated cycles** — the modelled hardware's cost of the stage
   (assigned by the pipeline from its cycle model; per-tile RBCD spans
-  carry the cycles computed in the worker, attributed at merge time).
+  carry the cycles ``compute_tile`` returned for that tile).
 
 Tracing is strictly observational: span bookkeeping never feeds back
 into the cycle model, so enabling a tracer changes no collision pair,

@@ -1,24 +1,17 @@
 """Sliding-window aggregation primitives for streaming telemetry.
 
 Three building blocks, all deterministic and allocation-light, used by
-:mod:`repro.observability.live` to turn a stream of per-frame samples
-into live rates and latency percentiles:
+:mod:`repro.observability.live` (and the flight-recorder replay) to
+turn a stream of per-frame samples into live rates and latency
+percentiles:
 
 * :class:`SlidingWindow` — the last ``capacity`` samples with O(1)
   push/evict and running sum (recomputed on eviction to avoid float
   drift), plus min/max/mean over the retained samples;
 * :class:`Ewma` — an exponentially weighted moving average, the cheap
   "trend" signal next to the exact window;
-* :class:`WindowAggregate` — a mergeable (count, total, min, max)
-  summary carrying the same associative/commutative shard-merge
-  contract as :class:`~repro.observability.counters.CounterRegistry`,
-  so per-tile samples aggregated in any shard grouping produce the
-  same frame-level summary;
 * :class:`QuantileSketch` — a DDSketch-style streaming quantile sketch
-  (logarithmic buckets with bounded *relative* error).  Bucket counts
-  are integers and the merge is a plain per-bucket sum, so merging is
-  exactly associative and commutative — p50/p95/p99 read from a merged
-  sketch are bit-identical whatever the shard grouping or merge order.
+  (logarithmic buckets with bounded *relative* error).
 
 Nothing here looks at the wall clock; callers feed values in, which
 keeps every aggregate a pure function of the sample stream (the
@@ -29,13 +22,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "SlidingWindow",
     "Ewma",
-    "WindowAggregate",
     "QuantileSketch",
 ]
 
@@ -115,67 +105,6 @@ class Ewma:
         return self._value is not None
 
 
-@dataclass(frozen=True)
-class WindowAggregate:
-    """Mergeable (count, total, min, max) summary of a sample set.
-
-    The empty aggregate (``count == 0``) is the merge identity, so any
-    shard grouping of a sample set — including empty shards — merges to
-    the same summary the flat aggregation produces.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-
-    @staticmethod
-    def of(values: Iterable[float]) -> "WindowAggregate":
-        agg = WindowAggregate()
-        for value in values:
-            agg = agg.observe(value)
-        return agg
-
-    def observe(self, value: float) -> "WindowAggregate":
-        value = float(value)
-        return WindowAggregate(
-            count=self.count + 1,
-            total=self.total + value,
-            minimum=min(self.minimum, value),
-            maximum=max(self.maximum, value),
-        )
-
-    def merge(self, other: "WindowAggregate") -> "WindowAggregate":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        return WindowAggregate(
-            count=self.count + other.count,
-            total=self.total + other.total,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, WindowAggregate):
-            return NotImplemented
-        return self.merge(other)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-            "mean": self.mean,
-        }
-
-
 class QuantileSketch:
     """Deterministic streaming quantiles with bounded relative error.
 
@@ -184,10 +113,7 @@ class QuantileSketch:
     relative accuracy ``a``; the reported quantile is the bucket's
     geometric midpoint, within ``a`` relative error of the true value.
     Values at or below :attr:`zero_threshold` share an exact zero
-    bucket.  Bucket counts are plain integers, so :meth:`merge` (a
-    per-bucket sum) is exactly associative and commutative, and the
-    quantiles of a merged sketch do not depend on how the sample stream
-    was sharded — the property the shard-merge tests assert.
+    bucket.
     """
 
     def __init__(
@@ -257,45 +183,6 @@ class QuantileSketch:
             if rank <= cumulative:
                 return self._bucket_value(key)
         return self._max  # unreachable unless float dust; be safe
-
-    # -- merge algebra -------------------------------------------------------
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """New sketch summarizing both sample streams (exact merge)."""
-        if not isinstance(other, QuantileSketch):
-            raise TypeError("can only merge QuantileSketch with QuantileSketch")
-        if (
-            other.relative_accuracy != self.relative_accuracy
-            or other.zero_threshold != self.zero_threshold
-        ):
-            raise ValueError(
-                "cannot merge sketches with different accuracy parameters"
-            )
-        out = QuantileSketch(self.relative_accuracy, self.zero_threshold)
-        out._buckets = dict(self._buckets)
-        for key, count in other._buckets.items():
-            out._buckets[key] = out._buckets.get(key, 0) + count
-        out.zero_count = self.zero_count + other.zero_count
-        out.count = self.count + other.count
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, QuantileSketch):
-            return NotImplemented
-        return self.merge(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantileSketch):
-            return NotImplemented
-        return (
-            self.relative_accuracy == other.relative_accuracy
-            and self.zero_threshold == other.zero_threshold
-            and self.count == other.count
-            and self.zero_count == other.zero_count
-            and self._buckets == other._buckets
-        )
 
     def as_dict(self) -> dict:
         """JSON-ready summary (buckets keyed by stringified index)."""

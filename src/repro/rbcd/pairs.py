@@ -71,11 +71,6 @@ class CollisionReport:
         self.contacts[CollisionPair.make(id_a, id_b)].append(contact)
         self.pair_records_written += 1
 
-    def merge(self, other: "CollisionReport") -> None:
-        for pair, points in other.contacts.items():
-            self.contacts[pair].extend(points)
-        self.pair_records_written += other.pair_records_written
-
     def contact_count(self, id_a: int, id_b: int) -> int:
         return len(self.contacts.get(CollisionPair.make(id_a, id_b), []))
 

@@ -81,9 +81,8 @@ def compute_tile(
 ) -> RBCDTileResult:
     """Pure per-tile RBCD computation: ZEB insertion + Z-Overlap Test.
 
-    This is the stateless core of :meth:`RBCDUnit.process_tile`: it
-    touches no shared state, so any number of tiles may be computed
-    concurrently (each tile has its own ZEB and its own spare pool).
+    It touches no shared state (each tile has its own ZEB and its own
+    spare pool); :meth:`RBCDUnit.absorb` folds the result into a unit.
     ``x``/``y`` are *global* pixel coordinates in arrival order; the
     tile-local pixel index is derived here, mirroring how the
     Rasterizer addresses the ZEB.  The insertion and traversal loops
@@ -164,35 +163,11 @@ class RBCDUnit:
         self.unmatched_backfaces = 0
         self.tiles_replayed = 0
 
-    def process_tile(
-        self,
-        tile_index: int,
-        x: np.ndarray,
-        y: np.ndarray,
-        z: np.ndarray,
-        object_id: np.ndarray,
-        is_front: np.ndarray,
-    ) -> RBCDTileResult:
-        """Insert one tile's collisionable fragments and analyze them.
-
-        ``x``/``y`` are *global* pixel coordinates (in arrival order);
-        the unit derives the tile-local pixel index itself, mirroring
-        how the Rasterizer addresses the ZEB.  Equivalent to
-        :func:`compute_tile` followed by :meth:`absorb`.
-        """
-        result = compute_tile(
-            self.gpu_config, tile_index, x, y, z, object_id, is_front
-        )
-        self.absorb(result)
-        return result
-
     def absorb(self, result: RBCDTileResult, replayed: bool = False) -> None:
         """Fold one tile's result into the per-frame counters and report.
 
-        Results must be absorbed in tile-schedule order for the report's
-        contact-record ordering to be bit-identical to the serial path;
-        every counter is a plain sum, so the order affects only record
-        layout, never values.
+        The pipeline absorbs results in tile-schedule order, which fixes
+        the report's contact-record order; every counter is a plain sum.
 
         ``replayed=True`` marks a result replayed from the cross-frame
         tile cache (:mod:`repro.gpu.tilecache`) rather than freshly
@@ -234,13 +209,7 @@ class RBCDUnit:
             )
 
     def counters(self) -> CounterRegistry:
-        """Named counter view of the unit's per-frame tallies.
-
-        Per-tile results absorbed in any grouping produce the same
-        registry (each counter is a plain sum), so a registry merged
-        from shards equals the serial one — the property
-        ``tests/gpu/test_parallel.py`` asserts over randomized shards.
-        """
+        """Named counter view of the unit's per-frame tallies."""
         registry = CounterRegistry()
         for name, value in (
             ("rbcd.zeb_insertions", self.insertions),

@@ -4,9 +4,9 @@
 hardware is — a collision service many clients offload queries to.
 :class:`CollisionService` multiplexes N tenant scene streams, each rendered
 through its own system, with watchdog-rule admission control;
-:class:`ServiceMetricsServer` exposes the labelled OpenMetrics /
-health endpoints; ``python -m repro.experiments.loadgen`` drives it
-with simulated clients and measures the saturation point.
+:class:`~repro.observability.live.MetricsServer` exposes its labelled
+OpenMetrics / health endpoints; ``python -m repro.experiments.loadgen``
+drives it with simulated clients and measures the saturation point.
 
 The two contracts everything here is tested against:
 
@@ -19,7 +19,6 @@ The two contracts everything here is tested against:
   (``tests/observability/test_tenant_merge.py``).
 """
 
-from repro.serve.http import ServiceMetricsServer
 from repro.serve.service import (
     AdmissionError,
     CollisionService,
@@ -32,5 +31,4 @@ __all__ = [
     "CollisionService",
     "ServedFrame",
     "TenantSession",
-    "ServiceMetricsServer",
 ]

@@ -1,5 +1,8 @@
 """Command-stream tests."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.geometry.primitives import make_box
@@ -24,6 +27,14 @@ class TestDrawCommand:
     def test_negative_object_id_rejected(self):
         with pytest.raises(ValueError):
             draw(object_id=-1)
+
+    @pytest.mark.parametrize("object_id", [3.2, np.float64(3.0), "3", True])
+    def test_non_integer_object_id_rejected(self, object_id):
+        with pytest.raises(TypeError, match=re.escape(f"got {object_id!r}")):
+            draw(object_id=object_id)
+
+    def test_numpy_integer_object_id_accepted(self):
+        assert draw(object_id=np.int64(3)).collisionable
 
     def test_default_cull_mode_is_back(self):
         assert draw().cull_mode is CullMode.BACK

@@ -1,5 +1,7 @@
 """GPUConfig / RBCDConfig tests."""
 
+import math
+
 import pytest
 
 from repro.gpu.config import CacheConfig, GPUConfig, QueueConfig, RBCDConfig
@@ -43,6 +45,41 @@ class TestGPUConfig:
     def test_mem_latency_avg(self):
         assert GPUConfig().mem_latency_avg_cycles == pytest.approx(75.0)
 
+    @pytest.mark.parametrize(
+        "field_name,value",
+        [
+            ("frequency_hz", 0),
+            ("frequency_hz", math.inf),
+            ("num_fragment_processors", 0),
+            ("num_vertex_processors", 0),
+            ("primitive_assembly_tris_per_cycle", 0),
+            ("rasterizer_frags_per_cycle", 0),
+            ("rasterizer_frags_per_cycle", math.nan),
+            ("mem_bandwidth_bytes_per_cycle", -4.0),
+        ],
+    )
+    def test_rates_counts_and_clock_must_be_positive(self, field_name, value):
+        with pytest.raises(ValueError, match=f"^{field_name} must be positive"):
+            GPUConfig(**{field_name: value})
+
+    @pytest.mark.parametrize(
+        "field_name,value",
+        [
+            ("cycles_per_vertex", math.nan),
+            ("cycles_per_fragment", -4),
+            ("raster_setup_cycles_per_tri", math.inf),
+            ("binning_cycles_per_prim_tile", -1.0),
+        ],
+    )
+    def test_per_unit_costs_must_be_finite_and_non_negative(
+        self, field_name, value
+    ):
+        with pytest.raises(ValueError, match=f"^{field_name} must be finite"):
+            GPUConfig(**{field_name: value})
+
+    def test_zero_per_unit_cost_accepted(self):
+        assert GPUConfig(cycles_per_fragment=0.0).cycles_per_fragment == 0.0
+
 
 class TestRBCDConfig:
     def test_zeb_size_matches_paper(self):
@@ -65,6 +102,10 @@ class TestRBCDConfig:
     def test_ff_stack_validation(self):
         with pytest.raises(ValueError):
             RBCDConfig(ff_stack_entries=0)
+
+    def test_negative_spares_rejected(self):
+        with pytest.raises(ValueError, match="spare_entries_per_tile"):
+            GPUConfig().with_rbcd(spare_entries_per_tile=-50)
 
 
 class TestCacheConfig:

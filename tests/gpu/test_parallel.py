@@ -1,8 +1,7 @@
-"""The serial tile loop and the counter merge algebra behind it.
+"""The serial tile loop and the counter accumulation algebra.
 
-Per-tile results merge into frame totals by plain sums, so any
-grouping of a frame's tiles — shuffled, sharded — reaches the totals
-the absorb loop produces.
+Stats and registries add by plain sums, so any grouping of the parts —
+shuffled, sharded — reaches the same totals.
 """
 
 import random
@@ -12,11 +11,10 @@ import pytest
 
 from repro.core import RBCDSystem
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import TileExecutor, gather_tile_tasks, tile_registry_of
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.observability.counters import CounterRegistry
-from repro.rbcd.unit import RBCDUnit
-from repro.gpu.stats import GPUStats, TileStats
+from repro.gpu.stats import GPUStats
 from tests.conftest import two_boxes_frame
 
 
@@ -74,15 +72,6 @@ class TestStatsMergeAlgebra:
         with pytest.raises(TypeError):
             "x" + GPUStats()
 
-    def test_tile_stats_addition(self):
-        a = TileStats(tile_index=4, fragments=10, overlap_cycles=2.0)
-        b = TileStats(tile_index=2, fragments=5, overlap_cycles=1.5)
-        total = sum([a, b])
-        assert total.tile_index == 2
-        assert total.fragments == 15
-        assert total.overlap_cycles == 3.5
-        assert sum([], TileStats()).fragments == 0
-
 
 class TestExecutorMachinery:
     def test_run_on_empty_task_list(self):
@@ -107,37 +96,17 @@ class TestExecutorMachinery:
         )
         tasks = gather_tile_tasks(result.fragments, small_config)
         tile_results = TileExecutor().run(small_config, tasks)
-        stats = [
-            TileStats(
-                tile_index=r.tile_index,
-                collisionable_fragments=r.zeb.insertions,
-                overlap_cycles=r.overlap_cycles,
-            )
-            for r in tile_results
+        assert [r.tile_index for r in tile_results] == [
+            t.tile_index for t in tasks
         ]
-        assert [s.tile_index for s in stats] == [t.tile_index for t in tasks]
-        total = sum(stats, TileStats())
-        assert total.collisionable_fragments == sum(
+        assert sum(r.zeb.insertions for r in tile_results) == sum(
             t.fragment_count for t in tasks
         )
 
 
 class TestShardedMergeAlgebra:
-    """Counter merges must be associative and commutative over any
-    randomized sharding of the per-tile results — the property that
-    lets tiles be grouped arbitrarily and still merge to the serial
-    totals."""
-
-    @staticmethod
-    def random_tile_stats(rng):
-        stats = TileStats(tile_index=rng.randrange(0, 64))
-        for f in TileStats.__dataclass_fields__:
-            if f == "tile_index":
-                continue
-            value = rng.randrange(0, 500)
-            current = getattr(stats, f)
-            setattr(stats, f, float(value) if isinstance(current, float) else value)
-        return stats
+    """Stats and registry sums are associative and commutative over any
+    randomized sharding of the parts."""
 
     @staticmethod
     def shard(items, rng, num_shards):
@@ -156,48 +125,6 @@ class TestShardedMergeAlgebra:
             shard_rng.shuffle(shards)
             merged = GPUStats.sum(GPUStats.sum(s) for s in shards)
             assert merged.as_dict() == reference
-
-    def test_tile_stats_sharded_merge_matches_flat_sum(self):
-        rng = random.Random(12)
-        parts = [self.random_tile_stats(rng) for _ in range(24)]
-        reference = TileStats.sum(parts).as_dict()
-        for seed in range(6):
-            shard_rng = random.Random(seed)
-            shards = self.shard(parts, shard_rng, shard_rng.randrange(2, 7))
-            shard_rng.shuffle(shards)
-            merged = TileStats.sum(TileStats.sum(s) for s in shards)
-            assert merged.as_dict() == reference
-        a, b, c = parts[:3]
-        assert (a + b).as_dict() == (b + a).as_dict()
-        assert ((a + b) + c).as_dict() == (a + (b + c)).as_dict()
-
-    def test_tile_registries_shard_merge_matches_unit_counters(self):
-        # Real per-tile results from a rendered frame: merging their
-        # registry views in any sharding equals the owning RBCD unit's
-        # counters after the serial absorb loop.
-        config = GPUConfig().with_screen(160, 96)
-        gpu = GPU(config, rbcd_enabled=True)
-        result = gpu.render_frame(
-            two_boxes_frame(config, 0.8), keep_fragments=True
-        )
-        tasks = gather_tile_tasks(result.fragments, config)
-        tiles = TileExecutor().run(config, tasks)
-        assert len(tiles) >= 2, "scene too small to exercise sharding"
-
-        unit = RBCDUnit(config)
-        for tile in tiles:
-            unit.absorb(tile)
-        expected = unit.counters().as_dict()
-
-        registries = [tile_registry_of(t) for t in tiles]
-        pair_names = [n for n in expected]
-        for seed in range(5):
-            shard_rng = random.Random(seed)
-            shards = self.shard(registries, shard_rng, shard_rng.randrange(2, 5))
-            shard_rng.shuffle(shards)
-            merged = sum((sum(s) for s in shards), 0)
-            merged_dict = merged.as_dict()
-            assert {n: merged_dict[n] for n in pair_names} == expected
 
     def test_registry_add_commutative_and_associative(self):
         rng = random.Random(13)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.stats import GPUStats, TileStats
+from repro.gpu.stats import GPUStats
 
 
 class TestAccumulation:
@@ -52,9 +52,3 @@ class TestDerived:
         assert "fragments_produced" in text
         assert "texture_accesses" not in text
 
-
-class TestTileStats:
-    def test_defaults(self):
-        tile = TileStats(tile_index=3)
-        assert tile.tile_index == 3
-        assert tile.fragments == 0

@@ -150,3 +150,31 @@ class TestNonFiniteInput:
         camera = Camera(eye=Vec3(0, 0, 6), target=Vec3.zero())
         with pytest.raises(ValueError, match=NON_FINITE):
             detect_collisions(objs, camera=camera)
+
+
+class TestNonIntegerObjectIds:
+    """Float ids used to truncate (3.2 and 3.7 both became 3, and their
+    pair was dropped as a self-pair); string ids failed deep in the
+    pipeline.  Both are refused with an error naming the id."""
+
+    @pytest.mark.parametrize("ids", [(3.2, 3.7), ("a", "b")])
+    def test_detect_collisions_refuses_non_integer_ids(self, ids):
+        objs = [(oid, mesh, model)
+                for oid, (_, mesh, model) in zip(ids, objects(0.7))]
+        with pytest.raises(TypeError, match=f"got {ids[0]!r}"):
+            detect_collisions(objs)
+
+    def test_detect_frame_refuses_float_ids(self):
+        from repro.gpu.commands import DrawCommand, Frame
+
+        system = RBCDSystem(resolution=(160, 96))
+        camera = Camera(eye=Vec3(0, 0, 6), target=Vec3.zero())
+        with pytest.raises(TypeError, match="got 3.2"):
+            system.detect_frame(Frame(
+                draws=tuple(
+                    DrawCommand(mesh, model, object_id=oid)
+                    for oid, (_, mesh, model) in zip((3.2, 3.7), objects(0.7))
+                ),
+                view=camera.view(),
+                projection=camera.projection(160 / 96),
+            ))

@@ -15,24 +15,14 @@ from repro.observability.counters import (
 
 @dataclass
 class _Demo(CounterAlgebra):
-    _MERGE_SPECIAL = {"low_water": min}
-
     events: int = 0
     cost_cycles: float = 0.0
-    low_water: int = 0
 
 
 class TestCounterAlgebraMixin:
-    def test_fieldwise_add_with_special_combiner(self):
-        a = _Demo(events=3, cost_cycles=1.5, low_water=7)
-        b = _Demo(events=4, cost_cycles=2.5, low_water=2)
-        total = a + b
-        assert total == _Demo(events=7, cost_cycles=4.0, low_water=2)
-
     def test_sum_and_radd(self):
-        parts = [_Demo(events=i, low_water=10 - i) for i in range(1, 4)]
-        assert sum(parts).events == 6
-        assert sum(parts).low_water == 7
+        parts = [_Demo(events=i, cost_cycles=i / 2) for i in range(1, 4)]
+        assert sum(parts) == _Demo(events=6, cost_cycles=3.0)
         assert _Demo.sum([]).events == 0
         with pytest.raises(TypeError):
             1 + _Demo()
@@ -40,9 +30,7 @@ class TestCounterAlgebraMixin:
             _Demo() + object()
 
     def test_as_dict(self):
-        assert _Demo(events=2).as_dict() == {
-            "events": 2, "cost_cycles": 0.0, "low_water": 0,
-        }
+        assert _Demo(events=2).as_dict() == {"events": 2, "cost_cycles": 0.0}
 
 
 class TestCounterSpec:
@@ -145,8 +133,8 @@ class TestCounterRegistry:
 
 class TestRegistryFromCounters:
     def test_field_names_kinds_units(self):
-        demo = _Demo(events=3, cost_cycles=1.5, low_water=9)
-        registry = registry_from_counters(demo, "demo", skip=("low_water",))
+        demo = _Demo(events=3, cost_cycles=1.5)
+        registry = registry_from_counters(demo, "demo")
         assert registry.as_dict() == {
             "demo.events": 3, "demo.cost_cycles": 1.5,
         }
@@ -156,7 +144,7 @@ class TestRegistryFromCounters:
 
     def test_unit_override(self):
         registry = registry_from_counters(
-            _Demo(), "demo", skip=("low_water",), units={"events": "ops"}
+            _Demo(), "demo", units={"events": "ops"}
         )
         assert registry.spec("demo.events").unit == "ops"
 
@@ -172,13 +160,6 @@ class TestDataclassRegistryViews:
         assert registry.spec("gpu.geometry.geometry_cycles").unit == "cycles"
         # Every dataclass field appears exactly once in the namespace.
         assert len(registry) == len(stats.as_dict())
-
-    def test_tile_stats_registry_skips_tile_index(self):
-        from repro.gpu.stats import TileStats
-
-        registry = TileStats(tile_index=5, fragments=3).registry()
-        assert "tile.tile_index" not in registry
-        assert registry["tile.fragments"] == 3
 
     def test_op_counter_registry_units(self):
         from repro.physics.counters import OpCounter

@@ -26,7 +26,6 @@ SUBMODULES = (
 
 SERVE_SUBMODULES = (
     "repro.serve.service",
-    "repro.serve.http",
 )
 
 
@@ -56,7 +55,6 @@ class TestObservabilityExports:
             QuantileSketch,
             SlidingWindow,
             WatchdogRule,
-            WindowAggregate,
             configure_json_logging,
             default_rules,
             get_logger,
@@ -70,9 +68,9 @@ class TestObservabilityExports:
         for name in (
             Alert, Ewma, JsonFormatter, LiveMonitor, MetricFamily,
             MetricSnapshot, MetricsServer, QuantileSketch, SlidingWindow,
-            WatchdogRule, WindowAggregate, configure_json_logging,
-            default_rules, get_logger, log_event, metric_name_of,
-            parse_openmetrics, render_families, validate_openmetrics,
+            WatchdogRule, configure_json_logging, default_rules,
+            get_logger, log_event, metric_name_of, parse_openmetrics,
+            render_families, validate_openmetrics,
         ):
             assert name is not None
 
@@ -136,13 +134,11 @@ class TestServeExports:
             AdmissionError,
             CollisionService,
             ServedFrame,
-            ServiceMetricsServer,
             TenantSession,
         )
 
         for name in (
-            AdmissionError, CollisionService, ServedFrame,
-            ServiceMetricsServer, TenantSession,
+            AdmissionError, CollisionService, ServedFrame, TenantSession,
         ):
             assert name is not None
 

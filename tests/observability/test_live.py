@@ -433,6 +433,15 @@ class TestMetricsServer:
         assert status == 503
         assert json.loads(body)["status"] == "failing"
 
+    def test_tenant_healthz_is_404_for_a_single_stream(self):
+        monitor = LiveMonitor(rules=[])
+        with pytest.raises(KeyError):
+            monitor.health_dict("alice")
+        with MetricsServer(monitor) as server:
+            status, body, _ = self.fetch(server.url + "/healthz/alice")
+        assert status == 404
+        assert "alice" in json.loads(body)["error"]
+
     def test_query_strings_are_ignored(self):
         monitor = LiveMonitor(rules=[])
         with MetricsServer(monitor) as server:

@@ -1,11 +1,4 @@
-"""Unit tests for the provenance layer: evidence, merge, validation.
-
-The shard-merge property asserted here is the provenance analogue of
-the counter algebra: evidence records carry a total order
-``(frame, tile, record)``, so recorders fed from per-tile shards in any
-grouping or order merge to exactly what a single serial recorder
-observes.
-"""
+"""Unit tests for the provenance layer: evidence, export, validation."""
 
 import json
 
@@ -93,55 +86,8 @@ class TestEvidence:
 
 
 class TestShardMerge:
-    def shards(self, config, frame):
-        """Per-tile shard recorders + the serial reference recorder."""
-        reference, result = render_with_recorder(config, frame)
-        tasks = gather_tile_tasks(result.fragments, config)
-        tiles = TileExecutor().run(config, tasks)
-        shard_recorders = []
-        for tile in tiles:
-            shard = ProvenanceRecorder()
-            shard.begin_frame(config)
-            shard.record_tile(tile)
-            shard_recorders.append(shard)
-        return reference, shard_recorders
-
-    def fingerprint(self, recorder):
-        return (
-            recorder.records,
-            recorder.case_counts,
-            recorder.self_pairs_filtered,
-            recorder.tiles_recorded,
-            recorder.frames,
-        )
-
-    def test_any_merge_order_matches_the_serial_recorder(self, small_config):
-        frame = sphere_pair_frame(small_config, 0.7)
-        reference, shards = self.shards(small_config, frame)
-        assert len(shards) > 2  # the property needs real shards
-
-        forward = ProvenanceRecorder()
-        for shard in shards:
-            forward = forward.merge(shard)
-        backward = ProvenanceRecorder()
-        for shard in reversed(shards):
-            backward = backward.merge(shard)
-        assert self.fingerprint(forward) == self.fingerprint(reference)
-        assert self.fingerprint(backward) == self.fingerprint(reference)
-
-    def test_merge_is_associative_over_groupings(self, small_config):
-        frame = sphere_pair_frame(small_config, 0.7)
-        reference, shards = self.shards(small_config, frame)
-        mid = len(shards) // 2
-        left = ProvenanceRecorder()
-        for shard in shards[:mid]:
-            left = left.merge(shard)
-        right = ProvenanceRecorder()
-        for shard in shards[mid:]:
-            right = right.merge(shard)
-        assert self.fingerprint(left.merge(right)) == self.fingerprint(
-            reference
-        )
+    """Evidence computed tile by tile with ``evidence_from_tile`` is
+    exactly what the recorder collects."""
 
     def test_tile_evidence_of_matches_the_recorder(self, small_config):
         frame = two_boxes_frame(small_config, 0.8)

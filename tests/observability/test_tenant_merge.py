@@ -9,9 +9,7 @@ batching produces reconstructs the same global registry bit for bit.
 Counter values are drawn as integers and dyadic rationals (multiples
 of 1/256 with bounded magnitude): every value, partial sum and total
 is exactly representable in a float, so float addition incurs no
-rounding and the algebraic laws hold bitwise — the same reason the
-simulator's cycle counters (integer-scaled costs) merge exactly
-across executor shards.
+rounding and the algebraic laws hold bitwise.
 """
 
 import itertools
@@ -20,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability.counters import CounterRegistry, CounterSpec
-from repro.observability.window import QuantileSketch, WindowAggregate
 
 # A small shared name pool so shards overlap (the interesting case:
 # merging must sum shared names and union disjoint ones).
@@ -47,22 +44,6 @@ def registries(draw):
                 name, _dyadic(draw(st.integers(0, 2**40)))
             )
     return registry
-
-
-@st.composite
-def aggregates(draw):
-    return WindowAggregate.of(
-        _dyadic(value)
-        for value in draw(st.lists(st.integers(-2**30, 2**30), max_size=8))
-    )
-
-
-@st.composite
-def sketches(draw):
-    sketch = QuantileSketch()
-    for value in draw(st.lists(st.integers(0, 2**20), max_size=8)):
-        sketch.add(_dyadic(value))
-    return sketch
 
 
 class TestRegistryMergeAlgebra:
@@ -92,38 +73,6 @@ class TestRegistryMergeAlgebra:
                 CounterRegistry.sum(permutation).as_dict()
                 == reference.as_dict()
             )
-
-
-class TestWindowAggregateMergeAlgebra:
-    @given(aggregates(), aggregates())
-    def test_commutative(self, a, b):
-        assert a.merge(b).as_dict() == b.merge(a).as_dict()
-
-    @given(aggregates(), aggregates(), aggregates())
-    def test_associative(self, a, b, c):
-        assert (
-            a.merge(b).merge(c).as_dict() == a.merge(b.merge(c)).as_dict()
-        )
-
-    @given(aggregates())
-    def test_empty_is_identity(self, a):
-        assert a.merge(WindowAggregate()).as_dict() == a.as_dict()
-        assert WindowAggregate().merge(a).as_dict() == a.as_dict()
-
-
-class TestQuantileSketchMergeAlgebra:
-    @given(sketches(), sketches())
-    def test_commutative(self, a, b):
-        assert a.merge(b) == b.merge(a)
-
-    @given(sketches(), sketches(), sketches())
-    def test_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @given(sketches())
-    def test_empty_is_identity(self, a):
-        assert a.merge(QuantileSketch()) == a
-        assert QuantileSketch().merge(a) == a
 
 
 class TestLiveMonitorShardMerge:

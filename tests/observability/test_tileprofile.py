@@ -1,4 +1,4 @@
-"""TileProfiler unit tests: grids, merging, round-trips, guard rails."""
+"""TileProfiler unit tests: grids, round-trips, guard rails."""
 
 from types import SimpleNamespace
 
@@ -78,63 +78,6 @@ class TestRecording:
     def test_unknown_grid_name_raises(self):
         with pytest.raises(KeyError, match="unknown grid"):
             TileProfiler().grid("temperature")
-
-
-class TestMerge:
-    def make(self, tile, cycles=10.0):
-        profiler = TileProfiler()
-        profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(tile, insertion=cycles, overlap=0.0))
-        return profiler
-
-    def test_merge_adds_elementwise(self):
-        a = self.make(0, cycles=10.0)
-        b = self.make(0, cycles=5.0)
-        b.record_tile(FakeResult(7))
-        a.merge(b)
-        assert a.grid("cycles")[0] == 15.0
-        assert a.grid("cycles")[7] == 15.0
-        assert a.frames == 2
-
-    def test_merge_into_empty_copies(self):
-        empty = TileProfiler()
-        full = self.make(2)
-        empty.merge(full)
-        assert empty.grid("cycles") == full.grid("cycles")
-        # A copy, not an alias.
-        full.record_tile(FakeResult(2))
-        assert empty.grid("cycles") != full.grid("cycles")
-
-    def test_merge_empty_is_identity(self):
-        full = self.make(2)
-        before = full.as_dict()
-        full.merge(TileProfiler())
-        assert full.as_dict() == before
-
-    def test_merge_dimension_mismatch_raises(self):
-        other = TileProfiler()
-        other.begin_frame(GPUConfig().with_screen(128, 128))
-        with pytest.raises(ValueError, match="dimensions"):
-            self.make(0).merge(other)
-
-    def test_merge_is_grouping_invariant(self):
-        """Any shard grouping merges to the serial result — the property
-        the parallel executor's absorb path relies on."""
-        results = [FakeResult(i % 8, insertion=float(i)) for i in range(12)]
-        serial = TileProfiler()
-        serial.begin_frame(small_config())
-        for result in results:
-            serial.record_tile(result)
-        merged = TileProfiler()
-        merged.begin_frame(small_config())
-        for chunk_start in range(0, 12, 5):  # uneven shards on purpose
-            shard = TileProfiler()
-            shard.begin_frame(small_config())
-            for result in results[chunk_start:chunk_start + 5]:
-                shard.record_tile(result)
-            merged.merge(shard)
-        for name in GRID_NAMES:
-            assert merged.grid(name) == serial.grid(name), name
 
 
 class TestRoundTrip:

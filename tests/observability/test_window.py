@@ -1,9 +1,7 @@
-"""Streaming aggregation primitives: windows, EWMA, mergeable summaries.
+"""Streaming aggregation primitives: windows, EWMA, quantile sketch.
 
-The merge tests use integer-valued floats so associativity and
-commutativity can be asserted bit-exactly (the repo convention for
-merge-algebra tests); the quantile-sketch accuracy test checks the
-DDSketch relative-error bound on a non-trivial sample set.
+The quantile-sketch accuracy test checks the DDSketch relative-error
+bound on a non-trivial sample set.
 """
 
 import math
@@ -15,7 +13,6 @@ from repro.observability.window import (
     Ewma,
     QuantileSketch,
     SlidingWindow,
-    WindowAggregate,
 )
 
 
@@ -86,57 +83,6 @@ class TestEwma:
         assert e.value == 7.0
 
 
-class TestWindowAggregate:
-    def test_empty_is_merge_identity(self):
-        agg = WindowAggregate.of([1.0, 2.0, 5.0])
-        empty = WindowAggregate()
-        assert agg + empty == agg
-        assert empty + agg == agg
-        assert empty + empty == empty
-
-    def test_of_matches_incremental_observe(self):
-        values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        agg = WindowAggregate()
-        for v in values:
-            agg = agg.observe(v)
-        assert agg == WindowAggregate.of(values)
-        assert agg.count == 5
-        assert agg.total == 14.0
-        assert (agg.minimum, agg.maximum) == (1.0, 5.0)
-        assert agg.mean == pytest.approx(2.8)
-
-    def test_merge_associative_and_commutative(self):
-        # Integer-valued floats: sums are bit-exact in any order.
-        rng = random.Random(7)
-        shards = [
-            WindowAggregate.of([float(rng.randrange(1000)) for _ in range(20)])
-            for _ in range(4)
-        ]
-        a, b, c, d = shards
-        assert (a + b) + (c + d) == ((a + b) + c) + d
-        assert a + b == b + a
-        assert (d + c) + (b + a) == a + (b + (c + d))
-
-    def test_merge_equals_flat_aggregation(self):
-        values = [float(v) for v in range(40)]
-        flat = WindowAggregate.of(values)
-        sharded = (
-            WindowAggregate.of(values[:13])
-            + WindowAggregate.of(values[13:29])
-            + WindowAggregate.of(values[29:])
-        )
-        assert sharded == flat
-
-    def test_as_dict_empty_has_no_infinities(self):
-        d = WindowAggregate().as_dict()
-        assert d == {"count": 0, "total": 0.0, "min": 0.0, "max": 0.0,
-                     "mean": 0.0}
-
-    def test_add_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            WindowAggregate() + 3
-
-
 class TestQuantileSketch:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -183,38 +129,6 @@ class TestQuantileSketch:
             true = samples[max(0, math.ceil(q * len(samples)) - 1)]
             got = s.quantile(q)
             assert got == pytest.approx(true, rel=2 * accuracy), q
-
-    def test_merge_associative_commutative_and_exact(self):
-        rng = random.Random(9)
-        streams = [
-            [rng.lognormvariate(0.0, 1.0) for _ in range(200)]
-            for _ in range(3)
-        ]
-        sketches = []
-        for stream in streams:
-            s = QuantileSketch()
-            for v in stream:
-                s.add(v)
-            sketches.append(s)
-        a, b, c = sketches
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        # The merged sketch equals the flat sketch over all samples.
-        flat = QuantileSketch()
-        for stream in streams:
-            for v in stream:
-                flat.add(v)
-        merged = a + b + c
-        assert merged == flat
-        for q in (0.5, 0.95, 0.99):
-            assert merged.quantile(q) == flat.quantile(q)
-
-    def test_merge_rejects_mismatched_parameters(self):
-        with pytest.raises(ValueError):
-            QuantileSketch(0.01).merge(QuantileSketch(0.02))
-        with pytest.raises(TypeError):
-            QuantileSketch().merge(object())
-        assert QuantileSketch().__add__(5) is NotImplemented
 
     def test_weighted_add(self):
         s = QuantileSketch()

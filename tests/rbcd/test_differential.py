@@ -20,7 +20,7 @@ from repro.gpu.config import GPUConfig, RBCDConfig
 from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup
 from repro.rbcd.element import quantize_depth
-from repro.rbcd.unit import RBCDUnit
+from repro.rbcd.unit import RBCDUnit, compute_tile
 from repro.rbcd.zeb import build_zeb_tile, insert_sequential
 
 TILE_PIXELS = 256  # one 16x16 tile
@@ -167,9 +167,11 @@ def run_serial_reference(config: GPUConfig, soup: FragmentSoup):
     unit = RBCDUnit(config)
     per_tile = {}
     for task in gather_tile_tasks(soup, config):
-        result = unit.process_tile(
-            task.tile_index, task.x, task.y, task.z, task.object_id, task.front
+        result = compute_tile(
+            config, task.tile_index, task.x, task.y, task.z, task.object_id,
+            task.front,
         )
+        unit.absorb(result)
         per_tile[task.tile_index] = result
     return unit, per_tile
 

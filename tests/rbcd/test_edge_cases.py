@@ -114,7 +114,7 @@ class TestQuantizationTies:
 
 class TestIdBoundaries:
     def test_max_id_flows_through_unit(self, tiny_config):
-        from repro.rbcd.unit import RBCDUnit
+        from repro.rbcd.unit import RBCDUnit, compute_tile
 
         unit = RBCDUnit(tiny_config)
         top = max_object_id(tiny_config.rbcd)
@@ -123,7 +123,7 @@ class TestIdBoundaries:
         z = np.array([0.1, 0.2, 0.3, 0.4])
         oid = np.array([top, top - 1, top, top - 1])
         front = np.array([True, True, False, False])
-        unit.process_tile(0, x, y, z, oid, front)
+        unit.absorb(compute_tile(tiny_config, 0, x, y, z, oid, front))
         assert (top - 1, top) in unit.report
 
     def test_id_zero_valid(self):

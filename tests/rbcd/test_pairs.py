@@ -55,17 +55,6 @@ class TestCollisionReport:
         assert len(report) == 1
         assert report.pair_records_written == 2
 
-    def test_merge(self):
-        a = CollisionReport()
-        a.add(1, 2, self.contact())
-        b = CollisionReport()
-        b.add(1, 2, self.contact(5, 5))
-        b.add(3, 4, self.contact())
-        a.merge(b)
-        assert len(a) == 2
-        assert a.contact_count(1, 2) == 2
-        assert a.pair_records_written == 3
-
     def test_colliding_with(self):
         report = CollisionReport()
         report.add(1, 2, self.contact())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.config import GPUConfig
-from repro.rbcd.unit import RBCDUnit, _multi_object_lists
+from repro.rbcd.unit import RBCDUnit, _multi_object_lists, compute_tile
 from repro.rbcd.zeb import build_zeb_tile
 
 CFG = GPUConfig().with_screen(64, 32)  # 4 x 2 tiles
@@ -25,7 +25,7 @@ class TestProcessTile:
         unit = RBCDUnit(CFG)
         # Tile 5 of a 4-wide grid is at tile coords (1, 1): origin (16, 16).
         x, y, z, oid, front = colliding_tile_fragments(16, 16)
-        unit.process_tile(5, x, y, z, oid, front)
+        unit.absorb(compute_tile(CFG, 5, x, y, z, oid, front))
         assert (1, 2) in unit.report
         (contact,) = unit.report.contacts[next(iter(unit.report.pairs))]
         assert (contact.x, contact.y) == (19, 21)
@@ -34,31 +34,33 @@ class TestProcessTile:
 
     def test_counters_accumulate_across_tiles(self):
         unit = RBCDUnit(CFG)
-        unit.process_tile(0, *colliding_tile_fragments(0, 0))
-        unit.process_tile(1, *colliding_tile_fragments(16, 0))
+        unit.absorb(compute_tile(CFG, 0, *colliding_tile_fragments(0, 0)))
+        unit.absorb(compute_tile(CFG, 1, *colliding_tile_fragments(16, 0)))
         assert unit.insertions == 8
         assert unit.report.pair_records_written == 2
 
     def test_reset_clears_state(self):
         unit = RBCDUnit(CFG)
-        unit.process_tile(0, *colliding_tile_fragments())
+        unit.absorb(compute_tile(CFG, 0, *colliding_tile_fragments()))
         unit.reset()
         assert unit.insertions == 0
         assert len(unit.report) == 0
 
     def test_cycle_outputs(self):
         unit = RBCDUnit(CFG)
-        result = unit.process_tile(0, *colliding_tile_fragments())
+        result = compute_tile(CFG, 0, *colliding_tile_fragments())
+        unit.absorb(result)
         assert result.insertion_cycles == 4.0
         assert result.overlap_cycles > 0
 
     def test_empty_tile_costs_nothing(self):
         unit = RBCDUnit(CFG)
         empty = np.empty(0, dtype=np.int32)
-        result = unit.process_tile(
-            0, empty, empty, np.empty(0), np.empty(0, dtype=np.int64),
+        result = compute_tile(
+            CFG, 0, empty, empty, np.empty(0), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=bool),
         )
+        unit.absorb(result)
         assert result.overlap_cycles == 0.0
         assert result.insertion_cycles == 0.0
 
@@ -68,7 +70,7 @@ class TestProcessTile:
         oid = oid.copy()
         oid[0] = 1 << 13  # exceeds the 13-bit id field
         with pytest.raises(ValueError):
-            unit.process_tile(0, x, y, z, oid, front)
+            unit.absorb(compute_tile(CFG, 0, x, y, z, oid, front))
 
 
 class TestMultiObjectFilter:
@@ -93,7 +95,8 @@ class TestMultiObjectFilter:
     def test_filter_never_drops_pair_producing_lists(self):
         # Any list that could produce a pair has >= 2 distinct ids.
         unit = RBCDUnit(CFG)
-        result = unit.process_tile(0, *colliding_tile_fragments())
+        result = compute_tile(CFG, 0, *colliding_tile_fragments())
+        unit.absorb(result)
         assert unit.lists_analyzed == 1
         assert result.overlap.pair_records == 1
 
@@ -105,7 +108,8 @@ class TestMultiObjectFilter:
         z = np.concatenate([np.linspace(0.1, 0.9, 20), [0.1, 0.2, 0.3, 0.4]])
         oid = np.array([1] * 20 + [1, 2, 1, 2], dtype=np.int64)
         front = np.array([True, False] * 10 + [True, True, False, False])
-        result = unit.process_tile(0, x, y, z, oid, front)
+        result = compute_tile(CFG, 0, x, y, z, oid, front)
+        unit.absorb(result)
         assert unit.lists_analyzed == 1
         assert unit.elements_read == 4
 
@@ -116,8 +120,8 @@ class TestFallback:
         unit = RBCDUnit(config)
         x = np.array([0, 0, 0], dtype=np.int32)
         y = np.zeros(3, dtype=np.int32)
-        unit.process_tile(0, x, y, np.array([0.1, 0.2, 0.3]),
-                          np.array([1, 2, 3]), np.ones(3, dtype=bool))
+        unit.absorb(compute_tile(config, 0, x, y, np.array([0.1, 0.2, 0.3]),
+                                 np.array([1, 2, 3]), np.ones(3, dtype=bool)))
         assert unit.overflow_rate == pytest.approx(2.0 / 3.0)
 
     def test_cpu_fallback_threshold(self):
@@ -125,11 +129,11 @@ class TestFallback:
         unit = RBCDUnit(config)
         x = np.array([0, 0, 0], dtype=np.int32)
         y = np.zeros(3, dtype=np.int32)
-        unit.process_tile(0, x, y, np.array([0.1, 0.2, 0.3]),
-                          np.array([1, 2, 3]), np.ones(3, dtype=bool))
+        unit.absorb(compute_tile(config, 0, x, y, np.array([0.1, 0.2, 0.3]),
+                                 np.array([1, 2, 3]), np.ones(3, dtype=bool)))
         assert unit.wants_cpu_fallback()
 
     def test_no_fallback_by_default(self):
         unit = RBCDUnit(CFG)
-        unit.process_tile(0, *colliding_tile_fragments())
+        unit.absorb(compute_tile(CFG, 0, *colliding_tile_fragments()))
         assert not unit.wants_cpu_fallback()

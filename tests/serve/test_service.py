@@ -9,7 +9,7 @@ import pytest
 
 from repro.gpu.config import GPUConfig
 from repro.observability.counters import CounterRegistry
-from repro.observability.live import WatchdogRule
+from repro.observability.live import MetricsServer, WatchdogRule
 from repro.observability.openmetrics import (
     parse_openmetrics,
     validate_openmetrics,
@@ -20,7 +20,6 @@ from repro.serve import (
     AdmissionError,
     CollisionService,
     ServedFrame,
-    ServiceMetricsServer,
 )
 
 CONFIG = GPUConfig().with_screen(96, 64)
@@ -305,13 +304,13 @@ def fetch(url):
         return error.code, error.read().decode("utf-8")
 
 
-class TestServiceMetricsServer:
+class TestMetricsServerOverService:
     def test_endpoints(self):
         with make_service() as service:
             service.register("alice")
             service.submit("alice", make_frames(1)[0])
             service.drain()
-            with ServiceMetricsServer(service) as server:
+            with MetricsServer(service) as server:
                 status, body = fetch(server.url + "/metrics")
                 assert status == 200
                 assert validate_openmetrics(body) > 0
@@ -340,7 +339,7 @@ class TestServiceMetricsServer:
             service.register("bob")
             service.submit("alice", make_frames(1)[0])
             service.drain()
-            with ServiceMetricsServer(service) as server:
+            with MetricsServer(service) as server:
                 assert fetch(server.url + "/healthz")[0] == 503
                 assert fetch(server.url + "/healthz/alice")[0] == 503
                 assert fetch(server.url + "/healthz/bob")[0] == 200
