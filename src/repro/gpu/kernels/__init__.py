@@ -50,8 +50,9 @@ class KernelBackend:
         ``xy`` is ``(T, 3, 2)`` float64 screen coordinates, ``z`` is
         ``(T, 3)`` float64 vertex depths.  Returns ``(px, py, pz,
         tri)``: integer pixel coordinates, interpolated depths, and the
-        producing triangle index, in canonical order (triangle
-        ascending, row-major within each triangle's bounding box).
+        producing triangle index, in canonical order: triangle
+        ascending, then row-major (row, then column) over the pixels
+        each triangle covers.
     ``earlyz_pass_mask(pixel, z)``
         ``pixel`` is ``(N,) int64`` flat pixel indices and ``z`` the
         matching depths, both in arrival order.  Returns the ``(N,)``

@@ -4,10 +4,14 @@ Bit-identical to the reference backend by construction, not by luck:
 
 * The batched rasterizer evaluates the *same* IEEE-754 expressions as
   the per-triangle scalar loop — same subtractions, same products, same
-  divisions, elementwise — over a flat array of bounding-box candidate
-  pixels, then compresses with a boolean mask.  Candidates are laid out
-  triangle-ascending, row-major per triangle, which is exactly the
-  reference emission order, so equal values arrive in equal order.
+  divisions, elementwise — over a flat array of span candidate pixels,
+  then compresses with a boolean mask.  Each (triangle, row) gets a
+  conservative column span: the pixel-centre scanline's crossings with
+  the edges, widened by one pixel and clamped to the bounding box, so
+  every pixel the edge tests would accept is still tested.  Candidates
+  are laid out triangle-ascending, then row-ascending, then column-
+  ascending — a subset of the reference's bounding-box raster order —
+  so equal values arrive in equal order.
 * Early-Z replaces the sequential per-fragment scan with a segmented
   exclusive prefix-min over the pixel-sorted stream; comparisons are
   the same exact float LESS, each fragment is visited once.
@@ -15,8 +19,8 @@ Bit-identical to the reference backend by construction, not by luck:
   lock-step builders (:func:`repro.rbcd.zeb.build_zeb_tile`,
   :func:`repro.rbcd.overlap.analyze_tile`).
 
-Triangle batches are processed in bounded chunks (~1M candidate pixels)
-so peak memory stays flat on large frames.
+Spans and their candidate pixels are processed in bounded chunks
+(~256k rows, ~1M candidates) so peak memory stays flat on large frames.
 """
 
 from __future__ import annotations
@@ -27,8 +31,15 @@ from repro.gpu.kernels import KernelBackend
 from repro.rbcd.overlap import analyze_tile
 from repro.rbcd.zeb import build_zeb_tile
 
-# Upper bound on bounding-box candidate pixels materialized per chunk.
+# Upper bound on span candidate pixels materialized per chunk.
 _MAX_CANDIDATES = 1 << 20
+# Upper bound on (triangle, row) spans materialized per chunk.
+_MAX_ROWS = 1 << 18
+# Spans trust the edge-crossing arithmetic only while every vertex
+# coordinate stays below this magnitude: its rounding error is then far
+# under the one-pixel widening.  Triangles beyond it test whole
+# bounding-box rows.
+_SPAN_MAX_COORD = 2.0**40
 
 _EMPTY = (
     np.empty(0, dtype=np.int32),
@@ -38,14 +49,63 @@ _EMPTY = (
 )
 
 
-def _raster_chunk(xy, z, tri_sel, counts, x0, y0, bw, area2, sign):
-    """Rasterize one chunk of triangles over flat candidate arrays."""
-    tri_of = np.repeat(tri_sel, counts)
+def _bounded_runs(counts, limit):
+    """Consecutive ``[start, stop)`` runs of ``counts`` summing to at
+    most ``limit`` (a lone item over the limit is a run of its own)."""
+    cum = np.cumsum(counts)
+    n = counts.shape[0]
+    start = 0
+    while start < n:
+        base = int(cum[start - 1]) if start else 0
+        stop = int(np.searchsorted(cum, base + limit, side="right"))
+        stop = min(max(stop, start + 1), n)
+        yield start, stop
+        start = stop
+
+
+def _ramps(first, counts):
+    """Concatenated integer ranges ``first[k] .. first[k] + counts[k] - 1``."""
     starts = np.cumsum(counts) - counts
-    rank = np.arange(tri_of.shape[0], dtype=np.int64) - np.repeat(starts, counts)
-    w = bw[tri_of]
-    cx = x0[tri_of] + rank % w
-    cy = y0[tri_of] + rank // w
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        first - starts, counts
+    )
+
+
+def _row_spans(xy, sign, tri, y, x0, x1):
+    """Conservative pixel-column span ``[lo, hi]`` of each (triangle, row).
+
+    On scanline ``gy = y + 0.5`` an edge with orientation-normalized
+    ``sdy > 0`` admits pixel centres left of its crossing ``xc``, one
+    with ``sdy < 0`` those right of it, and a horizontal edge sets no
+    bound.  Each bound is widened by one pixel past the exact one and
+    clamped to the triangle's bounding box; a non-finite crossing
+    leaves the box bound in place.  ``lo > hi`` is an empty row.
+    """
+    vx = xy[:, :, 0]
+    vy = xy[:, :, 1]
+    tame = np.abs(xy).max(axis=(1, 2)) < _SPAN_MAX_COORD
+    gy = y.astype(np.float64) + 0.5
+    lo = np.full(tri.shape[0], -np.inf)
+    hi = np.full(tri.shape[0], np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(3):
+            j = (i + 1) % 3
+            dy = vy[:, j] - vy[:, i]
+            slope = np.where(tame, (vx[:, j] - vx[:, i]) / dy, np.nan)
+            sdy = (sign * dy)[tri]
+            # Pixel column whose centre sits on the crossing: xc - 0.5.
+            c = vx[tri, i] - 0.5 + slope[tri] * (gy - vy[tri, i])
+            hi = np.where(sdy > 0.0, np.fmin(hi, np.floor(c) + 1.0), hi)
+            lo = np.where(sdy < 0.0, np.fmax(lo, np.ceil(c) - 1.0), lo)
+    box_lo = x0[tri].astype(np.float64)
+    box_hi = x1[tri].astype(np.float64)
+    lo = np.clip(lo, box_lo, box_hi).astype(np.int64)
+    hi = np.clip(hi, box_lo, box_hi).astype(np.int64)
+    return lo, hi
+
+
+def _raster_chunk(xy, z, tri_of, cx, cy, area2, sign):
+    """Edge-test candidate pixels ``(cx, cy)`` of triangles ``tri_of``."""
     gx = cx.astype(np.float64) + 0.5
     gy = cy.astype(np.float64) + 0.5
 
@@ -93,7 +153,7 @@ def _raster_chunk(xy, z, tri_sel, counts, x0, y0, bw, area2, sign):
 def rasterize_triangles(
     xy: np.ndarray, z: np.ndarray, width: int, height: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scan-convert a whole triangle batch with flat candidate arrays."""
+    """Scan-convert a whole triangle batch over per-row span candidates."""
     num_tris = xy.shape[0]
     if num_tris == 0:
         return _EMPTY
@@ -109,28 +169,33 @@ def rasterize_triangles(
     x1 = np.minimum(np.ceil(vx.max(axis=1)), float(width - 1)).astype(np.int64)
     y0 = np.maximum(np.floor(vy.min(axis=1)), 0.0).astype(np.int64)
     y1 = np.minimum(np.ceil(vy.max(axis=1)), float(height - 1)).astype(np.int64)
-    bw = x1 - x0 + 1
-    bh = y1 - y0 + 1
-    live = (area2 != 0.0) & (bw > 0) & (bh > 0)
-    counts = np.where(live, bw * bh, 0)
-    if not counts.any():
+    live = np.flatnonzero((area2 != 0.0) & (x1 >= x0) & (y1 >= y0))
+    if live.shape[0] == 0:
         return _EMPTY
+    rows = y1[live] - y0[live] + 1
 
-    cum = np.cumsum(counts)
+    # Candidates run triangle-ascending, then row-ascending, then
+    # column-ascending: a subset of the bounding-box raster order, so
+    # emission order matches the reference backend.
     pieces = []
-    start = 0
-    while start < num_tris:
-        base = int(cum[start - 1]) if start else 0
-        stop = int(np.searchsorted(cum, base + _MAX_CANDIDATES, side="right"))
-        stop = min(max(stop, start + 1), num_tris)
-        tri_sel = start + np.flatnonzero(live[start:stop])
-        if tri_sel.shape[0]:
+    for a, b in _bounded_runs(rows, _MAX_ROWS):
+        row_tri = np.repeat(live[a:b], rows[a:b])
+        row_y = _ramps(y0[live[a:b]], rows[a:b])
+        lo, hi = _row_spans(xy, sign, row_tri, row_y, x0, x1)
+        cols = np.maximum(hi - lo + 1, 0)
+        for c, d in _bounded_runs(cols, _MAX_CANDIDATES):
+            n = cols[c:d]
             piece = _raster_chunk(
-                xy, z, tri_sel, counts[tri_sel], x0, y0, bw, area2, sign
+                xy,
+                z,
+                np.repeat(row_tri[c:d], n),
+                _ramps(lo[c:d], n),
+                np.repeat(row_y[c:d], n),
+                area2,
+                sign,
             )
             if piece is not None:
                 pieces.append(piece)
-        start = stop
 
     if not pieces:
         return _EMPTY

@@ -24,7 +24,6 @@ import numpy as np
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import get_backend
-from repro.gpu.kernels.reference import rasterize_triangle as _rasterize_triangle  # noqa: F401  (back-compat re-export)
 from repro.gpu.stats import GPUStats
 
 

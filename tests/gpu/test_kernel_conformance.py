@@ -18,9 +18,10 @@ fragment streams, and asserts full observable equality:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.gpu import kernels
+from repro.gpu.kernels import vectorized
 from repro.gpu.config import GPUConfig, RBCDConfig
 from repro.gpu.pipeline import GPU
 from repro.rbcd.element import quantize_depth
@@ -268,6 +269,137 @@ def test_earlyz_conforms_on_generated_streams(backend, pixels, data):
     np.testing.assert_array_equal(
         backend.earlyz_pass_mask(pixel, z),
         REFERENCE.earlyz_pass_mask(pixel, z),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Rasterizer: adversarial triangles against the span candidate generator
+# ---------------------------------------------------------------------------
+
+RASTER_W, RASTER_H = 24, 16
+
+# Free coordinates, and the pixel lattice: integers are pixel edges,
+# half-integers pixel centres.
+near_coord = st.floats(-6.0, 30.0)
+lattice_coord = st.integers(-12, 60).map(lambda k: k / 2.0)
+coord = near_coord | lattice_coord
+wide_coord = st.floats(-48.0, 72.0)  # screen-sized, partly off-screen
+
+
+@st.composite
+def raster_triangle(draw):
+    """One triangle of an adversarial kind, in a random vertex order."""
+
+    def point(c=coord):
+        return [draw(c), draw(c)]
+
+    kind = draw(st.sampled_from(
+        ["generic", "lattice", "wide", "sliver", "near_horizontal",
+         "sub_pixel", "zero_area"]
+    ))
+    if kind == "generic":
+        tri = [point(), point(), point()]
+    elif kind == "lattice":  # pixel centres land exactly on edges
+        tri = [point(lattice_coord), point(lattice_coord), point(lattice_coord)]
+    elif kind == "wide":
+        tri = [point(wide_coord), point(wide_coord), point(wide_coord)]
+    elif kind == "sliver":
+        a, b = point(), point()
+        t = draw(st.floats(0.0, 1.0))
+        c = [a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])]
+        c[draw(st.integers(0, 1))] += draw(st.floats(1e-9, 0.05))
+        tri = [a, b, c]
+    elif kind == "near_horizontal":
+        a = point()
+        dy = draw(st.floats(1e-12, 1e-6)) * draw(st.sampled_from([-1.0, 1.0]))
+        tri = [a, [draw(coord), a[1] + dy], point()]
+    elif kind == "sub_pixel":
+        bx, by = point(lattice_coord)
+        offset = st.floats(-0.75, 0.75)
+        tri = [[bx + draw(offset), by + draw(offset)] for _ in range(3)]
+    else:  # zero area: exactly collinear lattice points
+        a, b = point(lattice_coord), point(lattice_coord)
+        k = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]))
+        tri = [a, b, [a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1])]]
+    rotate = draw(st.integers(0, 2))
+    tri = tri[rotate:] + tri[:rotate]
+    if draw(st.booleans()):
+        tri = tri[::-1]  # the other winding
+    depths = [draw(st.floats(-0.5, 1.5)) for _ in range(3)]
+    return tri, depths
+
+
+# Triangles with a pixel centre on a top-left edge whose rounded
+# crossing lands just past that centre: a span without the one-pixel
+# widening misses a fragment of each.
+ON_EDGE_CENTRES = [
+    [[0.0, 19.0], [-1.0, 10.0], [24.0, -1.0]],
+    [[1.55, 9.2], [21.0, 17.75], [25.25, 29.0]],
+    [[-2.875, 20.625], [17.25, 2.25], [22.0, 23.625]],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(raster_triangle(), min_size=1, max_size=8))
+@example(batch=[(tri, [0.2, 0.5, 0.8]) for tri in ON_EDGE_CENTRES])
+def test_vectorized_rasterizer_matches_reference_on_adversarial_triangles(batch):
+    xy = np.array([tri for tri, _ in batch], dtype=np.float64)
+    z = np.array([depths for _, depths in batch], dtype=np.float64)
+    assert_fragments_equal(
+        vectorized.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
+        REFERENCE.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
+    )
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_span_narrowed_past_exact_crossing_fails_conformance(monkeypatch, side):
+    """The span suite can fail: narrowing either end of every exact
+    span (the widened span less one pixel per side) by one more pixel
+    drops fragments the reference emits."""
+    row_spans = vectorized._row_spans
+
+    def narrowed(*args):
+        lo, hi = row_spans(*args)
+        return (lo + 2, hi) if side == "lo" else (lo, hi - 2)
+
+    monkeypatch.setattr(vectorized, "_row_spans", narrowed)
+    for seed in (0, 1, 2):
+        xy, z = random_triangles(seed, 24)
+        with pytest.raises(AssertionError):
+            assert_fragments_equal(
+                vectorized.rasterize_triangles(xy, z, 64, 64),
+                REFERENCE.rasterize_triangles(xy, z, 64, 64),
+            )
+
+
+def test_rasterize_chunked_spans_match_reference(monkeypatch):
+    """Tiny chunk bounds split triangles across row chunks and rows
+    across candidate chunks (a 64-wide row alone exceeds the bound)."""
+    monkeypatch.setattr(vectorized, "_MAX_ROWS", 7)
+    monkeypatch.setattr(vectorized, "_MAX_CANDIDATES", 50)
+    for seed in (0, 1, 2):
+        xy, z = random_triangles(seed, 24)
+        assert_fragments_equal(
+            vectorized.rasterize_triangles(xy, z, 64, 64),
+            REFERENCE.rasterize_triangles(xy, z, 64, 64),
+        )
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e12, 1e15, 1e17])
+def test_rasterize_huge_coordinates_match_reference(scale):
+    """Edges between far off-screen vertices still cross the screen
+    exactly, even where their crossing arithmetic loses whole pixels."""
+    rng = np.random.default_rng(int(np.log10(scale)))
+    far = rng.uniform(-scale, scale, size=(16, 2))
+    near = rng.uniform(0.0, 64.0, size=(16, 2))
+    # The far vertex mirrored through the on-screen one: edge 0-1 runs
+    # from far off-screen, past the screen, to far off-screen.
+    mirrored = 2.0 * near - far + rng.uniform(-50.0, 50.0, size=(16, 2))
+    xy = np.stack([far, mirrored, near], axis=1)
+    z = rng.uniform(0.0, 1.0, size=(16, 3))
+    assert_fragments_equal(
+        vectorized.rasterize_triangles(xy, z, 64, 64),
+        REFERENCE.rasterize_triangles(xy, z, 64, 64),
     )
 
 

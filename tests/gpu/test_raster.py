@@ -5,12 +5,8 @@ import pytest
 
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.config import GPUConfig
-from repro.gpu.raster import (
-    FRAGMENT_DTYPES,
-    FragmentSoup,
-    _rasterize_triangle,
-    rasterize,
-)
+from repro.gpu.kernels.reference import rasterize_triangle
+from repro.gpu.raster import FRAGMENT_DTYPES, FragmentSoup, rasterize
 from repro.gpu.stats import GPUStats
 
 CFG = GPUConfig().with_screen(64, 64)
@@ -51,12 +47,12 @@ class TestSingleTriangle:
 
     def test_tiny_triangle_between_pixel_centers(self):
         tri = [[5.1, 5.1], [5.3, 5.1], [5.2, 5.3]]
-        result = _rasterize_triangle(np.array(tri), np.array([0.5] * 3), 64, 64)
+        result = rasterize_triangle(np.array(tri), np.array([0.5] * 3), 64, 64)
         assert result is None
 
     def test_degenerate_returns_none(self):
         tri = np.array([[1.0, 1.0], [5.0, 5.0], [9.0, 9.0]])
-        assert _rasterize_triangle(tri, np.array([0.5] * 3), 64, 64) is None
+        assert rasterize_triangle(tri, np.array([0.5] * 3), 64, 64) is None
 
     def test_offscreen_clamped(self):
         tri = [[-10.0, -10.0], [5.0, -10.0], [-10.0, 5.0]]

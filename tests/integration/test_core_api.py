@@ -178,3 +178,100 @@ class TestNonIntegerObjectIds:
                 view=camera.view(),
                 projection=camera.projection(160 / 96),
             ))
+
+
+def edge_case_objects(case: str):
+    """``(object_id, mesh, model)`` triples for one edge-case input,
+    seen by the camera at z = 6 looking at the origin."""
+    from repro.geometry.mesh import TriangleMesh
+
+    box = make_box(Vec3(0.5, 0.5, 0.5))
+    if case == "empty":
+        return []
+    if case == "offscreen":  # overlapping pairs far aside and behind the eye
+        return [
+            (1, box, Mat4.translation(Vec3(100.0, 0, 0))),
+            (2, box, Mat4.translation(Vec3(100.3, 0, 0))),
+            (3, box, Mat4.translation(Vec3(0, 0, 20.0))),
+            (4, box, Mat4.translation(Vec3(0.3, 0, 20.0))),
+        ]
+    if case == "single_pixel":  # ~0.05 world units per pixel at 160x96
+        speck = make_box(Vec3(0.02, 0.02, 0.02))
+        return [
+            (1, speck, Mat4.translation(Vec3(0.026, 0.026, 0))),
+            (2, speck, Mat4.translation(Vec3(0.036, 0.026, 0))),
+        ]
+    if case == "degenerate":  # collinear faces next to a real box
+        line = TriangleMesh(
+            np.array([[-1.0, 0, 0], [0, 0, 0], [1.0, 0, 0], [0, 0, 0.5]]),
+            np.array([[0, 1, 2], [1, 0, 0], [3, 1, 3]]),
+        )
+        return [
+            (1, line, Mat4.identity()),
+            (2, box, Mat4.translation(Vec3(0.2, 0, 0))),
+        ]
+    low, high = {"id_8191": (8190, 8191), "id_8192": (1, 8192)}[case]
+    return [(low, box, Mat4.translation(Vec3(-0.35, 0, 0))),
+            (high, box, Mat4.translation(Vec3(0.35, 0, 0)))]
+
+
+EDGE_CAMERA = Camera(eye=Vec3(0, 0, 6), target=Vec3.zero())
+EDGE_ENTRIES = ["detect_frame", "detect_collisions", "submit"]
+
+
+def edge_case_outcome(entry: str, objs):
+    """Pairs plus, where the entry point exposes them, the fragment and
+    cycle counts of one run under the current kernel backend."""
+    from repro.gpu.commands import DrawCommand, Frame
+    from repro.gpu.config import GPUConfig
+    from repro.serve import CollisionService
+
+    if entry == "detect_collisions":
+        return detect_collisions(objs, camera=EDGE_CAMERA, resolution=(160, 96))
+    frame = Frame(
+        draws=tuple(DrawCommand(mesh, model, object_id=oid)
+                    for oid, mesh, model in objs),
+        view=EDGE_CAMERA.view(),
+        projection=EDGE_CAMERA.projection(160 / 96),
+    )
+    if entry == "detect_frame":
+        result = RBCDSystem(resolution=(160, 96)).detect_frame(frame)
+    else:
+        with CollisionService(
+            base_config=GPUConfig().with_screen(160, 96), rules=[]
+        ) as service:
+            service.register("t")
+            future = service.submit("t", frame)
+            service.drain()
+            result = future.result(timeout=10).result
+    return result.pairs, result.stats.fragments_produced, result.stats.gpu_cycles
+
+
+class TestEdgeCaseInputs:
+    """Empty, off-screen, single-pixel and degenerate geometry and the
+    13-bit id limit at every entry point: each run matches the
+    reference kernels, or is refused naming the id field."""
+
+    # detect_collisions([]) is TestDetectCollisions.test_empty_input.
+    @pytest.mark.parametrize("case, entry", [
+        (case, entry)
+        for case in ["empty", "offscreen", "single_pixel", "degenerate",
+                     "id_8191"]
+        for entry in EDGE_ENTRIES
+        if (case, entry) != ("empty", "detect_collisions")
+    ])
+    def test_matches_reference_kernels(self, monkeypatch, case, entry):
+        from repro.gpu.kernels import KERNEL_BACKEND_ENV
+
+        objs = edge_case_objects(case)
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, "reference")
+        want = edge_case_outcome(entry, objs)
+        monkeypatch.setenv(KERNEL_BACKEND_ENV, "vectorized")
+        assert edge_case_outcome(entry, objs) == want
+
+    @pytest.mark.parametrize("entry", EDGE_ENTRIES)
+    def test_id_8192_names_the_field(self, entry):
+        with pytest.raises(
+            ValueError, match="object id 8192 exceeds the 13-bit ZEB id field"
+        ):
+            edge_case_outcome(entry, edge_case_objects("id_8192"))
