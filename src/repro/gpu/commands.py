@@ -64,6 +64,13 @@ class DrawCommand:
     fragment_cycles: float | None = None
 
     def __post_init__(self) -> None:
+        # A string such as "back" is not a CullMode, and no cull table
+        # entry would match it.
+        if not isinstance(self.cull_mode, CullMode):
+            raise TypeError(
+                f"cull_mode must be a CullMode, got {self.cull_mode!r} "
+                f"({type(self.cull_mode).__name__})"
+            )
         if self.object_id is None:
             return
         # A float id would be truncated down the pipeline (3.2 and 3.7

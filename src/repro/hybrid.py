@@ -18,14 +18,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import RBCDSystem
 from repro.geometry.aabb import AABB
 from repro.observability.log import get_logger, log_event
 from repro.observability.tracer import ensure_tracer
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.vec import Mat4, transform_points_homogeneous
+from repro.gpu.assembly import _CLIP_PLANES
 from repro.physics.broadphase import aabb_bruteforce_pairs, world_aabbs
 from repro.physics.counters import OpCounter
 from repro.physics.gjk import gjk_intersect
@@ -33,18 +32,6 @@ from repro.physics.shapes import ConvexShape
 from repro.scenes.camera import Camera
 
 _LOG = get_logger(__name__)
-
-# Frustum planes in clip space (dot(plane, v) >= 0 keeps the vertex).
-_CLIP_PLANES = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0, 1.0],
-        [0.0, -1.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, -1.0, 1.0],
-    ]
-)
 
 
 def aabb_outside_frustum(box: AABB, view_projection: Mat4) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.vec import Mat4, Vec3
-from repro.gpu.assembly import TriangleSoup, assemble
+from repro.gpu.assembly import assemble
 from repro.gpu.commands import CullMode, DrawCommand, Frame
 from repro.gpu.config import GPUConfig
 from repro.gpu.shading import shade_draws
@@ -160,13 +160,3 @@ class TestDegenerate:
         assert soup.count == 0
         assert stats.triangles_degenerate == 1
 
-
-class TestSoupContainer:
-    def test_empty_concatenate(self):
-        assert TriangleSoup.concatenate([]).count == 0
-
-    def test_concatenate_preserves_counts(self):
-        a, _ = assemble_triangles(*FRONT_TRI)
-        b, _ = assemble_triangles(*FRONT_TRI)
-        merged = TriangleSoup.concatenate([a, b])
-        assert merged.count == 2

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.vec import Mat4
-from repro.gpu.assembly import _clip_polygon_homogeneous, assemble
+from repro.gpu.assembly import _clip_polygons, assemble
 from repro.gpu.commands import CullMode, DrawCommand, Frame
 from repro.gpu.config import GPUConfig
 from repro.gpu.shading import shade_draws
@@ -18,6 +18,13 @@ CFG = GPUConfig().with_screen(80, 80)
 PROJ = Mat4.perspective(math.radians(70), 1.0, 0.5, 40.0)
 
 coord = st.floats(min_value=-30, max_value=30, allow_nan=False)
+
+
+def clip_one(poly) -> np.ndarray:
+    """Clip one (3, 4) triangle through the batched clipper as a
+    one-row batch; returns the (M, 4) polygon."""
+    out, count = _clip_polygons(np.asarray(poly, dtype=np.float64)[None])
+    return out[0, : count[0]]
 
 
 @st.composite
@@ -76,7 +83,7 @@ class TestClipperProperties:
         poly = np.array(
             [[0.1, 0.1, 0.0, 1.0], [0.3, 0.1, 0.0, 1.0], [0.2, 0.4, 0.0, 1.0]]
         )
-        out = _clip_polygon_homogeneous(poly)
+        out = clip_one(poly)
         assert out.shape[0] == 3
         assert np.allclose(sorted(out[:, 0]), sorted(poly[:, 0]))
 
@@ -84,14 +91,14 @@ class TestClipperProperties:
         poly = np.array(
             [[5.0, 0.0, 0.0, 1.0], [6.0, 0.0, 0.0, 1.0], [5.5, 1.0, 0.0, 1.0]]
         )
-        assert _clip_polygon_homogeneous(poly).shape[0] == 0
+        assert clip_one(poly).shape[0] == 0
 
     def test_clip_crossing_grows_vertex_count(self):
         # A triangle poking through one frustum corner gains vertices.
         poly = np.array(
             [[0.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0]]
         )
-        out = _clip_polygon_homogeneous(poly)
+        out = clip_one(poly)
         assert out.shape[0] >= 4
         assert (np.abs(out[:, 0]) <= out[:, 3] + 1e-9).all()
         assert (np.abs(out[:, 1]) <= out[:, 3] + 1e-9).all()
@@ -102,7 +109,7 @@ class TestClipperProperties:
         from repro.geometry.vec import transform_points_homogeneous
 
         hom = transform_points_homogeneous(PROJ, np.array(verts))
-        out = _clip_polygon_homogeneous(hom)
+        out = clip_one(hom)
         for v in out:
             w = v[3]
             assert w >= -1e-9

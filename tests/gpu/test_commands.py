@@ -39,6 +39,18 @@ class TestDrawCommand:
     def test_default_cull_mode_is_back(self):
         assert draw().cull_mode is CullMode.BACK
 
+    # A string or None used to be accepted and then cull every face: the
+    # assembler's mode switch fell through to FRONT_AND_BACK.
+    @pytest.mark.parametrize("cull_mode", ["back", "none", None, 0])
+    def test_non_cull_mode_rejected(self, cull_mode):
+        with pytest.raises(TypeError, match=re.escape(f"cull_mode must be a CullMode, got {cull_mode!r}")):
+            DrawCommand(make_box(), Mat4.identity(), cull_mode=cull_mode)
+
+    @pytest.mark.parametrize("cull_mode", list(CullMode))
+    def test_every_cull_mode_accepted(self, cull_mode):
+        made = DrawCommand(make_box(), Mat4.identity(), cull_mode=cull_mode)
+        assert made.cull_mode is cull_mode
+
 
 class TestFrame:
     def make_frame(self, draws) -> Frame:

@@ -180,6 +180,49 @@ class TestNonIntegerObjectIds:
             ))
 
 
+
+class TestCullModes:
+    """``cull_mode="back"`` used to be accepted and then cull every
+    face, so a visible box drew nothing.  Only ``CullMode`` values are
+    accepted, and each removes the faces it names."""
+
+    @staticmethod
+    def box_frame(cull_mode):
+        from repro.gpu.commands import DrawCommand, Frame
+
+        camera = Camera(eye=Vec3(0, 0, 6), target=Vec3.zero())
+        return Frame(
+            draws=(DrawCommand(make_box(), Mat4.identity(), cull_mode=cull_mode),),
+            view=camera.view(),
+            projection=camera.projection(160 / 96),
+        )
+
+    @pytest.mark.parametrize("cull_mode", ["back", None])
+    def test_detect_frame_refuses_a_non_cull_mode(self, cull_mode):
+        system = RBCDSystem(resolution=(160, 96))
+        with pytest.raises(TypeError, match="cull_mode"):
+            system.detect_frame(self.box_frame(cull_mode))
+
+    def test_each_mode_culls_the_faces_it_names(self):
+        from repro.gpu.commands import CullMode
+
+        system = RBCDSystem(resolution=(160, 96))
+        culled = {
+            mode: system.detect_frame(self.box_frame(mode)).stats
+            for mode in CullMode
+        }
+        # The camera sees the box's front face; its back face hides
+        # behind it and shows only when front faces are culled.
+        assert culled[CullMode.BACK].fragments_produced > 0
+        assert culled[CullMode.FRONT].fragments_produced > 0
+        assert culled[CullMode.NONE].fragments_produced == (
+            culled[CullMode.BACK].fragments_produced
+            + culled[CullMode.FRONT].fragments_produced
+        )
+        assert culled[CullMode.FRONT_AND_BACK].fragments_produced == 0
+        assert culled[CullMode.FRONT_AND_BACK].triangles_face_culled == 12
+
+
 def edge_case_objects(case: str):
     """``(object_id, mesh, model)`` triples for one edge-case input,
     seen by the camera at z = 6 looking at the origin."""
