@@ -23,12 +23,6 @@ FRAMES = 8
 DETAIL = 2
 ZEB_COUNTS = (1, 2)
 
-# Reduced setup for the tile-cache ablation: cross-frame redundancy is
-# resolution-independent, so a smaller screen keeps the on/off sweep
-# cheap while the hit-rate ordering stays representative.
-TILECACHE_WIDTH, TILECACHE_HEIGHT = 400, 240
-TILECACHE_FRAMES = 4
-
 
 @pytest.fixture(scope="session")
 def paper_runs():
@@ -37,30 +31,6 @@ def paper_runs():
         width=WIDTH, height=HEIGHT, frames=FRAMES, detail=DETAIL,
         zeb_counts=ZEB_COUNTS,
     )
-
-
-@pytest.fixture(scope="session")
-def tilecache_runs():
-    """Schema-v5 bench documents for every workload, cache off and on
-    (shared by the tile-cache ablation benches).
-
-    Both documents come from the same harness, so every deterministic
-    v4-era number must match between them — the ablation benches
-    assert it, which makes this fixture a full-size differential test
-    of the replay path on top of the figures it feeds.
-    """
-    from repro.experiments.bench import run_bench
-    from repro.scenes.benchmarks import BENCHMARKS
-
-    return {
-        enabled: run_bench(
-            list(BENCHMARKS),
-            width=TILECACHE_WIDTH, height=TILECACHE_HEIGHT,
-            frames=TILECACHE_FRAMES, detail=1,
-            tile_cache=enabled,
-        )
-        for enabled in (False, True)
-    }
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,6 @@ from repro.gpu.commands import DrawCommand, Frame
 from repro.gpu.config import GPUConfig
 from repro.gpu.pipeline import GPU, FrameResult
 from repro.gpu.stats import GPUStats
-from repro.observability.counters import CounterRegistry
 from repro.rbcd.pairs import CollisionPair, CollisionReport, ContactPoint
 from repro.scenes.camera import Camera
 
@@ -54,10 +53,6 @@ class RBCDFrameResult:
     view_projection: Mat4
     screen_size: tuple[int, int]
     energy: FrameEnergyReport | None = None  # modelled joules + EDP
-    # Cross-frame tile-cache counters for this frame (gpu.tilecache.*);
-    # None when the cache is disabled.  Purely observational: every
-    # other field is bit-identical with the cache on or off.
-    tilecache: "CounterRegistry | None" = None
 
     @property
     def pairs(self) -> set[tuple[int, int]]:
@@ -125,14 +120,6 @@ class RBCDSystem:
         :class:`~repro.observability.FlightRecorder` is not an
         observer: wire it with its ``attach_config`` /
         ``attach_tracer`` / ``attach_monitor`` methods.
-    tile_cache:
-        Cross-frame tile redundancy elimination
-        (:mod:`repro.gpu.tilecache`): ``True``/``False`` force the
-        cache on/off, ``None`` (default) keeps the config's setting
-        (which honours ``REPRO_TILE_CACHE``).  Replay is exact — every
-        detection output is bit-identical either way — so the switch
-        only moves the modelled-savings counters surfaced on
-        :attr:`RBCDFrameResult.tilecache`.
 
     The system holds no resources: :meth:`close` and the ``with`` block
     are no-ops, kept so callers can scope a system without caring.
@@ -146,7 +133,6 @@ class RBCDSystem:
         config: GPUConfig | None = None,
         tracer=None,
         observers=(),
-        tile_cache: bool | None = None,
     ) -> None:
         if config is None:
             width, height = resolution
@@ -155,8 +141,6 @@ class RBCDSystem:
                 list_length=list_length,
                 ff_stack_entries=max(list_length, 8),
             )
-        if tile_cache is not None:
-            config = config.with_tile_cache(tile_cache)
         self.config = config
         self._gpu = GPU(
             config, rbcd_enabled=True, tracer=tracer, observers=observers
@@ -169,15 +153,6 @@ class RBCDSystem:
 
     def close(self) -> None:
         """No-op: the system holds no resources (see the class doc)."""
-
-    def reset_tile_cache(self) -> None:
-        """Drop every cached tile result (no-op when the cache is off).
-
-        Call between independent runs of the same animation so each run
-        sees the same cold-start hit pattern — the benchmark harness
-        does this to keep its cross-run determinism check meaningful.
-        """
-        self._gpu.reset_tile_cache()
 
     def __enter__(self) -> "RBCDSystem":
         return self
@@ -211,7 +186,6 @@ class RBCDSystem:
             view_projection=frame.view_projection(),
             screen_size=(self.config.screen_width, self.config.screen_height),
             energy=result.energy,
-            tilecache=result.tilecache,
         )
 
     def detect(

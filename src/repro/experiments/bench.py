@@ -29,10 +29,9 @@ The document layout (checked by :func:`validate_bench_document`):
 
     {
       "schema": "rbcd-bench",          # fixed discriminator
-      "version": 6,
+      "version": 7,
       "config": {width, height, frames, detail, quick, runs, profile,
                  kernel_backend, broad_phase,      # (schema v4)
-                 tile_cache,                       # (schema v5)
                  tile_profile},                    # (schema v6)
       "stats": {bootstrap_resamples, confidence},
       "scenes": {
@@ -51,16 +50,10 @@ The document layout (checked by :func:`validate_bench_document`):
                      total_j, delay_s, edp_js},
           "cases": {disjoint, crossing, nested,     # Figure-5 histogram
                     self_filtered, evidence_records},  # (schema v3)
-          "tilecache": {enabled, lookups, hits, misses,   # (schema v5)
-                        collisions, stores, hit_rate,
-                        cycles_saved, signature_cycles,
-                        joules_saved, signature_j,
-                        effective_gpu_cycles, effective_total_j,
-                        per_frame_hits, per_frame_lookups},
           "tile_profile": {enabled,                     # (schema v6)
                            tiles_x, tiles_y, frames,    # when enabled
                            cycles, energy_j, activity,  # flat per-tile
-                           hits, lookups}               # grids
+                           lookups}                     # grids
         }
       }
     }
@@ -79,26 +72,20 @@ tests, so documents produced under different backends must never gate
 against each other silently; recording both keys makes the regress
 layer refuse such comparisons.
 
-Schema v5 adds the **cross-frame tile cache**
-(:mod:`repro.gpu.tilecache`, ``--tile-cache``): the config block gains
-``tile_cache`` and every scene gains a ``tilecache`` block with the
-hit/skip histograms (``per_frame_hits``/``per_frame_lookups``), the
-modelled savings, and the *effective* cycle/joule totals (reported
-total minus savings plus signature overhead).  Replay is exact, so all
-v4-era numbers are identical with the cache on or off; only the new
-block moves.  The regress layer treats ``tile_cache`` as a config key,
-so cache-on and cache-off documents never gate against each other.
-
 Schema v6 adds **per-tile spatial profiles**
 (:class:`~repro.observability.tileprofile.TileProfiler`,
 ``--tile-profile``): the config block gains ``tile_profile`` and every
 scene gains a ``tile_profile`` block with flat per-tile
-cycle/energy/activity/cache-hit grids.  Profiling is strictly
-observational (differential-tested), so all other numbers are
-identical with it on or off; the regress layer treats ``tile_profile``
-as a config key like ``tile_cache``, so profiled and unprofiled
-documents never gate against each other silently.  The validator
-accepts v6 documents only.  The grids feed the
+cycle/energy/activity grids.  Profiling is strictly observational
+(differential-tested), so all other numbers are identical with it on
+or off; the regress layer treats ``tile_profile`` as a config key, so
+profiled and unprofiled documents never gate against each other
+silently.
+
+Schema v7 drops the cross-frame tile-result cache: its per-scene
+block, the ``config.tile_cache`` flag and the ``tile_profile.hits``
+grid are gone, and every other field is unchanged from v6.  The
+validator accepts v7 documents only.  The grids feed the
 regression **attribution** engine
 (:mod:`repro.observability.attribution`): ``--explain`` prints the
 top-k attributed causes when ``--gate`` fails (``--explain-json``
@@ -159,8 +146,8 @@ __all__ = [
 ]
 
 SCHEMA_NAME = "rbcd-bench"
-SCHEMA_VERSION = 6
-SUPPORTED_VERSIONS = (6,)
+SCHEMA_VERSION = 7
+SUPPORTED_VERSIONS = (7,)
 
 # Default history file for --append-history (repo-relative).
 HISTORY_PATH = Path("benchmarks/history/HISTORY.ndjson")
@@ -179,15 +166,6 @@ REQUIRED_STAGES = ("frame", "geometry", "raster", "rbcd", "schedule")
 # stored CI bounds are reproducible from the stored samples.
 BOOTSTRAP_RESAMPLES = 2000
 CONFIDENCE = 0.95
-
-# Per-scene "tilecache" keys (schema v5): cross-frame cache telemetry.
-_TILECACHE_INT_KEYS = ("lookups", "hits", "misses", "collisions", "stores")
-_TILECACHE_FLOAT_KEYS = (
-    "hit_rate", "cycles_saved", "signature_cycles",
-    "joules_saved", "signature_j",
-    "effective_gpu_cycles", "effective_total_j",
-)
-_TILECACHE_LIST_KEYS = ("per_frame_hits", "per_frame_lookups")
 
 # Per-scene energy keys the validator requires (mirrors
 # FrameEnergyReport.as_dict()).
@@ -277,47 +255,6 @@ def _make_tracer(profile: bool) -> Tracer:
     return ProfilingTracer() if profile else Tracer()
 
 
-def _tilecache_block(
-    enabled: bool,
-    registry: CounterRegistry | None,
-    per_frame_hits: list[int],
-    per_frame_lookups: list[int],
-    gpu_cycles: float,
-    total_j: float,
-) -> dict[str, Any]:
-    """Assemble one scene's schema-v5 ``tilecache`` block.
-
-    ``effective_gpu_cycles``/``effective_total_j`` are the reported
-    totals minus the modelled replay savings plus the signature
-    compare/store overhead — what the hardware would actually spend.
-    With the cache off they equal the reported totals exactly.
-    """
-    counts = registry.as_dict() if registry is not None else {}
-    hits = int(counts.get("gpu.tilecache.hits", 0))
-    lookups = int(counts.get("gpu.tilecache.lookups", 0))
-    cycles_saved = float(counts.get("gpu.tilecache.cycles_saved", 0.0))
-    signature_cycles = float(counts.get("gpu.tilecache.signature_cycles", 0.0))
-    joules_saved = float(counts.get("gpu.tilecache.joules_saved", 0.0))
-    signature_j = float(counts.get("gpu.tilecache.signature_j", 0.0))
-    return {
-        "enabled": enabled,
-        "lookups": lookups,
-        "hits": hits,
-        "misses": int(counts.get("gpu.tilecache.misses", 0)),
-        "collisions": int(counts.get("gpu.tilecache.collisions", 0)),
-        "stores": int(counts.get("gpu.tilecache.stores", 0)),
-        "hit_rate": hits / lookups if lookups else 0.0,
-        "cycles_saved": cycles_saved,
-        "signature_cycles": signature_cycles,
-        "joules_saved": joules_saved,
-        "signature_j": signature_j,
-        "effective_gpu_cycles": gpu_cycles - cycles_saved + signature_cycles,
-        "effective_total_j": total_j - joules_saved + signature_j,
-        "per_frame_hits": list(per_frame_hits),
-        "per_frame_lookups": list(per_frame_lookups),
-    }
-
-
 def _tile_profile_block(
     enabled: bool, profiler: TileProfiler | None
 ) -> dict[str, Any]:
@@ -354,7 +291,6 @@ def run_scene(
     first_totals: dict[str, Any] | None = None
     first_counters: dict[str, Any] | None = None
     first_cases: dict[str, int] | None = None
-    first_tilecache: dict[str, Any] | None = None
     first_tile_profile: dict[str, Any] | None = None
     energy: FrameEnergyReport | None = None
 
@@ -367,18 +303,11 @@ def run_scene(
             recorder.reset()
             if profiler is not None:
                 profiler.reset()
-            # Each run starts cold: a warm cache would replay run 0's
-            # tiles, making runs > 0 legitimately different — the
-            # determinism check below would then misfire.
-            system.reset_tile_cache()
             fragments = 0
             pair_records = 0
             gpu_cycles = 0.0
             pairs: set[tuple[int, int]] = set()
             counters: CounterRegistry | int = 0
-            tc_counters: CounterRegistry | int = 0
-            per_frame_hits: list[int] = []
-            per_frame_lookups: list[int] = []
             run_energy = FrameEnergyReport()
             for t in workload.times(frames):
                 frame = workload.scene.frame_at(float(t), config)
@@ -388,21 +317,10 @@ def run_scene(
                 gpu_cycles += result.stats.gpu_cycles
                 pairs |= result.pairs
                 counters = counters + result.stats.registry()
-                if result.tilecache is not None:
-                    tc_counters = tc_counters + result.tilecache
-                    frame_tc = result.tilecache.as_dict()
-                    per_frame_hits.append(
-                        int(frame_tc.get("gpu.tilecache.hits", 0))
-                    )
-                    per_frame_lookups.append(
-                        int(frame_tc.get("gpu.tilecache.lookups", 0))
-                    )
                 assert result.energy is not None
                 run_energy = run_energy + result.energy
             assert isinstance(counters, CounterRegistry)
             counters = counters + run_energy.registry()
-            if isinstance(tc_counters, CounterRegistry):
-                counters = counters + tc_counters
 
             run_summaries.append(stage_summary(tracer))
             frame_wall_s_runs.append(
@@ -417,33 +335,23 @@ def run_scene(
             cases = dict(recorder.case_histogram())
             cases["self_filtered"] = recorder.self_pairs_filtered
             cases["evidence_records"] = recorder.pairs_recorded
-            tilecache = _tilecache_block(
-                config.tile_cache_enabled,
-                tc_counters if isinstance(tc_counters, CounterRegistry)
-                else None,
-                per_frame_hits, per_frame_lookups,
-                gpu_cycles, run_energy.total_j,
-            )
             profile_block = _tile_profile_block(tile_profile, profiler)
             if first_totals is None:
                 first_totals = totals
                 first_counters = counters.as_dict()
                 first_cases = cases
-                first_tilecache = tilecache
                 first_tile_profile = profile_block
                 energy = run_energy
             else:
                 # Everything but wall time is a pure function of the
                 # scene; catching drift here is a free differential test
-                # every multi-run bench performs.  The tilecache and
-                # tile_profile blocks participate: each run starts from
-                # a cold cache and a reset profiler, so hit patterns
-                # and grids must repeat exactly too.
+                # every multi-run bench performs.  The tile_profile
+                # block participates: each run starts from a reset
+                # profiler, so its grids must repeat exactly too.
                 if (
                     totals != first_totals
                     or counters.as_dict() != first_counters
                     or cases != first_cases
-                    or tilecache != first_tilecache
                     or profile_block != first_tile_profile
                 ):
                     raise RuntimeError(
@@ -453,7 +361,7 @@ def run_scene(
                     )
 
     assert first_totals is not None and first_counters is not None
-    assert first_cases is not None and first_tilecache is not None
+    assert first_cases is not None
     assert first_tile_profile is not None and energy is not None
     if trace_dir is not None:
         # Traces from the last run (the tracer holds one run at a time).
@@ -480,7 +388,6 @@ def run_scene(
         "counters": first_counters,
         "energy": energy.as_dict(),
         "cases": first_cases,
-        "tilecache": first_tilecache,
         "tile_profile": first_tile_profile,
     }
 
@@ -497,7 +404,6 @@ def run_bench(
     profile: bool = False,
     kernel_backend: str | None = None,
     broad_phase: str = "lbvh",
-    tile_cache: bool | None = None,
     tile_profile: bool = False,
     progress=None,
 ) -> dict[str, Any]:
@@ -510,9 +416,6 @@ def run_bench(
     document's CPU-side numbers assume — the bench itself is GPU-side,
     but the key exists for comparability: two documents measured under
     different configurations must never gate against each other.
-    ``tile_cache`` forces the cross-frame tile cache on/off (``None``
-    keeps the config default, i.e. ``REPRO_TILE_CACHE``); the resolved
-    setting is recorded in the config block for the same reason.
     ``tile_profile`` attaches a per-scene
     :class:`~repro.observability.tileprofile.TileProfiler` and stores
     its grids in the schema-v6 ``tile_profile`` blocks — strictly
@@ -526,8 +429,6 @@ def run_bench(
     config = GPUConfig().with_screen(width, height)
     if kernel_backend is not None:
         config = config.with_kernel_backend(kernel_backend)
-    if tile_cache is not None:
-        config = config.with_tile_cache(tile_cache)
     get_kernel_backend(config.kernel_backend)  # fail fast on bad names
     doc: dict[str, Any] = {
         "schema": SCHEMA_NAME,
@@ -542,7 +443,6 @@ def run_bench(
             "profile": profile,
             "kernel_backend": config.kernel_backend,
             "broad_phase": broad_phase,
-            "tile_cache": config.tile_cache_enabled,
             "tile_profile": tile_profile,
         },
         "stats": {
@@ -688,9 +588,8 @@ def validate_bench_document(doc: Any) -> None:
             value = config.get(key)
             if not isinstance(value, str) or not value:
                 _fail(errors, f"config.{key}", "expected a non-empty string")
-        for key in ("tile_cache", "tile_profile"):
-            if not isinstance(config.get(key), bool):
-                _fail(errors, f"config.{key}", "expected a bool")
+        if not isinstance(config.get("tile_profile"), bool):
+            _fail(errors, "config.tile_profile", "expected a bool")
         runs = config.get("runs")
 
     stats = doc.get("stats")
@@ -771,25 +670,6 @@ def validate_bench_document(doc: Any) -> None:
             for key in _CASE_KEYS:
                 _check_int(errors, f"{base}.cases.{key}", cases.get(key))
 
-        tilecache = entry.get("tilecache")
-        tpath = f"{base}.tilecache"
-        if not isinstance(tilecache, Mapping):
-            _fail(errors, tpath, "missing or not an object")
-        else:
-            if not isinstance(tilecache.get("enabled"), bool):
-                _fail(errors, f"{tpath}.enabled", "expected a bool")
-            for key in _TILECACHE_INT_KEYS:
-                _check_int(errors, f"{tpath}.{key}", tilecache.get(key))
-            for key in _TILECACHE_FLOAT_KEYS:
-                _check_number(errors, f"{tpath}.{key}", tilecache.get(key))
-            for key in _TILECACHE_LIST_KEYS:
-                values = tilecache.get(key)
-                if not isinstance(values, list):
-                    _fail(errors, f"{tpath}.{key}", "expected a list")
-                    continue
-                for i, value in enumerate(values):
-                    _check_int(errors, f"{tpath}.{key}[{i}]", value)
-
         _check_tile_profile(errors, base, entry.get("tile_profile"))
 
     if errors:
@@ -831,7 +711,7 @@ def history_line(doc: Mapping[str, Any]) -> str:
 
     One JSON object per *scene* field inside a single line per run:
     schema version, workload config fingerprint, and per-scene
-    gpu_cycles / total_j / effective totals — enough to plot a metric's
+    gpu_cycles / total_j / EDP — enough to plot a metric's
     trajectory or pick two runs to feed the attribution engine, small
     enough to append forever.  No timestamps: the append order is the
     history.
@@ -843,21 +723,17 @@ def history_line(doc: Mapping[str, Any]) -> str:
         "config": {
             key: config.get(key)
             for key in ("width", "height", "frames", "detail", "runs",
-                        "kernel_backend", "broad_phase", "tile_cache",
-                        "tile_profile")
+                        "kernel_backend", "broad_phase", "tile_profile")
         },
         "scenes": {},
     }
     for alias, entry in doc.get("scenes", {}).items():
         totals = entry.get("totals", {})
         energy = entry.get("energy", {})
-        tilecache = entry.get("tilecache", {})
         record["scenes"][alias] = {
             "gpu_cycles": totals.get("gpu_cycles"),
             "total_j": energy.get("total_j"),
             "edp_js": energy.get("edp_js"),
-            "effective_gpu_cycles": tilecache.get("effective_gpu_cycles"),
-            "effective_total_j": tilecache.get("effective_total_j"),
         }
     return json.dumps(record, sort_keys=True)
 
@@ -908,17 +784,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--broad-phase", default="lbvh",
         help="software broad-phase configuration to record in the "
              "document's config block (default: lbvh)",
-    )
-    cache_group = parser.add_mutually_exclusive_group()
-    cache_group.add_argument(
-        "--tile-cache", dest="tile_cache", action="store_true", default=None,
-        help="enable the cross-frame tile cache (repro.gpu.tilecache); "
-             "replay is exact, so only the v5 tilecache block moves "
-             "(default: the config default, REPRO_TILE_CACHE or off)",
-    )
-    cache_group.add_argument(
-        "--no-tile-cache", dest="tile_cache", action="store_false",
-        help="force the cross-frame tile cache off",
     )
     parser.add_argument(
         "--tile-profile", action="store_true",
@@ -1016,8 +881,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.scenes, args.width, args.height, args.frames, args.detail,
         quick=args.quick, runs=args.runs, trace_dir=args.trace_dir,
         profile=args.profile, kernel_backend=args.kernel_backend,
-        broad_phase=args.broad_phase, tile_cache=args.tile_cache,
-        tile_profile=args.tile_profile,
+        broad_phase=args.broad_phase, tile_profile=args.tile_profile,
         progress=lambda alias: print(f"bench: {alias} ...", flush=True),
     )
     validate_bench_document(doc)
@@ -1037,14 +901,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{energy['total_j'] * 1e3:.3f} mJ, "
             f"EDP {energy['edp_js'] * 1e6:.3f} uJs"
         )
-        tilecache = entry["tilecache"]
-        if tilecache["enabled"]:
-            print(
-                f"    tilecache: {tilecache['hits']}/{tilecache['lookups']} "
-                f"hits ({tilecache['hit_rate']:.0%}), "
-                f"{tilecache['cycles_saved']:.0f} cycles and "
-                f"{tilecache['joules_saved'] * 1e9:.3f} nJ replayed away"
-            )
 
     if args.baseline is not None:
         try:

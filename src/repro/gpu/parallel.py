@@ -1,4 +1,4 @@
-"""Per-tile RBCD execution: gather tile tasks, run them, replay cached ones.
+"""Per-tile RBCD execution: gather tile tasks, run them in order.
 
 The paper's core observation is that per-tile RBCD work — ZEB sorted
 insertion plus the Z-Overlap Test — is independent across the tiles of
@@ -28,7 +28,7 @@ The module keeps its historical name because the benchmark harness
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "TileTask",
     "TileExecutor",
     "gather_tile_tasks",
-    "run_with_tile_cache",
 ]
 
 
@@ -112,52 +111,4 @@ class TileExecutor:
             compute_tile(config, t.tile_index, t.x, t.y, t.z, t.object_id, t.front)
             for t in tasks
         ]
-
-
-def run_with_tile_cache(
-    executor: TileExecutor,
-    config: GPUConfig,
-    tasks: Sequence[TileTask],
-    cache,
-    tile_keys: dict[int, bytes],
-) -> Iterable[tuple[RBCDTileResult, bool]]:
-    """Run tile tasks through ``executor`` behind a signature cache.
-
-    Yields ``(result, replayed)`` in tile-schedule order: the full task
-    list is first planned against the cache (lookups happen serially,
-    in task order, so the hit/miss pattern is deterministic), then only
-    the misses are computed by the executor, and the replayed hits are
-    interleaved back in place.  Because replayed results are the very
-    objects a previous frame computed, the merged stream is
-    bit-identical to a cache-off run; only the host work (and the
-    modelled savings the cache accounts) changes.
-
-    ``cache`` is a :class:`~repro.gpu.tilecache.TileResultCache` (duck
-    typed to avoid a tiling→parallel import knot); ``tile_keys`` maps
-    tile index → canonical signature key, from
-    :func:`~repro.gpu.tilecache.frame_tile_keys`.  Every task's tile
-    must have a key: a tile with collisionable fragments necessarily
-    has collisionable primitives binned to it.
-    """
-    plan: list[tuple[TileTask, RBCDTileResult | None]] = []
-    miss_tasks: list[TileTask] = []
-    for task in tasks:
-        key = tile_keys.get(task.tile_index)
-        if key is None:
-            raise KeyError(
-                f"tile {task.tile_index} has RBCD work but no signature "
-                f"key: the signature layer and the binning disagree"
-            )
-        cached = cache.lookup(task.tile_index, key)
-        plan.append((task, cached))
-        if cached is None:
-            miss_tasks.append(task)
-    miss_results = iter(executor.run(config, miss_tasks))
-    for task, cached in plan:
-        if cached is not None:
-            yield cached, True
-        else:
-            result = next(miss_results)
-            cache.store(task.tile_index, tile_keys[task.tile_index], result)
-            yield result, False
 

@@ -34,7 +34,7 @@ processors go idle when their queue drains during the block.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
@@ -51,17 +51,11 @@ from repro.gpu.fragment import (
     fragment_shader_cycles_per_draw,
     shade_fragments,
 )
-from repro.gpu.parallel import (
-    TileExecutor,
-    gather_tile_tasks,
-    run_with_tile_cache,
-)
+from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup, rasterize
 from repro.gpu.shading import shade_draws, vertex_stage_cycles
 from repro.gpu.stats import GPUStats
-from repro.gpu.tilecache import TileResultCache, frame_tile_keys
 from repro.gpu.tiling import bin_triangles, fetch_tile_lists
-from repro.observability.counters import CounterRegistry
 from repro.observability.tracer import ensure_tracer
 from repro.rbcd.pairs import CollisionReport
 from repro.rbcd.unit import RBCDUnit
@@ -97,10 +91,6 @@ class FrameResult:
     tile_timing: TileTiming | None = None
     fragments: FragmentSoup | None = None  # kept on request (M sweeps)
     energy: FrameEnergyReport | None = None  # modelled joules + EDP
-    # Per-frame gpu.tilecache.* counters when the cross-frame tile
-    # cache is enabled (None otherwise).  Additive-only: nothing in
-    # stats/energy/collisions depends on it.
-    tilecache: CounterRegistry | None = None
 
     @property
     def gpu_cycles(self) -> float:
@@ -234,14 +224,6 @@ class GPU:
         self.observers = tuple(observers)
         self._executor = TileExecutor()
         self._energy_account: EnergyAccount | None = None
-        # Cross-frame tile-result cache (repro.gpu.tilecache): persists
-        # across render_frame calls so frame N+1 can replay frame N's
-        # unchanged tiles.  Collision-path only, hence gated on RBCD.
-        self._tile_cache: TileResultCache | None = (
-            TileResultCache(self.config)
-            if rbcd_enabled and self.config.tile_cache_enabled
-            else None
-        )
 
     @property
     def energy_account(self) -> "EnergyAccount":
@@ -251,21 +233,6 @@ class GPU:
 
             self._energy_account = EnergyAccount(self.config)
         return self._energy_account
-
-    @property
-    def tile_cache(self) -> TileResultCache | None:
-        """The cross-frame tile cache (None when disabled)."""
-        return self._tile_cache
-
-    def reset_tile_cache(self) -> None:
-        """Cold-start the tile cache (no-op when disabled).
-
-        Use between independent sequences (e.g. benchmark runs) so the
-        first frame of each sequence misses deterministically instead
-        of hitting against the previous sequence's last frame.
-        """
-        if self._tile_cache is not None:
-            self._tile_cache.reset()
 
     def render_frame(
         self,
@@ -322,14 +289,6 @@ class GPU:
                 )
             with tracer.span("geometry.bin") as bin_span:
                 binning = bin_triangles(soup, config, stats, tile_cache)
-
-            # Tile signatures are computed where the hardware would
-            # compute them: at binning time, from the binned primitive
-            # stream, before any raster work is spent.
-            tile_keys: dict[int, bytes] | None = None
-            if self._tile_cache is not None:
-                self._tile_cache.begin_frame()
-                tile_keys = frame_tile_keys(soup, binning, config)
 
             vertex_cycles = vertex_stage_cycles(stats, config)
             assembly_cycles = (
@@ -390,8 +349,7 @@ class GPU:
             with tracer.span("rbcd") as rbcd_span:
                 unit = RBCDUnit(config)
                 report = self._run_rbcd(
-                    unit, frags, stats, overlap_cycles, insertion_limit,
-                    tile_keys=tile_keys,
+                    unit, frags, stats, overlap_cycles, insertion_limit
                 )
                 cpu_fallback = unit.wants_cpu_fallback()
                 if cpu_fallback:
@@ -401,11 +359,6 @@ class GPU:
                     pairs=report.pair_records_written,
                     cpu_fallback=cpu_fallback,
                 )
-                if self._tile_cache is not None:
-                    rbcd_span.annotate(
-                        tiles_replayed=unit.tiles_replayed,
-                        tilecache_hit_rate=self._tile_cache.frame_hit_rate,
-                    )
 
         # -- raster pipeline: timing --------------------------------------------
         with tracer.span("schedule") as schedule_span:
@@ -475,10 +428,6 @@ class GPU:
             tile_timing=timing if keep_tile_timing else None,
             fragments=frags if keep_fragments else None,
             energy=self.energy_account.frame_report(stats),
-            tilecache=(
-                self._tile_cache.frame_registry()
-                if self._tile_cache is not None else None
-            ),
         )
 
     def _render_imr(self, frame: Frame) -> FrameResult:
@@ -556,19 +505,12 @@ class GPU:
         stats: GPUStats,
         overlap_cycles: np.ndarray,
         insertion_limit: np.ndarray,
-        tile_keys: dict[int, bytes] | None = None,
     ) -> CollisionReport:
         """Feed every collisionable fragment, tile by tile, to the unit.
 
         Tiles are computed by the serial
         :class:`~repro.gpu.parallel.TileExecutor` and absorbed in
         tile-schedule order.
-
-        When the cross-frame tile cache is enabled, ``tile_keys``
-        carries the canonical signature keys and only signature misses
-        reach the executor; hits replay the cached result in place,
-        which keeps the absorbed stream — and therefore every output —
-        bit-identical to a cache-off run.
 
         Per-tile spans and observer ``record_tile`` hooks fire at
         absorb time, in tile-schedule order.  The spans carry the
@@ -578,14 +520,8 @@ class GPU:
         tracer = self.tracer
         tasks = gather_tile_tasks(frags, self.config)
         stats.rbcd_fragments_in += sum(t.fragment_count for t in tasks)
-        if self._tile_cache is not None and tile_keys is not None:
-            stream = run_with_tile_cache(
-                self._executor, self.config, tasks, self._tile_cache, tile_keys
-            )
-        else:
-            stream = ((r, False) for r in self._executor.run(self.config, tasks))
         observers = self.observers
-        for result, replayed in stream:
+        for result in self._executor.run(self.config, tasks):
             with tracer.span(
                 "rbcd.tile", category="tile", tile=result.tile_index
             ) as tile_span:
@@ -598,9 +534,9 @@ class GPU:
                         lists=result.analyzed_lists,
                         elements=result.analyzed_elements,
                     )
-                unit.absorb(result, replayed=replayed)
+                unit.absorb(result)
                 for observer in observers:
-                    observer.record_tile(result, replayed)
+                    observer.record_tile(result)
                 tile_span.cycles = result.insertion_cycles + result.overlap_cycles
             overlap_cycles[result.tile_index] = result.overlap_cycles
             insertion_limit[result.tile_index] = result.insertion_cycles

@@ -10,8 +10,8 @@ never silent.  Nodes come in three kinds:
 
 * ``exact`` — counter-derived algebraic identities of the model
   (``gpu_cycles = geometry + raster_pipeline``, ``total_j = gpu +
-  rbcd``, ``rbcd.tile = zeb-insert + z-overlap``, the tile-cache
-  ``effective_*`` nettings, and the counter-namespace sums).  The
+  rbcd``, ``rbcd.tile = zeb-insert + z-overlap``, and the
+  counter-namespace sums).  The
   residual is zero up to float noise, and
   :func:`cross_check_document` verifies the same identities *inside*
   each document against the counter algebra, so a decomposition can
@@ -400,7 +400,7 @@ class AttributionReport:
                     f"unchanged)"
                 )
             if attribution.spatial is not None:
-                for name in ("cycles", "energy_j", "activity", "hits"):
+                for name in ("cycles", "energy_j", "activity"):
                     if name in attribution.spatial.grids:
                         lines.append(
                             f"  tile_profile {attribution.spatial.summary(name)}"
@@ -542,26 +542,6 @@ def cross_check_document(
                 tile, insert + overlap,
             )
 
-        tilecache = entry.get("tilecache")
-        if isinstance(tilecache, Mapping):
-            for eff, base_path, saved_key, sig_key in (
-                ("effective_gpu_cycles", "totals.gpu_cycles",
-                 "cycles_saved", "signature_cycles"),
-                ("effective_total_j", "energy.total_j",
-                 "joules_saved", "signature_j"),
-            ):
-                base_value = _dig(entry, base_path)
-                saved = tilecache.get(saved_key)
-                sig = tilecache.get(sig_key)
-                if all(isinstance(v, (int, float))
-                       for v in (base_value, saved, sig)):
-                    _check_identity(
-                        failures, label, scene,
-                        f"tilecache.{eff} == {base_path} - {saved_key} "
-                        f"+ {sig_key}",
-                        tilecache.get(eff), base_value - saved + sig,
-                    )
-
         profile = entry.get("tile_profile")
         if isinstance(profile, Mapping) and profile.get("enabled"):
             cycles_grid = profile.get("cycles")
@@ -694,48 +674,6 @@ def _energy_tree(
     return root
 
 
-def _negated_leaf(
-    base: Mapping[str, Any], cur: Mapping[str, Any], path: str,
-    unit: str,
-) -> DeltaNode | None:
-    """A leaf that enters its parent's sum with a minus sign (modelled
-    savings): stored as the negated values so child deltas still sum
-    exactly to the parent delta."""
-    node = _leaf(base, cur, path, unit=unit)
-    if node is None:
-        return None
-    node.path = f"-{path}"
-    node.baseline = -node.baseline
-    node.current = -node.current
-    node.note = "negated: modelled savings enter with a minus sign"
-    return node
-
-
-def _tilecache_trees(
-    base: Mapping[str, Any], cur: Mapping[str, Any]
-) -> list[DeltaNode]:
-    trees = []
-    for eff, base_path, saved, sig, unit in (
-        ("tilecache.effective_gpu_cycles", "totals.gpu_cycles",
-         "tilecache.cycles_saved", "tilecache.signature_cycles", "cycles"),
-        ("tilecache.effective_total_j", "energy.total_j",
-         "tilecache.joules_saved", "tilecache.signature_j", "J"),
-    ):
-        root = _leaf(base, cur, eff, unit=unit)
-        if root is None:
-            continue
-        root.note = "reported total - replay savings + signature overhead"
-        for child in (
-            _leaf(base, cur, base_path, unit=unit),
-            _negated_leaf(base, cur, saved, unit),
-            _leaf(base, cur, sig, unit=unit),
-        ):
-            if child is not None:
-                root.children.append(child)
-        trees.append(root)
-    return trees
-
-
 def _wall_tree(
     base: Mapping[str, Any], cur: Mapping[str, Any],
     alpha: float, confidence: float,
@@ -860,7 +798,7 @@ def _spatial_delta(
         )
         return None
     grids: dict[str, list[float]] = {}
-    for name in ("cycles", "energy_j", "activity", "hits", "lookups"):
+    for name in ("cycles", "energy_j", "activity", "lookups"):
         b = base_profile.get(name)
         c = cur_profile.get(name)
         if (isinstance(b, list) and isinstance(c, list)
@@ -882,9 +820,9 @@ def attribute_documents(
     """Diff ``current`` against ``baseline`` into ranked delta trees.
 
     Unlike the regression gate, a workload-config mismatch does *not*
-    refuse the comparison — attributing a tile-cache-on run against a
-    cache-off one is precisely the point — but every differing key is
-    surfaced as a warning so nobody mistakes the diff for noise.
+    refuse the comparison — attributing across configurations (say,
+    two frame counts) is precisely the point — but every differing key
+    is surfaced as a warning so nobody mistakes the diff for noise.
     Structural problems (missing scenes, non-document inputs) land in
     ``errors``; intra-document algebra violations land in ``checks``.
     """
@@ -926,7 +864,6 @@ def attribute_documents(
             _cycles_tree(base_entry, cur_entry),
             _energy_tree(base_entry, cur_entry),
             _rbcd_tree(base_entry, cur_entry),
-            *_tilecache_trees(base_entry, cur_entry),
             _wall_tree(base_entry, cur_entry, alpha, confidence),
             *_counter_trees(base_entry, cur_entry),
         ):

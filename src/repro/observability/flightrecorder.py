@@ -43,6 +43,7 @@ dump exactly, by the counter algebra, not approximately
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import logging
@@ -175,31 +176,46 @@ class _RecorderLogHandler(logging.Handler):
             self.handleError(record)
 
 
+def _config_token(config) -> bytes:
+    """Canonical bytes of the config fields that shape a tile's
+    collisionable fragment stream or its RBCD processing.
+
+    The layout (version tag included) is frozen so tokens recorded in
+    earlier post-mortem dumps stay comparable.
+    """
+    r = config.rbcd
+    return repr((
+        b"rbcd-tilesig-v1",
+        config.tile_size,
+        config.screen_width,
+        config.screen_height,
+        r.zeb_count,
+        r.list_length,
+        r.element_bits,
+        r.z_bits,
+        r.id_bits,
+        r.ff_stack_entries,
+        r.spare_entries_per_tile,
+        r.cpu_fallback_overflow_rate,
+    )).encode("ascii")
+
+
 def config_fingerprint(config) -> dict[str, Any]:
     """A readable + hashable identity for a stream's ``GPUConfig``.
 
     Carries the fields that shape results (screen, tiles, RBCD unit)
-    plus the execution knobs that must *not* change them
-    (kernel backend, tile cache), and a blake2b digest of
-    the tile-cache canonical key so two dumps can be compared for
-    config drift at a glance.
+    plus the kernel backend, which must *not* change them, and a
+    blake2b digest of the canonical config bytes so two dumps can be
+    compared for config drift at a glance.
     """
-    # Lazy import: repro.gpu pulls in the whole pipeline package, and
-    # importing it from an observability module at import time would
-    # recreate the forensics cycle (see the package __init__).
-    import hashlib
-
-    from repro.gpu.tilecache import config_token
-
     return {
         "screen": [config.screen_width, config.screen_height],
         "tile_size": config.tile_size,
         "zeb_count": config.rbcd.zeb_count,
         "list_length": config.rbcd.list_length,
         "kernel_backend": config.kernel_backend,
-        "tile_cache_enabled": config.tile_cache_enabled,
         "token": hashlib.blake2b(
-            config_token(config), digest_size=16
+            _config_token(config), digest_size=16
         ).hexdigest(),
     }
 

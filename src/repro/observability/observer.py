@@ -32,9 +32,8 @@ class FrameObserver:
     def begin_frame(self, config) -> None:
         """A frame is about to render under ``config``."""
 
-    def record_tile(self, result, replayed: bool = False) -> None:
-        """One :class:`~repro.rbcd.unit.RBCDTileResult` was absorbed;
-        ``replayed`` marks a cross-frame tile-cache replay."""
+    def record_tile(self, result) -> None:
+        """One :class:`~repro.rbcd.unit.RBCDTileResult` was absorbed."""
 
     def end_frame(self, result, wall_s: float) -> None:
         """The frame finished: its ``FrameResult`` and host wall time."""

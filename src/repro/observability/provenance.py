@@ -188,7 +188,7 @@ class ProvenanceRecorder(FrameObserver):
     def current_frame(self) -> int:
         return max(self.frames - 1, 0)
 
-    def record_tile(self, result, replayed: bool = False) -> None:
+    def record_tile(self, result) -> None:
         """Collect one absorbed tile's evidence (tile-schedule order)."""
         self.tiles_recorded += 1
         overlap = result.overlap

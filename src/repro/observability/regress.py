@@ -52,8 +52,6 @@ DETERMINISTIC_SCENE_METRICS = (
     "energy.rbcd.total_j",
     "energy.total_j",
     "energy.edp_js",
-    "tilecache.effective_gpu_cycles",
-    "tilecache.effective_total_j",
 )
 
 # Workload-config keys that must match for two documents to be
@@ -68,7 +66,6 @@ CONFIG_TABLE = (
     ("quick", None),
     ("kernel_backend", None),
     ("broad_phase", None),
-    ("tile_cache", None),
     ("tile_profile", None),
 )
 

@@ -10,11 +10,10 @@ concentrate in the tiles the colliding geometry covers.  A
   with frame time, not per tile; see
   :meth:`~repro.energy.rbcd_power.RBCDEnergyModel.tile_breakdown`),
 * ``activity`` — collisionable fragments inserted per tile,
-* ``hits``     — tile-cache replays per tile (cross-frame cache, PR 7),
 * ``lookups``  — times the tile carried RBCD work at all,
 
 summed over every recorded frame.  The bench harness stores the grids
-in the schema-v6 ``tile_profile`` block, and the attribution engine
+in the schema-v7 ``tile_profile`` block, and the attribution engine
 (:mod:`repro.observability.attribution`) diffs two such blocks to
 localize a cycle/energy regression to screen regions.
 
@@ -38,9 +37,9 @@ from repro.observability.observer import FrameObserver
 __all__ = ["GRID_NAMES", "TileProfiler"]
 
 # The grids a profiler records, in stored order.  All are per-tile sums
-# (floats in the document; ``activity``/``hits``/``lookups`` happen to
-# be integral).
-GRID_NAMES = ("cycles", "energy_j", "activity", "hits", "lookups")
+# (floats in the document; ``activity``/``lookups`` happen to be
+# integral).
+GRID_NAMES = ("cycles", "energy_j", "activity", "lookups")
 
 
 class TileProfiler(FrameObserver):
@@ -102,7 +101,7 @@ class TileProfiler(FrameObserver):
             self._energy_model = RBCDEnergyModel(config)
         self.frames += 1
 
-    def record_tile(self, result, replayed: bool = False) -> None:
+    def record_tile(self, result) -> None:
         """Absorb one tile's :class:`~repro.rbcd.unit.RBCDTileResult`.
 
         Purely observational: reads the result, mutates only this
@@ -118,8 +117,6 @@ class TileProfiler(FrameObserver):
             self._energy_model.tile_breakdown(result).total_j
         )
         self._grids["activity"][idx] += result.zeb.insertions
-        if replayed:
-            self._grids["hits"][idx] += 1
         self._grids["lookups"][idx] += 1
 
     def grid(self, name: str) -> list[float]:

@@ -149,7 +149,6 @@ class RBCDUnit:
         self.elements_read = 0
         self.stack_overflows = 0
         self.unmatched_backfaces = 0
-        self.tiles_replayed = 0
 
     def reset(self) -> None:
         """Clear per-frame state (new frame, fresh report)."""
@@ -161,23 +160,13 @@ class RBCDUnit:
         self.elements_read = 0
         self.stack_overflows = 0
         self.unmatched_backfaces = 0
-        self.tiles_replayed = 0
 
-    def absorb(self, result: RBCDTileResult, replayed: bool = False) -> None:
+    def absorb(self, result: RBCDTileResult) -> None:
         """Fold one tile's result into the per-frame counters and report.
 
         The pipeline absorbs results in tile-schedule order, which fixes
         the report's contact-record order; every counter is a plain sum.
-
-        ``replayed=True`` marks a result replayed from the cross-frame
-        tile cache (:mod:`repro.gpu.tilecache`) rather than freshly
-        computed.  Replay is exact, so the absorb path is *identical* —
-        same counters, same pair records — and the flag only feeds
-        :attr:`tiles_replayed`, which lives outside :meth:`counters`
-        precisely so cache-on output stays bit-identical to cache-off.
         """
-        if replayed:
-            self.tiles_replayed += 1
         self.insertions += result.zeb.insertions
         self.overflow_events += result.zeb.overflow_events
         self.spare_allocations += result.zeb.spare_allocations

@@ -35,7 +35,6 @@ def other_path(doc, tmp_path_factory):
                 "gpu.raster.raster_pipeline_cycles", "gpu.gpu_cycles"):
         entry["counters"][key] += 100.0
     entry["totals"]["gpu_cycles"] += 100.0
-    entry["tilecache"]["effective_gpu_cycles"] += 100.0
     path = tmp_path_factory.mktemp("attribute") / "other.json"
     path.write_text(json.dumps(other))
     return path

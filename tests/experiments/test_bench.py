@@ -161,49 +161,6 @@ class TestRunBench:
             energy["gpu"]["fragment_j"]
         )
 
-    def test_tile_cache_defaults_off_and_recorded(self, tiny_doc):
-        doc, _ = tiny_doc
-        entry = doc["scenes"]["crazy"]
-        assert doc["config"]["tile_cache"] is False
-        tilecache = entry["tilecache"]
-        assert tilecache["enabled"] is False
-        assert tilecache["lookups"] == 0
-        assert tilecache["per_frame_hits"] == []
-        # With the cache off the effective totals ARE the totals.
-        assert tilecache["effective_gpu_cycles"] == entry["totals"]["gpu_cycles"]
-        assert tilecache["effective_total_j"] == pytest.approx(
-            entry["energy"]["total_j"]
-        )
-        assert not any(
-            name.startswith("gpu.tilecache.") for name in entry["counters"]
-        )
-
-    def test_tile_cache_enabled_records_hits(self):
-        # cap keeps four static collisionable props in view, so a
-        # two-frame run is guaranteed cross-frame signature hits.
-        doc = run_bench(
-            ["cap"], width=160, height=96, frames=2, detail=1,
-            runs=2, tile_cache=True,
-        )
-        validate_bench_document(doc)
-        assert doc["config"]["tile_cache"] is True
-        entry = doc["scenes"]["cap"]
-        tilecache = entry["tilecache"]
-        assert tilecache["enabled"] is True
-        assert tilecache["hits"] > 0
-        assert tilecache["lookups"] == tilecache["hits"] + tilecache["misses"]
-        assert tilecache["collisions"] == 0
-        assert len(tilecache["per_frame_hits"]) == 2
-        assert tilecache["per_frame_hits"][0] == 0  # cold first frame
-        assert sum(tilecache["per_frame_hits"]) == tilecache["hits"]
-        # The modelled savings beat the signature overhead: cache-on
-        # costs strictly fewer effective cycles and joules.
-        assert tilecache["cycles_saved"] > tilecache["signature_cycles"]
-        assert tilecache["effective_gpu_cycles"] < entry["totals"]["gpu_cycles"]
-        assert tilecache["effective_total_j"] < entry["energy"]["total_j"]
-        # The merged counters expose the gpu.tilecache.* namespace.
-        assert entry["counters"]["gpu.tilecache.hits"] == tilecache["hits"]
-
     def test_tile_profile_defaults_off_and_recorded(self, tiny_doc):
         doc, _ = tiny_doc
         assert doc["config"]["tile_profile"] is False
@@ -221,8 +178,9 @@ class TestRunBench:
         profile = entry["tile_profile"]
         assert profile["enabled"] is True
         tile_count = profile["tiles_x"] * profile["tiles_y"]
-        for name in ("cycles", "energy_j", "activity", "hits", "lookups"):
+        for name in ("cycles", "energy_j", "activity", "lookups"):
             assert len(profile[name]) == tile_count
+        assert "hits" not in profile
         # The grids are a spatial decomposition of frame totals: tile
         # cycles sum to the rbcd.tile stage, tile activity to the ZEB
         # insertion counter, and dynamic tile energy to the rbcd
@@ -237,8 +195,8 @@ class TestRunBench:
         assert sum(profile["energy_j"]) == pytest.approx(
             rbcd_j["insertion_j"] + rbcd_j["overlap_j"] + rbcd_j["output_j"]
         )
-        # Everything the v5 schema had is untouched by profiling: the
-        # profiler is strictly observational.
+        # Everything outside the profile block is untouched by
+        # profiling: the profiler is strictly observational.
         bare = run_bench(
             ["crazy"], width=64, height=32, frames=1, detail=1, runs=1,
         )
@@ -261,14 +219,14 @@ class TestRunBench:
 
 
 def valid_doc():
-    """A minimal schema-valid v6 document for validator tests."""
+    """A minimal schema-valid v7 document for validator tests."""
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
         "config": {"width": 64, "height": 32, "frames": 1,
                    "detail": 1, "quick": True, "runs": 2, "profile": False,
                    "kernel_backend": "vectorized", "broad_phase": "lbvh",
-                   "tile_cache": False, "tile_profile": False},
+                   "tile_profile": False},
         "stats": {"bootstrap_resamples": 100, "confidence": 0.95},
         "scenes": {
             "crazy": {
@@ -301,15 +259,6 @@ def valid_doc():
                 },
                 "cases": {"disjoint": 3, "crossing": 1, "nested": 0,
                           "self_filtered": 0, "evidence_records": 1},
-                "tilecache": {"enabled": False, "lookups": 0, "hits": 0,
-                              "misses": 0, "collisions": 0, "stores": 0,
-                              "hit_rate": 0.0, "cycles_saved": 0.0,
-                              "signature_cycles": 0.0, "joules_saved": 0.0,
-                              "signature_j": 0.0,
-                              "effective_gpu_cycles": 100.0,
-                              "effective_total_j": 1e-3,
-                              "per_frame_hits": [],
-                              "per_frame_lookups": []},
                 "tile_profile": {"enabled": False},
             }
         },
@@ -323,7 +272,7 @@ def valid_doc_profiled():
     doc["scenes"]["crazy"]["tile_profile"] = {
         "enabled": True, "tiles_x": 2, "tiles_y": 1, "frames": 1,
         "cycles": [8.0, 2.0], "energy_j": [1e-5, 2e-6],
-        "activity": [5.0, 1.0], "hits": [0.0, 0.0], "lookups": [1.0, 1.0],
+        "activity": [5.0, 1.0], "lookups": [1.0, 1.0],
     }
     return doc
 
@@ -334,15 +283,24 @@ class TestValidator:
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_rejects_pre_v6_documents(self, version):
-        # Only v6 is accepted: an older document is refused with a
+        # Only v7 is accepted: an older document is refused with a
         # version error, by the validator and therefore by the gate.
         old = valid_doc()
         old["version"] = version
-        with pytest.raises(ValueError, match=r"version: expected one of \(6,\)"):
+        with pytest.raises(ValueError, match=r"version: expected one of \(7,\)"):
             validate_bench_document(old)
         report = gate_against_baseline(valid_doc(), old)
         assert not report.ok
         assert any("baseline document invalid" in e for e in report.errors)
+
+    def test_rejects_v6_document(self):
+        # v7 dropped the tile-cache blocks; a v6 document is refused
+        # with an error naming its version, even with those blocks.
+        old = valid_doc()
+        old["version"] = 6
+        old["config"]["tile_cache"] = False
+        with pytest.raises(ValueError, match=r"expected one of \(7,\), got 6"):
+            validate_bench_document(old)
 
     def test_accepts_enabled_tile_profile(self):
         validate_bench_document(valid_doc_profiled())
@@ -357,7 +315,7 @@ class TestValidator:
         (lambda d: d["scenes"]["crazy"]["tile_profile"].update(
             energy_j=[1e-5, "hot"]), r"tile_profile.energy_j\[1\]"),
         (lambda d: d["scenes"]["crazy"]["tile_profile"].update(
-            hits="none"), "tile_profile.hits"),
+            lookups="none"), "tile_profile.lookups"),
     ])
     def test_rejects_bad_enabled_tile_profile(self, mutate, needle):
         doc = valid_doc_profiled()
@@ -427,21 +385,6 @@ class TestValidator:
          "fragment_j"),
         (lambda d: d["scenes"]["crazy"]["energy"]["rbcd"].update(
             insertion_j="lots"), "insertion_j"),
-        (lambda d: d["config"].pop("tile_cache"), "config.tile_cache"),
-        (lambda d: d["config"].update(tile_cache="on"), "config.tile_cache"),
-        (lambda d: d["scenes"]["crazy"].pop("tilecache"), "tilecache"),
-        (lambda d: d["scenes"]["crazy"]["tilecache"].pop("enabled"),
-         "tilecache.enabled"),
-        (lambda d: d["scenes"]["crazy"]["tilecache"].update(hits=-1),
-         "tilecache.hits"),
-        (lambda d: d["scenes"]["crazy"]["tilecache"].update(hits=1.5),
-         "tilecache.hits"),
-        (lambda d: d["scenes"]["crazy"]["tilecache"].update(
-            cycles_saved="many"), "tilecache.cycles_saved"),
-        (lambda d: d["scenes"]["crazy"]["tilecache"].update(
-            per_frame_hits=3), "tilecache.per_frame_hits"),
-        (lambda d: d["scenes"]["crazy"]["tilecache"].update(
-            per_frame_lookups=[1, -2]), r"tilecache.per_frame_lookups\[1\]"),
         (lambda d: d["config"].pop("tile_profile"), "config.tile_profile"),
         (lambda d: d["config"].update(tile_profile="on"),
          "config.tile_profile"),
@@ -503,25 +446,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(out.read_text())
         validate_bench_document(doc)
-        assert doc["config"]["tile_cache"] is False
         assert main(["--check", str(out)]) == 0
-
-    def test_tile_cache_flag_threads_through(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_tc.json"
-        code = main([
-            "--scenes", "cap", "--width", "64", "--height", "32",
-            "--frames", "2", "--detail", "1", "--tile-cache",
-            "--output", str(out),
-        ])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["config"]["tile_cache"] is True
-        assert doc["scenes"]["cap"]["tilecache"]["enabled"] is True
-        assert "tilecache:" in capsys.readouterr().out
-
-    def test_tile_cache_flags_conflict(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--tile-cache", "--no-tile-cache"])
 
     def test_explain_requires_baseline(self, capsys):
         with pytest.raises(SystemExit):
@@ -561,6 +486,5 @@ class TestCli:
         entry = doc["scenes"]["crazy"]
         assert scene["gpu_cycles"] == entry["totals"]["gpu_cycles"]
         assert scene["total_j"] == entry["energy"]["total_j"]
-        assert scene["effective_gpu_cycles"] == (
-            entry["tilecache"]["effective_gpu_cycles"]
-        )
+        assert scene["edp_js"] == entry["energy"]["edp_js"]
+        assert set(scene) == {"gpu_cycles", "total_j", "edp_js"}

@@ -60,25 +60,13 @@ class TestGateAgainstBaseline:
         assert not report.ok
         assert any("baseline document invalid" in e for e in report.errors)
 
-    def test_effective_cycles_are_gated(self, bench_doc):
-        # tilecache.effective_gpu_cycles is a deterministic metric: a
-        # baseline that spent fewer effective cycles fails the gate.
-        better = copy.deepcopy(bench_doc)
-        better["scenes"]["crazy"]["tilecache"]["effective_gpu_cycles"] *= 0.9
-        report = gate_against_baseline(bench_doc, better)
-        assert not report.ok
-        assert any(
-            c.metric == "tilecache.effective_gpu_cycles" and c.regressed
-            for c in report.comparisons
-        )
-
-    def test_cache_on_vs_cache_off_refused_both_ways(self, bench_doc):
-        cached = copy.deepcopy(bench_doc)
-        cached["config"]["tile_cache"] = True
-        for first, second in ((bench_doc, cached), (cached, bench_doc)):
+    def test_broad_phase_mismatch_refused_both_ways(self, bench_doc):
+        other = copy.deepcopy(bench_doc)
+        other["config"]["broad_phase"] = "bruteforce"
+        for first, second in ((bench_doc, other), (other, bench_doc)):
             report = gate_against_baseline(first, second)
             assert not report.ok
-            assert any("config.tile_cache" in e for e in report.errors)
+            assert any("config.broad_phase" in e for e in report.errors)
 
 
 class TestGateCli:
@@ -177,7 +165,7 @@ class TestTileProfileComparability:
             assert any("config.tile_profile" in e for e in report.errors)
 
     def test_profile_off_vs_off_gates_clean(self, bench_doc):
-        # Both sides off (the v6 default) is the normal CI path and
+        # Both sides off (the default) is the normal CI path and
         # must stay comparable.
         report = gate_against_baseline(bench_doc, copy.deepcopy(bench_doc))
         assert report.ok, report.render()
@@ -194,7 +182,6 @@ class TestExplainOnFailure:
                     "gpu.raster.raster_pipeline_cycles", "gpu.gpu_cycles"):
             scene["counters"][key] -= delta
         scene["totals"]["gpu_cycles"] -= delta
-        scene["tilecache"]["effective_gpu_cycles"] -= delta
         path = tmp_path / "fast.json"
         path.write_text(json.dumps(fast))
         return path

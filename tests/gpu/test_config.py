@@ -45,6 +45,17 @@ class TestGPUConfig:
     def test_mem_latency_avg(self):
         assert GPUConfig().mem_latency_avg_cycles == pytest.approx(75.0)
 
+    def test_tile_cache_shim_is_fixed_off(self):
+        # The benchmark harness pins these two members; neither can
+        # switch anything on, and neither is a constructor field.
+        cfg = GPUConfig()
+        assert cfg.tile_cache_enabled is False
+        assert cfg.with_tile_cache(False) is cfg
+        with pytest.raises(ValueError, match="tile cache"):
+            cfg.with_tile_cache(True)
+        with pytest.raises(TypeError):
+            GPUConfig(tile_cache_enabled=True)
+
     @pytest.mark.parametrize(
         "field_name,value",
         [

@@ -186,7 +186,7 @@ class HookLog(FrameObserver):
     def begin_frame(self, config):
         self.calls.append("begin")
 
-    def record_tile(self, result, replayed=False):
+    def record_tile(self, result):
         self.calls.append("tile")
 
     def end_frame(self, result, wall_s):

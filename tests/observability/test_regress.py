@@ -41,11 +41,6 @@ def make_doc(wall_runs=(10.0, 11.0, 12.0), cycles=100.0, gpu_cycles=5000.0,
                     "total_j": energy_total,
                     "edp_js": edp,
                 },
-                "tilecache": {
-                    "enabled": False,
-                    "effective_gpu_cycles": gpu_cycles,
-                    "effective_total_j": energy_total,
-                },
             },
         },
     }

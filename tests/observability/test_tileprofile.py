@@ -40,7 +40,7 @@ class TestRecording:
     def test_record_tile_accumulates_all_grids(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(3), replayed=True)
+        profiler.record_tile(FakeResult(3))
         profiler.record_tile(FakeResult(3))
         # Energy is priced by the begin_frame config's RBCD model.
         tile_j = RBCDEnergyModel(small_config()).tile_breakdown(
@@ -50,7 +50,6 @@ class TestRecording:
         assert profiler.grid("cycles")[3] == 30.0
         assert profiler.grid("energy_j")[3] == 2 * tile_j
         assert profiler.grid("activity")[3] == 6.0
-        assert profiler.grid("hits")[3] == 1.0
         assert profiler.grid("lookups")[3] == 2.0
         # Untouched tiles stay zero.
         assert profiler.grid("cycles")[0] == 0.0
@@ -84,7 +83,7 @@ class TestRoundTrip:
     def test_as_dict_from_dict_round_trips(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(1), replayed=True)
+        profiler.record_tile(FakeResult(1))
         data = profiler.as_dict()
         rebuilt = TileProfiler.from_dict(data)
         assert rebuilt.as_dict() == data
