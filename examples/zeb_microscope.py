@@ -15,7 +15,7 @@ from repro.gpu.commands import DrawCommand, Frame
 from repro.gpu.config import GPUConfig
 from repro.gpu.pipeline import GPU
 from repro.rbcd.element import quantize_depth
-from repro.rbcd.zeb import build_zeb_tile
+from repro.rbcd.zeb import build_zeb
 from repro.scenes.camera import Camera
 
 CFG = GPUConfig().with_screen(160, 96)
@@ -48,12 +48,13 @@ def main() -> None:
     # Re-run the sorted insertion for just this pixel.
     ts = CFG.tile_size
     local = (py % ts) * ts + (px % ts)
-    tile = build_zeb_tile(
+    tile = build_zeb(
         np.full(at_pixel.size, local),
-        frags.z[at_pixel],
+        quantize_depth(frags.z[at_pixel], CFG.rbcd),
         frags.object_id[at_pixel],
         frags.front[at_pixel],
         CFG.rbcd,
+        CFG.tile_pixels,
     )
     row = int(np.flatnonzero(tile.pixel_index == local)[0])
     n = int(tile.counts[row])

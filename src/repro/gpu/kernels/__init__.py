@@ -60,14 +60,16 @@ class KernelBackend:
         per-pixel minimum (buffer cleared to 1.0).
     ``zeb_insert(pixel, z_codes, object_id, is_front, config,
     tile_pixels)``
-        One tile's collisionable fragments in arrival order (depths
-        already quantized to integer z codes); returns the final
-        :class:`~repro.rbcd.zeb.ZEBTile`.
+        A frame's collisionable fragments in arrival order (depths
+        already quantized to integer z codes), each keyed by ``tile *
+        tile_pixels + local pixel``.  Every tile has its own ZEB and
+        spare pool; returns one :class:`~repro.rbcd.zeb.ZEBTile` whose
+        lists are ordered by key, so tile by tile.
     ``zoverlap_traverse(zeb, config)``
-        The Z-Overlap Test over one tile's ZEB; returns an
+        The Z-Overlap Test over every list of that ZEB; returns an
         :class:`~repro.rbcd.overlap.OverlapResult` with pairs in
-        canonical lock-step order: ascending (element step, list row,
-        FF-Stack slot).
+        canonical lock-step order, ascending (element step, list row,
+        FF-Stack slot), and the tallies split per list.
     """
 
     name: str

@@ -16,8 +16,9 @@ Bit-identical to the reference backend by construction, not by luck:
   exclusive prefix-min over the pixel-sorted stream; comparisons are
   the same exact float LESS, each fragment is visited once.
 * ZEB insertion and the Z-Overlap traversal reuse the proven
-  lock-step builders (:func:`repro.rbcd.zeb.build_zeb_tile`,
-  :func:`repro.rbcd.overlap.analyze_tile`).
+  frame-wide builders (:func:`repro.rbcd.zeb.build_zeb`, a rank-based
+  keep-the-M-nearest filter, and :func:`repro.rbcd.overlap.analyze_tile`,
+  a lock-step walk of every list at once).
 
 Spans and their candidate pixels are processed in bounded chunks
 (~256k rows, ~1M candidates) so peak memory stays flat on large frames.
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.gpu.kernels import KernelBackend
 from repro.rbcd.overlap import analyze_tile
-from repro.rbcd.zeb import build_zeb_tile
+from repro.rbcd.zeb import build_zeb
 
 # Upper bound on span candidate pixels materialized per chunk.
 _MAX_CANDIDATES = 1 << 20
@@ -239,18 +240,10 @@ def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
     return passed
 
 
-def zeb_insert(pixel, z_codes, object_id, is_front, config, tile_pixels):
-    """Whole-tile ZEB build (rank-based keep-the-M-nearest filter)."""
-    del tile_pixels  # the packed tile stores only non-empty lists
-    return build_zeb_tile(
-        pixel, z_codes, object_id, is_front, config, depths_are_codes=True
-    )
-
-
 BACKEND = KernelBackend(
     name="vectorized",
     rasterize_triangles=rasterize_triangles,
     earlyz_pass_mask=earlyz_pass_mask,
-    zeb_insert=zeb_insert,
+    zeb_insert=build_zeb,
     zoverlap_traverse=analyze_tile,
 )

@@ -1,20 +1,22 @@
-"""Per-tile RBCD execution: gather tile tasks, run them in order.
+"""RBCD tile execution: gather a frame's tiles, compute them in one pass.
 
 The paper's core observation is that per-tile RBCD work — ZEB sorted
 insertion plus the Z-Overlap Test — is independent across the tiles of
 a TBR GPU: each tile owns its ZEB, its spare pool, and its slice of the
-output buffer.  The simulator runs that work in one serial, in-process
-loop: :func:`gather_tile_tasks` groups a frame's collisionable
-fragments by tile, :class:`TileExecutor` computes each task with
-:func:`repro.rbcd.unit.compute_tile`, and the caller absorbs the
-results tile by tile with :meth:`RBCDUnit.absorb`.
+output buffer.  The simulator computes a frame's tiles together:
+:func:`gather_tile_tasks` groups the collisionable fragments by tile
+into one :class:`TileBatch`, :class:`TileExecutor` hands the batch to
+:func:`repro.rbcd.unit.compute_tile` (one ZEB build and one lock-step
+Z-Overlap pass for the whole frame, split back into per-tile results),
+and the caller absorbs the results tile by tile with
+:meth:`RBCDUnit.absorb`.
 
 Determinism argument:
 
-1. :func:`compute_tile` is a pure function of ``(config, tile
-   fragments)`` — no shared state.
-2. Results come back in task order, which is the tile-schedule order
-   produced by :func:`gather_tile_tasks`.
+1. :func:`compute_tile` is a pure function of ``(config, batch)`` and
+   each tile's result depends on that tile's fragments alone — its
+   keys keep it in its own ZEB lists and spare pool.
+2. Results come back in tile-schedule order, the order of the batch.
 3. Absorbing the results (and summing their stats) runs over that
    order, so contact-record ordering, counters and the per-tile cycle
    arrays fed to the stall model are fixed.  Simulated ``gpu_cycles``
@@ -28,7 +30,7 @@ The module keeps its historical name because the benchmark harness
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from repro.gpu.config import GPUConfig
 from repro.rbcd.unit import RBCDTileResult, compute_tile
 
 __all__ = [
+    "TileBatch",
     "TileTask",
     "TileExecutor",
     "gather_tile_tasks",
@@ -46,8 +49,7 @@ __all__ = [
 class TileTask:
     """One tile's collisionable fragments, in arrival order.
 
-    Coordinates are global pixel coordinates, exactly what
-    :func:`repro.rbcd.unit.compute_tile` expects.
+    Coordinates are global pixel coordinates.
     """
 
     tile_index: int
@@ -62,53 +64,78 @@ class TileTask:
         return int(self.x.shape[0])
 
 
-def gather_tile_tasks(frags, config: GPUConfig) -> list[TileTask]:
-    """Group a frame's collisionable fragments into per-tile tasks.
+@dataclass(frozen=True, eq=False)
+class TileBatch:
+    """A frame's collisionable fragments, grouped tile by tile.
 
-    Tasks come back in tile-schedule order (ascending tile index, the
-    order the Tile Scheduler visits them) with each tile's fragments in
-    their original arrival order.
+    The fragment arrays are flat and tile-major: tile ``k`` (index
+    ``tile_index[k]``; ascending, the order the Tile Scheduler visits
+    them) owns ``offsets[k]:offsets[k + 1]``, in arrival order.
+    ``len()`` is the tile count; iterating yields :class:`TileTask`
+    views.
+    """
+
+    tile_index: np.ndarray  # (T,) int64
+    offsets: np.ndarray     # (T + 1,) int64
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    object_id: np.ndarray
+    front: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.tile_index.shape[0])
+
+    def __iter__(self) -> Iterator[TileTask]:
+        bounds = self.offsets.tolist()
+        for k, tile in enumerate(self.tile_index.tolist()):
+            lo, hi = bounds[k], bounds[k + 1]
+            yield TileTask(
+                tile_index=tile,
+                x=self.x[lo:hi],
+                y=self.y[lo:hi],
+                z=self.z[lo:hi],
+                object_id=self.object_id[lo:hi],
+                front=self.front[lo:hi],
+            )
+
+    @property
+    def fragment_count(self) -> int:
+        return int(self.x.shape[0])
+
+
+def gather_tile_tasks(frags, config: GPUConfig) -> TileBatch:
+    """Group a frame's collisionable fragments by tile.
+
+    One stable sort by tile index: tiles come out in tile-schedule
+    order (ascending index) with each tile's fragments in their
+    original arrival order.
     """
     coll = np.flatnonzero(frags.object_id >= 0)
-    if coll.shape[0] == 0:
-        return []
     tiles = frags.tile_index(config)[coll]
-    order = np.lexsort((coll, tiles))  # per tile, arrival order
-    sorted_idx = coll[order]
+    order = np.argsort(tiles, kind="stable")
+    idx = coll[order]
     sorted_tiles = tiles[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_tiles[1:] != sorted_tiles[:-1]])
-    boundaries = np.r_[boundaries, sorted_tiles.shape[0]]
-    tasks: list[TileTask] = []
-    for b in range(boundaries.shape[0] - 1):
-        lo, hi = boundaries[b], boundaries[b + 1]
-        idx = sorted_idx[lo:hi]
-        tasks.append(
-            TileTask(
-                tile_index=int(sorted_tiles[lo]),
-                x=frags.x[idx],
-                y=frags.y[idx],
-                z=frags.z[idx],
-                object_id=frags.object_id[idx],
-                front=frags.front[idx],
-            )
-        )
-    return tasks
+    starts = np.flatnonzero(np.diff(sorted_tiles, prepend=-1))
+    return TileBatch(
+        tile_index=sorted_tiles[starts],
+        offsets=np.r_[starts, idx.shape[0]].astype(np.int64),
+        x=frags.x[idx],
+        y=frags.y[idx],
+        z=frags.z[idx],
+        object_id=frags.object_id[idx],
+        front=frags.front[idx],
+    )
 
 
 class TileExecutor:
-    """Runs per-tile RBCD work over a frame's tile tasks, one at a time.
+    """Runs a frame's RBCD work: one :func:`compute_tile` call per batch.
 
-    :meth:`run` returns results in task order (tile-schedule order).
-    The executor holds no state, so one instance serves every frame and
+    :meth:`run` returns per-tile results in tile-schedule order.  The
+    executor holds no state, so one instance serves every frame and
     config — pass the config per call.
     """
 
-    def run(
-        self, config: GPUConfig, tasks: Sequence[TileTask]
-    ) -> list[RBCDTileResult]:
-        """Compute all tasks; results ordered exactly like ``tasks``."""
-        return [
-            compute_tile(config, t.tile_index, t.x, t.y, t.z, t.object_id, t.front)
-            for t in tasks
-        ]
-
+    def run(self, config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult]:
+        """Compute every tile of ``batch``; results in batch order."""
+        return compute_tile(config, batch)

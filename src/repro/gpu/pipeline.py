@@ -506,22 +506,25 @@ class GPU:
         overlap_cycles: np.ndarray,
         insertion_limit: np.ndarray,
     ) -> CollisionReport:
-        """Feed every collisionable fragment, tile by tile, to the unit.
+        """Feed every collisionable fragment to the unit, tile by tile.
 
-        Tiles are computed by the serial
-        :class:`~repro.gpu.parallel.TileExecutor` and absorbed in
-        tile-schedule order.
+        :class:`~repro.gpu.parallel.TileExecutor` computes the frame's
+        tiles in one pass; the results are absorbed in tile-schedule
+        order.
 
-        Per-tile spans and observer ``record_tile`` hooks fire at
-        absorb time, in tile-schedule order.  The spans carry the
-        simulated insertion/overlap cycles of the computed tile; their
-        wall time is the absorb cost, not the tile compute time.
+        The host wall time of that one compute pass belongs to the
+        enclosing ``rbcd`` stage span.  Per-tile spans and observer
+        ``record_tile`` hooks fire afterwards, at absorb time, in
+        tile-schedule order: ``rbcd.tile`` and its ``rbcd.zeb-insert``
+        / ``rbcd.z-overlap`` children carry the tile's simulated
+        insertion/overlap cycles, and their wall time is the absorb
+        cost only.
         """
         tracer = self.tracer
-        tasks = gather_tile_tasks(frags, self.config)
-        stats.rbcd_fragments_in += sum(t.fragment_count for t in tasks)
+        batch = gather_tile_tasks(frags, self.config)
+        stats.rbcd_fragments_in += batch.fragment_count
         observers = self.observers
-        for result in self._executor.run(self.config, tasks):
+        for result in self._executor.run(self.config, batch):
             with tracer.span(
                 "rbcd.tile", category="tile", tile=result.tile_index
             ) as tile_span:

@@ -49,13 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.observability.provenance import ProvenanceRecorder
 from repro.physics.counters import OpCounter
 from repro.physics.gjk import gjk_intersect
 from repro.physics.shapes import ConvexShape
 from repro.physics.world import CollisionWorld
+from repro.rbcd.unit import zeb_keys
 from repro.rbcd.zeb import overflow_events_by_pixel
 from repro.scenes.benchmarks import Workload
 
@@ -278,26 +278,22 @@ class _FrameReplays:
 
     def overflow_at(self, pixels: list[tuple[int, int]]) -> int:
         """Total ZEB overflow events at the given witness pixels."""
-        ts = self.config.tile_size
-        tiles_x = self.config.tiles_x
-        wanted: dict[int, set[int]] = {}
-        for x, y in pixels:
-            tile = (y // ts) * tiles_x + (x // ts)
-            local = (y % ts) * ts + (x % ts)
-            wanted.setdefault(tile, set()).add(local)
-        total = 0
-        for task in gather_tile_tasks(self.frags, self.config):
-            locals_wanted = wanted.get(task.tile_index)
-            if not locals_wanted:
-                continue
-            local = (task.y % ts).astype(np.int64) * ts + (
-                task.x % ts
-            ).astype(np.int64)
-            where, events = overflow_events_by_pixel(local, self.config.rbcd)
-            for pixel, count in zip(where.tolist(), events.tolist()):
-                if pixel in locals_wanted:
-                    total += count
-        return total
+        config = self.config
+        coll = self.frags.object_id >= 0
+        where, events = overflow_events_by_pixel(
+            zeb_keys(
+                config,
+                self.frags.x[coll],
+                self.frags.y[coll],
+                self.frags.tile_index(config)[coll],
+            ),
+            config.rbcd,
+            config.tile_pixels,
+        )
+        x, y = np.array(pixels, dtype=np.int64).reshape(-1, 2).T
+        tile = (y // config.tile_size) * config.tiles_x + x // config.tile_size
+        wanted = zeb_keys(config, x, y, tile)
+        return int(events[np.isin(where, wanted)].sum())
 
 
 def _classify_false_negative(

@@ -25,6 +25,12 @@ Each span records two clocks:
   (assigned by the pipeline from its cycle model; per-tile RBCD spans
   carry the cycles ``compute_tile`` returned for that tile).
 
+The RBCD subtree is the exception on the wall clock.  A frame's tiles
+are computed in one pass, so that compute time sits in the ``rbcd``
+stage span itself, outside any tile.  ``rbcd.tile``, ``rbcd.zeb-insert``
+and ``rbcd.z-overlap`` open afterwards, as each tile is absorbed: they
+carry the tile's cycles, and their wall time is the absorb cost only.
+
 Tracing is strictly observational: span bookkeeping never feeds back
 into the cycle model, so enabling a tracer changes no collision pair,
 contact record, or simulated cycle count (asserted by

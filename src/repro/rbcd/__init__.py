@@ -8,7 +8,7 @@ timing model.
 """
 
 from repro.rbcd.element import pack_element, unpack_element, quantize_depth
-from repro.rbcd.zeb import ZEBTile, build_zeb_tile, insert_sequential
+from repro.rbcd.zeb import ZEBTile, build_zeb, insert_sequential
 from repro.rbcd.overlap import (
     OverlapResult,
     analyze_pixel_list,
@@ -30,7 +30,7 @@ __all__ = [
     "analyze_pixel_list",
     "analyze_tile",
     "build_manifold",
-    "build_zeb_tile",
+    "build_zeb",
     "insert_sequential",
     "pack_element",
     "quantize_depth",

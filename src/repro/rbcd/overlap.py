@@ -23,10 +23,11 @@ tests):
 
 Three implementations: :func:`analyze_pixel_list` is the hardware-
 literal reference for a single list; :func:`traverse_lists_sequential`
-runs the same algorithm over all of a tile's lists in lock-step (the
+runs the same algorithm over all lists of a ZEB in lock-step (the
 reference ``zoverlap_traverse`` kernel, defining the canonical pair
 emission order); :func:`analyze_tile` is a numpy version of the same
 lock-step traversal, verified bit-identical by the conformance suite.
+Both lock-step kernels take one tile's ZEB or a whole frame's.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ class OverlapResult:
     (within the analyzed tile) that produced pair k.  ``pair_case`` and
     ``pair_stack_depth`` are evidence for provenance recording; they are
     always computed (cheaply) so that enabling a recorder can never
-    change detection behaviour.
+    change detection behaviour.  ``list_tallies`` splits the four
+    tallies by list (columns in field order: stack overflows, unmatched
+    back faces, disjoint closures, filtered self-pairs), so a
+    frame-wide traversal can be summed tile by tile.
     """
 
     pair_row: np.ndarray      # (K,) row index into the analyzed lists
@@ -87,6 +91,7 @@ class OverlapResult:
     unmatched_backfaces: int = 0
     disjoint_closures: int = 0     # matched closures that emitted no pair
     self_pairs_filtered: int = 0   # Idi == Idcur emissions suppressed
+    list_tallies: np.ndarray = field(default_factory=lambda: _no_tallies(0))
 
     @staticmethod
     def empty() -> "OverlapResult":
@@ -94,6 +99,36 @@ class OverlapResult:
         return OverlapResult(
             z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), z.copy()
         )
+
+
+def _no_tallies(num_lists: int) -> np.ndarray:
+    """Zeroed (lists, 4) tally block; see :attr:`OverlapResult.list_tallies`."""
+    return np.zeros((num_lists, 4), dtype=np.int64)
+
+
+def _result(rows, id_a, id_b, zf, zb, cases, depths, elements, tallies):
+    """Pack per-pair columns (lists or arrays) and per-list tallies."""
+    overflows, unmatched, disjoint, self_filtered = tallies.sum(axis=0).tolist()
+    rows, id_a, id_b, zf, zb, cases, depths = (
+        np.asarray(column, dtype=np.int64)
+        for column in (rows, id_a, id_b, zf, zb, cases, depths)
+    )
+    return OverlapResult(
+        pair_row=rows,
+        pair_id_a=id_a,
+        pair_id_b=id_b,
+        pair_z_front=zf,
+        pair_z_back=zb,
+        pair_case=cases,
+        pair_stack_depth=depths,
+        elements_read=elements,
+        pair_records=len(rows),
+        stack_overflows=overflows,
+        unmatched_backfaces=unmatched,
+        disjoint_closures=disjoint,
+        self_pairs_filtered=self_filtered,
+        list_tallies=tallies,
+    )
 
 
 def analyze_pixel_list(
@@ -154,67 +189,58 @@ def analyze_pixel_list(
             disjoint += 1
         stack_matched[m] = True
 
-    return OverlapResult(
-        pair_row=np.array(rows, dtype=np.int64),
-        pair_id_a=np.array(id_a, dtype=np.int64),
-        pair_id_b=np.array(id_b, dtype=np.int64),
-        pair_z_front=np.array(zf, dtype=np.int64),
-        pair_z_back=np.array(zb, dtype=np.int64),
-        pair_case=np.array(cases, dtype=np.int64),
-        pair_stack_depth=np.array(depths, dtype=np.int64),
-        elements_read=n,
-        pair_records=len(id_a),
-        stack_overflows=overflows,
-        unmatched_backfaces=unmatched,
-        disjoint_closures=disjoint,
-        self_pairs_filtered=self_filtered,
+    tallies = np.array(
+        [[overflows, unmatched, disjoint, self_filtered]], dtype=np.int64
     )
+    return _result(rows, id_a, id_b, zf, zb, cases, depths, n, tallies)
 
 
 def traverse_lists_sequential(zeb: ZEBTile, config: RBCDConfig) -> OverlapResult:
-    """Hardware-literal Z-Overlap Test over every list of one tile.
+    """Hardware-literal Z-Overlap Test over every list of a ZEB.
 
     Each list owns its FF-Stack and is traversed exactly as
-    :func:`analyze_pixel_list` traverses one list, but the tile's lists
+    :func:`analyze_pixel_list` traverses one list, but the lists
     advance *in lock-step*: step ``j`` processes element ``j`` of every
     list that still has one (the hardware walks all lists of a tile in
-    parallel).  Pairs are therefore emitted in the canonical tile order
-    — ascending ``(element step, list row, FF-Stack slot)`` — which is
-    the order :func:`analyze_tile` produces and the order the RBCD
-    unit's output buffer records.  This is the reference
-    ``zoverlap_traverse`` kernel.
+    parallel).  Pairs are therefore emitted in the canonical order —
+    ascending ``(element step, list row, FF-Stack slot)`` — which is
+    the order :func:`analyze_tile` produces.  A frame-wide ZEB (tiles
+    in schedule order) yields every tile's pairs in that order once
+    they are regrouped by tile with a stable sort.  This is the
+    reference ``zoverlap_traverse`` kernel.
     """
     num_rows = zeb.non_empty_lists
     if num_rows == 0:
         return OverlapResult.empty()
 
     t_max = config.ff_stack_entries
-    counts = zeb.counts
-    max_len = zeb.z_codes.shape[1]
+    counts = zeb.counts.tolist()
+    object_ids = zeb.object_ids.tolist()
+    z_codes = zeb.z_codes.tolist()
+    is_front = zeb.is_front.tolist()
 
     stack_id: list[list[int]] = [[] for _ in range(num_rows)]
     stack_z: list[list[int]] = [[] for _ in range(num_rows)]
     stack_matched: list[list[bool]] = [[] for _ in range(num_rows)]
+    # Per list: stack overflows, unmatched back faces, disjoint
+    # closures, filtered self-pairs.
+    tallies = [[0, 0, 0, 0] for _ in range(num_rows)]
 
     rows, id_a, id_b, zf, zb = [], [], [], [], []
     cases: list[int] = []
     depths: list[int] = []
-    overflows = 0
-    unmatched = 0
-    disjoint = 0
-    self_filtered = 0
 
-    for j in range(max_len):
-        for row in range(num_rows):
-            if j >= int(counts[row]):
-                continue
-            oid = int(zeb.object_ids[row, j])
-            z_code = int(zeb.z_codes[row, j])
+    alive = list(range(num_rows))
+    for j in range(max(counts)):
+        alive = [row for row in alive if j < counts[row]]
+        for row in alive:
+            oid = object_ids[row][j]
+            z_code = z_codes[row][j]
             sid = stack_id[row]
             smatched = stack_matched[row]
-            if zeb.is_front[row, j]:
+            if is_front[row][j]:
                 if len(sid) >= t_max:
-                    overflows += 1
+                    tallies[row][0] += 1
                     continue
                 sid.append(oid)
                 stack_z[row].append(z_code)
@@ -227,12 +253,12 @@ def traverse_lists_sequential(zeb: ZEBTile, config: RBCDConfig) -> OverlapResult
                     m = i
                     break
             if m < 0:
-                unmatched += 1
+                tallies[row][1] += 1
                 continue
             emitted_before = len(id_a)
             for i in range(m + 1, len(sid)):
                 if sid[i] == oid:
-                    self_filtered += 1
+                    tallies[row][3] += 1
                     continue  # self-pair filtered
                 rows.append(row)
                 id_a.append(sid[i])
@@ -242,32 +268,22 @@ def traverse_lists_sequential(zeb: ZEBTile, config: RBCDConfig) -> OverlapResult
                 cases.append(CASE_NESTED if smatched[i] else CASE_CROSSING)
                 depths.append(len(sid))
             if len(id_a) == emitted_before:
-                disjoint += 1
+                tallies[row][2] += 1
             smatched[m] = True
 
-    return OverlapResult(
-        pair_row=np.array(rows, dtype=np.int64),
-        pair_id_a=np.array(id_a, dtype=np.int64),
-        pair_id_b=np.array(id_b, dtype=np.int64),
-        pair_z_front=np.array(zf, dtype=np.int64),
-        pair_z_back=np.array(zb, dtype=np.int64),
-        pair_case=np.array(cases, dtype=np.int64),
-        pair_stack_depth=np.array(depths, dtype=np.int64),
-        elements_read=int(counts.sum()),
-        pair_records=len(id_a),
-        stack_overflows=overflows,
-        unmatched_backfaces=unmatched,
-        disjoint_closures=disjoint,
-        self_pairs_filtered=self_filtered,
+    return _result(
+        rows, id_a, id_b, zf, zb, cases, depths, sum(counts),
+        np.array(tallies, dtype=np.int64),
     )
 
 
 def analyze_tile(zeb: ZEBTile, config: RBCDConfig) -> OverlapResult:
-    """Vectorized Z-Overlap Test over every list of one tile.
+    """Vectorized Z-Overlap Test over every list of a ZEB.
 
     Traverses all lists in lock-step: iteration ``j`` analyzes element
     ``j`` of every list that still has one, so the Python-level loop
-    runs ``max(list length)`` times regardless of tile occupancy.
+    runs ``max(list length)`` times regardless of how many lists (one
+    tile's, or a whole frame's) the ZEB holds.
     """
     num_rows = zeb.non_empty_lists
     if num_rows == 0:
@@ -275,114 +291,82 @@ def analyze_tile(zeb: ZEBTile, config: RBCDConfig) -> OverlapResult:
 
     t_max = config.ff_stack_entries
     counts = zeb.counts
-    max_len = zeb.z_codes.shape[1]
 
     stack_id = np.full((num_rows, t_max), -1, dtype=np.int64)
     stack_z = np.zeros((num_rows, t_max), dtype=np.int64)
     stack_matched = np.zeros((num_rows, t_max), dtype=bool)
     top = np.zeros(num_rows, dtype=np.int64)
     slot = np.arange(t_max, dtype=np.int64)
+    tallies = _no_tallies(num_rows)
 
-    out_row: list[np.ndarray] = []
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    out_zf: list[np.ndarray] = []
-    out_zb: list[np.ndarray] = []
-    out_case: list[np.ndarray] = []
-    out_depth: list[np.ndarray] = []
-    overflows = 0
-    unmatched = 0
-    disjoint = 0
-    self_filtered = 0
-
-    for j in range(max_len):
-        active = j < counts
-        if not active.any():
+    out: list[tuple[np.ndarray, ...]] = []
+    alive = np.arange(num_rows)
+    for j in range(zeb.z_codes.shape[1]):
+        alive = alive[counts[alive] > j]
+        if alive.shape[0] == 0:
             break
-        ids = zeb.object_ids[:, j]
-        fronts = zeb.is_front[:, j]
-        zj = zeb.z_codes[:, j]
+        fronts = zeb.is_front[alive, j]
+        ids = zeb.object_ids[alive, j]
+        zj = zeb.z_codes[alive, j]
 
-        push = active & fronts
-        can_push = push & (top < t_max)
-        overflows += int((push & ~can_push).sum())
-        if can_push.any():
-            rows = np.nonzero(can_push)[0]
-            tops = top[rows]
-            stack_id[rows, tops] = ids[rows]
-            stack_z[rows, tops] = zj[rows]
-            stack_matched[rows, tops] = False
-            top[rows] += 1
+        # Front faces push (a full FF-Stack drops the push).
+        pushed = alive[fronts]
+        full = top[pushed] >= t_max
+        tallies[pushed[full], 0] += 1  # stack overflows
+        pushed = pushed[~full]
+        tops = top[pushed]
+        stack_id[pushed, tops] = ids[fronts][~full]
+        stack_z[pushed, tops] = zj[fronts][~full]
+        top[pushed] += 1
 
-        back = active & ~fronts
-        if back.any():
-            valid = slot[None, :] < top[:, None]
-            eq = (
-                (stack_id == ids[:, None])
-                & ~stack_matched
-                & valid
-                & back[:, None]
-            )
-            found = eq.any(axis=1)
-            unmatched += int((back & ~found).sum())
-            if found.any():
-                m = np.where(found, eq.argmax(axis=1), t_max)
-                hit = found[:, None] & (slot[None, :] > m[:, None]) & valid
-                hr, hs = np.nonzero(hit)
-                emitted = np.zeros(num_rows, dtype=np.int64)
-                if hr.size:
-                    id_i = stack_id[hr, hs]
-                    id_cur = ids[hr]
-                    keep = id_i != id_cur
-                    self_filtered += int((~keep).sum())
-                    kr, ks = hr[keep], hs[keep]
-                    out_row.append(kr)
-                    out_a.append(id_i[keep])
-                    out_b.append(id_cur[keep])
-                    out_zf.append(stack_z[kr, ks])
-                    out_zb.append(zj[kr])
-                    # Evidence: matched bit of the partner entry must be
-                    # read before this closure tags its own entry below.
-                    out_case.append(
-                        np.where(
-                            stack_matched[kr, ks], CASE_NESTED, CASE_CROSSING
-                        )
-                    )
-                    out_depth.append(top[kr])
-                    emitted = np.bincount(kr, minlength=num_rows)
-                fr = np.nonzero(found)[0]
-                disjoint += int((emitted[fr] == 0).sum())
-                stack_matched[fr, m[fr]] = True
+        back = ~fronts
+        br = alive[back]
+        if br.shape[0] == 0:
+            continue
+        back_ids = ids[back]
+        # Only the slots below the highest top among these rows can hold
+        # an entry; searching just those gives the same answers.
+        width = int(top[br].max())
+        slots = slot[:width]
+        valid = slots[None, :] < top[br, None]
+        eq = (
+            (stack_id[br, :width] == back_ids[:, None])
+            & ~stack_matched[br, :width]
+            & valid
+        )
+        found = eq.any(axis=1)
+        tallies[br[~found], 1] += 1  # unmatched back faces
+        if not found.any():
+            continue
+        # Bottommost unmatched match; every entry above it pairs.
+        fr = br[found]
+        m = eq[found].argmax(axis=1)
+        hr, hs = np.nonzero((slots[None, :] > m[:, None]) & valid[found])
+        kr = fr[hr]
+        id_i = stack_id[kr, hs]
+        id_cur = back_ids[found][hr]
+        keep = id_i != id_cur
+        tallies[fr, 3] += np.bincount(hr[~keep], minlength=fr.shape[0])  # self-pairs
+        emitted = np.bincount(hr[keep], minlength=fr.shape[0])
+        tallies[fr[emitted == 0], 2] += 1  # disjoint closures
+        kr, ks = kr[keep], hs[keep]
+        if kr.shape[0]:
+            # Evidence: the partner's matched bit is read before this
+            # closure tags its own entry below.
+            out.append((
+                kr,
+                id_i[keep],
+                id_cur[keep],
+                stack_z[kr, ks],
+                zj[back][found][hr[keep]],
+                np.where(stack_matched[kr, ks], CASE_NESTED, CASE_CROSSING),
+                top[kr],
+            ))
+        stack_matched[fr, m] = True
 
-    if out_row:
-        pair_row = np.concatenate(out_row)
-        pair_a = np.concatenate(out_a)
-        pair_b = np.concatenate(out_b)
-        pair_zf = np.concatenate(out_zf)
-        pair_zb = np.concatenate(out_zb)
-        pair_case = np.concatenate(out_case).astype(np.int64)
-        pair_depth = np.concatenate(out_depth)
-    else:
-        pair_row = np.empty(0, dtype=np.int64)
-        pair_a = pair_row.copy()
-        pair_b = pair_row.copy()
-        pair_zf = pair_row.copy()
-        pair_zb = pair_row.copy()
-        pair_case = pair_row.copy()
-        pair_depth = pair_row.copy()
-
-    return OverlapResult(
-        pair_row=pair_row,
-        pair_id_a=pair_a,
-        pair_id_b=pair_b,
-        pair_z_front=pair_zf,
-        pair_z_back=pair_zb,
-        pair_case=pair_case,
-        pair_stack_depth=pair_depth,
-        elements_read=int(counts.sum()),
-        pair_records=int(pair_row.shape[0]),
-        stack_overflows=overflows,
-        unmatched_backfaces=unmatched,
-        disjoint_closures=disjoint,
-        self_pairs_filtered=self_filtered,
+    pairs = (
+        [np.concatenate(column) for column in zip(*out)]
+        if out
+        else [np.empty(0, dtype=np.int64) for _ in range(7)]
     )
+    return _result(*pairs, int(counts.sum()), tallies)

@@ -1,11 +1,14 @@
 """The RBCD unit: ZEB buffers + Z-Overlap Test + output buffer.
 
 Composes the pieces of Sections 3.4-3.5 into the block the Raster
-Pipeline talks to.  The unit is fed one tile's collisionable fragments
-at a time (the Rasterizer's output order), fills a ZEB, then runs the
-Z-Overlap Test over it; the pipeline timing model uses the returned
-per-tile cycle counts together with the configured number of ZEBs to
-decide when the Tile Scheduler stalls (Section 3.5, last paragraph).
+Pipeline talks to.  In hardware the unit is fed one tile's
+collisionable fragments at a time (the Rasterizer's output order),
+fills that tile's ZEB, then runs the Z-Overlap Test over it.  The
+simulator computes all of a frame's tiles in one pass
+(:func:`compute_tile`) and hands back per-tile results; the pipeline
+timing model uses their cycle counts together with the configured
+number of ZEBs to decide when the Tile Scheduler stalls (Section 3.5,
+last paragraph).
 
 Cycle-model assumptions (the paper gives the structures, not the
 per-operation latencies):
@@ -26,7 +29,8 @@ per-operation latencies):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +41,9 @@ from repro.rbcd.element import dequantize_depth, max_object_id, quantize_depth
 from repro.rbcd.overlap import OverlapResult
 from repro.rbcd.pairs import CollisionReport, ContactPoint
 from repro.rbcd.zeb import ZEBTile
+
+if TYPE_CHECKING:
+    from repro.gpu.parallel import TileBatch
 
 _BITMAP_PIXELS_PER_CYCLE = 32
 
@@ -70,65 +77,173 @@ class RBCDTileResult:
     analyzed_elements: int = 0
 
 
-def compute_tile(
-    gpu_config: GPUConfig,
-    tile_index: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    object_id: np.ndarray,
-    is_front: np.ndarray,
-) -> RBCDTileResult:
-    """Pure per-tile RBCD computation: ZEB insertion + Z-Overlap Test.
+def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult]:
+    """Pure RBCD computation of a frame's tiles: ZEB insertion + Z-Overlap.
 
-    It touches no shared state (each tile has its own ZEB and its own
-    spare pool); :meth:`RBCDUnit.absorb` folds the result into a unit.
-    ``x``/``y`` are *global* pixel coordinates in arrival order; the
-    tile-local pixel index is derived here, mirroring how the
-    Rasterizer addresses the ZEB.  The insertion and traversal loops
-    run on the kernel backend named by ``gpu_config.kernel_backend``
+    ``batch`` is a :class:`~repro.gpu.parallel.TileBatch` (global pixel
+    coordinates, tile-major, arrival order within each tile).  Every
+    fragment is keyed by ``(tile, local pixel)``, mirroring how the
+    Rasterizer addresses its tile's ZEB, so one ZEB build and one
+    lock-step Z-Overlap pass cover the frame while each tile keeps its
+    own lists and spare pool.  The frame result is then split into one
+    :class:`RBCDTileResult` per tile, in batch (tile-schedule) order,
+    each identical to what computing that tile alone gives.  The
+    kernels run on the backend named by ``gpu_config.kernel_backend``
     (all backends are bit-identical; see :mod:`repro.gpu.kernels`).
     """
+    if len(batch) == 0:
+        return []
     config = gpu_config.rbcd
-    ts = gpu_config.tile_size
-    if x.shape[0] and int(object_id.max()) > max_object_id(config):
-        raise ValueError(
-            f"object id {int(object_id.max())} exceeds the "
-            f"{config.id_bits}-bit ZEB id field"
-        )
+    _check_object_ids(batch, config)
+    sizes = np.diff(batch.offsets)
+    keys = zeb_keys(
+        gpu_config, batch.x, batch.y, np.repeat(batch.tile_index, sizes)
+    )
     backend = _kernels.get_backend(gpu_config.kernel_backend)
-    local = (y % ts).astype(np.int64) * ts + (x % ts).astype(np.int64)
-    codes = quantize_depth(z, config)
     zeb = backend.zeb_insert(
-        local, codes, object_id, is_front, config, gpu_config.tile_pixels
+        keys, quantize_depth(batch.z, config), batch.object_id, batch.front,
+        config, gpu_config.tile_pixels,
     )
     overlap = backend.zoverlap_traverse(zeb, config)
+    return _split_by_tile(gpu_config, batch.tile_index, sizes, zeb, overlap)
 
+
+def zeb_keys(
+    gpu_config: GPUConfig, x: np.ndarray, y: np.ndarray, tile: np.ndarray
+) -> np.ndarray:
+    """ZEB key of each fragment: ``tile * tile_pixels + local pixel``,
+    from global pixel coordinates and the fragment's tile index."""
+    ts = gpu_config.tile_size
+    return (
+        np.asarray(tile, dtype=np.int64) * gpu_config.tile_pixels
+        + (np.asarray(y) % ts).astype(np.int64) * ts
+        + (np.asarray(x) % ts).astype(np.int64)
+    )
+
+
+def _check_object_ids(batch: TileBatch, config: RBCDConfig) -> None:
+    """Reject ids wider than the ZEB id field, naming the largest id of
+    the first offending tile in schedule order."""
+    too_wide = batch.object_id > max_object_id(config)
+    if not too_wide.any():
+        return
+    k = int(np.searchsorted(batch.offsets, too_wide.argmax(), side="right")) - 1
+    worst = int(batch.object_id[batch.offsets[k]:batch.offsets[k + 1]].max())
+    raise ValueError(
+        f"object id {worst} exceeds the {config.id_bits}-bit ZEB id field"
+    )
+
+
+def _by_tile(slot: np.ndarray, num_tiles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group items by tile slot: ``(stable order, items per tile)``."""
+    return np.argsort(slot, kind="stable"), np.bincount(slot, minlength=num_tiles)
+
+
+def _split_by_tile(
+    gpu_config: GPUConfig,
+    tiles: np.ndarray,
+    sizes: np.ndarray,
+    zeb: ZEBTile,
+    overlap: OverlapResult,
+) -> list[RBCDTileResult]:
+    """Cut a frame-wide ZEB and traversal into per-tile results."""
+    tp = gpu_config.tile_pixels
+    m = gpu_config.rbcd.list_length
+    num_tiles = tiles.shape[0]
+    counts = zeb.counts
+
+    # Lists are keyed tile-major: tile k owns rows row_lo[k]:row_hi[k].
+    row_tile = zeb.pixel_index // tp
+    row_lo = np.searchsorted(row_tile, tiles, side="left")
+    row_hi = np.searchsorted(row_tile, tiles, side="right")
+    row_slot = np.repeat(np.arange(num_tiles), row_hi - row_lo)
+
+    def tile_sums(values: np.ndarray) -> np.ndarray:
+        zero = np.zeros((1,) + values.shape[1:], dtype=values.dtype)
+        running = np.concatenate([zero, np.cumsum(values, axis=0)])
+        return running[row_hi] - running[row_lo]
+
+    # Each tile's lists are padded only to that tile's longest list.
+    width = np.zeros(num_tiles, dtype=np.int64)
+    np.maximum.at(width, row_slot, counts)
+    elements = tile_sums(counts)
     # The multi-object filter: lists whose entries all belong to one
     # object are skipped by the overlap hardware (they cannot yield a
     # pair).  Functionally a no-op; counted for the cycle model.
-    multi_object = _multi_object_lists(zeb)
-    analyzed_lists = int(multi_object.sum())
-    analyzed_elements = int(zeb.counts[multi_object].sum())
+    multi = _multi_object_lists(zeb)
+    analyzed_lists = tile_sums(multi.astype(np.int64))
+    analyzed_elements = tile_sums(np.where(multi, counts, 0))
 
-    insertion_cycles = float(zeb.insertions)
-    overlap_cycles = 0.0
-    if zeb.insertions:
-        overlap_cycles = (
-            gpu_config.tile_pixels / _BITMAP_PIXELS_PER_CYCLE
-            + analyzed_lists
-            + analyzed_elements
-            + overlap.pair_records
+    # Pairs come out in frame lock-step order (step, frame row, slot);
+    # regrouping them by tile restores each tile's (step, row, slot).
+    pair_slot = row_slot[overlap.pair_row]
+    order, pair_records = _by_tile(pair_slot, num_tiles)
+    pair_hi = np.cumsum(pair_records)
+    columns = [overlap.pair_row[order] - row_lo[pair_slot[order]]] + [
+        column[order]
+        for column in (
+            overlap.pair_id_a,
+            overlap.pair_id_b,
+            overlap.pair_z_front,
+            overlap.pair_z_back,
+            overlap.pair_case,
+            overlap.pair_stack_depth,
         )
-    return RBCDTileResult(
-        tile_index=tile_index,
-        zeb=zeb,
-        overlap=overlap,
-        insertion_cycles=insertion_cycles,
-        overlap_cycles=overlap_cycles,
-        analyzed_lists=analyzed_lists,
-        analyzed_elements=analyzed_elements,
+    ]
+    overlap_cycles = (
+        tp / _BITMAP_PIXELS_PER_CYCLE
+        + analyzed_lists
+        + analyzed_elements
+        + pair_records
     )
+
+    local_pixel = zeb.pixel_index - row_tile * tp
+    per_tile = np.column_stack([
+        sizes, row_lo, row_hi, width, pair_hi - pair_records, pair_hi,
+        elements,
+        # An arrival leaves its list's length unchanged exactly when it
+        # is an overflow event, and a spare lengthens a list past M by one.
+        sizes - elements,
+        tile_sums(np.maximum(counts - m, 0)),
+        analyzed_lists,
+        analyzed_elements,
+        tile_sums(overlap.list_tallies),
+    ]).tolist()
+    results = []
+    for tile, cycles, (
+        size, lo, hi, w, plo, phi, read, overflows, spares, lists, analyzed,
+        *tallies,
+    ) in zip(tiles.tolist(), overlap_cycles.tolist(), per_tile):
+        tile_zeb = ZEBTile(
+            pixel_index=local_pixel[lo:hi],
+            counts=counts[lo:hi],
+            z_codes=zeb.z_codes[lo:hi, :w],
+            object_ids=zeb.object_ids[lo:hi, :w],
+            is_front=zeb.is_front[lo:hi, :w],
+            insertions=size,
+            overflow_events=overflows,
+            spare_allocations=spares,
+        )
+        tile_overlap = OverlapResult(
+            *(column[plo:phi] for column in columns),
+            elements_read=read,
+            pair_records=phi - plo,
+            stack_overflows=tallies[0],
+            unmatched_backfaces=tallies[1],
+            disjoint_closures=tallies[2],
+            self_pairs_filtered=tallies[3],
+            list_tallies=overlap.list_tallies[lo:hi],
+        )
+        results.append(RBCDTileResult(
+            tile_index=tile,
+            zeb=tile_zeb,
+            overlap=tile_overlap,
+            insertion_cycles=float(size),
+            overlap_cycles=cycles if size else 0.0,
+            analyzed_lists=lists,
+            analyzed_elements=analyzed,
+        ))
+    return results
 
 
 class RBCDUnit:

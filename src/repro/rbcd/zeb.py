@@ -12,11 +12,12 @@ Two implementations are provided:
 * :func:`insert_sequential` — the literal 3-step hardware algorithm
   (read list, parallel compare + mux shift, write back), one fragment at
   a time.  Used as the executable specification in tests.
-* :func:`build_zeb_tile` — a numpy builder that produces bit-identical
-  final lists for a whole tile at once, plus the overflow statistics.
+* :func:`build_zeb` — a numpy builder that produces bit-identical
+  final lists, plus the overflow statistics, for every tile of a frame
+  at once (fragments keyed by tile and local pixel).
 
-The Section 5.3 extension (a pool of spare entries dynamically
-lengthening overflowing lists) is supported by both paths.
+The Section 5.3 extension (a pool of spare entries per tile,
+dynamically lengthening overflowing lists) is supported by both paths.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.element import quantize_depth
 
 
 @dataclass
@@ -37,7 +37,9 @@ class ZEBTile:
     pixel lists and L is the longest list (M, or more when spare
     entries were granted).  Entries at positions >= ``counts[p]`` are
     padding.  Lists are sorted front-to-back (ascending z code), ties
-    in arrival order.
+    in arrival order.  A frame-wide build holds every tile's lists in
+    one instance, ``pixel_index`` keyed by tile and local pixel (see
+    :func:`build_zeb`).
     """
 
     pixel_index: np.ndarray   # (P,) local pixel index within the tile
@@ -94,7 +96,7 @@ def insert_sequential(
     ``fragments`` is a list of ``(pixel_index, z_code, object_id,
     is_front)`` in arrival order.  Returns the final tile contents and
     statistics.  This is the executable specification; use
-    :func:`build_zeb_tile` for speed.
+    :func:`build_zeb` for speed.
     """
     m = config.list_length
     spare_pool = config.spare_entries_per_tile
@@ -169,79 +171,95 @@ def insert_sequential(
 # ---------------------------------------------------------------------------
 
 
-def build_zeb_tile(
+def _arrival_ranks(keys: np.ndarray) -> np.ndarray:
+    """How many earlier entries share each entry's key (0-based)."""
+    n = keys.shape[0]
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    return rank
+
+
+def overflow_arrivals(
+    pixel: np.ndarray, config: RBCDConfig, tile_pixels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which arrivals find their list full: ``(overflowed, spared)`` masks.
+
+    ``pixel`` keys each arrival by ``tile * tile_pixels + local pixel``
+    (any tile numbering works: ``pixel // tile_pixels`` names the tile).
+    The k-th arrival at a pixel finds a full list when ``k >= M``.  Each
+    tile owns its spare pool: the first ``spare_entries_per_tile`` of
+    its full-list arrivals, in arrival order, get a spare entry
+    (``spared``); the rest are overflow events (``overflowed``).
+    """
+    full = _arrival_ranks(pixel) >= config.list_length
+    spared = np.zeros_like(full)
+    if config.spare_entries_per_tile > 0 and full.any():
+        idx = np.flatnonzero(full)
+        tile_rank = _arrival_ranks(pixel[idx] // tile_pixels)
+        spared[idx[tile_rank < config.spare_entries_per_tile]] = True
+    return full & ~spared, spared
+
+
+def build_zeb(
     pixel: np.ndarray,
-    z: np.ndarray,
+    z_codes: np.ndarray,
     object_id: np.ndarray,
     is_front: np.ndarray,
     config: RBCDConfig,
-    depths_are_codes: bool = False,
+    tile_pixels: int,
 ) -> ZEBTile:
-    """Build one tile's final ZEB contents from its fragment arrays.
+    """Build the final ZEB contents of one or more tiles at once.
 
-    Inputs are parallel arrays in *arrival order*: local pixel index,
-    depth (raw in [0,1], or already-quantized codes when
-    ``depths_are_codes``), object id, and front/back flag.
+    Inputs are parallel arrays in *arrival order*: pixel key (see
+    :func:`overflow_arrivals`; a lone tile's local pixel index is its
+    own key), quantized depth code, object id, and front/back flag.
+    The result's lists are ordered by key, so a frame's tiles come out
+    tile by tile, each keeping its own spare pool.
 
-    Equivalent to :func:`insert_sequential` because sorted insertion
-    with drop-farthest is a streaming "keep the M nearest" filter; the
-    spare-pool extension grants capacity to the earliest overflow
-    arrivals, which is reproduced here by ranking arrivals.
+    Equivalent to :func:`insert_sequential` on each tile because sorted
+    insertion with drop-farthest is a streaming "keep the M nearest"
+    filter, and a spare entry lengthens its list by one.
     """
     pixel = np.asarray(pixel, dtype=np.int64)
     n = pixel.shape[0]
     if n == 0:
         return ZEBTile.empty()
-    z_codes = np.asarray(z, dtype=np.int64) if depths_are_codes else quantize_depth(z, config)
+    z_codes = np.asarray(z_codes, dtype=np.int64)
     object_id = np.asarray(object_id, dtype=np.int64)
     is_front = np.asarray(is_front, dtype=bool)
+    overflowed, spared = overflow_arrivals(pixel, config, tile_pixels)
 
-    m = config.list_length
-    arrival = np.arange(n, dtype=np.int64)
-
-    # Arrival rank within each pixel (0-based): how many earlier
-    # fragments hit the same pixel.
-    order_by_pixel = np.lexsort((arrival, pixel))
-    sorted_pixel = pixel[order_by_pixel]
+    # Keep, per pixel, the nearest `capacity` fragments; the stable
+    # sort keeps equal depths in arrival order.  One sort on a packed
+    # (pixel, depth) key is several times faster than np.lexsort, which
+    # remains for negative values and keys too wide to pack in 63 bits.
+    shift = int(z_codes.max()).bit_length()
+    if (
+        z_codes.min() >= 0
+        and pixel.min() >= 0
+        and int(pixel.max()).bit_length() + shift <= 62
+    ):
+        order = np.argsort(pixel << shift | z_codes, kind="stable")
+    else:
+        order = np.lexsort((z_codes, pixel))
+    sorted_pixel = pixel[order]
     starts = np.flatnonzero(np.r_[True, sorted_pixel[1:] != sorted_pixel[:-1]])
-    seg_id = np.cumsum(np.r_[True, sorted_pixel[1:] != sorted_pixel[:-1]]) - 1
-    rank_sorted = np.arange(n) - starts[seg_id]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order_by_pixel] = rank_sorted
-
-    # Spare-pool allocation: every arrival with rank >= M finds a full
-    # list; the first `spare_entries_per_tile` of them (in arrival
-    # order) get a spare, growing their pixel's capacity by one each.
-    overflow_attempts = rank >= m
-    total_overflow = int(overflow_attempts.sum())
-    spares = min(config.spare_entries_per_tile, total_overflow)
-    capacity = np.full(n, m, dtype=np.int64)  # per-fragment view of pixel cap
-    spare_allocations = 0
-    if spares > 0:
-        spared_idx = np.flatnonzero(overflow_attempts)[:spares]
-        spare_allocations = int(spared_idx.shape[0])
-        extra = np.bincount(pixel[spared_idx], minlength=int(pixel.max()) + 1)
-        capacity = m + extra[pixel]
-    overflow_events = total_overflow - spare_allocations
-
-    # Keep, per pixel, the nearest `capacity` fragments (ties by arrival).
-    order = np.lexsort((arrival, z_codes, pixel))
-    sp = pixel[order]
-    starts2 = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
-    seg2 = np.cumsum(np.r_[True, sp[1:] != sp[:-1]]) - 1
-    pos_in_list = np.arange(n) - starts2[seg2]
-    keep = pos_in_list < capacity[order]
-
+    arrivals = np.diff(np.r_[starts, n])
+    capacity = config.list_length + np.add.reduceat(
+        spared[order].astype(np.int64), starts
+    )
+    counts = np.minimum(arrivals, capacity)
+    pos_in_list = np.arange(n) - np.repeat(starts, arrivals)
+    keep = pos_in_list < np.repeat(capacity, arrivals)
     kept = order[keep]
-    kp = pixel[kept]
-    # kept is already sorted by (pixel, z, arrival): ready to pack.
-    uniq_pixels, counts = np.unique(kp, return_counts=True)
-    max_len = int(counts.max())
-    rows = np.searchsorted(uniq_pixels, kp)
-    row_starts = np.r_[0, np.cumsum(counts)[:-1]]
-    cols = np.arange(kept.shape[0]) - row_starts[rows]
 
-    num_rows = uniq_pixels.shape[0]
+    num_rows = starts.shape[0]
+    max_len = int(counts.max())
+    rows = np.repeat(np.arange(num_rows), counts)
+    cols = pos_in_list[keep]
     z_out = np.zeros((num_rows, max_len), dtype=np.int64)
     id_out = np.full((num_rows, max_len), -1, dtype=np.int64)
     front_out = np.zeros((num_rows, max_len), dtype=bool)
@@ -250,52 +268,29 @@ def build_zeb_tile(
     front_out[rows, cols] = is_front[kept]
 
     return ZEBTile(
-        pixel_index=uniq_pixels,
-        counts=counts.astype(np.int64),
+        pixel_index=sorted_pixel[starts],
+        counts=counts,
         z_codes=z_out,
         object_ids=id_out,
         is_front=front_out,
         insertions=n,
-        overflow_events=overflow_events,
-        spare_allocations=spare_allocations,
+        overflow_events=int(overflowed.sum()),
+        spare_allocations=int(spared.sum()),
     )
 
 
 def overflow_events_by_pixel(
-    pixel: np.ndarray, config: RBCDConfig
+    pixel: np.ndarray, config: RBCDConfig, tile_pixels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel ZEB overflow events for one tile's arrival stream.
+    """Per-pixel ZEB overflow events for an arrival stream.
 
-    Mirrors :func:`build_zeb_tile`'s accounting — the k-th arrival at a
-    pixel overflows when ``k >= M`` and no spare entry is left (spares
-    go to the earliest overflow arrivals in arrival order) — but keeps
-    the *location* instead of summing.  Returns ``(pixels, events)``
-    arrays covering only pixels with at least one overflow event; used
-    by the forensics engine to test whether a divergence's witness
-    pixel ever dropped an element.
+    Same keys and accounting as :func:`build_zeb`, but keeps the
+    *location* of each overflow event instead of summing.  Returns
+    ``(pixels, events)`` covering only keys with at least one event;
+    the forensics engine uses it to test whether a divergence's
+    witness pixel ever dropped an element.
     """
     pixel = np.asarray(pixel, dtype=np.int64)
-    n = pixel.shape[0]
-    empty = np.empty(0, dtype=np.int64)
-    if n == 0:
-        return empty, empty.copy()
-
-    arrival = np.arange(n, dtype=np.int64)
-    order_by_pixel = np.lexsort((arrival, pixel))
-    sorted_pixel = pixel[order_by_pixel]
-    new_seg = np.r_[True, sorted_pixel[1:] != sorted_pixel[:-1]]
-    starts = np.flatnonzero(new_seg)
-    seg_id = np.cumsum(new_seg) - 1
-    rank_sorted = np.arange(n) - starts[seg_id]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order_by_pixel] = rank_sorted
-
-    overflow_attempts = rank >= config.list_length
-    spares = min(config.spare_entries_per_tile, int(overflow_attempts.sum()))
-    if spares > 0:
-        overflow_attempts[np.flatnonzero(overflow_attempts)[:spares]] = False
-    if not overflow_attempts.any():
-        return empty, empty.copy()
-    events = np.bincount(pixel[overflow_attempts])
-    pixels = np.flatnonzero(events)
-    return pixels.astype(np.int64), events[pixels].astype(np.int64)
+    overflowed, _ = overflow_arrivals(pixel, config, tile_pixels)
+    pixels, events = np.unique(pixel[overflowed], return_counts=True)
+    return pixels, events.astype(np.int64)

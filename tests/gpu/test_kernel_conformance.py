@@ -54,7 +54,7 @@ def assert_fragments_equal(a, b):
 def assert_overlap_equal(a, b):
     for name in (
         "pair_row", "pair_id_a", "pair_id_b", "pair_z_front",
-        "pair_z_back", "pair_case", "pair_stack_depth",
+        "pair_z_back", "pair_case", "pair_stack_depth", "list_tallies",
     ):
         np.testing.assert_array_equal(
             getattr(a, name), getattr(b, name), err_msg=name
@@ -177,6 +177,25 @@ class TestKernelConformance:
         assert_zeb_equal(
             backend.zeb_insert(pixel, codes, oid, front, config, TILE_PIXELS),
             REFERENCE.zeb_insert(pixel, codes, oid, front, config, TILE_PIXELS),
+        )
+
+    @pytest.mark.parametrize("first_tile", [0, 1 << 48])
+    def test_zeb_insert_keeps_each_tile_apart(self, backend, first_tile):
+        # Three tiles' streams interleaved, one spare entry per tile.
+        # Keys near 2**56 are too wide to pack with a depth code, so
+        # the vectorized builder sorts them with its lexsort fallback.
+        config = RBCDConfig(list_length=2, spare_entries_per_tile=1)
+        pixel, codes, oid, front = random_tile_stream(5, n=600)
+        keys = (first_tile + np.arange(600) % 3) * TILE_PIXELS + pixel
+        ours = backend.zeb_insert(keys, codes, oid, front, config, TILE_PIXELS)
+        theirs = REFERENCE.zeb_insert(
+            keys, codes, oid, front, config, TILE_PIXELS
+        )
+        assert_zeb_equal(ours, theirs)
+        assert theirs.spare_allocations == 3
+        assert_overlap_equal(
+            backend.zoverlap_traverse(ours, config),
+            REFERENCE.zoverlap_traverse(theirs, config),
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

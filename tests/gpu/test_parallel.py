@@ -90,6 +90,23 @@ class TestExecutorMachinery:
         assert result.report.as_sorted_pairs() == before["pairs"]
         assert result.stats.as_dict() == before["stats"]
 
+    def test_one_compute_call_per_frame(self, small_config, monkeypatch):
+        # The benchmark harness times repro.gpu.parallel.compute_tile by
+        # that name; a frame's tiles go through it in one call.
+        import repro.gpu.parallel as parallel
+
+        batches = []
+        real = parallel.compute_tile
+
+        def counting(config, batch):
+            batches.append(len(batch))
+            return real(config, batch)
+
+        monkeypatch.setattr(parallel, "compute_tile", counting)
+        GPU(small_config).render_frame(two_boxes_frame(small_config, 0.8))
+        assert len(batches) == 1
+        assert batches[0] > 1  # several tiles in that one batch
+
     def test_tile_stats_of_result(self, small_config):
         result = GPU(small_config).render_frame(
             two_boxes_frame(small_config, 0.8), keep_fragments=True

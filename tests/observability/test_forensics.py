@@ -66,6 +66,27 @@ class TestRunForensics:
             assert divergence.id_a < divergence.id_b
         assert CAUSE_ZEB_OVERFLOW in starved_report.by_cause()
 
+    @pytest.mark.parametrize("spares", [0, 3])
+    def test_overflow_at_counts_every_overflow_event(self, spares):
+        # Summed over every collisionable pixel, the witness-pixel count
+        # equals the unit's overflow events, spare pools per tile.
+        from repro.experiments.overflow import rerun_unit
+        from repro.gpu.pipeline import GPU
+        from repro.observability.forensics import _FrameReplays
+
+        config = build_config(WIDTH, HEIGHT, zeb_elements=2).with_rbcd(
+            spare_entries_per_tile=spares
+        )
+        frame = workload_by_alias("cap", detail=1).scene.frame_at(1.0, config)
+        frags = GPU(config).render_frame(frame, keep_fragments=True).fragments
+        coll = frags.object_id >= 0
+        pixels = set(zip(frags.x[coll].tolist(), frags.y[coll].tolist()))
+        replays = _FrameReplays(frame, frags, config)
+        events = rerun_unit(frags, config).overflow_events
+        assert events > 0
+        assert replays.overflow_at(sorted(pixels)) == events
+        assert replays.overflow_at([]) == 0
+
     def test_report_document_shape(self, starved_report):
         doc = starved_report.as_document()
         assert doc["schema"] == "rbcd-forensics"

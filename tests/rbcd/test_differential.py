@@ -4,9 +4,10 @@ Randomized (seeded) fragment soups are pushed through the three
 implementations of the ZEB insertion path —
 
 * :func:`insert_sequential`, the hardware-literal executable spec;
-* :func:`build_zeb_tile`, the vectorized builder;
-* the frame's tile loop (:func:`gather_tile_tasks` →
-  :class:`TileExecutor` → :func:`compute_tile` → absorb);
+* :func:`build_zeb`, the vectorized builder;
+* the frame pass (:func:`gather_tile_tasks` → :class:`TileExecutor` →
+  :func:`compute_tile` → absorb), against the per-tile oracle in
+  ``tests/rbcd/tile_oracle.py``;
 
 — and every observable is asserted bit-identical: z-codes, object ids,
 facing bits, per-list counts, and the overflow/spare counters, across
@@ -20,8 +21,9 @@ from repro.gpu.config import GPUConfig, RBCDConfig
 from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup
 from repro.rbcd.element import quantize_depth
-from repro.rbcd.unit import RBCDUnit, compute_tile
-from repro.rbcd.zeb import build_zeb_tile, insert_sequential
+from repro.rbcd.unit import RBCDUnit
+from repro.rbcd.zeb import build_zeb, insert_sequential
+from tests.rbcd.tile_oracle import compute_tile_oracle
 
 TILE_PIXELS = 256  # one 16x16 tile
 
@@ -70,9 +72,7 @@ def test_sequential_equals_vectorized(m, spare, seed):
         config,
         TILE_PIXELS,
     )
-    vectorized = build_zeb_tile(
-        pixel, codes, oid, front, config, depths_are_codes=True
-    )
+    vectorized = build_zeb(pixel, codes, oid, front, config, TILE_PIXELS)
     assert_zeb_equal(reference, vectorized)
     if spare == 0 and m == 2:
         assert reference.overflow_events > 0  # the soup actually overflows
@@ -94,9 +94,7 @@ def test_sequential_equals_vectorized_with_duplicate_depths(m):
         config,
         TILE_PIXELS,
     )
-    vectorized = build_zeb_tile(
-        pixel, codes, oid, front, config, depths_are_codes=True
-    )
+    vectorized = build_zeb(pixel, codes, oid, front, config, TILE_PIXELS)
     assert_zeb_equal(reference, vectorized)
 
 
@@ -112,9 +110,7 @@ def test_spare_pool_exhaustion_matches():
         config,
         TILE_PIXELS,
     )
-    vectorized = build_zeb_tile(
-        pixel, codes, oid, front, config, depths_are_codes=True
-    )
+    vectorized = build_zeb(pixel, codes, oid, front, config, TILE_PIXELS)
     assert_zeb_equal(reference, vectorized)
     assert reference.spare_allocations == 3
     assert reference.overflow_events == 10 - 2 - 3
@@ -167,7 +163,7 @@ def run_serial_reference(config: GPUConfig, soup: FragmentSoup):
     unit = RBCDUnit(config)
     per_tile = {}
     for task in gather_tile_tasks(soup, config):
-        result = compute_tile(
+        result = compute_tile_oracle(
             config, task.tile_index, task.x, task.y, task.z, task.object_id,
             task.front,
         )
@@ -270,7 +266,7 @@ def test_gather_tile_tasks_orders_tiles_and_preserves_arrival():
 
 def test_empty_soup_yields_no_tasks():
     config = GPUConfig().with_screen(*SCREEN)
-    assert gather_tile_tasks(FragmentSoup.empty(), config) == []
+    assert len(gather_tile_tasks(FragmentSoup.empty(), config)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,17 @@ from repro.gpu.config import GPUConfig, RBCDConfig
 from repro.gpu.pipeline import GPU
 from repro.rbcd.element import max_object_id, quantize_depth
 from repro.rbcd.overlap import analyze_pixel_list, analyze_tile
-from repro.rbcd.zeb import build_zeb_tile
+from repro.rbcd.zeb import build_zeb
 from tests.conftest import two_boxes_frame
 
 
 class TestExtremeListLengths:
     def test_m1_holds_only_nearest(self):
         cfg = RBCDConfig(list_length=1, z_bits=18, id_bits=13)
-        tile = build_zeb_tile(
+        tile = build_zeb(
             np.array([0, 0, 0]), np.array([30, 10, 20]),
             np.array([1, 2, 3]), np.ones(3, dtype=bool),
-            cfg, depths_are_codes=True,
+            cfg, 256,
         )
         assert tile.counts.tolist() == [1]
         assert tile.object_ids[0, 0] == 2
@@ -83,11 +83,11 @@ class TestQuantizationTies:
     def test_coincident_faces_still_ordered_by_arrival(self):
         cfg = RBCDConfig()
         z = quantize_depth(np.array([0.5, 0.5, 0.5, 0.5]), cfg)
-        tile = build_zeb_tile(
+        tile = build_zeb(
             np.zeros(4, dtype=np.int64), z,
             np.array([1, 1, 2, 2]),
             np.array([True, False, True, False]),
-            cfg, depths_are_codes=True,
+            cfg, 256,
         )
         # All four codes identical; arrival order preserved:
         # [A ]A [B ]B -> case 1, no collision.
@@ -102,11 +102,11 @@ class TestQuantizationTies:
         quantum = 1.0 / ((1 << cfg.z_bits) - 1)
         z = np.array([0.5, 0.5 + 0.4 * quantum, 0.5 + 0.8 * quantum, 0.6])
         codes = quantize_depth(z, cfg)
-        tile = build_zeb_tile(
+        tile = build_zeb(
             np.zeros(4, dtype=np.int64), codes,
             np.array([1, 2, 1, 2]),
             np.array([True, True, False, False]),
-            cfg, depths_are_codes=True,
+            cfg, 256,
         )
         result = analyze_tile(tile, cfg)
         assert result.pair_records >= 1
@@ -115,6 +115,7 @@ class TestQuantizationTies:
 class TestIdBoundaries:
     def test_max_id_flows_through_unit(self, tiny_config):
         from repro.rbcd.unit import RBCDUnit, compute_tile
+        from tests.rbcd.tile_oracle import tile_batch
 
         unit = RBCDUnit(tiny_config)
         top = max_object_id(tiny_config.rbcd)
@@ -123,8 +124,46 @@ class TestIdBoundaries:
         z = np.array([0.1, 0.2, 0.3, 0.4])
         oid = np.array([top, top - 1, top, top - 1])
         front = np.array([True, True, False, False])
-        unit.absorb(compute_tile(tiny_config, 0, x, y, z, oid, front))
+        (result,) = compute_tile(
+            tiny_config, tile_batch((0, x, y, z, oid, front))
+        )
+        unit.absorb(result)
         assert (top - 1, top) in unit.report
+
+    def test_oversized_id_refused_before_any_tile_through_detect_frame(self):
+        """Left to right: id 1, then 8200 and 8300 on the same pixels,
+        then 9000.  The first offending tile in schedule order holds
+        8200 and 8300 and no valid tile before it is absorbed."""
+        from repro.core import RBCDSystem
+        from repro.geometry.primitives import make_box
+        from repro.geometry.vec import Mat4, Vec3
+        from repro.gpu.commands import DrawCommand, Frame
+        from repro.observability.observer import FrameObserver
+        from tests.conftest import simple_projection, simple_view
+
+        class Tiles(FrameObserver):
+            absorbed = 0
+
+            def record_tile(self, result):
+                self.absorbed += 1
+
+        box = make_box(Vec3(0.4, 0.4, 0.4))
+        frame = Frame(
+            draws=tuple(
+                DrawCommand(box, Mat4.translation(Vec3(x, 0, 0)), object_id=oid)
+                for x, oid in ((-2.0, 1), (0.0, 8200), (0.0, 8300), (2.0, 9000))
+            ),
+            view=simple_view(),
+            projection=simple_projection(160 / 96),
+        )
+        tiles = Tiles()
+        system = RBCDSystem(resolution=(160, 96), observers=[tiles])
+        with pytest.raises(
+            ValueError,
+            match=r"^object id 8300 exceeds the 13-bit ZEB id field$",
+        ):
+            system.detect_frame(frame)
+        assert tiles.absorbed == 0
 
     def test_id_zero_valid(self):
         cfg = RBCDConfig()

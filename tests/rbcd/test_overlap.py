@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
 from repro.rbcd.overlap import OverlapResult, analyze_pixel_list, analyze_tile
-from repro.rbcd.zeb import build_zeb_tile
+from repro.rbcd.zeb import build_zeb
 
 
 def tile_from_lists(lists, config):
@@ -18,13 +18,13 @@ def tile_from_lists(lists, config):
             z.append(zc)
             oid.append(o)
             front.append(f)
-    return build_zeb_tile(
+    return build_zeb(
         np.array(pixel, dtype=np.int64),
         np.array(z, dtype=np.int64),
         np.array(oid, dtype=np.int64),
         np.array(front, dtype=bool),
         config,
-        depths_are_codes=True,
+        256,
     )
 
 
@@ -65,7 +65,7 @@ class TestVectorizedEquivalence:
         z = np.array([f[1] for f in frags], dtype=np.int64)
         oid = np.array([f[2] for f in frags], dtype=np.int64)
         front = np.array([f[3] for f in frags], dtype=bool)
-        zeb = build_zeb_tile(pixel, z, oid, front, config, depths_are_codes=True)
+        zeb = build_zeb(pixel, z, oid, front, config, 256)
 
         vec = analyze_tile(zeb, config)
         vec_pairs = normalize_pairs(vec, zeb.pixel_index)

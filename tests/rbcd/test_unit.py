@@ -5,9 +5,16 @@ import pytest
 
 from repro.gpu.config import GPUConfig
 from repro.rbcd.unit import RBCDUnit, _multi_object_lists, compute_tile
-from repro.rbcd.zeb import build_zeb_tile
+from repro.rbcd.zeb import build_zeb
+from tests.rbcd.tile_oracle import tile_batch
 
 CFG = GPUConfig().with_screen(64, 32)  # 4 x 2 tiles
+
+
+def one_tile(config, tile_index, *fragments):
+    """compute_tile over a batch holding just this tile."""
+    (result,) = compute_tile(config, tile_batch((tile_index, *fragments)))
+    return result
 
 
 def colliding_tile_fragments(x0=0, y0=0):
@@ -25,7 +32,7 @@ class TestProcessTile:
         unit = RBCDUnit(CFG)
         # Tile 5 of a 4-wide grid is at tile coords (1, 1): origin (16, 16).
         x, y, z, oid, front = colliding_tile_fragments(16, 16)
-        unit.absorb(compute_tile(CFG, 5, x, y, z, oid, front))
+        unit.absorb(one_tile(CFG, 5, x, y, z, oid, front))
         assert (1, 2) in unit.report
         (contact,) = unit.report.contacts[next(iter(unit.report.pairs))]
         assert (contact.x, contact.y) == (19, 21)
@@ -34,21 +41,25 @@ class TestProcessTile:
 
     def test_counters_accumulate_across_tiles(self):
         unit = RBCDUnit(CFG)
-        unit.absorb(compute_tile(CFG, 0, *colliding_tile_fragments(0, 0)))
-        unit.absorb(compute_tile(CFG, 1, *colliding_tile_fragments(16, 0)))
+        batch = tile_batch(
+            (0, *colliding_tile_fragments(0, 0)),
+            (1, *colliding_tile_fragments(16, 0)),
+        )
+        for result in compute_tile(CFG, batch):
+            unit.absorb(result)
         assert unit.insertions == 8
         assert unit.report.pair_records_written == 2
 
     def test_reset_clears_state(self):
         unit = RBCDUnit(CFG)
-        unit.absorb(compute_tile(CFG, 0, *colliding_tile_fragments()))
+        unit.absorb(one_tile(CFG, 0, *colliding_tile_fragments()))
         unit.reset()
         assert unit.insertions == 0
         assert len(unit.report) == 0
 
     def test_cycle_outputs(self):
         unit = RBCDUnit(CFG)
-        result = compute_tile(CFG, 0, *colliding_tile_fragments())
+        result = one_tile(CFG, 0, *colliding_tile_fragments())
         unit.absorb(result)
         assert result.insertion_cycles == 4.0
         assert result.overlap_cycles > 0
@@ -56,7 +67,7 @@ class TestProcessTile:
     def test_empty_tile_costs_nothing(self):
         unit = RBCDUnit(CFG)
         empty = np.empty(0, dtype=np.int32)
-        result = compute_tile(
+        result = one_tile(
             CFG, 0, empty, empty, np.empty(0), np.empty(0, dtype=np.int64),
             np.empty(0, dtype=bool),
         )
@@ -70,7 +81,26 @@ class TestProcessTile:
         oid = oid.copy()
         oid[0] = 1 << 13  # exceeds the 13-bit id field
         with pytest.raises(ValueError):
-            unit.absorb(compute_tile(CFG, 0, x, y, z, oid, front))
+            unit.absorb(one_tile(CFG, 0, x, y, z, oid, front))
+
+    def test_oversized_id_in_second_tile_names_that_tiles_largest_id(self):
+        # The first offending tile in schedule order is tile 1; its
+        # largest id is reported, not the first bad id nor tile 2's.
+        x, y, z, oid, front = colliding_tile_fragments(16, 0)
+        bad = oid.copy()
+        bad[0], bad[2] = 1 << 13, (1 << 13) + 5
+        worse = oid.copy()
+        worse[1] = 1 << 20
+        batch = tile_batch(
+            (0, *colliding_tile_fragments(0, 0)),
+            (1, x, y, z, bad, front),
+            (2, x + 16, y, z, worse, front),
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"^object id 8197 exceeds the 13-bit ZEB id field$",
+        ):
+            compute_tile(CFG, batch)
 
 
 class TestMultiObjectFilter:
@@ -82,9 +112,9 @@ class TestMultiObjectFilter:
                 z.append(zc)
                 oid.append(o)
                 front.append(True)
-        return build_zeb_tile(
+        return build_zeb(
             np.array(pixel), np.array(z), np.array(oid),
-            np.array(front, dtype=bool), CFG.rbcd, depths_are_codes=True,
+            np.array(front, dtype=bool), CFG.rbcd, CFG.tile_pixels,
         )
 
     def test_single_object_lists_skipped(self):
@@ -95,7 +125,7 @@ class TestMultiObjectFilter:
     def test_filter_never_drops_pair_producing_lists(self):
         # Any list that could produce a pair has >= 2 distinct ids.
         unit = RBCDUnit(CFG)
-        result = compute_tile(CFG, 0, *colliding_tile_fragments())
+        result = one_tile(CFG, 0, *colliding_tile_fragments())
         unit.absorb(result)
         assert unit.lists_analyzed == 1
         assert result.overlap.pair_records == 1
@@ -108,7 +138,7 @@ class TestMultiObjectFilter:
         z = np.concatenate([np.linspace(0.1, 0.9, 20), [0.1, 0.2, 0.3, 0.4]])
         oid = np.array([1] * 20 + [1, 2, 1, 2], dtype=np.int64)
         front = np.array([True, False] * 10 + [True, True, False, False])
-        result = compute_tile(CFG, 0, x, y, z, oid, front)
+        result = one_tile(CFG, 0, x, y, z, oid, front)
         unit.absorb(result)
         assert unit.lists_analyzed == 1
         assert unit.elements_read == 4
@@ -120,7 +150,7 @@ class TestFallback:
         unit = RBCDUnit(config)
         x = np.array([0, 0, 0], dtype=np.int32)
         y = np.zeros(3, dtype=np.int32)
-        unit.absorb(compute_tile(config, 0, x, y, np.array([0.1, 0.2, 0.3]),
+        unit.absorb(one_tile(config, 0, x, y, np.array([0.1, 0.2, 0.3]),
                                  np.array([1, 2, 3]), np.ones(3, dtype=bool)))
         assert unit.overflow_rate == pytest.approx(2.0 / 3.0)
 
@@ -129,11 +159,11 @@ class TestFallback:
         unit = RBCDUnit(config)
         x = np.array([0, 0, 0], dtype=np.int32)
         y = np.zeros(3, dtype=np.int32)
-        unit.absorb(compute_tile(config, 0, x, y, np.array([0.1, 0.2, 0.3]),
+        unit.absorb(one_tile(config, 0, x, y, np.array([0.1, 0.2, 0.3]),
                                  np.array([1, 2, 3]), np.ones(3, dtype=bool)))
         assert unit.wants_cpu_fallback()
 
     def test_no_fallback_by_default(self):
         unit = RBCDUnit(CFG)
-        unit.absorb(compute_tile(CFG, 0, *colliding_tile_fragments()))
+        unit.absorb(one_tile(CFG, 0, *colliding_tile_fragments()))
         assert not unit.wants_cpu_fallback()

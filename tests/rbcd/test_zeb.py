@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.zeb import ZEBTile, build_zeb_tile, insert_sequential
+from repro.rbcd.zeb import ZEBTile, build_zeb, insert_sequential
 
 TILE_PIXELS = 256
 
@@ -18,8 +18,8 @@ def build_both(fragments, config):
     else:
         pixel = z = oid = np.empty(0, dtype=np.int64)
         front = np.empty(0, dtype=bool)
-    vec = build_zeb_tile(pixel, z, oid, np.array(front, dtype=bool), config,
-                         depths_are_codes=True)
+    vec = build_zeb(pixel, z, oid, np.array(front, dtype=bool), config,
+                    TILE_PIXELS)
     return seq, vec
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.zeb import build_zeb_tile, insert_sequential
+from repro.rbcd.zeb import build_zeb, insert_sequential
 
 TILE_PIXELS = 64
 M_VALUES = (2, 4, 8, 16)
@@ -53,8 +53,8 @@ def _both_tiles(fragments, config):
     else:
         pixel = z = oid = np.empty(0, dtype=np.int64)
         front = np.empty(0, dtype=bool)
-    vec = build_zeb_tile(pixel, z, oid, np.array(front, dtype=bool),
-                         config, depths_are_codes=True)
+    vec = build_zeb(pixel, z, oid, np.array(front, dtype=bool),
+                    config, TILE_PIXELS)
     return seq, vec
 
 
