@@ -34,9 +34,6 @@ class TileBinning:
         lo, hi = self.tile_offsets[tile], self.tile_offsets[tile + 1]
         return self.pair_prim[lo:hi]
 
-    def pairs_of_tile(self, tile: int) -> slice:
-        return slice(int(self.tile_offsets[tile]), int(self.tile_offsets[tile + 1]))
-
     @property
     def pair_count(self) -> int:
         return int(self.pair_prim.shape[0])
@@ -121,19 +118,18 @@ def fetch_tile_lists(
 ) -> np.ndarray:
     """Simulate the Tile Fetcher reading every tile's polygon list.
 
-    Returns per-tile load-miss counts (tiles,) for the timing model.
-    Tiles are visited in raster order (tile index order); each record
-    read is one tile-cache load.
+    Returns per-tile load-miss counts (tiles,) int64 for the timing
+    model.  Tiles are visited in raster order (tile index order); each
+    record read is one tile-cache load.  The records already sit in
+    that order, so the whole frame is one tile-cache call, and its
+    per-access miss flags are summed per tile.
     """
-    misses = np.zeros(config.tile_count, dtype=np.int64)
-    for tile in range(config.tile_count):
-        sl = binning.pairs_of_tile(tile)
-        addresses = binning.record_addresses[sl]
-        if addresses.size == 0:
-            continue
-        m = tile_cache.access_many(addresses)
-        misses[tile] = m
-        stats.tile_cache_loads += addresses.size
-        stats.tile_cache_load_misses += m
-        stats.prims_rasterized += addresses.size
-    return misses
+    loads = binning.record_addresses
+    miss = np.empty(loads.shape, dtype=bool)
+    load_misses = tile_cache.access_many(loads, out=miss)
+    stats.tile_cache_loads += loads.size
+    stats.tile_cache_load_misses += load_misses
+    stats.prims_rasterized += loads.size
+    return np.bincount(
+        binning.pair_tile[miss], minlength=config.tile_count
+    ).astype(np.int64, copy=False)

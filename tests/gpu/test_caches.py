@@ -134,3 +134,49 @@ class TestNegativeAddresses:
             self.cold_cache().access_range(-64, 128)
         with pytest.raises(ValueError, match="non-negative"):
             self.cold_cache().access_range(-64, 0)
+
+
+class TestMalformedInput:
+    # Floats used to be truncated to lines silently, and a 2-D array
+    # failed inside numpy with a broadcasting error.
+    def test_access_many_rejects_float_addresses(self):
+        cache = small_cache()
+        with pytest.raises(ValueError, match="integers.*float64"):
+            cache.access_many(np.array([63.9, 64.2]))
+        assert cache.accesses == 0
+
+    def test_access_many_rejects_non_1d_addresses(self):
+        cache = small_cache()
+        with pytest.raises(ValueError, match="1-D.*\\(2, 2\\)"):
+            cache.access_many(np.array([[0, 64], [128, 192]]))
+        with pytest.raises(ValueError, match="1-D"):
+            cache.access_many(np.int64(64))
+        assert cache.accesses == 0
+
+    def test_access_many_accepts_empty_and_unsigned(self):
+        cache = small_cache()
+        assert cache.access_many([]) == 0
+        assert cache.access_many(np.array([0, 64, 0], dtype=np.uint32)) == 2
+        assert cache.accesses == 3
+
+    def test_access_many_rejects_out_of_wrong_shape(self):
+        cache = small_cache()
+        with pytest.raises(ValueError, match="out must be a bool array of shape \\(3,\\)"):
+            cache.access_many(np.array([0, 64, 128]), out=np.empty(2, dtype=bool))
+        assert cache.accesses == 0
+
+    def test_access_many_rejects_out_of_wrong_dtype(self):
+        cache = small_cache()
+        with pytest.raises(ValueError, match="out must be a bool array.*int64"):
+            cache.access_many(np.array([0, 64]), out=np.zeros(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="out must be a bool array.*list"):
+            cache.access_many(np.array([0, 64]), out=[False, False])
+        assert cache.accesses == 0
+
+    def test_out_receives_per_access_miss_flags(self):
+        cache = small_cache(ways=2, sets=4)
+        out = np.ones(5, dtype=bool)
+        # Lines 0, 4, 0, 8, 4 all map to set 0: miss, miss, hit, miss, miss.
+        misses = cache.access_many(np.array([0, 256, 0, 512, 256]), out=out)
+        assert out.tolist() == [True, True, False, True, True]
+        assert misses == 4

@@ -4,13 +4,19 @@
 independent reference.  Every hit, miss and eviction feeds cycles and
 joules, so the model must agree with it exactly: the same hit/miss
 answer for every access, the same ``accesses`` and ``misses`` counters,
-and the same resident lines in every set, in the same LRU order.
+and the same resident lines in every set, in the same LRU order.  The
+per-access miss flags ``access_many`` writes to ``out=`` must match the
+oracle's access for access, and the last section checks that the suite
+catches three plausible slips in the closed form.
 """
+
+import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
+import repro.gpu.caches as caches
 from repro.gpu.caches import Cache
 from repro.gpu.config import CacheConfig
 from tests.gpu.lru_oracle import Cache as OracleCache, resident_lines
@@ -28,38 +34,55 @@ EXAMPLES = settings(max_examples=15, deadline=None)
 MAX_LINES = 4 * max(WAYS) * max(SETS)
 
 
-def make_pair(ways: int, sets: int) -> tuple[Cache, OracleCache]:
+def make_pair(
+    ways: int, sets: int, cache_class: type = Cache
+) -> tuple[Cache, OracleCache]:
     config = CacheConfig("diff", LINE * ways * sets, LINE, ways)
-    return Cache(config), OracleCache(config)
+    return cache_class(config), OracleCache(config)
 
 
 def assert_same_state(fast: Cache, oracle: OracleCache) -> None:
     assert fast.accesses == oracle.accesses
     assert fast.misses == oracle.misses
-    assert fast._sets == resident_lines(oracle)
+    assert fast.resident_lines() == resident_lines(oracle)
 
 
-def check_stream(ways: int, sets: int, addresses: list[int], cuts: list[int]) -> None:
+def access_with_flags(cache: Cache, addresses: list[int]) -> tuple[int, list[bool]]:
+    """``access_many`` with ``out=``: the misses and the per-access flags."""
+    out = np.empty(len(addresses), dtype=bool)
+    misses = cache.access_many(np.array(addresses, dtype=np.int64), out=out)
+    assert misses == int(out.sum())
+    return misses, out.tolist()
+
+
+def check_stream(
+    ways: int, sets: int, addresses: list[int], cuts: list[int],
+    cache_class: type = Cache,
+) -> None:
     """One stream three ways: per access, in chunks, and whole."""
-    fast, oracle = make_pair(ways, sets)
+    fast, oracle = make_pair(ways, sets, cache_class)
     fast_hits = [fast.access(a) for a in addresses]
     oracle_hits = [oracle.access(a) for a in addresses]
     assert fast_hits == oracle_hits
     assert_same_state(fast, oracle)
-    sequential_state = [list(lines) for lines in fast._sets]
+    sequential_state = fast.resident_lines()
+    oracle_misses = [not hit for hit in oracle_hits]
 
-    fast, oracle = make_pair(ways, sets)
+    fast, oracle = make_pair(ways, sets, cache_class)
     bounds = [0, *sorted(cuts), len(addresses)]
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = np.array(addresses[lo:hi], dtype=np.int64)
-        assert fast.access_many(chunk) == oracle.access_many(chunk)
+        chunk = addresses[lo:hi]
+        misses, flags = access_with_flags(fast, chunk)
+        assert misses == oracle.access_many(np.array(chunk, dtype=np.int64))
+        assert flags == oracle_misses[lo:hi]
         assert_same_state(fast, oracle)
-    assert fast._sets == sequential_state
+    assert fast.resident_lines() == sequential_state
 
-    fast, oracle = make_pair(ways, sets)
+    fast, oracle = make_pair(ways, sets, cache_class)
+    misses, flags = access_with_flags(fast, addresses)
     whole = np.array(addresses, dtype=np.int64)
-    misses = fast.access_many(whole)
     assert misses == oracle.access_many(whole) == fast_hits.count(False)
+    assert flags == oracle_misses
     assert_same_state(fast, oracle)
 
 
@@ -166,3 +189,69 @@ def test_long_mixed_locality_stream(ways, sets):
     pick = rng.integers(0, 3, size=3000)
     addresses = np.choose(pick, [hot, sweep, far]).tolist()
     check_stream(ways, sets, addresses, [750, 1500, 2250])
+
+
+# -- mutants the suite must catch ------------------------------------------
+
+def mutant(old: str, new: str) -> type:
+    """``Cache`` from a copy of the production module with one edit."""
+    source = inspect.getsource(caches)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": "caches_mutant"}
+    exec(compile(source.replace(old, new), "caches_mutant", "exec"), namespace)
+    return namespace["Cache"]
+
+
+def disagrees(cache_class: type, case) -> bool:
+    try:
+        check_stream(*case, cache_class=cache_class)
+    except AssertionError:
+        return True
+    return False
+
+
+@st.composite
+def closed_form_streams(draw):
+    ways = draw(st.sampled_from((1, 2)), label="ways")
+    sets = draw(st.sampled_from(SETS), label="sets")
+    span = 4 * LINE * ways * sets
+    addresses = draw(
+        st.lists(st.integers(0, span - 1), min_size=1, max_size=60),
+        label="addresses",
+    )
+    cuts = draw(st.lists(st.integers(0, len(addresses)), max_size=6), label="cuts")
+    return ways, sets, addresses, cuts
+
+
+def caught(cache_class: type):
+    """A stream the mutant gets wrong, found by hypothesis."""
+    return find(
+        closed_form_streams(),
+        lambda case: disagrees(cache_class, case),
+        settings=settings(
+            max_examples=2000, database=None, derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+
+
+def test_suite_catches_one_back_compare():
+    # Adjacent collapsed accesses never share a line, so this is a
+    # direct-mapped cache in disguise.
+    caught(mutant(
+        "hit[2:] = (kt[2:] == kt[:-2]) & (ks[2:] == ks[:-2])",
+        "hit[1:] = (kt[1:] == kt[:-1]) & (ks[1:] == ks[:-1])",
+    ))
+
+
+def test_suite_catches_collapse_across_sets():
+    # Equal tags in neighbouring sets are different lines.
+    caught(mutant("        kept[1:] |= s[1:] != s[:-1]\n", ""))
+
+
+def test_suite_catches_dropped_carry():
+    # Without the prepend every call starts from a cold cache.
+    caught(mutant(
+        "carried = carried[carried >= 0]",
+        "carried = carried[:0]",
+    ))
