@@ -9,6 +9,7 @@ comments and exercised by the sensitivity benches.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -197,6 +198,12 @@ class GPUConfig:
     kernel_backend: str = field(default_factory=_default_kernel_backend)
 
     def __post_init__(self) -> None:
+        # Pixel and tile counts index arrays: a float or a bool here
+        # would construct, then fail (or silently mean 1) mid-frame.
+        for name in ("screen_width", "screen_height", "tile_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.screen_width <= 0 or self.screen_height <= 0:
             raise ValueError("screen dimensions must be positive")
         if not isinstance(self.kernel_backend, str) or not self.kernel_backend:

@@ -57,14 +57,15 @@ def depth_test(
     if tested_idx.shape[0] == 0:
         return DepthTestResult(passed, z_buffer, winner)
 
-    x = frags.x[tested_idx]
-    y = frags.y[tested_idx]
+    pixel = frags.y.astype(np.int64)
+    pixel *= width
+    pixel += frags.x
+    pixel = pixel[tested_idx]
     z = frags.z[tested_idx]
-    pixel = y.astype(np.int64) * width + x.astype(np.int64)
 
     backend = get_backend(config.kernel_backend)
     mask = backend.earlyz_pass_mask(pixel, z)
-    passed[tested_idx[mask]] = True
+    passed[tested_idx] = mask
     stats.early_z_passes += int(mask.sum())
 
     # Final Z-buffer: per-pixel minimum of tested depths.

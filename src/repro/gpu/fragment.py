@@ -62,9 +62,8 @@ def shade_fragments(
     for the fragments that reach the final image — exactly one per
     covered pixel — instead of every early-Z pass.
     """
-    height, width = config.screen_height, config.screen_width
-    color = np.zeros((height, width, 3), dtype=np.float64)
     if frags.count == 0 or frame.raster_only:
+        color = np.zeros((config.screen_height, config.screen_width, 3))
         return ShadingResult(color, np.zeros(frags.count, dtype=bool), 0.0)
 
     if deferred_shading:
@@ -76,17 +75,19 @@ def shade_fragments(
     per_draw = fragment_shader_cycles_per_draw(frame, config)
     cycles = float(per_draw[frags.draw_index[shaded]].sum())
 
-    stats.fragments_shaded += int(shaded.sum())
-    stats.texture_accesses += int(shaded.sum()) * _TEXTURE_ACCESSES_PER_FRAGMENT
+    num_shaded = int(np.count_nonzero(shaded))
+    stats.fragments_shaded += num_shaded
+    stats.texture_accesses += num_shaded * _TEXTURE_ACCESSES_PER_FRAGMENT
     stats.fragment_cycles += cycles / config.num_fragment_processors
 
-    # Resolve visible colors from the per-pixel winners.
-    win = depth.winner
-    covered = win >= 0
-    if covered.any():
-        draw_of_winner = frags.draw_index[win[covered]]
-        palette = np.array([d.color for d in frame.draws], dtype=np.float64)
-        color[covered] = palette[draw_of_winner]
-        stats.color_writes += int(covered.sum())
+    # Resolve visible colors from the per-pixel winners with one gather:
+    # a pixel no fragment won (winner -1) takes draw index -1, which
+    # picks the palette's extra black row.
+    draw = np.take(np.append(frags.draw_index, -1), depth.winner)
+    palette = np.array(
+        [d.color for d in frame.draws] + [(0.0, 0.0, 0.0)], dtype=np.float64
+    )
+    color = np.take(palette, draw, axis=0)
+    stats.color_writes += int(np.count_nonzero(depth.winner >= 0))
 
     return ShadingResult(color, shaded, cycles)

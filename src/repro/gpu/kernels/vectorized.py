@@ -4,24 +4,42 @@ Bit-identical to the reference backend by construction, not by luck:
 
 * The batched rasterizer evaluates the *same* IEEE-754 expressions as
   the per-triangle scalar loop — same subtractions, same products, same
-  divisions, elementwise — over a flat array of span candidate pixels,
-  then compresses with a boolean mask.  Each (triangle, row) gets a
-  conservative column span: the pixel-centre scanline's crossings with
-  the edges, widened by one pixel and clamped to the bounding box, so
-  every pixel the edge tests would accept is still tested.  Candidates
-  are laid out triangle-ascending, then row-ascending, then column-
-  ascending — a subset of the reference's bounding-box raster order —
-  so equal values arrive in equal order.
+  divisions, elementwise — but only where it must.  Each (triangle,
+  row) gets a conservative column span: the pixel-centre scanline's
+  crossings with the edges, widened by one pixel and clamped to the
+  bounding box, so every pixel the edge tests would accept lies in it.
+  Each edge's row-constant term ``dx * (gy - ay)`` is computed once per
+  (triangle, row); the per-pixel rest, ``- dy * (gx - ax)``, per pixel.
+* For a fixed (triangle, row) each edge value *as computed* is monotone
+  in the column: ``gx - ax``, the product with ``dy`` and the
+  subtraction from the row term are each correctly rounded, and
+  rounding is monotone.  Each edge test therefore accepts a prefix or a
+  suffix of the row, and the covered columns form one interval.  A row
+  at least ``_WINDOW_MIN_WIDTH`` (7) columns wide tests only a window:
+  the three leftmost and the three rightmost columns of its span.  When
+  the third column from each end is covered, the exact run is [first
+  covered column on the left, last covered column on the right] and is
+  emitted without testing the columns between.  Every other row — a
+  narrower one, one whose window brackets no run, or one of a triangle
+  beyond ``_SPAN_MAX_COORD`` — tests each column of its span.  The two
+  kinds merge in (triangle, row, column) order through per-row offsets,
+  and edge values, barycentrics and depth are then computed once per
+  emitted fragment.  Fragments come out triangle-ascending, then
+  row-ascending, then column-ascending — a subset of the reference's
+  bounding-box raster order — so equal values arrive in equal order.
 * Early-Z replaces the sequential per-fragment scan with a segmented
-  exclusive prefix-min over the pixel-sorted stream; comparisons are
-  the same exact float LESS, each fragment is visited once.
+  exclusive prefix-min over the pixel-sorted stream: a doubling
+  (Hillis-Steele) scan in ``ceil(log2(max overdraw))`` passes over
+  contiguous memory.  Comparisons are the same exact float LESS, and
+  ``min`` is exact, so the order in which minima combine cannot change
+  a decision.
 * ZEB insertion and the Z-Overlap traversal reuse the proven
   frame-wide builders (:func:`repro.rbcd.zeb.build_zeb`, a rank-based
   keep-the-M-nearest filter, and :func:`repro.rbcd.overlap.analyze_tile`,
   a lock-step walk of every list at once).
 
-Spans and their candidate pixels are processed in bounded chunks
-(~256k rows, ~1M candidates) so peak memory stays flat on large frames.
+Rows and their span pixels are processed in bounded chunks (~256k rows,
+~1M span pixels) so peak memory stays flat on large frames.
 """
 
 from __future__ import annotations
@@ -32,15 +50,22 @@ from repro.gpu.kernels import KernelBackend
 from repro.rbcd.overlap import analyze_tile
 from repro.rbcd.zeb import build_zeb
 
-# Upper bound on span candidate pixels materialized per chunk.
+# Upper bound on span pixels (and so on fragments) per chunk.
 _MAX_CANDIDATES = 1 << 20
 # Upper bound on (triangle, row) spans materialized per chunk.
 _MAX_ROWS = 1 << 18
-# Spans trust the edge-crossing arithmetic only while every vertex
-# coordinate stays below this magnitude: its rounding error is then far
-# under the one-pixel widening.  Triangles beyond it test whole
-# bounding-box rows.
+# Spans and run windows trust the arithmetic only while every vertex
+# coordinate stays below this magnitude: the crossing's rounding error
+# is then far under the one-pixel widening, and no edge term can
+# overflow into the inf or nan a monotone run cannot hold.  Triangles
+# beyond it test every column of their bounding-box rows.
 _SPAN_MAX_COORD = 2.0**40
+
+# Rows at least this wide first test only a six-column window: the
+# three leftmost and the three rightmost columns of their span.
+_WINDOW_MIN_WIDTH = 7
+_WINDOW_LEFT = np.arange(3)[:, None]
+_WINDOW_RIGHT = np.arange(-2, 1)[:, None]
 
 _EMPTY = (
     np.empty(0, dtype=np.int32),
@@ -72,7 +97,24 @@ def _ramps(first, counts):
     )
 
 
-def _row_spans(xy, sign, tri, y, x0, x1):
+def _edge_setup(vx, vy, sign):
+    """Per-triangle ``(dx, dy, sign * dy, top_left)`` of each edge
+    ``i -> i+1``: the subtractions the scalar loop performs once per
+    triangle, and its top-left rule (y-down) for the orientation-
+    normalized triangle."""
+    edges = []
+    for i in range(3):
+        j = (i + 1) % 3
+        dx = vx[:, j] - vx[:, i]
+        dy = vy[:, j] - vy[:, i]
+        dxn = sign * dx
+        dyn = sign * dy
+        top_left = ((dyn == 0.0) & (dxn > 0.0)) | (dyn < 0.0)
+        edges.append((dx, dy, dyn, top_left))
+    return edges
+
+
+def _row_spans(edges, row_edges, tame, tri, x0, x1):
     """Conservative pixel-column span ``[lo, hi]`` of each (triangle, row).
 
     On scanline ``gy = y + 0.5`` an edge with orientation-normalized
@@ -81,21 +123,16 @@ def _row_spans(xy, sign, tri, y, x0, x1):
     bound.  Each bound is widened by one pixel past the exact one and
     clamped to the triangle's bounding box; a non-finite crossing
     leaves the box bound in place.  ``lo > hi`` is an empty row.
+    ``row_edges`` holds each edge's per-row ``(ax, gy - ay)``.
     """
-    vx = xy[:, :, 0]
-    vy = xy[:, :, 1]
-    tame = np.abs(xy).max(axis=(1, 2)) < _SPAN_MAX_COORD
-    gy = y.astype(np.float64) + 0.5
     lo = np.full(tri.shape[0], -np.inf)
     hi = np.full(tri.shape[0], np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(3):
-            j = (i + 1) % 3
-            dy = vy[:, j] - vy[:, i]
-            slope = np.where(tame, (vx[:, j] - vx[:, i]) / dy, np.nan)
-            sdy = (sign * dy)[tri]
+        for (dx, dy, dyn, _), (ax, rel_y) in zip(edges, row_edges):
+            slope = np.where(tame, dx / dy, np.nan)
+            sdy = dyn[tri]
             # Pixel column whose centre sits on the crossing: xc - 0.5.
-            c = vx[tri, i] - 0.5 + slope[tri] * (gy - vy[tri, i])
+            c = ax - 0.5 + slope[tri] * rel_y
             hi = np.where(sdy > 0.0, np.fmin(hi, np.floor(c) + 1.0), hi)
             lo = np.where(sdy < 0.0, np.fmax(lo, np.ceil(c) - 1.0), lo)
     box_lo = x0[tri].astype(np.float64)
@@ -105,95 +142,172 @@ def _row_spans(xy, sign, tri, y, x0, x1):
     return lo, hi
 
 
-def _raster_chunk(xy, z, tri_of, cx, cy, area2, sign):
-    """Edge-test candidate pixels ``(cx, cy)`` of triangles ``tri_of``."""
-    gx = cx.astype(np.float64) + 0.5
-    gy = cy.astype(np.float64) + 0.5
+def _edge_values(terms, rows, gx):
+    """Each edge's value at pixel centres ``gx`` on ``rows``.
 
-    vx = xy[:, :, 0]
-    vy = xy[:, :, 1]
-    s = sign[tri_of]
-    inside = np.ones(tri_of.shape[0], dtype=bool)
-    f_values = []
-    for i in range(3):
-        j = (i + 1) % 3
-        # Per-triangle edge setup, then gathered per candidate — the
-        # same subtractions the scalar loop performs once per triangle.
-        dx_t = vx[:, j] - vx[:, i]
-        dy_t = vy[:, j] - vy[:, i]
-        dxn = sign * dx_t
-        dyn = sign * dy_t
-        top_left_t = ((dyn == 0.0) & (dxn > 0.0)) | (dyn < 0.0)
+    ``terms`` holds each edge's per-row ``(c, dy, ax, top_left)``, with
+    ``c = dx * (gy - ay)`` the row-constant half of the scalar loop's
+    ``dx * (gy - ay) - dy * (gx - ax)``; the rest is evaluated per
+    pixel, operation for operation (in place, to spare temporaries).
+    ``rows`` indexes the per-row arrays and broadcasts against ``gx``.
+    """
+    values = []
+    for c, dy, ax, _ in terms:
+        f = gx - ax[rows]
+        np.multiply(dy[rows], f, out=f)
+        np.subtract(c[rows], f, out=f)
+        values.append(f)
+    return values
 
-        ax = vx[tri_of, i]
-        ay = vy[tri_of, i]
-        f = dx_t[tri_of] * (gy - ay) - dy_t[tri_of] * (gx - ax)
-        f_signed = s * f
-        on_edge_ok = np.where(top_left_t[tri_of], f_signed >= 0.0, f_signed > 0.0)
-        inside &= on_edge_ok
-        f_values.append(f)
 
-    keep = np.flatnonzero(inside)
-    if keep.shape[0] == 0:
+def _inside(terms, sign, rows, gx):
+    """Top-left-rule inside test of pixel centres ``gx`` on ``rows``."""
+    s = sign[rows]
+    inside = True
+    for f, (_, _, _, top_left) in zip(_edge_values(terms, rows, gx), terms):
+        np.multiply(s, f, out=f)
+        inside = inside & np.where(top_left[rows], f >= 0.0, f > 0.0)
+    return inside
+
+
+def _window_runs(inside, lo, hi):
+    """Exact covered runs of the rows whose window brackets one.
+
+    ``inside`` is the ``(6, rows)`` test of columns ``lo .. lo+2`` and
+    ``hi-2 .. hi``.  Each edge value, as computed, is monotone in the
+    column (every step of it is a correctly rounded, monotone
+    operation), so a row's covered columns form one interval.  When the
+    third column from each end is covered, every column between them is
+    too, and the run is [first covered column on the left, last covered
+    column on the right].  Returns the mask of such rows and their
+    runs' ``first`` and ``last`` columns.
+    """
+    ok = inside[2] & inside[3]
+    first = lo[ok] + np.argmax(inside[:3, ok], axis=0)
+    last = hi[ok] - np.argmax(inside[:2:-1, ok], axis=0)
+    return ok, first, last
+
+
+def _raster_rows(z, area2, sign, edges, row_edges, tame, tri, y, lo, hi):
+    """Fragments of the rows ``(tri, y)`` within their spans ``[lo, hi]``.
+
+    Rows of span-safe triangles at least ``_WINDOW_MIN_WIDTH`` wide
+    test only their six window columns (:func:`_window_runs`); every
+    other row tests each column of its span.  The two kinds merge in
+    (row, column) order through per-row offsets, then edge values,
+    barycentrics and depth are computed once per emitted fragment.
+    """
+    row_sign = sign[tri]
+    # Per (triangle, row): the row-constant half of each edge value.
+    terms = [
+        (dx[tri] * rel_y, dy[tri], ax, top_left[tri])
+        for (dx, dy, _, top_left), (ax, rel_y) in zip(edges, row_edges)
+    ]
+    num_rows = tri.shape[0]
+    width = hi - lo + 1
+
+    win = np.flatnonzero(tame[tri] & (width >= _WINDOW_MIN_WIDTH))
+    window = np.concatenate(
+        (lo[win] + _WINDOW_LEFT, hi[win] + _WINDOW_RIGHT), axis=0
+    )
+    ok, first, last = _window_runs(
+        _inside(terms, row_sign, win, window + 0.5), lo[win], hi[win]
+    )
+    runs = win[ok]
+
+    tested = np.ones(num_rows, dtype=bool)
+    tested[runs] = False
+    tested = np.flatnonzero(tested & (width > 0))
+    cand_row = np.repeat(tested, width[tested])
+    cand_col = _ramps(lo[tested], width[tested])
+    keep = np.flatnonzero(_inside(terms, row_sign, cand_row, cand_col + 0.5))
+    kept_row = cand_row[keep]
+
+    kept = np.bincount(kept_row, minlength=num_rows)
+    count = kept.copy()
+    count[runs] = last - first + 1
+    total = int(count.sum())
+    if total == 0:
         return None
-    kt = tri_of[keep]
+    offset = np.cumsum(count) - count
+    start = np.zeros(num_rows, dtype=np.int64)
+    start[runs] = first
+    row = np.repeat(np.arange(num_rows), count)
+    col = np.arange(total, dtype=np.int64) + (start - offset)[row]
+    # Candidate-tested rows take their kept columns, in place.
+    kept_offset = offset - (np.cumsum(kept) - kept)
+    col[np.arange(keep.shape[0]) + kept_offset[kept_row]] = cand_col[keep]
+
+    kt = tri[row]
+    f0, f1, f2 = _edge_values(terms, row, col + 0.5)
     a2 = area2[kt]
     # Barycentric weights: F_i / area2 is the weight of vertex i+2.
-    w2 = f_values[0][keep] / a2
-    w0 = f_values[1][keep] / a2
-    w1 = f_values[2][keep] / a2
-    pz = w0 * z[kt, 0] + w1 * z[kt, 1] + w2 * z[kt, 2]
-    return (
-        cx[keep].astype(np.int32),
-        cy[keep].astype(np.int32),
-        pz,
-        kt,
-    )
+    w2 = np.divide(f0, a2, out=f0)
+    w0 = np.divide(f1, a2, out=f1)
+    w1 = np.divide(f2, a2, out=f2)
+    # pz = w0 * z0 + w1 * z1 + w2 * z2, summed left to right.  (take
+    # on a column view gathers ~3x faster than z[kt, i].)
+    pz = np.multiply(w0, np.take(z[:, 0], kt), out=w0)
+    pz += np.multiply(w1, np.take(z[:, 1], kt), out=w1)
+    pz += np.multiply(w2, np.take(z[:, 2], kt), out=w2)
+    return col.astype(np.int32), y[row].astype(np.int32), pz, kt
 
 
 def rasterize_triangles(
     xy: np.ndarray, z: np.ndarray, width: int, height: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scan-convert a whole triangle batch over per-row span candidates."""
+    """Scan-convert a whole triangle batch over per-row spans."""
     num_tris = xy.shape[0]
     if num_tris == 0:
         return _EMPTY
 
+    vx = xy[:, :, 0]
+    vy = xy[:, :, 1]
     e1 = xy[:, 1, :] - xy[:, 0, :]
     e2 = xy[:, 2, :] - xy[:, 0, :]
     area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     sign = np.where(area2 > 0.0, 1.0, -1.0)
 
-    vx = xy[:, :, 0]
-    vy = xy[:, :, 1]
-    x0 = np.maximum(np.floor(vx.min(axis=1)), 0.0).astype(np.int64)
-    x1 = np.minimum(np.ceil(vx.max(axis=1)), float(width - 1)).astype(np.int64)
-    y0 = np.maximum(np.floor(vy.min(axis=1)), 0.0).astype(np.int64)
-    y1 = np.minimum(np.ceil(vy.max(axis=1)), float(height - 1)).astype(np.int64)
+    # Elementwise over the three vertex columns: an axis=1 reduction
+    # costs more than the rasterizing on frames of small triangles.
+    min_x = np.minimum(np.minimum(vx[:, 0], vx[:, 1]), vx[:, 2])
+    max_x = np.maximum(np.maximum(vx[:, 0], vx[:, 1]), vx[:, 2])
+    min_y = np.minimum(np.minimum(vy[:, 0], vy[:, 1]), vy[:, 2])
+    max_y = np.maximum(np.maximum(vy[:, 0], vy[:, 1]), vy[:, 2])
+    x0 = np.maximum(np.floor(min_x), 0.0).astype(np.int64)
+    x1 = np.minimum(np.ceil(max_x), float(width - 1)).astype(np.int64)
+    y0 = np.maximum(np.floor(min_y), 0.0).astype(np.int64)
+    y1 = np.minimum(np.ceil(max_y), float(height - 1)).astype(np.int64)
     live = np.flatnonzero((area2 != 0.0) & (x1 >= x0) & (y1 >= y0))
     if live.shape[0] == 0:
         return _EMPTY
     rows = y1[live] - y0[live] + 1
+    tame = (
+        np.maximum(np.maximum(-min_x, max_x), np.maximum(-min_y, max_y))
+        < _SPAN_MAX_COORD
+    )
+    edges = _edge_setup(vx, vy, sign)
 
-    # Candidates run triangle-ascending, then row-ascending, then
-    # column-ascending: a subset of the bounding-box raster order, so
-    # emission order matches the reference backend.
+    # Rows run triangle-ascending, then row-ascending, and each row's
+    # fragments column-ascending: a subset of the bounding-box raster
+    # order, so emission order matches the reference backend.
     pieces = []
     for a, b in _bounded_runs(rows, _MAX_ROWS):
         row_tri = np.repeat(live[a:b], rows[a:b])
         row_y = _ramps(y0[live[a:b]], rows[a:b])
-        lo, hi = _row_spans(xy, sign, row_tri, row_y, x0, x1)
+        gy = row_y.astype(np.float64) + 0.5
+        # Each edge's start vertex per row: ax and gy - ay.
+        row_edges = [
+            (np.take(vx[:, i], row_tri), gy - np.take(vy[:, i], row_tri))
+            for i in range(3)
+        ]
+        lo, hi = _row_spans(edges, row_edges, tame, row_tri, x0, x1)
         cols = np.maximum(hi - lo + 1, 0)
         for c, d in _bounded_runs(cols, _MAX_CANDIDATES):
-            n = cols[c:d]
-            piece = _raster_chunk(
-                xy,
-                z,
-                np.repeat(row_tri[c:d], n),
-                _ramps(lo[c:d], n),
-                np.repeat(row_y[c:d], n),
-                area2,
-                sign,
+            piece = _raster_rows(
+                z, area2, sign, edges,
+                [(ax[c:d], rel_y[c:d]) for ax, rel_y in row_edges], tame,
+                row_tri[c:d], row_y[c:d], lo[c:d], hi[c:d],
             )
             if piece is not None:
                 pieces.append(piece)
@@ -205,13 +319,37 @@ def rasterize_triangles(
     return tuple(np.concatenate(parts) for parts in zip(*pieces))
 
 
+def _segmented_prefix_min(values, keys):
+    """Inclusive running minimum of ``values`` within each run of equal
+    ``keys`` (``keys`` sorted, so each run is one contiguous segment).
+
+    A doubling (Hillis-Steele) scan: after the pass with shift ``d``
+    every element holds the minimum of the ``2d`` elements ending at
+    it, cut at its segment's start, so ``ceil(log2(longest segment))``
+    passes over contiguous memory finish the scan.  An element takes
+    its partner ``d`` back only when both share a key, which for sorted
+    keys is exactly when its position in the segment is at least ``d``.
+    """
+    run = values.copy()
+    d = 1
+    while d < run.shape[0]:
+        same = keys[d:] == keys[:-d]
+        if not same.any():
+            break
+        np.copyto(run[d:], np.minimum(run[d:], run[:-d]), where=same)
+        d *= 2
+    return run
+
+
 def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Segmented exclusive prefix-min LESS test, one visit per fragment.
 
     Fragments are stably sorted by pixel (keeping arrival order within
-    each segment), then a lock-step walk over in-segment positions
-    updates all segments' running minima; the Python-level loop runs
-    max-overdraw times.
+    each segment); a fragment passes when its depth is below the
+    minimum of the buffer's clear value 1.0 and every earlier depth at
+    its pixel.  That exclusive minimum is the inclusive running minimum
+    of the sorted depths shifted by one, with 1.0 at each segment
+    start.
     """
     n = pixel.shape[0]
     passed = np.zeros(n, dtype=bool)
@@ -222,21 +360,9 @@ def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
     sp = pixel[order]
     sz = z[order]
 
-    new_segment = np.r_[True, sp[1:] != sp[:-1]]
-    starts = np.flatnonzero(new_segment)
-    seg_ends = np.r_[starts[1:], n]
-    seg_lengths = seg_ends - starts
-
-    excl_min = np.empty(n, dtype=np.float64)
-    running = np.full(starts.shape[0], 1.0)  # z-buffer clear value
-    alive = np.arange(starts.shape[0])
-    for k in range(int(seg_lengths.max())):
-        alive = alive[k < seg_lengths[alive]]
-        idx = starts[alive] + k
-        excl_min[idx] = running[alive]
-        running[alive] = np.minimum(running[alive], sz[idx])
-
-    passed[order] = sz < excl_min
+    shifted = np.ones(n)  # 1.0: the z-buffer clear value
+    np.copyto(shifted[1:], sz[:-1], where=sp[1:] == sp[:-1])
+    passed[order] = sz < _segmented_prefix_min(shifted, sp)
     return passed
 
 

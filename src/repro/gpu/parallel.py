@@ -104,15 +104,20 @@ class TileBatch:
         return int(self.x.shape[0])
 
 
-def gather_tile_tasks(frags, config: GPUConfig) -> TileBatch:
+def gather_tile_tasks(
+    frags, config: GPUConfig, tile_index: np.ndarray | None = None
+) -> TileBatch:
     """Group a frame's collisionable fragments by tile.
 
     One stable sort by tile index: tiles come out in tile-schedule
     order (ascending index) with each tile's fragments in their
-    original arrival order.
+    original arrival order.  ``tile_index`` is
+    ``frags.tile_index(config)`` when the caller already has it.
     """
+    if tile_index is None:
+        tile_index = frags.tile_index(config)
     coll = np.flatnonzero(frags.object_id >= 0)
-    tiles = frags.tile_index(config)[coll]
+    tiles = tile_index[coll]
     order = np.argsort(tiles, kind="stable")
     idx = coll[order]
     sorted_tiles = tiles[order]

@@ -312,6 +312,7 @@ class GPU:
                 )
             with tracer.span("raster.rasterize"):
                 frags = rasterize(soup, config, stats)
+            tile_idx = frags.tile_index(config)
 
             if frame.raster_only:
                 depth = DepthTestResult(
@@ -349,7 +350,8 @@ class GPU:
             with tracer.span("rbcd") as rbcd_span:
                 unit = RBCDUnit(config)
                 report = self._run_rbcd(
-                    unit, frags, stats, overlap_cycles, insertion_limit
+                    unit, frags, tile_idx, stats, overlap_cycles,
+                    insertion_limit,
                 )
                 cpu_fallback = unit.wants_cpu_fallback()
                 if cpu_fallback:
@@ -362,7 +364,6 @@ class GPU:
 
         # -- raster pipeline: timing --------------------------------------------
         with tracer.span("schedule") as schedule_span:
-            tile_idx = frags.tile_index(config)
             frags_per_tile = np.bincount(tile_idx, minlength=config.tile_count)
 
             shader_cycles_tile = np.zeros(config.tile_count)
@@ -502,6 +503,7 @@ class GPU:
         self,
         unit: RBCDUnit,
         frags: FragmentSoup,
+        tile_idx: np.ndarray,
         stats: GPUStats,
         overlap_cycles: np.ndarray,
         insertion_limit: np.ndarray,
@@ -521,7 +523,7 @@ class GPU:
         cost only.
         """
         tracer = self.tracer
-        batch = gather_tile_tasks(frags, self.config)
+        batch = gather_tile_tasks(frags, self.config, tile_idx)
         stats.rbcd_fragments_in += batch.fragment_count
         observers = self.observers
         for result in self._executor.run(self.config, batch):

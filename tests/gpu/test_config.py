@@ -1,7 +1,9 @@
 """GPUConfig / RBCDConfig tests."""
 
 import math
+import numbers
 
+import numpy as np
 import pytest
 
 from repro.gpu.config import CacheConfig, GPUConfig, QueueConfig, RBCDConfig
@@ -41,6 +43,38 @@ class TestGPUConfig:
     def test_invalid_screen(self):
         with pytest.raises(ValueError):
             GPUConfig().with_screen(0, 480)
+
+    @pytest.mark.parametrize(
+        "width,height,tile_size",
+        [
+            (160.5, 96, 16),   # a float width reached tiling, then failed
+            (16.5, 16, 16),    # tiles_x came out as 2.0
+            (160, 96.0, 16),   # integral, but still a float
+            (True, 16, 16),    # a bool is an int subclass
+            (160, False, 16),
+            (160, 96, 16.0),
+            (160, 96, True),
+            (160, 96, np.bool_(True)),
+            ("160", 96, 16),
+        ],
+    )
+    def test_non_integral_screen_or_tile_rejected(self, width, height, tile_size):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GPUConfig(
+                screen_width=width, screen_height=height, tile_size=tile_size
+            )
+
+    def test_with_screen_rejects_a_float(self):
+        with pytest.raises(ValueError, match="screen_width must be an integer"):
+            GPUConfig().with_screen(160.5, 96)
+
+    def test_numpy_integer_screen_and_tile_accepted(self):
+        cfg = GPUConfig(
+            screen_width=np.int64(17), screen_height=np.int32(33),
+            tile_size=np.int16(16),
+        )
+        assert (cfg.tiles_x, cfg.tiles_y) == (2, 3)
+        assert isinstance(cfg.tiles_x, numbers.Integral)
 
     def test_mem_latency_avg(self):
         assert GPUConfig().mem_latency_avg_cycles == pytest.approx(75.0)

@@ -306,16 +306,17 @@ wide_coord = st.floats(-48.0, 72.0)  # screen-sized, partly off-screen
 
 
 @st.composite
-def raster_triangle(draw):
+def raster_triangle(
+    draw, coord=coord, lattice_coord=lattice_coord, wide_coord=wide_coord,
+    kinds=("generic", "lattice", "wide", "sliver", "near_horizontal",
+           "sub_pixel", "zero_area"),
+):
     """One triangle of an adversarial kind, in a random vertex order."""
 
     def point(c=coord):
         return [draw(c), draw(c)]
 
-    kind = draw(st.sampled_from(
-        ["generic", "lattice", "wide", "sliver", "near_horizontal",
-         "sub_pixel", "zero_area"]
-    ))
+    kind = draw(st.sampled_from(kinds))
     if kind == "generic":
         tri = [point(), point(), point()]
     elif kind == "lattice":  # pixel centres land exactly on edges
@@ -332,6 +333,10 @@ def raster_triangle(draw):
         a = point()
         dy = draw(st.floats(1e-12, 1e-6)) * draw(st.sampled_from([-1.0, 1.0]))
         tri = [a, [draw(coord), a[1] + dy], point()]
+    elif kind == "needle":  # long and at most a pixel or so thick
+        a, b = point(), point()
+        tri = [a, b, [b[0] + draw(st.floats(-1.5, 1.5)),
+                      b[1] + draw(st.floats(-1.5, 1.5))]]
     elif kind == "sub_pixel":
         bx, by = point(lattice_coord)
         offset = st.floats(-0.75, 0.75)
@@ -402,6 +407,157 @@ def test_rasterize_chunked_spans_match_reference(monkeypatch):
             vectorized.rasterize_triangles(xy, z, 64, 64),
             REFERENCE.rasterize_triangles(xy, z, 64, 64),
         )
+
+
+# A screen wide enough for many spans of at least
+# ``vectorized._WINDOW_MIN_WIDTH`` columns, so rows take the run window
+# and, where the window brackets no run, its candidate-test fallback.
+WIDE_W, WIDE_H = 96, 64
+wide_screen_triangle = raster_triangle(
+    coord=st.floats(-12.0, 108.0),
+    lattice_coord=st.integers(-24, 216).map(lambda k: k / 2.0),
+    wide_coord=st.floats(-150.0, 250.0),
+    kinds=("generic", "lattice", "wide", "sliver", "near_horizontal",
+           "needle"),
+)
+
+
+def test_vectorized_rasterizer_matches_reference_at_a_wider_screen(monkeypatch):
+    seen = {"runs": 0, "fallbacks": 0}
+    window_runs = vectorized._window_runs
+
+    def counting(inside, lo, hi):
+        ok, first, last = window_runs(inside, lo, hi)
+        seen["runs"] += int(ok.sum())
+        seen["fallbacks"] += int((~ok).sum())
+        return ok, first, last
+
+    monkeypatch.setattr(vectorized, "_window_runs", counting)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=st.lists(wide_screen_triangle, min_size=1, max_size=6))
+    # Wide rows, and two rows past an exactly horizontal edge.
+    @example(batch=[([[2.0, 40.25], [60.0, 40.25], [35.9, 3.0]], [0.2, 0.5, 0.8])])
+    def check(batch):
+        xy = np.array([tri for tri, _ in batch], dtype=np.float64)
+        z = np.array([depths for _, depths in batch], dtype=np.float64)
+        assert_fragments_equal(
+            vectorized.rasterize_triangles(xy, z, WIDE_W, WIDE_H),
+            REFERENCE.rasterize_triangles(xy, z, WIDE_W, WIDE_H),
+        )
+
+    check()
+    # Both the windowed path and its fallback ran.
+    assert seen["runs"] > 0
+    assert seen["fallbacks"] > 0
+
+
+def horizontal_edge_triangles(seed: int, n: int = 12):
+    """Triangles with one exactly horizontal edge off the pixel grid.
+
+    The bounding box reaches a row past that edge whose scanline lies
+    outside the triangle, while the other two edges' lines still span
+    most of the box there: a wide span with no covered pixel, so the
+    run window brackets nothing and the row falls back to the
+    candidate test.
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(8.0, 56.0, size=n)
+    x0 = rng.uniform(-4.0, 20.0, size=n)
+    x1 = x0 + rng.uniform(16.0, 44.0, size=n)
+    apex = np.stack(
+        [rng.uniform(0.0, 64.0, size=n),
+         y + rng.choice([-1.0, 1.0], size=n) * rng.uniform(6.0, 30.0, size=n)],
+        axis=1,
+    )
+    xy = np.stack(
+        [np.stack([x0, y], axis=1), np.stack([x1, y], axis=1), apex], axis=1
+    )
+    return xy, rng.uniform(0.0, 1.0, size=(n, 3))
+
+
+def test_rows_past_a_horizontal_edge_match_reference(monkeypatch):
+    fallbacks = []
+    window_runs = vectorized._window_runs
+
+    def counting(inside, lo, hi):
+        ok, first, last = window_runs(inside, lo, hi)
+        fallbacks.append(int((~ok).sum()))
+        return ok, first, last
+
+    monkeypatch.setattr(vectorized, "_window_runs", counting)
+    for seed in (0, 1, 2):
+        xy, z = horizontal_edge_triangles(seed)
+        assert_fragments_equal(
+            vectorized.rasterize_triangles(xy, z, 64, 64),
+            REFERENCE.rasterize_triangles(xy, z, 64, 64),
+        )
+    assert sum(fallbacks) > 0
+
+
+def _assert_every_fixture_fails_conformance(fixture):
+    for seed in (0, 1, 2):
+        xy, z = fixture(seed)
+        with pytest.raises(AssertionError):
+            assert_fragments_equal(
+                vectorized.rasterize_triangles(xy, z, 64, 64),
+                REFERENCE.rasterize_triangles(xy, z, 64, 64),
+            )
+
+
+def test_run_accepted_without_its_third_window_column_fails_conformance(
+    monkeypatch,
+):
+    """A run taken without checking that the third column from each
+    end is covered emits pixels the reference leaves out."""
+    window_runs = vectorized._window_runs
+
+    def unchecked(inside, lo, hi):
+        inside = inside.copy()
+        inside[2:4] = True
+        return window_runs(inside, lo, hi)
+
+    monkeypatch.setattr(vectorized, "_window_runs", unchecked)
+    _assert_every_fixture_fails_conformance(horizontal_edge_triangles)
+
+
+@pytest.mark.parametrize("side", ["first", "last"])
+def test_run_narrowed_by_one_pixel_fails_conformance(monkeypatch, side):
+    window_runs = vectorized._window_runs
+
+    def narrowed(inside, lo, hi):
+        ok, first, last = window_runs(inside, lo, hi)
+        return (ok, first + 1, last) if side == "first" else (ok, first, last - 1)
+
+    monkeypatch.setattr(vectorized, "_window_runs", narrowed)
+    _assert_every_fixture_fails_conformance(
+        lambda seed: random_triangles(seed, 24)
+    )
+
+
+def test_earlyz_scan_without_its_segment_guard_fails_conformance(monkeypatch):
+    """Without the same-pixel guard the doubling scan carries minima
+    across pixel segments, so fragments fail against other pixels'
+    depths."""
+
+    def unguarded(values, keys):
+        run = values.copy()
+        d = 1
+        while d < run.shape[0]:
+            np.minimum(run[d:], run[:-d], out=run[d:])
+            d *= 2
+        return run
+
+    monkeypatch.setattr(vectorized, "_segmented_prefix_min", unguarded)
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        pixel = rng.integers(0, 40, size=800).astype(np.int64)
+        z = rng.choice([0.25, 0.5, 0.5, 0.75, 1.0], size=800)
+        with pytest.raises(AssertionError):
+            np.testing.assert_array_equal(
+                vectorized.earlyz_pass_mask(pixel, z),
+                REFERENCE.earlyz_pass_mask(pixel, z),
+            )
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e12, 1e15, 1e17])

@@ -107,6 +107,36 @@ class TestExecutorMachinery:
         assert len(batches) == 1
         assert batches[0] > 1  # several tiles in that one batch
 
+    def test_frame_computes_the_fragment_tile_index_once(
+        self, monkeypatch, small_config
+    ):
+        # The RBCD gather and the tile schedule share one tile index.
+        from repro.gpu.raster import FragmentSoup
+
+        calls = []
+        real = FragmentSoup.tile_index
+
+        def counting(self, config):
+            calls.append(self.count)
+            return real(self, config)
+
+        monkeypatch.setattr(FragmentSoup, "tile_index", counting)
+        GPU(small_config).render_frame(two_boxes_frame(small_config, 0.8))
+        assert len(calls) == 1 and calls[0] > 0
+
+    def test_gather_with_a_given_tile_index_matches(self, small_config):
+        frags = GPU(small_config).render_frame(
+            two_boxes_frame(small_config, 0.8), keep_fragments=True
+        ).fragments
+        ours = gather_tile_tasks(
+            frags, small_config, frags.tile_index(small_config)
+        )
+        theirs = gather_tile_tasks(frags, small_config)
+        for name in ("tile_index", "offsets", "x", "y", "z", "object_id", "front"):
+            np.testing.assert_array_equal(
+                getattr(ours, name), getattr(theirs, name), err_msg=name
+            )
+
     def test_tile_stats_of_result(self, small_config):
         result = GPU(small_config).render_frame(
             two_boxes_frame(small_config, 0.8), keep_fragments=True
