@@ -3,7 +3,7 @@
 Diffs two bench documents (:mod:`repro.experiments.bench` JSON, any
 supported schema version) through the hierarchical attribution engine
 (:mod:`repro.observability.attribution`) and prints a ranked report:
-every top-level cycle/joule/wall regression decomposed into
+every top-level cycle/joule delta decomposed into
 exactly-summing child contributions with explicit residuals, plus a
 per-tile spatial localization when both documents carry schema-v6
 ``tile_profile`` grids::
@@ -15,7 +15,7 @@ per-tile spatial localization when both documents carry schema-v6
         --heatmap-dir out/heatmaps
 
 Exit status: 0 on a successful attribution, 1 when ``--check-zero`` is
-given and any metric delta is nonzero (CI's self-check: a document
+given and any metric delta is nonzero (the self-check: a document
 diffed against itself must attribute to all-zero), 2 on structural
 errors (unreadable/invalid documents, missing scenes, or a document
 whose internal counter algebra fails its cross-checks).
@@ -88,11 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check-zero", action="store_true",
-        help="exit 1 unless every metric delta is zero (CI self-check)",
-    )
-    parser.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="significance level for wall-time evidence (default: 0.05)",
+        help="exit 1 unless every metric delta is zero (self-check)",
     )
     args = parser.parse_args(argv)
 
@@ -104,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {err}", file=sys.stderr)
         return 2
 
-    report = attribute_documents(baseline, current, alpha=args.alpha)
+    report = attribute_documents(baseline, current)
 
     if args.format == "json":
         print(report.to_json())

@@ -1,38 +1,28 @@
-"""Load generator + saturation bench for the collision service.
+"""Load generator for the collision service.
 
 ``python -m repro.experiments.loadgen`` spins up a
 :class:`~repro.serve.CollisionService`, registers N simulated tenants
 (scenes assigned round-robin from the four benchmark workloads, phase
 offsets drawn from a fixed seed), drives their frame streams through
-the service, and serves the labelled telemetry over
+the service in a closed loop, and serves the labelled telemetry over
 HTTP while the run lasts::
 
     $ PYTHONPATH=src python -m repro.experiments.loadgen \\
           --tenants 4 --frames 8 --quick
     serving http://127.0.0.1:40213  (endpoints: /metrics /healthz ...)
-    served 32 frames for 4 tenants in 2 batches/tenant ...
+    served 32 frames for 4 tenants in 8 batches: 0 alert(s)
 
-Two driving modes:
-
-* **closed-loop** (the default): every tenant submits its next frame
-  only after the previous batch completed — lockstep batching, zero
-  rejections, and therefore *fully deterministic* per-tenant counters
-  (the part of the bench document gated for cross-run determinism).
-* **open-loop** (``--rate R``): client threads submit at a target
-  per-tenant frame rate while a dispatcher thread batches; backlog
-  and unhealthy-tenant rejections are counted, and all wall-clock
-  figures are statistical.
-
-``--saturation`` ramps the offered rate across ``--rates`` steps (a
-fresh service per step, p95 latency SLO armed via ``--max-frame-ms``)
-and records the highest rate sustained with zero SLO alerts — the
-``max_sustained_fps`` headline of the ``rbcd-serve-bench`` document,
-the serving number future performance PRs move.
+The loop is **closed**: every tenant submits its next frame only after
+the previous batch completed — lockstep batching, zero rejections, and
+therefore a *fully deterministic* ``rbcd-serve-bench`` document
+(per-tenant counters, serve counters, the global registry).  Host
+serving speed is measured by the repository benchmark's
+``serve_tenants`` workload (``perfbench/``), not here.
 
 Like ``repro.experiments.bench``, the emitted document is
-schema-validated (:func:`validate_serve_bench_document`) and the
-deterministic ``workload`` section must reproduce bit-exactly across
-runs (``--selfcheck`` runs it twice and diffs).  ``--append-history``
+schema-validated (:func:`validate_serve_bench_document`, ``--check``)
+and must reproduce bit-exactly across runs (``--selfcheck`` runs the
+workload twice and diffs the documents).  ``--append-history``
 appends a one-line ndjson summary to the same trend log bench uses
 (``benchmarks/history/HISTORY.ndjson``); serve lines are tagged
 ``"schema": "rbcd-serve-bench"`` so the two conventions share one
@@ -43,8 +33,8 @@ file.
 ring buffers of spans, snapshots, alerts and rejections, with a
 post-mortem dump written to DIR on the first watchdog alert or
 admission rejection (inspect with
-``python -m repro.experiments.postmortem``).  One recorder spans the
-whole run, including every saturation step.
+``python -m repro.experiments.postmortem``).  ``--max-frame-ms`` arms
+the per-tenant p95 latency watchdog that such a dump can record.
 """
 
 from __future__ import annotations
@@ -53,8 +43,6 @@ import argparse
 import json
 import random
 import sys
-import threading
-import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -69,7 +57,7 @@ from repro.observability.live import (
 from repro.observability.log import configure_json_logging
 from repro.observability.netutil import linger, write_port_file
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
-from repro.serve import AdmissionError, CollisionService
+from repro.serve import CollisionService
 
 __all__ = [
     "SCHEMA_NAME",
@@ -78,8 +66,6 @@ __all__ = [
     "TenantPlan",
     "plan_tenants",
     "run_closed_loop",
-    "run_open_loop",
-    "run_saturation",
     "build_document",
     "history_line",
     "append_history",
@@ -88,8 +74,12 @@ __all__ = [
 ]
 
 SCHEMA_NAME = "rbcd-serve-bench"
-SCHEMA_VERSION = 2
-SUPPORTED_VERSIONS = (2,)
+SCHEMA_VERSION = 3
+SUPPORTED_VERSIONS = (3,)
+
+# --quick preset; it excludes the same flags on the command line.
+QUICK_PRESET = {"width": 160, "height": 96, "detail": 1}
+_DEFAULTS = {"width": 320, "height": 192, "detail": 1}
 
 
 class TenantPlan:
@@ -129,9 +119,9 @@ def plan_tenants(count: int, detail: int, seed: int) -> list[TenantPlan]:
 
 
 def _make_service(
-    args_like: Mapping[str, Any], rules, admit_unhealthy: bool = False,
-    recorder=None,
+    args_like: Mapping[str, Any], rules, recorder=None,
 ) -> CollisionService:
+    """A service for :func:`run_closed_loop`: it admits every frame."""
     config = GPUConfig().with_screen(
         args_like["width"], args_like["height"]
     )
@@ -140,7 +130,7 @@ def _make_service(
         window=args_like["window"],
         rules=rules,
         max_pending=args_like["max_pending"],
-        admit_unhealthy=admit_unhealthy,
+        admit_unhealthy=True,
         recorder=recorder,
     )
 
@@ -153,12 +143,12 @@ def run_closed_loop(
     """Lockstep batching: one frame per tenant per batch, ``frames``
     batches.  Every frame is admitted (run this on a service built
     with ``admit_unhealthy=True`` — a watchdog breach must not make
-    the gated counters depend on rule thresholds), so everything
-    returned except wall time is deterministic."""
+    the counters depend on rule thresholds), so every counter returned
+    is deterministic; only ``alerts`` can depend on host time, through
+    an armed latency SLO."""
     for plan in plans:
         service.register(plan.tenant)
     config = service.base_config
-    t0 = time.perf_counter()
     served = 0
     for seq in range(frames):
         futures = [
@@ -168,7 +158,6 @@ def run_closed_loop(
         served += service.drain()
         for future in futures:
             future.result()  # surfaces render errors
-    wall_s = time.perf_counter() - t0
     tenants = []
     for plan in plans:
         session = service.session(plan.tenant)
@@ -183,10 +172,8 @@ def run_closed_loop(
             "serve": session.serve_counters.as_dict(),
         })
     return {
-        "mode": "closed-loop",
         "frames_served": served,
         "batches": service.batches,
-        "wall_s": wall_s,
         "tenants": tenants,
         "global_counters": service.global_registry().as_dict(),
         "alerts": {
@@ -196,151 +183,15 @@ def run_closed_loop(
     }
 
 
-def run_open_loop(
-    service: CollisionService,
-    plans: Sequence[TenantPlan],
-    frames: int,
-    rate_hz: float,
-) -> dict[str, Any]:
-    """Client threads at a target per-tenant frame rate.
-
-    A dispatcher thread batches continuously; rejected frames
-    (backlog / unhealthy) are dropped and counted.  All timing-derived
-    numbers are statistical — only suitable for the non-gated sections
-    of the bench document.
-    """
-    if rate_hz <= 0.0:
-        raise ValueError("open-loop rate must be > 0")
-    for plan in plans:
-        service.register(plan.tenant)
-    config = service.base_config
-    interval = 1.0 / rate_hz
-    stop = threading.Event()
-    rejected = {plan.tenant: 0 for plan in plans}
-
-    def dispatcher() -> None:
-        while not stop.is_set():
-            if service.step() == 0:
-                time.sleep(interval / 8.0)
-        service.drain()
-
-    def client(plan: TenantPlan) -> None:
-        next_due = time.perf_counter()
-        for seq in range(frames):
-            next_due += interval
-            try:
-                service.submit(plan.tenant, plan.frame_at(seq, config))
-            except AdmissionError:
-                rejected[plan.tenant] += 1
-            delay = next_due - time.perf_counter()
-            if delay > 0.0:
-                time.sleep(delay)
-
-    t0 = time.perf_counter()
-    dispatch_thread = threading.Thread(target=dispatcher, daemon=True)
-    dispatch_thread.start()
-    client_threads = [
-        threading.Thread(target=client, args=(plan,), daemon=True)
-        for plan in plans
-    ]
-    for thread in client_threads:
-        thread.start()
-    for thread in client_threads:
-        thread.join()
-    stop.set()
-    dispatch_thread.join(timeout=30.0)
-    wall_s = time.perf_counter() - t0
-
-    served = sum(
-        service.session(plan.tenant).monitor.frames for plan in plans
-    )
-    p95 = []
-    for plan in plans:
-        values = service.session(plan.tenant).monitor.window_values()
-        if "quantile.frame.wall_ms.p95" in values:
-            p95.append(values["quantile.frame.wall_ms.p95"])
-    alerts = service.alerts()
-    return {
-        "mode": "open-loop",
-        "offered_rate_hz": rate_hz,
-        "frames_offered": frames * len(plans),
-        "frames_served": served,
-        "frames_rejected": sum(rejected.values()),
-        "rejected_by_tenant": rejected,
-        "achieved_fps": served / wall_s if wall_s > 0.0 else 0.0,
-        "wall_s": wall_s,
-        "p95_wall_ms_max": max(p95) if p95 else 0.0,
-        "alerts_total": sum(len(a) for a in alerts.values()),
-        "slo_alerts": sum(
-            1 for tenant_alerts in alerts.values()
-            for alert in tenant_alerts
-            if alert.rule == "frame-latency-slo"
-        ),
-    }
-
-
-def run_saturation(
-    args_like: Mapping[str, Any],
-    plans_factory,
-    rates: Sequence[float],
-    rules_factory,
-    recorder=None,
-) -> dict[str, Any]:
-    """Ramp the offered per-tenant rate; find the sustained maximum.
-
-    A fresh service (and fresh tenant monitors) per step keeps steps
-    independent.  A step is *sustained* when it finishes with zero
-    latency-SLO alerts and zero rejections.  ``max_sustained_fps`` is
-    the aggregate served rate of the fastest sustained step (0.0 when
-    even the slowest step breaches — a valid, visible result).
-
-    The optional flight ``recorder`` is shared across every step (its
-    dump index is monotonic, so step dumps never collide); each step's
-    fresh monitors re-attach to the same per-tenant rings.
-    """
-    steps = []
-    max_sustained = 0.0
-    for rate in rates:
-        with _make_service(
-            args_like, rules_factory(), recorder=recorder
-        ) as service:
-            plans = plans_factory()
-            outcome = run_open_loop(
-                service, plans, args_like["frames"], rate
-            )
-        sustained = (
-            outcome["slo_alerts"] == 0 and outcome["frames_rejected"] == 0
-        )
-        steps.append({
-            "offered_rate_hz": rate,
-            "achieved_fps": outcome["achieved_fps"],
-            "frames_served": outcome["frames_served"],
-            "frames_rejected": outcome["frames_rejected"],
-            "p95_wall_ms_max": outcome["p95_wall_ms_max"],
-            "slo_alerts": outcome["slo_alerts"],
-            "sustained": sustained,
-        })
-        if sustained:
-            max_sustained = max(max_sustained, outcome["achieved_fps"])
-        else:
-            break  # the ramp found the knee; higher rates only degrade
-    return {"steps": steps, "max_sustained_fps": max_sustained}
-
-
 # -- bench document ----------------------------------------------------------
 
 
 def build_document(
     args_like: Mapping[str, Any],
     workload: Mapping[str, Any],
-    saturation: Mapping[str, Any] | None,
 ) -> dict[str, Any]:
-    """Assemble the ``rbcd-serve-bench`` v2 document.
-
-    ``workload`` (closed-loop, deterministic counters) is the section
-    the cross-run determinism gate covers; ``saturation`` is
-    wall-clock-derived and statistical by construction.
-    """
+    """Assemble the ``rbcd-serve-bench`` v3 document from a
+    :func:`run_closed_loop` outcome; every field is deterministic."""
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
@@ -361,16 +212,7 @@ def build_document(
             "tenants": workload["tenants"],
             "global_counters": workload["global_counters"],
         },
-        "timing": {  # statistical: excluded from the determinism gate
-            "wall_s": workload["wall_s"],
-        },
-        "saturation": dict(saturation) if saturation is not None else None,
     }
-
-
-def deterministic_sections(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """The slice of a document the cross-run determinism gate covers."""
-    return {"config": doc["config"], "workload": doc["workload"]}
 
 
 def history_line(doc: Mapping[str, Any]) -> str:
@@ -380,12 +222,10 @@ def history_line(doc: Mapping[str, Any]) -> str:
     sorted-key JSON object per run, no timestamps (append order *is*
     the history) — tagged ``"schema": "rbcd-serve-bench"`` so serve
     lines and scene-bench lines can share one trend file.  Carries the
-    workload totals and the ``max_sustained_fps`` headline, the serving
-    number future performance PRs move.
+    workload totals.
     """
     config = doc.get("config", {})
     workload = doc.get("workload", {})
-    saturation = doc.get("saturation")
     record: dict[str, Any] = {
         "schema": doc.get("schema"),
         "version": doc.get("version"),
@@ -403,13 +243,7 @@ def history_line(doc: Mapping[str, Any]) -> str:
                 if isinstance(record, Mapping)
             ),
         },
-        "saturation": None,
     }
-    if isinstance(saturation, Mapping):
-        record["saturation"] = {
-            "max_sustained_fps": saturation.get("max_sustained_fps"),
-            "steps": len(saturation.get("steps", [])),
-        }
     return json.dumps(record, sort_keys=True)
 
 
@@ -475,55 +309,6 @@ def _check_tenant(errors, path, record, frames) -> None:
             )
 
 
-def _check_saturation(errors, saturation) -> None:
-    if not isinstance(saturation, Mapping):
-        _fail(errors, "saturation", "expected a mapping or null")
-        return
-    steps = saturation.get("steps")
-    if not isinstance(steps, list) or not steps:
-        _fail(errors, "saturation.steps", "expected a non-empty list")
-        return
-    previous_rate = 0.0
-    for i, step in enumerate(steps):
-        path = f"saturation.steps[{i}]"
-        if not isinstance(step, Mapping):
-            _fail(errors, path, "expected a mapping")
-            continue
-        _check_number(errors, f"{path}.offered_rate_hz",
-                      step.get("offered_rate_hz"), minimum=1e-9)
-        rate = step.get("offered_rate_hz")
-        if isinstance(rate, (int, float)) and rate <= previous_rate:
-            _fail(errors, f"{path}.offered_rate_hz",
-                  "ramp rates must be strictly increasing")
-        if isinstance(rate, (int, float)):
-            previous_rate = rate
-        _check_number(errors, f"{path}.achieved_fps", step.get("achieved_fps"))
-        _check_number(errors, f"{path}.p95_wall_ms_max",
-                      step.get("p95_wall_ms_max"))
-        _check_int(errors, f"{path}.frames_served", step.get("frames_served"))
-        _check_int(errors, f"{path}.frames_rejected",
-                   step.get("frames_rejected"))
-        _check_int(errors, f"{path}.slo_alerts", step.get("slo_alerts"))
-        if not isinstance(step.get("sustained"), bool):
-            _fail(errors, f"{path}.sustained", "expected a bool")
-    for i, step in enumerate(steps[:-1]):
-        if isinstance(step, Mapping) and step.get("sustained") is False:
-            _fail(errors, f"saturation.steps[{i}]",
-                  "an unsustained step must end the ramp")
-    _check_number(errors, "saturation.max_sustained_fps",
-                  saturation.get("max_sustained_fps"))
-    sustained_fps = [
-        step.get("achieved_fps") for step in steps
-        if isinstance(step, Mapping) and step.get("sustained") is True
-        and isinstance(step.get("achieved_fps"), (int, float))
-    ]
-    expected = max(sustained_fps) if sustained_fps else 0.0
-    if saturation.get("max_sustained_fps") != expected:
-        _fail(errors, "saturation.max_sustained_fps",
-              f"expected max over sustained steps ({expected!r}), "
-              f"got {saturation.get('max_sustained_fps')!r}")
-
-
 def validate_serve_bench_document(doc: Any) -> None:
     """Strict structural validation; raises ValueError listing problems."""
     errors: list[str] = []
@@ -575,13 +360,6 @@ def validate_serve_bench_document(doc: Any) -> None:
     if not isinstance(counters, Mapping) or not counters:
         _fail(errors, "workload.global_counters",
               "expected a non-empty mapping")
-    timing = doc.get("timing")
-    if not isinstance(timing, Mapping):
-        _fail(errors, "timing", "expected a mapping")
-    else:
-        _check_number(errors, "timing.wall_s", timing.get("wall_s"))
-    if doc.get("saturation") is not None:
-        _check_saturation(errors, doc["saturation"])
     if errors:
         raise ValueError(
             "invalid rbcd-serve-bench document:\n  " + "\n  ".join(errors)
@@ -595,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.loadgen",
         description="Drive N simulated tenants through the collision "
-                    "service; optionally ramp to saturation.",
+                    "service in a closed loop.",
     )
     parser.add_argument(
         "--tenants", type=int, default=4,
@@ -603,22 +381,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--frames", type=int, default=8,
-        help="frames per tenant (per saturation step; default: 8)",
+        help="frames per tenant (default: 8)",
     )
-    parser.add_argument("--width", type=int, default=320)
-    parser.add_argument("--height", type=int, default=192)
     parser.add_argument(
-        "--detail", type=int, default=1,
-        help="mesh tessellation detail (default: 1)",
+        "--width", type=int, default=None,
+        help=f"screen width (default: {_DEFAULTS['width']})",
+    )
+    parser.add_argument(
+        "--height", type=int, default=None,
+        help=f"screen height (default: {_DEFAULTS['height']})",
+    )
+    parser.add_argument(
+        "--detail", type=int, default=None,
+        help=f"mesh tessellation detail (default: {_DEFAULTS['detail']})",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke preset: 160x96, detail 1",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=None, metavar="HZ",
-        help="open-loop per-tenant frame rate; omitted = closed-loop "
-             "lockstep (deterministic)",
+        help="CI smoke preset: {width}x{height}, detail {detail}; "
+             "excludes the three flags above".format(**QUICK_PRESET),
     )
     parser.add_argument(
         "--seed", type=int, default=0,
@@ -671,17 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-frame-ms", type=float, default=None, metavar="MS",
-        help="p95 latency SLO per tenant (default: off; required "
-             "for --saturation)",
-    )
-    parser.add_argument(
-        "--saturation", action="store_true",
-        help="ramp the offered rate and record max sustained fps",
-    )
-    parser.add_argument(
-        "--rates", default="10,20,40,80,160", metavar="HZ,HZ,...",
-        help="saturation ramp: per-tenant rates to try, ascending "
-             "(default: 10,20,40,80,160)",
+        help="p95 latency SLO watchdog per tenant (default: off)",
     )
     parser.add_argument(
         "--output", type=Path, default=None, metavar="PATH",
@@ -706,8 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--selfcheck", action="store_true",
-        help="run the deterministic workload twice and require the "
-             "gated sections to match bit-exactly",
+        help="run the workload twice and require the two documents "
+             "to match bit-exactly",
     )
     return parser
 
@@ -717,25 +487,26 @@ def _bound(value: float | None) -> float | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.check is not None:
-        doc = json.loads(args.check.read_text(encoding="utf-8"))
-        validate_serve_bench_document(doc)
+        try:
+            doc = json.loads(args.check.read_text(encoding="utf-8"))
+            validate_serve_bench_document(doc)
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
+            print(f"FAIL {args.check}: {exc}", file=sys.stderr)
+            return 1
         print(f"OK {args.check}: valid {SCHEMA_NAME} v{doc['version']} "
               f"({doc['config']['tenants']} tenants)")
         return 0
-    if args.quick:
-        args.width, args.height, args.detail = 160, 96, 1
+    preset = QUICK_PRESET if args.quick else _DEFAULTS
+    for key, value in preset.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+        elif args.quick:
+            parser.error(f"--{key} cannot be combined with --quick")
     if args.json_logs:
         configure_json_logging()
-    if args.saturation and args.max_frame_ms is None:
-        print("--saturation requires --max-frame-ms (the p95 SLO)",
-              file=sys.stderr)
-        return 2
-    if args.saturation and args.rate is not None:
-        print("--saturation supplies its own --rates ramp; drop --rate",
-              file=sys.stderr)
-        return 2
 
     args_like = {
         "tenants": args.tenants, "frames": args.frames,
@@ -743,29 +514,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         "window": args.window, "max_pending": args.max_pending,
         "seed": args.seed, "max_frame_ms": args.max_frame_ms,
     }
+    rules = default_rules(
+        max_activity_ratio=_bound(args.max_activity_ratio),
+        max_overflow_rate=_bound(args.max_overflow_rate),
+        max_ffstack_overflow_rate=_bound(args.max_overflow_rate),
+        max_joules_per_frame=_bound(args.max_joules_per_frame),
+        max_frame_ms=args.max_frame_ms,
+    )
 
-    def rules_factory():
-        return default_rules(
-            max_activity_ratio=_bound(args.max_activity_ratio),
-            max_overflow_rate=_bound(args.max_overflow_rate),
-            max_ffstack_overflow_rate=_bound(args.max_overflow_rate),
-            max_joules_per_frame=_bound(args.max_joules_per_frame),
-            max_frame_ms=args.max_frame_ms,
-        )
-
-    def plans_factory():
+    def plans():
         return plan_tenants(args.tenants, args.detail, args.seed)
 
     recorder = None
     if args.flight_recorder is not None:
         recorder = FlightRecorder(dump_dir=args.flight_recorder)
 
-    def run_workload() -> dict[str, Any]:
-        closed_loop = args.rate is None
-        with _make_service(
-            args_like, rules_factory(), admit_unhealthy=closed_loop,
-            recorder=recorder,
-        ) as service:
+    try:
+        with _make_service(args_like, rules, recorder=recorder) as service:
             server = MetricsServer(
                 service, host=args.host, port=args.port
             ).start()
@@ -777,88 +542,39 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"/healthz/<tenant> /snapshot.json)",
                     flush=True,
                 )
-                if args.rate is not None:
-                    outcome = run_open_loop(
-                        service, plans_factory(), args.frames, args.rate
-                    )
-                else:
-                    outcome = run_closed_loop(
-                        service, plans_factory(), args.frames
-                    )
+                workload = run_closed_loop(service, plans(), args.frames)
                 linger(args.linger)
             finally:
                 server.stop()
-        return outcome
-
-    alerts_total = 0
-    saturation = None
-    try:
-        if args.rate is not None and not args.saturation:
-            outcome = run_workload()
-            print(
-                f"open-loop at {args.rate:g} Hz/tenant: served "
-                f"{outcome['frames_served']}/{outcome['frames_offered']} "
-                f"frames, {outcome['frames_rejected']} rejected, "
-                f"{outcome['achieved_fps']:.1f} fps aggregate, "
-                f"{outcome['alerts_total']} alert(s)",
-                flush=True,
+        alerts_total = sum(len(a) for a in workload["alerts"].values())
+        print(
+            f"served {workload['frames_served']} frames for "
+            f"{len(workload['tenants'])} tenants in {workload['batches']} "
+            f"batches: {alerts_total} alert(s)",
+            flush=True,
+        )
+        doc = build_document(args_like, workload)
+        if args.selfcheck:
+            with _make_service(args_like, rules) as service:
+                repeat = run_closed_loop(service, plans(), args.frames)
+            if doc != build_document(args_like, repeat):
+                print("DETERMINISM FAILURE: documents differ across runs",
+                      file=sys.stderr)
+                return 1
+            print("selfcheck OK: documents bit-identical across runs",
+                  flush=True)
+        validate_serve_bench_document(doc)
+        if args.output is not None:
+            args.output.parent.mkdir(parents=True, exist_ok=True)
+            args.output.write_text(
+                json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
             )
-            alerts_total = outcome["alerts_total"]
-            doc = None
-        else:
-            workload = run_workload()
-            alerts_total = sum(len(a) for a in workload["alerts"].values())
-            print(
-                f"served {workload['frames_served']} frames for "
-                f"{len(workload['tenants'])} tenants in {workload['batches']} "
-                f"batches ({workload['wall_s']:.2f}s): {alerts_total} alert(s)",
-                flush=True,
-            )
-            if args.selfcheck:
-                with _make_service(
-                    args_like, rules_factory(), admit_unhealthy=True
-                ) as service:
-                    repeat = run_closed_loop(
-                        service, plans_factory(), args.frames
-                    )
-                first = build_document(args_like, workload, None)
-                second = build_document(args_like, repeat, None)
-                if (deterministic_sections(first)
-                        != deterministic_sections(second)):
-                    print("DETERMINISM FAILURE: gated sections differ across "
-                          "runs", file=sys.stderr)
-                    return 1
-                print("selfcheck OK: gated sections bit-identical across "
-                      "runs", flush=True)
-            if args.saturation:
-                rates = [float(r) for r in args.rates.split(",") if r.strip()]
-                if rates != sorted(rates) or len(set(rates)) != len(rates):
-                    print("--rates must be strictly ascending",
-                          file=sys.stderr)
-                    return 2
-                saturation = run_saturation(
-                    args_like, plans_factory, rates, rules_factory,
-                    recorder=recorder,
-                )
-                print(
-                    f"saturation: max sustained "
-                    f"{saturation['max_sustained_fps']:.1f} fps aggregate "
-                    f"over {len(saturation['steps'])} step(s)",
-                    flush=True,
-                )
-            doc = build_document(args_like, workload, saturation)
-            validate_serve_bench_document(doc)
-            if args.output is not None:
-                args.output.parent.mkdir(parents=True, exist_ok=True)
-                args.output.write_text(
-                    json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
-                print(f"wrote {args.output}", flush=True)
-            if args.append_history is not None:
-                append_history(doc, args.append_history)
-                print(f"appended history line to {args.append_history}",
-                      flush=True)
+            print(f"wrote {args.output}", flush=True)
+        if args.append_history is not None:
+            append_history(doc, args.append_history)
+            print(f"appended history line to {args.append_history}",
+                  flush=True)
     finally:
         if recorder is not None:
             recorder.close()

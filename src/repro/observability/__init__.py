@@ -88,7 +88,6 @@ from repro.observability.export import (
     write_ndjson,
     write_provenance_ndjson,
 )
-from repro.observability.profile import ProfilingTracer
 from repro.observability.provenance import (
     PairEvidence,
     ProvenanceRecorder,
@@ -104,19 +103,10 @@ from repro.observability.provenance import (
 # at init time would.
 from repro.observability.regress import (
     CONFIG_TABLE,
-    GatePolicy,
+    REL_TOL,
     GateReport,
     MetricComparison,
     compare_documents,
-)
-from repro.observability.stats import (
-    MannWhitneyResult,
-    SampleSummary,
-    SignificanceResult,
-    bootstrap_ci,
-    mann_whitney_u,
-    significance_of,
-    summarize,
 )
 from repro.observability.tileprofile import GRID_NAMES, TileProfiler
 from repro.observability.tracer import (
@@ -137,7 +127,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "ensure_tracer",
-    "ProfilingTracer",
     "span_record",
     "to_ndjson",
     "write_ndjson",
@@ -151,15 +140,8 @@ __all__ = [
     "provenance_instant_events",
     "to_provenance_ndjson",
     "write_provenance_ndjson",
-    "SampleSummary",
-    "summarize",
-    "bootstrap_ci",
-    "mann_whitney_u",
-    "MannWhitneyResult",
-    "SignificanceResult",
-    "significance_of",
     "CONFIG_TABLE",
-    "GatePolicy",
+    "REL_TOL",
     "GateReport",
     "MetricComparison",
     "compare_documents",

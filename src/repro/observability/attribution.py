@@ -3,10 +3,10 @@
 The regression gate (:mod:`repro.observability.regress`) says *that* a
 metric moved; this module says *where*.  Given two bench documents
 (:mod:`repro.experiments.bench`, any supported schema version), it
-builds per-scene **delta trees**: each top-level cycle/joule/wall
-metric decomposed into child contributions whose deltas sum to the
-parent's — with an explicit ``residual`` term on every non-leaf node,
-never silent.  Nodes come in three kinds:
+builds per-scene **delta trees**: each top-level cycle/joule metric
+decomposed into child contributions whose deltas sum to the parent's —
+with an explicit ``residual`` term on every non-leaf node, never
+silent.  Nodes come in two kinds:
 
 * ``exact`` — counter-derived algebraic identities of the model
   (``gpu_cycles = geometry + raster_pipeline``, ``total_j = gpu +
@@ -20,10 +20,6 @@ never silent.  Nodes come in three kinds:
   (``geometry_cycles`` is the *max* of its pipelined stages; the
   raster pipeline interleaves busy, stall, and overlap-bound time).
   The residual carries whatever the children don't cover.
-* ``wall`` — host wall-time medians down the stage span tree, with the
-  shared significance evidence
-  (:func:`repro.observability.stats.significance_of`) annotated per
-  child; the residual is untraced host time.
 
 When both documents carry schema-v6 ``tile_profile`` grids
 (:class:`~repro.observability.tileprofile.TileProfiler`), a spatial
@@ -40,11 +36,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Any, Iterator, Mapping
 
 from repro.observability.regress import CONFIG_TABLE
-from repro.observability.stats import significance_of
 
 __all__ = [
     "DeltaNode",
@@ -59,10 +53,6 @@ __all__ = [
 # decompositions must sum to their parent within float-summation noise.
 EXACT_REL_TOL = 1e-9
 _ABS_FLOOR = 1e-12
-
-# Top-level stage spans whose wall time tiles the frame span (the
-# remainder — python glue between spans — is the wall residual).
-_TOP_STAGES = ("geometry", "raster", "rbcd", "schedule")
 
 
 def _close(a: float, b: float) -> bool:
@@ -99,7 +89,7 @@ class DeltaNode:
     deltas explain this node's delta."""
 
     path: str             # dotted path into the scene entry (or synthetic)
-    kind: str             # "exact" | "structural" | "wall"
+    kind: str             # "exact" | "structural"
     baseline: float
     current: float
     children: list["DeltaNode"] = field(default_factory=list)
@@ -317,7 +307,7 @@ class AttributionReport:
         """Rank the leaf contributions under one gated metric path.
 
         ``metric`` is a gate-style path (``totals.gpu_cycles``,
-        ``energy.rbcd.total_j``, ``stages.raster.wall_ms``, ...); the
+        ``energy.rbcd.total_j``, ``stages.rbcd.tile.cycles``, ...); the
         node is looked up across the scene's trees and its leaves are
         ranked by share of its delta.  Empty when the scene or node is
         unknown or the node didn't move.
@@ -674,46 +664,6 @@ def _energy_tree(
     return root
 
 
-def _wall_tree(
-    base: Mapping[str, Any], cur: Mapping[str, Any],
-    alpha: float, confidence: float,
-) -> DeltaNode | None:
-    def wall(entry: Mapping[str, Any], stage: str) -> tuple[float, list[float]] | None:
-        samples = _dig(entry, f"stages.{stage}.wall_ms_runs")
-        if isinstance(samples, list) and samples:
-            values = [float(v) for v in samples]
-            return float(median(values)), values
-        value = _num(entry, f"stages.{stage}.wall_ms_median")
-        if value is not None:
-            return value, [value]
-        return None
-
-    frame_base = wall(base, "frame")
-    frame_cur = wall(cur, "frame")
-    if frame_base is None or frame_cur is None:
-        return None
-    root = DeltaNode(
-        path="stages.frame.wall_ms", kind="wall",
-        baseline=frame_base[0], current=frame_cur[0], unit="ms",
-        note="host medians; residual is untraced time",
-    )
-    for stage in _TOP_STAGES:
-        b = wall(base, stage)
-        c = wall(cur, stage)
-        if b is None or c is None:
-            continue
-        evidence = significance_of(
-            b[1], c[1], alpha=alpha, confidence=confidence
-        )
-        verdict = "significant" if evidence.significant else "not significant"
-        root.children.append(DeltaNode(
-            path=f"stages.{stage}.wall_ms", kind="wall",
-            baseline=b[0], current=c[0], unit="ms",
-            note=f"{verdict}: {evidence.detail}",
-        ))
-    return root
-
-
 def _counter_trees(
     base: Mapping[str, Any], cur: Mapping[str, Any]
 ) -> list[DeltaNode]:
@@ -814,8 +764,6 @@ def _spatial_delta(
 def attribute_documents(
     baseline: Mapping[str, Any],
     current: Mapping[str, Any],
-    alpha: float = 0.05,
-    confidence: float = 0.95,
 ) -> AttributionReport:
     """Diff ``current`` against ``baseline`` into ranked delta trees.
 
@@ -864,7 +812,6 @@ def attribute_documents(
             _cycles_tree(base_entry, cur_entry),
             _energy_tree(base_entry, cur_entry),
             _rbcd_tree(base_entry, cur_entry),
-            _wall_tree(base_entry, cur_entry, alpha, confidence),
             *_counter_trees(base_entry, cur_entry),
         ):
             if tree is not None:

@@ -63,6 +63,7 @@ __all__ = [
     "CAUSES",
     "Divergence",
     "ForensicsReport",
+    "oracle_pairs",
     "run_forensics",
 ]
 
@@ -411,6 +412,33 @@ def _convex_intersect(scene, t: float, id_a: int, id_b: int) -> bool:
     return gjk_intersect(shapes[id_a], shapes[id_b], ops).intersecting
 
 
+def oracle_pairs(workload: Workload, times) -> list[set]:
+    """Exact colliding pairs of ``workload``'s scene at each of ``times``.
+
+    The software pipeline's ``broad+exact`` mode over the *render*
+    meshes — the same surfaces the rasterizer sees, so tessellation
+    differences cannot masquerade as RBCD divergences.  The broad
+    phase is the LBVH backend: its pair set is provably identical to
+    brute force (the LBVH suite asserts it), and it keeps the oracle
+    sub-quadratic on dense scenes.
+    """
+    scene = workload.scene
+    world = CollisionWorld("lbvh")
+    collisionables = [
+        (scene.object_id(obj.name), obj)
+        for obj in scene.objects
+        if obj.collisionable
+    ]
+    for object_id, obj in collisionables:
+        world.add_object(object_id, obj.mesh)
+    pairs = []
+    for t in times:
+        for object_id, obj in collisionables:
+            world.set_transform(object_id, obj.animator.transform(float(t)))
+        pairs.append({tuple(p) for p in world.detect("broad+exact").pairs})
+    return pairs
+
+
 def run_forensics(
     workload: Workload,
     config: GPUConfig | None = None,
@@ -420,46 +448,25 @@ def run_forensics(
     """Run RBCD + oracle over a workload and classify every divergence.
 
     ``recorder`` (optional) receives the run's pair evidence; a fresh
-    one is created otherwise.  The oracle is the software pipeline's
-    ``broad+exact`` mode over the *render* meshes — the same surfaces
-    the rasterizer sees, so tessellation differences cannot masquerade
-    as RBCD divergences.
+    one is created otherwise.  The oracle is :func:`oracle_pairs`.
     """
     config = config if config is not None else GPUConfig()
     recorder = recorder if recorder is not None else ProvenanceRecorder()
     scene = workload.scene
 
-    # The oracle's broad phase uses the LBVH backend: its pair set is
-    # provably identical to brute force (the LBVH suite asserts it),
-    # and it keeps oracle wall-time sub-quadratic on dense scenes.
-    world = CollisionWorld("lbvh")
-    collisionables = [
-        (scene.object_id(obj.name), obj)
-        for obj in scene.objects
-        if obj.collisionable
-    ]
-    for object_id, obj in collisionables:
-        world.add_object(object_id, obj.mesh)
-
     rbcd_pairs: list[set] = []
-    oracle_pairs: list[set] = []
     divergences: list[Divergence] = []
 
     times = workload.times(frames)
+    exact_pairs = oracle_pairs(workload, times)
     gpu = GPU(config, rbcd_enabled=True, observers=[recorder])
-    for frame_index, t in enumerate(times):
+    for frame_index, (t, exact) in enumerate(zip(times, exact_pairs)):
         frame = scene.frame_at(float(t), config)
         result = gpu.render_frame(frame, keep_fragments=True)
         assert result.collisions is not None
         assert result.fragments is not None
         found = {(p.id_a, p.id_b) for p in result.collisions.pairs}
-
-        for object_id, obj in collisionables:
-            world.set_transform(object_id, obj.animator.transform(float(t)))
-        exact = {tuple(p) for p in world.detect("broad+exact").pairs}
-
         rbcd_pairs.append(found)
-        oracle_pairs.append(exact)
 
         replays = _FrameReplays(frame, result.fragments, config)
         for pair in sorted(found - exact):
@@ -498,7 +505,7 @@ def run_forensics(
         resolution=(config.screen_width, config.screen_height),
         zeb_elements=config.rbcd.list_length,
         rbcd_pairs=rbcd_pairs,
-        oracle_pairs=oracle_pairs,
+        oracle_pairs=exact_pairs,
         divergences=divergences,
         recorder=recorder,
     )

@@ -13,7 +13,7 @@ concentrate in the tiles the colliding geometry covers.  A
 * ``lookups``  — times the tile carried RBCD work at all,
 
 summed over every recorded frame.  The bench harness stores the grids
-in the schema-v7 ``tile_profile`` block, and the attribution engine
+in each scene's ``tile_profile`` block, and the attribution engine
 (:mod:`repro.observability.attribution`) diffs two such blocks to
 localize a cycle/energy regression to screen regions.
 

@@ -6,7 +6,9 @@ hardware is — a collision service many clients offload queries to.
 through its own system, with watchdog-rule admission control;
 :class:`~repro.observability.live.MetricsServer` exposes its labelled
 OpenMetrics / health endpoints; ``python -m repro.experiments.loadgen``
-drives it with simulated clients and measures the saturation point.
+drives it with simulated clients in a closed loop and writes a
+deterministic ``rbcd-serve-bench`` document.  Host serving speed is
+the repository benchmark's ``serve_tenants`` workload.
 
 The two contracts everything here is tested against:
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +132,20 @@ class TestHeatmapDir:
         bare["scenes"]["crazy"]["tile_profile"] = {"enabled": False}
         report = attribute_documents(bare, bare)
         assert write_heatmaps(report, tmp_path / "none") == []
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("relpath", [
+    "BENCH_rbcd.json", "benchmarks/baselines/BENCH_quick.json",
+])
+def test_committed_document_self_diffs_to_zero(relpath, capsys):
+    """Each committed bench document, diffed against itself, attributes
+    to all-zero (exit 1 otherwise) with clean counter-algebra
+    cross-checks (exit 2 otherwise)."""
+    path = REPO_ROOT / relpath
+    assert main([str(path), str(path), "--check-zero"]) == 0
+    captured = capsys.readouterr()
+    assert "documents agree" in captured.out
+    assert "cross-check failed" not in captured.err

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.experiments.bench import (
+    QUICK_PRESET,
     REQUIRED_STAGES,
     SCHEMA_NAME,
     SCHEMA_VERSION,
-    aggregate_stage_runs,
     gate_against_baseline,
     main,
     run_bench,
@@ -22,11 +22,11 @@ from tests.observability.test_tracer import FakeClock
 
 @pytest.fixture(scope="module")
 def tiny_doc(tmp_path_factory):
-    """One cheap traced 2-run bench shared by every assertion here."""
+    """One cheap traced bench shared by every assertion here."""
     trace_dir = tmp_path_factory.mktemp("traces")
     return run_bench(
         ["crazy"], width=64, height=32, frames=1, detail=1,
-        quick=True, runs=2, trace_dir=trace_dir,
+        quick=True, trace_dir=trace_dir,
     ), trace_dir
 
 
@@ -39,56 +39,18 @@ class TestStageSummary:
                 clock.tick(wall)
             span.cycles = cycles
         summary = stage_summary(tracer)
-        assert summary == {
-            "stage": {
-                "count": 3,
-                "wall_ms_total": 6000.0,
-                "cycles": 60.0,
-            }
-        }
+        assert summary == {"stage": {"count": 3, "cycles": 60.0}}
 
 
-class TestAggregateStageRuns:
-    @staticmethod
-    def run_record(wall, count=2, cycles=50.0):
-        return {"stage": {"count": count, "cycles": cycles,
-                          "wall_ms_total": wall}}
-
-    def test_aggregates_samples_across_runs(self):
-        runs = [self.run_record(w) for w in (3.0, 1.0, 2.0)]
-        stages = aggregate_stage_runs(runs)
-        record = stages["stage"]
-        assert record["wall_ms_runs"] == [3.0, 1.0, 2.0]
-        assert record["wall_ms_median"] == 2.0
-        assert record["wall_ms_min"] == 1.0
-        assert record["wall_ms_max"] == 3.0
-        assert record["wall_ms_total"] == 6.0
-        lo, hi = record["wall_ms_ci95"]
-        assert 1.0 <= lo <= hi <= 3.0
-        assert record["count"] == 2
-        assert record["cycles"] == 50.0
-
-    def test_rejects_cycle_drift_across_runs(self):
-        runs = [self.run_record(1.0), self.run_record(1.0, cycles=51.0)]
-        with pytest.raises(RuntimeError, match="nondeterministic"):
-            aggregate_stage_runs(runs)
-
-    def test_rejects_count_drift_across_runs(self):
-        runs = [self.run_record(1.0), self.run_record(1.0, count=3)]
-        with pytest.raises(RuntimeError, match="nondeterministic"):
-            aggregate_stage_runs(runs)
-
-    def test_rejects_missing_and_extra_stages(self):
-        with pytest.raises(RuntimeError, match="missing"):
-            aggregate_stage_runs([self.run_record(1.0), {}])
-        extra = self.run_record(1.0)
-        extra["ghost"] = {"count": 1, "cycles": 0.0, "wall_ms_total": 1.0}
-        with pytest.raises(RuntimeError, match="ghost"):
-            aggregate_stage_runs([self.run_record(1.0), extra])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            aggregate_stage_runs([])
+class TestDeterminism:
+    def test_two_runs_produce_equal_documents(self):
+        """Every field of the document is a model output, so running a
+        quick scene twice must reproduce it exactly, tile grids
+        included."""
+        preset = dict(QUICK_PRESET, frames=2)
+        first = run_bench(["crazy"], **preset, quick=True, tile_profile=True)
+        again = run_bench(["crazy"], **preset, quick=True, tile_profile=True)
+        assert first == again
 
 
 class TestRunBench:
@@ -98,8 +60,9 @@ class TestRunBench:
         assert doc["schema"] == SCHEMA_NAME
         assert doc["version"] == SCHEMA_VERSION
         assert set(doc["scenes"]) == {"crazy"}
-        assert doc["config"]["runs"] == 2
-        assert doc["config"]["profile"] is False
+        # v8 carries no host-time fields.
+        assert "stats" not in doc
+        assert "runs" not in doc["config"] and "profile" not in doc["config"]
         # v4: the resolved kernel backend + broad phase are recorded.
         from repro.gpu.config import GPUConfig
 
@@ -126,19 +89,37 @@ class TestRunBench:
         entry = doc["scenes"]["crazy"]
         for stage in REQUIRED_STAGES:
             assert stage in entry["stages"]
-        frame = entry["stages"]["frame"]
-        assert frame["count"] == 1
-        assert len(frame["wall_ms_runs"]) == 2
-        assert frame["wall_ms_min"] <= frame["wall_ms_median"] <= frame["wall_ms_max"]
-        lo, hi = frame["wall_ms_ci95"]
-        assert lo <= hi
+        for record in entry["stages"].values():
+            assert set(record) == {"count", "cycles"}
+        assert entry["stages"]["frame"]["count"] == 1
         assert entry["totals"]["fragments_produced"] > 0
         assert entry["totals"]["gpu_cycles"] > 0
-        assert entry["throughput"]["wall_s"] > 0
-        assert entry["throughput"]["fragments_per_s"] > 0
+        assert "throughput" not in entry
         # Counters carry the merged registry namespaces.
         assert entry["counters"]["gpu.frames"] == 1
         assert any(name.startswith("gpu.rbcd.") for name in entry["counters"])
+
+    def test_oracle_block_matches_forensics(self):
+        """tp/fp/fn are the forensics engine's agreements and
+        divergences over the same frames."""
+        from repro.gpu.config import GPUConfig
+        from repro.observability.forensics import run_forensics
+        from repro.scenes.benchmarks import workload_by_alias
+
+        preset = dict(QUICK_PRESET, frames=2)
+        doc = run_bench(["crazy"], **preset)
+        report = run_forensics(
+            workload_by_alias("crazy", detail=preset["detail"]),
+            GPUConfig().with_screen(preset["width"], preset["height"]),
+            frames=preset["frames"],
+        )
+        kinds = [d.kind for d in report.divergences]
+        assert doc["scenes"]["crazy"]["oracle"] == {
+            "tp": report.agreements,
+            "fp": kinds.count("false_positive"),
+            "fn": kinds.count("false_negative"),
+        }
+        assert report.agreements > 0
 
     def test_energy_section(self, tiny_doc):
         doc, _ = tiny_doc
@@ -170,7 +151,7 @@ class TestRunBench:
     def test_tile_profile_enabled_records_grids(self):
         doc = run_bench(
             ["crazy"], width=64, height=32, frames=1, detail=1,
-            runs=2, tile_profile=True,
+            tile_profile=True,
         )
         validate_bench_document(doc)
         assert doc["config"]["tile_profile"] is True
@@ -198,7 +179,7 @@ class TestRunBench:
         # Everything outside the profile block is untouched by
         # profiling: the profiler is strictly observational.
         bare = run_bench(
-            ["crazy"], width=64, height=32, frames=1, detail=1, runs=1,
+            ["crazy"], width=64, height=32, frames=1, detail=1,
         )
         assert bare["scenes"]["crazy"]["totals"] == entry["totals"]
         assert bare["scenes"]["crazy"]["counters"] == entry["counters"]
@@ -219,32 +200,24 @@ class TestRunBench:
 
 
 def valid_doc():
-    """A minimal schema-valid v7 document for validator tests."""
+    """A minimal schema-valid v8 document for validator tests."""
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
         "config": {"width": 64, "height": 32, "frames": 1,
-                   "detail": 1, "quick": True, "runs": 2, "profile": False,
+                   "detail": 1, "quick": True,
                    "kernel_backend": "vectorized", "broad_phase": "lbvh",
                    "tile_profile": False},
-        "stats": {"bootstrap_resamples": 100, "confidence": 0.95},
         "scenes": {
             "crazy": {
                 "frames": 1,
-                "runs": 2,
                 "stages": {
-                    stage: {"count": 1, "cycles": 10.0,
-                            "wall_ms_median": 1.0, "wall_ms_total": 2.0,
-                            "wall_ms_min": 0.9, "wall_ms_max": 1.1,
-                            "wall_ms_ci95": [0.9, 1.1],
-                            "wall_ms_runs": [0.9, 1.1]}
+                    stage: {"count": 1, "cycles": 10.0}
                     for stage in REQUIRED_STAGES
                 },
                 "totals": {"fragments_produced": 5,
                            "pair_records_written": 1,
                            "gpu_cycles": 100.0, "colliding_pairs": 1},
-                "throughput": {"wall_s": 0.1, "fragments_per_s": 50.0,
-                               "pairs_per_s": 10.0},
                 "counters": {"gpu.frames": 1, "energy.total_j": 1e-3},
                 "energy": {
                     "gpu": {"geometry_j": 1e-4, "raster_j": 1e-4,
@@ -259,6 +232,7 @@ def valid_doc():
                 },
                 "cases": {"disjoint": 3, "crossing": 1, "nested": 0,
                           "self_filtered": 0, "evidence_records": 1},
+                "oracle": {"tp": 1, "fp": 0, "fn": 2},
                 "tile_profile": {"enabled": False},
             }
         },
@@ -283,11 +257,11 @@ class TestValidator:
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_rejects_pre_v6_documents(self, version):
-        # Only v7 is accepted: an older document is refused with a
+        # Only v8 is accepted: an older document is refused with a
         # version error, by the validator and therefore by the gate.
         old = valid_doc()
         old["version"] = version
-        with pytest.raises(ValueError, match=r"version: expected one of \(7,\)"):
+        with pytest.raises(ValueError, match=r"version: expected one of \(8,\)"):
             validate_bench_document(old)
         report = gate_against_baseline(valid_doc(), old)
         assert not report.ok
@@ -299,7 +273,17 @@ class TestValidator:
         old = valid_doc()
         old["version"] = 6
         old["config"]["tile_cache"] = False
-        with pytest.raises(ValueError, match=r"expected one of \(7,\), got 6"):
+        with pytest.raises(ValueError, match=r"expected one of \(8,\), got 6"):
+            validate_bench_document(old)
+
+    def test_rejects_v7_document(self):
+        # v8 dropped the wall-time fields; a v7 document is refused
+        # with an error naming its version, even with those fields.
+        old = valid_doc()
+        old["version"] = 7
+        old["config"].update(runs=3, profile=False)
+        old["stats"] = {"bootstrap_resamples": 2000, "confidence": 0.95}
+        with pytest.raises(ValueError, match=r"expected one of \(8,\), got 7"):
             validate_bench_document(old)
 
     def test_accepts_enabled_tile_profile(self):
@@ -341,34 +325,26 @@ class TestValidator:
         (lambda d: d.pop("config"), "config"),
         (lambda d: d["config"].update(width=0), "config.width"),
         (lambda d: d["config"].update(quick="yes"), "config.quick"),
-        (lambda d: d["config"].update(runs=0), "config.runs"),
-        (lambda d: d["config"].pop("profile"), "config.profile"),
         (lambda d: d["config"].pop("kernel_backend"), "config.kernel_backend"),
         (lambda d: d["config"].update(kernel_backend=""),
          "config.kernel_backend"),
         (lambda d: d["config"].update(broad_phase=7), "config.broad_phase"),
-        (lambda d: d.pop("stats"), "stats"),
-        (lambda d: d["stats"].update(bootstrap_resamples=0),
-         "bootstrap_resamples"),
-        (lambda d: d["stats"].update(confidence=1.5), "confidence"),
         (lambda d: d.update(scenes={}), "scenes"),
-        (lambda d: d["scenes"]["crazy"].pop("runs"), "runs"),
         (lambda d: d["scenes"]["crazy"]["stages"].pop("rbcd"), "rbcd"),
         (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(count=0),
          "count"),
         (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(
-            wall_ms_median=-1.0), "wall_ms_median"),
-        (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(
-            wall_ms_ci95=[2.0, 1.0]), "wall_ms_ci95"),
-        (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(
-            wall_ms_ci95=[1.0]), "wall_ms_ci95"),
-        (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(
-            wall_ms_runs=[]), "wall_ms_runs"),
-        (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(
-            wall_ms_runs=[1.0]), "wall_ms_runs"),
+            cycles=-1.0), "frame.cycles"),
+        (lambda d: d["scenes"]["crazy"]["stages"]["frame"].pop("cycles"),
+         "frame.cycles"),
         (lambda d: d["scenes"]["crazy"]["totals"].update(
             fragments_produced=1.5), "fragments_produced"),
-        (lambda d: d["scenes"]["crazy"].pop("throughput"), "throughput"),
+        (lambda d: d["scenes"]["crazy"].pop("oracle"), "oracle"),
+        (lambda d: d["scenes"]["crazy"]["oracle"].pop("fn"), "oracle.fn"),
+        (lambda d: d["scenes"]["crazy"]["oracle"].update(tp=1.0),
+         "oracle.tp"),
+        (lambda d: d["scenes"]["crazy"]["oracle"].update(fp=-1),
+         "oracle.fp"),
         (lambda d: d["scenes"]["crazy"].update(counters={}), "counters"),
         (lambda d: d["scenes"]["crazy"]["counters"].update(bad="x"),
          "counters.bad"),
@@ -440,13 +416,33 @@ class TestCli:
         out = tmp_path / "BENCH_rbcd.json"
         code = main([
             "--scenes", "crazy", "--width", "64", "--height", "32",
-            "--frames", "1", "--detail", "1", "--runs", "2",
+            "--frames", "1", "--detail", "1",
             "--output", str(out),
         ])
         assert code == 0
         doc = json.loads(out.read_text())
         validate_bench_document(doc)
         assert main(["--check", str(out)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--width", "--height", "--frames",
+                                      "--detail"])
+    def test_quick_refuses_an_explicit_workload_flag(self, flag, capsys):
+        # --quick used to override the flag silently.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", flag, "8"])
+        assert excinfo.value.code == 2
+        assert f"{flag} cannot be combined with --quick" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["--runs", "3"], ["--profile"], ["--wall-tol", "20"],
+        ["--metric-tol", "0"], ["--alpha", "0.05"],
+    ])
+    def test_wall_time_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_explain_requires_baseline(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,10 +1,9 @@
 """End-to-end regression gating through the bench CLI.
 
 The acceptance contract of the gate: a fresh run against a baseline of
-the *same tree* exits 0, and a run against a baseline that the current
-tree would "regress" (simulated by perturbing the stored baseline —
-injecting a slowdown is equivalent to shrinking the baseline's numbers)
-exits non-zero.
+the *same tree* exits 0, and a run against a baseline with any value
+changed — in either direction — exits non-zero.  A change in the model
+is simulated by perturbing the stored baseline.
 """
 
 import copy
@@ -12,14 +11,19 @@ import json
 
 import pytest
 
+from pathlib import Path
+
 from repro.experiments.bench import gate_against_baseline, main, run_bench
+
+QUICK_BASELINE = (Path(__file__).resolve().parents[2]
+                  / "benchmarks" / "baselines" / "BENCH_quick.json")
 
 
 @pytest.fixture(scope="module")
 def bench_doc():
-    """One real 2-run tiny document, shared by every gate test."""
+    """One real tiny document, shared by every gate test."""
     return run_bench(["crazy"], width=64, height=32, frames=1, detail=1,
-                     quick=False, runs=2)
+                     quick=False)
 
 
 @pytest.fixture()
@@ -32,12 +36,9 @@ def baseline_file(tmp_path, bench_doc):
 def run_gate(tmp_path, baseline_path, *extra):
     return main([
         "--scenes", "crazy", "--width", "64", "--height", "32",
-        "--frames", "1", "--detail", "1", "--runs", "2",
+        "--frames", "1", "--detail", "1",
         "--output", str(tmp_path / "fresh.json"),
         "--baseline", str(baseline_path), "--gate",
-        # Wall time on a loaded test machine jitters: gate it leniently
-        # here, the deterministic metrics are the point of this test.
-        "--wall-tol", "1000.0",
         *extra,
     ])
 
@@ -46,14 +47,7 @@ class TestGateAgainstBaseline:
     def test_document_gates_clean_against_itself(self, bench_doc):
         report = gate_against_baseline(bench_doc, copy.deepcopy(bench_doc))
         assert report.ok, report.render()
-        assert len(report.comparisons) > 5
-
-    def test_profiled_documents_are_refused(self, bench_doc):
-        profiled = copy.deepcopy(bench_doc)
-        profiled["config"]["profile"] = True
-        report = gate_against_baseline(profiled, bench_doc)
-        assert not report.ok
-        assert any("--profile" in e for e in report.errors)
+        assert report.checked > 100
 
     def test_invalid_baseline_is_refused(self, bench_doc):
         report = gate_against_baseline(bench_doc, {"schema": "junk"})
@@ -93,7 +87,7 @@ class TestGateCli:
         assert run_gate(tmp_path, path) == 1
         captured = capsys.readouterr()
         assert "gate: FAILED" in captured.err
-        assert "REGRESSION" in captured.out
+        assert "CHANGED" in captured.out
         assert "energy.total_j" in captured.out
 
     def test_injected_cycle_slowdown_exits_nonzero(self, tmp_path, bench_doc,
@@ -117,9 +111,9 @@ class TestGateCli:
         path.write_text(json.dumps(fast))
         code = main([
             "--scenes", "crazy", "--width", "64", "--height", "32",
-            "--frames", "1", "--detail", "1", "--runs", "2",
+            "--frames", "1", "--detail", "1",
             "--output", str(tmp_path / "fresh.json"),
-            "--baseline", str(path), "--wall-tol", "1000.0",
+            "--baseline", str(path),
         ])
         assert code == 0
         assert "informational" in capsys.readouterr().out
@@ -141,18 +135,41 @@ class TestGateCli:
     def test_committed_quick_baseline_gates_clean(self, tmp_path, capsys):
         """The acceptance command of this subsystem: the committed
         quick baseline must pass against the current tree."""
-        from pathlib import Path
-
-        baseline = (Path(__file__).resolve().parents[2]
-                    / "benchmarks" / "baselines" / "BENCH_quick.json")
-        assert baseline.exists(), "committed quick baseline missing"
+        assert QUICK_BASELINE.exists(), "committed quick baseline missing"
         code = main([
-            "--quick", "--runs", "3",
-            "--output", str(tmp_path / "fresh.json"),
-            "--baseline", str(baseline), "--gate",
-            "--wall-tol", "1000.0",
+            "--quick", "--output", str(tmp_path / "fresh.json"),
+            "--baseline", str(QUICK_BASELINE), "--gate",
         ])
         assert code == 0, capsys.readouterr().out
+
+    def test_baseline_that_lost_its_collisions_fails(self, tmp_path, capsys):
+        """A model that stops finding collisions must not get through:
+        the committed quick baseline with every pair and case count
+        zeroed, one fragment per scene, and half the cycles and joules
+        is a change in both directions, and it fails the gate."""
+        doc = json.loads(QUICK_BASELINE.read_text())
+        for scene in doc["scenes"].values():
+            totals = scene["totals"]
+            totals.update(colliding_pairs=0, pair_records_written=0,
+                          fragments_produced=1)
+            totals["gpu_cycles"] /= 2
+            for key in scene["cases"]:
+                scene["cases"][key] = 0
+            for record in scene["stages"].values():
+                record["cycles"] /= 2
+            scene["energy"]["total_j"] /= 2
+        path = tmp_path / "hollow.json"
+        path.write_text(json.dumps(doc))
+        code = main([
+            "--quick", "--output", str(tmp_path / "fresh.json"),
+            "--baseline", str(path), "--gate",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "GATE-FAIL scene=cap metric=" in captured.err
+        for metric in ("totals.colliding_pairs", "cases.crossing",
+                       "stages.frame.cycles", "energy.total_j"):
+            assert f"crazy/{metric}:" in captured.out, metric
 
 
 class TestTileProfileComparability:

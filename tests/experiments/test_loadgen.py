@@ -1,9 +1,8 @@
 """The loadgen CLI end to end: tenant plans, bench document, exits.
 
 Runs ``repro.experiments.loadgen.main`` in-process at tiny resolutions
-— closed-loop, open-loop and the saturation ramp — and hardens the
-``rbcd-serve-bench`` validator with mutation tests against a
-known-good document.
+and hardens the ``rbcd-serve-bench`` validator with mutation tests
+against a known-good document.
 """
 
 import copy
@@ -86,7 +85,8 @@ class TestClosedLoopCli:
         assert doc["version"] == SCHEMA_VERSION
         assert doc["workload"]["frames_served"] == 4
         assert len(doc["workload"]["tenants"]) == 2
-        assert doc["saturation"] is None
+        # v3 carries no host-time block: every field is deterministic.
+        assert set(doc) == {"schema", "version", "config", "workload"}
         validate_serve_bench_document(doc)
         assert main(["--check", str(out_path)]) == 0
         assert "valid rbcd-serve-bench" in capsys.readouterr().out
@@ -158,14 +158,7 @@ class TestHistoryAppend:
         assert record["workload"]["pairs_total"] == sum(
             t["pairs_total"] for t in doc["workload"]["tenants"]
         )
-        assert record["saturation"] is None
-
-    def test_history_line_summarizes_saturation(self):
-        doc = good_document()
-        record = json.loads(history_line(doc))
-        assert record["saturation"] == {
-            "max_sustained_fps": 30.0, "steps": 2,
-        }
+        assert set(record) == {"schema", "version", "config", "workload"}
 
 
 class TestFlightRecorderCli:
@@ -204,46 +197,25 @@ class TestFlightRecorderCli:
         assert not list(dump_dir.glob("*.json")) if dump_dir.exists() else True
 
 
-class TestOpenLoopAndSaturationCli:
-    def test_open_loop_reports_throughput(self, capsys):
-        assert main(SMALL + ["--rate", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "open-loop at 50 Hz/tenant" in out
-        assert "fps aggregate" in out
+class TestQuickPreset:
+    @pytest.mark.parametrize("flag", ["--width", "--height", "--detail"])
+    def test_quick_refuses_an_explicit_workload_flag(self, flag, capsys):
+        # --quick used to override the flag silently.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", flag, "2"] + NO_ALERTS)
+        assert excinfo.value.code == 2
+        assert f"{flag} cannot be combined with --quick" in (
+            capsys.readouterr().err
+        )
 
-    def test_saturation_writes_a_valid_document(self, capsys, tmp_path):
-        out_path = tmp_path / "saturation.json"
-        code = main(SMALL + [
-            "--saturation", "--rates", "5,10",
-            "--max-frame-ms", "10000",
-            "--output", str(out_path),
-        ])
-        assert code == 0
-        assert "saturation: max sustained" in capsys.readouterr().out
-        doc = json.loads(out_path.read_text())
-        validate_serve_bench_document(doc)
-        steps = doc["saturation"]["steps"]
-        assert 1 <= len(steps) <= 2
-        assert doc["saturation"]["max_sustained_fps"] >= 0.0
-
-    def test_saturation_requires_the_slo(self, capsys):
-        assert main(SMALL + ["--saturation"]) == 2
-        assert "--max-frame-ms" in capsys.readouterr().err
-
-    def test_saturation_rejects_open_loop_rate(self, capsys):
-        code = main(SMALL + [
-            "--saturation", "--max-frame-ms", "100", "--rate", "10",
-        ])
-        assert code == 2
-        assert "drop --rate" in capsys.readouterr().err
-
-    def test_rates_must_ascend(self, capsys):
-        code = main(SMALL + [
-            "--saturation", "--max-frame-ms", "100",
-            "--rates", "20,10",
-        ])
-        assert code == 2
-        assert "ascending" in capsys.readouterr().err
+    def test_quick_sets_the_preset(self, tmp_path):
+        out_path = tmp_path / "serve.json"
+        assert main(["--quick", "--tenants", "1", "--frames", "1",
+                     "--output", str(out_path)] + NO_ALERTS) == 0
+        config = json.loads(out_path.read_text())["config"]
+        assert (config["width"], config["height"], config["detail"]) == (
+            160, 96, 1,
+        )
 
 
 def good_document():
@@ -277,31 +249,12 @@ def good_document():
             "tenants": [tenant(0, "cap", 1), tenant(1, "crazy", 4)],
             "global_counters": {"gpu.frames": 4.0},
         },
-        "timing": {"wall_s": 0.5},
-        "saturation": {
-            "steps": [
-                {"offered_rate_hz": 10.0, "achieved_fps": 30.0,
-                 "frames_served": 4, "frames_rejected": 0,
-                 "p95_wall_ms_max": 5.0, "slo_alerts": 0,
-                 "sustained": True},
-                {"offered_rate_hz": 20.0, "achieved_fps": 25.0,
-                 "frames_served": 3, "frames_rejected": 1,
-                 "p95_wall_ms_max": 50.0, "slo_alerts": 1,
-                 "sustained": False},
-            ],
-            "max_sustained_fps": 30.0,
-        },
     }
 
 
 class TestDocumentValidator:
     def test_accepts_known_good_document(self):
         validate_serve_bench_document(good_document())
-
-    def test_accepts_null_saturation(self):
-        doc = good_document()
-        doc["saturation"] = None
-        validate_serve_bench_document(doc)
 
     @pytest.mark.parametrize("mutate,expected", [
         (lambda d: d.__setitem__("schema", "rbcd-bench"), "schema"),
@@ -326,17 +279,8 @@ class TestDocumentValidator:
             "gpu.frames", "two"), "expected a number"),
         (lambda d: d["workload"].__setitem__("global_counters", {}),
          "global_counters"),
-        (lambda d: d["timing"].__setitem__("wall_s", -0.1), "timing.wall_s"),
-        (lambda d: d["saturation"]["steps"][1].__setitem__(
-            "offered_rate_hz", 10.0), "strictly increasing"),
-        (lambda d: d["saturation"]["steps"][0].__setitem__(
-            "sustained", False), "must end the ramp"),
-        (lambda d: d["saturation"].__setitem__("max_sustained_fps", 99.0),
-         "max over sustained steps"),
-        (lambda d: d["saturation"].__setitem__("steps", []),
-         "non-empty list"),
-        (lambda d: d["saturation"]["steps"][0].__setitem__(
-            "slo_alerts", 0.5), "expected an int"),
+        (lambda d: d["workload"]["tenants"][0].__setitem__("phase", 0.5),
+         "expected an int"),
     ])
     def test_rejects_mutations(self, mutate, expected):
         doc = good_document()
@@ -349,10 +293,31 @@ class TestDocumentValidator:
         with pytest.raises(ValueError, match="must be a mapping"):
             validate_serve_bench_document([1, 2, 3])
 
-    def test_check_flag_rejects_invalid_file(self, tmp_path):
+    def test_check_flag_rejects_invalid_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         doc = good_document()
         doc["workload"]["tenants"] = []
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="invalid rbcd-serve-bench"):
-            main(["--check", str(bad)])
+        assert main(["--check", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"FAIL {bad}: invalid rbcd-serve-bench")
+
+    def test_check_flag_rejects_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["--check", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith(f"FAIL {missing}:")
+
+    def test_check_flag_rejects_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["--check", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"FAIL {bad}:")
+
+    def test_check_flag_rejects_v2_document(self, tmp_path, capsys):
+        old = good_document()
+        old["version"] = 2
+        old["timing"] = {"wall_s": 0.5}
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(old))
+        assert main(["--check", str(path)]) == 1
+        assert "expected one of (3,), got 2" in capsys.readouterr().err

@@ -1,36 +1,30 @@
-"""Regression gate: policy, wall/deterministic comparisons, reporting."""
+"""Regression gate: exact two-way comparison of every scene value."""
 
 import copy
 
 import pytest
 
 from repro.observability.regress import (
-    DETERMINISTIC_SCENE_METRICS,
-    GatePolicy,
+    REL_TOL,
     GateReport,
     MetricComparison,
     compare_documents,
 )
 
 
-def make_doc(wall_runs=(10.0, 11.0, 12.0), cycles=100.0, gpu_cycles=5000.0,
-             energy_total=1e-3, edp=1e-6):
+def make_doc(cycles=100.0, gpu_cycles=5000.0, energy_total=1e-3, edp=1e-6):
     """A minimal gate-comparable document (one scene, one stage)."""
     return {
         "config": {"width": 64, "height": 32, "frames": 2, "detail": 1,
-                   "quick": True, "runs": len(wall_runs), "profile": False,
-                   "kernel_backend": "vectorized", "broad_phase": "lbvh"},
+                   "quick": True, "kernel_backend": "vectorized",
+                   "broad_phase": "lbvh", "tile_profile": True},
         "scenes": {
             "cap": {
-                "stages": {
-                    "frame": {
-                        "count": 2,
-                        "cycles": cycles,
-                        "wall_ms_median": sorted(wall_runs)[len(wall_runs) // 2],
-                        "wall_ms_runs": list(wall_runs),
-                    },
-                },
-                "totals": {"gpu_cycles": gpu_cycles},
+                "frames": 2,
+                "stages": {"frame": {"count": 2, "cycles": cycles}},
+                "totals": {"gpu_cycles": gpu_cycles,
+                           "fragments_produced": 700,
+                           "colliding_pairs": 3},
                 "counters": {
                     "gpu.mem.dram_bytes_read": 4096.0,
                     "gpu.mem.dram_bytes_written": 2048.0,
@@ -41,25 +35,18 @@ def make_doc(wall_runs=(10.0, 11.0, 12.0), cycles=100.0, gpu_cycles=5000.0,
                     "total_j": energy_total,
                     "edp_js": edp,
                 },
+                "cases": {"disjoint": 40, "crossing": 2, "nested": 1},
+                "oracle": {"tp": 4, "fp": 0, "fn": 1},
+                "tile_profile": {"enabled": True, "tiles_x": 2,
+                                 "tiles_y": 1, "frames": 2,
+                                 "cycles": [60.0, 40.0]},
             },
         },
     }
 
 
-class TestGatePolicy:
-    def test_defaults(self):
-        policy = GatePolicy()
-        assert policy.wall_tol == 0.25
-        assert policy.metric_tol == 1e-9
-        assert policy.alpha == 0.05
-
-    @pytest.mark.parametrize("kwargs", [
-        {"wall_tol": -0.1}, {"metric_tol": -1.0},
-        {"alpha": 0.0}, {"alpha": 1.0},
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            GatePolicy(**kwargs)
+def changed(report):
+    return [c.metric for c in report.mismatches]
 
 
 class TestSelfComparison:
@@ -68,60 +55,9 @@ class TestSelfComparison:
         report = compare_documents(doc, copy.deepcopy(doc))
         assert report.ok
         assert not report.errors
-        assert not report.regressions
-        assert not report.improvements
-        # frame wall + frame cycles + every deterministic scene metric
-        # present in the fixture.
-        assert len(report.comparisons) >= 2 + len(DETERMINISTIC_SCENE_METRICS) - 1
-
-
-class TestWallGating:
-    def test_large_significant_slowdown_regresses(self):
-        base = make_doc(wall_runs=(1.0, 1.1, 1.2, 1.05, 1.15))
-        cur = make_doc(wall_runs=(10.0, 10.5, 11.0, 10.2, 10.8))
-        report = compare_documents(base, cur)
-        walls = [c for c in report.regressions if c.kind == "wall"]
-        assert len(walls) == 1
-        assert walls[0].metric == "stages.frame.wall_ms"
-        assert "Mann-Whitney" in walls[0].detail
-
-    def test_large_but_overlapping_noise_passes(self):
-        # Medians differ by >25% but the samples interleave heavily:
-        # no disjoint CI, no significant test => not a regression.
-        base = make_doc(wall_runs=(1.0, 9.0, 2.0, 8.0, 3.0))
-        cur = make_doc(wall_runs=(8.5, 1.5, 9.5, 2.5, 7.0))
-        report = compare_documents(base, cur)
-        assert not [c for c in report.regressions if c.kind == "wall"]
-
-    def test_small_slowdown_within_tolerance_passes(self):
-        base = make_doc(wall_runs=(10.0, 10.1, 10.2))
-        cur = make_doc(wall_runs=(11.0, 11.1, 11.2))  # +10% < 25% tol
-        report = compare_documents(base, cur)
-        assert not [c for c in report.regressions if c.kind == "wall"]
-
-    def test_significant_speedup_reported_as_improvement(self):
-        base = make_doc(wall_runs=(10.0, 10.5, 11.0, 10.2, 10.8))
-        cur = make_doc(wall_runs=(1.0, 1.1, 1.2, 1.05, 1.15))
-        report = compare_documents(base, cur)
-        assert report.ok
-        walls = [c for c in report.improvements if c.kind == "wall"]
-        assert len(walls) == 1
-
-    def test_single_run_documents_still_gate(self):
-        base = make_doc(wall_runs=(1.0,))
-        cur = make_doc(wall_runs=(10.0,))
-        report = compare_documents(base, cur)
-        walls = [c for c in report.regressions if c.kind == "wall"]
-        assert len(walls) == 1
-        assert "single-run" in walls[0].detail
-
-    def test_wall_tolerance_is_configurable(self):
-        base = make_doc(wall_runs=(1.0, 1.0, 1.0, 1.0, 1.0))
-        cur = make_doc(wall_runs=(1.1, 1.1, 1.1, 1.1, 1.1))
-        strict = compare_documents(base, cur, GatePolicy(wall_tol=0.05))
-        loose = compare_documents(base, cur, GatePolicy(wall_tol=4.0))
-        assert [c for c in strict.regressions if c.kind == "wall"]
-        assert not [c for c in loose.regressions if c.kind == "wall"]
+        assert not report.mismatches
+        # Every leaf of the scene entry was compared.
+        assert report.checked == 24
 
 
 class TestDeterministicGating:
@@ -144,31 +80,79 @@ class TestDeterministicGating:
         mutate(cur)
         report = compare_documents(base, cur)
         assert not report.ok
-        assert metric in [c.metric for c in report.regressions]
+        assert changed(report) == [metric]
+
+    @pytest.mark.parametrize("mutate,metric", [
+        (lambda e: e["stages"]["frame"].update(cycles=99.0),
+         "stages.frame.cycles"),
+        (lambda e: e["totals"].update(colliding_pairs=0),
+         "totals.colliding_pairs"),
+        (lambda e: e["totals"].update(colliding_pairs=4),
+         "totals.colliding_pairs"),
+        (lambda e: e["cases"].update(crossing=1), "cases.crossing"),
+        (lambda e: e["oracle"].update(fn=2), "oracle.fn"),
+        (lambda e: e["oracle"].update(tp=3), "oracle.tp"),
+        (lambda e: e["tile_profile"]["cycles"].__setitem__(1, 41.0),
+         "tile_profile.cycles[1]"),
+        (lambda e: e.update(frames=3), "frames"),
+    ], ids=[
+        "stage-cycle-decrease", "pairs-lost", "pairs-gained",
+        "cases", "oracle-fn", "oracle-tp", "tile-cell", "frames",
+    ])
+    def test_any_change_fails_on_its_own(self, mutate, metric):
+        cur = make_doc()
+        mutate(cur["scenes"]["cap"])
+        report = compare_documents(make_doc(), cur)
+        assert not report.ok
+        assert changed(report) == [metric]
+        assert report.failure_line().startswith(
+            f"GATE-FAIL scene=cap metric={metric} "
+        )
 
     def test_stage_cycle_increase_regresses(self):
         report = compare_documents(make_doc(cycles=100.0), make_doc(cycles=101.0))
-        assert "stages.frame.cycles" in [c.metric for c in report.regressions]
+        assert "stages.frame.cycles" in changed(report)
 
-    def test_decrease_is_improvement_not_failure(self):
+    def test_decrease_fails_the_gate(self):
         report = compare_documents(
             make_doc(energy_total=1e-3), make_doc(energy_total=0.5e-3)
         )
-        assert report.ok
-        improved = {c.metric for c in report.improvements}
-        assert "energy.total_j" in improved
+        assert not report.ok
+        assert "energy.total_j" in changed(report)
 
     def test_float_noise_within_tolerance_passes(self):
         base = make_doc(gpu_cycles=5000.0)
         cur = make_doc(gpu_cycles=5000.0 * (1.0 + 1e-12))
         assert compare_documents(base, cur).ok
 
-    def test_baseline_missing_metric_is_skipped(self):
+    def test_float_change_beyond_tolerance_fails(self):
+        base = make_doc(gpu_cycles=5000.0)
+        cur = make_doc(gpu_cycles=5000.0 * (1.0 + 10 * REL_TOL))
+        assert changed(compare_documents(base, cur)) == ["totals.gpu_cycles"]
+
+    def test_integer_leaves_compare_exactly(self):
+        # Within REL_TOL as a ratio, but integers must be equal.
+        base = make_doc()
+        cur = make_doc()
+        base["scenes"]["cap"]["totals"]["fragments_produced"] = 10**12
+        cur["scenes"]["cap"]["totals"]["fragments_produced"] = 10**12 + 1
+        report = compare_documents(base, cur)
+        assert changed(report) == ["totals.fragments_produced"]
+
+    def test_zero_baseline_fails_on_any_value(self):
+        base = make_doc()
+        cur = make_doc()
+        base["scenes"]["cap"]["energy"]["edp_js"] = 0.0
+        cur["scenes"]["cap"]["energy"]["edp_js"] = 1e-300
+        assert changed(compare_documents(base, cur)) == ["energy.edp_js"]
+
+    def test_metric_missing_from_baseline_fails(self):
         base = make_doc()
         del base["scenes"]["cap"]["energy"]["edp_js"]
         report = compare_documents(base, make_doc())
-        assert report.ok
-        assert "energy.edp_js" not in [c.metric for c in report.comparisons]
+        assert not report.ok
+        assert any("energy.edp_js is not in the baseline" in e
+                   for e in report.errors)
 
     def test_current_missing_metric_errors(self):
         cur = make_doc()
@@ -185,11 +169,11 @@ class TestStructuralErrors:
         report = compare_documents(make_doc(), cur)
         assert not report.ok
         assert any("config.width" in e for e in report.errors)
-        assert not report.comparisons  # refused before comparing anything
+        assert report.checked == 0  # refused before comparing anything
 
     def test_kernel_backend_mismatch_refused(self):
-        # Backends are bit-identical but wall times differ, and wall
-        # time is what the gate tests — such documents never compare.
+        # Documents produced under different configurations never
+        # compare, even where the outputs are meant to be identical.
         cur = make_doc()
         cur["config"]["kernel_backend"] = "reference"
         report = compare_documents(make_doc(), cur)
@@ -203,23 +187,19 @@ class TestStructuralErrors:
         assert not report.ok
         assert any("config.broad_phase" in e for e in report.errors)
 
-    def test_runs_may_differ(self):
-        # runs is a measurement parameter, not a workload parameter.
-        base = make_doc(wall_runs=(1.0, 1.1, 1.2))
-        cur = make_doc(wall_runs=(1.0, 1.1, 1.2, 1.3, 1.4))
-        assert compare_documents(base, cur).ok
-
     def test_missing_scene_errors(self):
         cur = make_doc()
         cur["scenes"] = {}
         report = compare_documents(make_doc(), cur)
         assert any("cap" in e for e in report.errors)
 
-    def test_missing_wall_samples_errors(self):
+    def test_extra_scene_errors(self):
         cur = make_doc()
-        del cur["scenes"]["cap"]["stages"]["frame"]["wall_ms_runs"]
+        cur["scenes"]["crazy"] = copy.deepcopy(cur["scenes"]["cap"])
         report = compare_documents(make_doc(), cur)
-        assert any("wall_ms_runs" in e for e in report.errors)
+        assert not report.ok
+        assert any("'crazy' is not in the baseline" in e
+                   for e in report.errors)
 
     def test_documents_without_blocks(self):
         report = compare_documents({}, make_doc())
@@ -231,20 +211,13 @@ class TestRendering:
         base = make_doc(energy_total=1e-3)
         cur = make_doc(energy_total=2e-3)
         text = compare_documents(base, cur).render()
-        assert "REGRESSION" in text
-        assert "energy.total_j" in text
-        assert "metrics checked" in text
-
-    def test_render_suggests_baseline_refresh_on_pure_improvement(self):
-        base = make_doc(energy_total=2e-3)
-        cur = make_doc(energy_total=1e-3)
-        text = compare_documents(base, cur).render()
-        assert "refreshing the baseline" in text
+        assert "CHANGED" in text
+        assert "cap/energy.total_j: 0.001 -> 0.002" in text
+        assert "24 values checked, 3 changed" in text
 
     def test_ratio_handles_zero_baseline(self):
         comp = MetricComparison(
-            scene="cap", metric="m", kind="deterministic",
-            baseline=0.0, current=1.0, regressed=True, improved=False,
+            scene="cap", metric="m", baseline=0.0, current=1.0,
         )
         assert comp.ratio == float("inf")
 
@@ -260,7 +233,6 @@ class TestFailureLine:
         assert line.startswith("GATE-FAIL ")
         assert "scene=cap" in line
         assert "metric=energy.gpu.total_j" in line
-        assert "kind=deterministic" in line
         assert "baseline=0.0008" in line
         assert "current=0.0016" in line
         assert "ratio=2" in line
@@ -277,13 +249,9 @@ class TestFailureLine:
     def test_first_regression_wins_and_pass_is_empty(self):
         base = make_doc()
         assert compare_documents(base, copy.deepcopy(base)).failure_line() == ""
-        report = GateReport(comparisons=[
-            MetricComparison(scene="cap", metric="a", kind="deterministic",
-                             baseline=1.0, current=2.0, regressed=True,
-                             improved=False),
-            MetricComparison(scene="cap", metric="b", kind="deterministic",
-                             baseline=1.0, current=3.0, regressed=True,
-                             improved=False),
+        report = GateReport(mismatches=[
+            MetricComparison(scene="cap", metric="a", baseline=1, current=2),
+            MetricComparison(scene="cap", metric="b", baseline=1, current=3),
         ])
         assert "metric=a" in report.failure_line()
-        assert report.regressions == report.comparisons
+        assert not report.ok

@@ -1,5 +1,8 @@
 """CollisionService unit tests: admission, batching, demux, telemetry."""
 
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -343,6 +346,101 @@ class TestMetricsServerOverService:
                 assert fetch(server.url + "/healthz")[0] == 503
                 assert fetch(server.url + "/healthz/alice")[0] == 503
                 assert fetch(server.url + "/healthz/bob")[0] == 200
+
+
+class TestConcurrentClients:
+    """Client threads submit while another thread steps the batcher:
+    every admitted frame must come back exactly as a serial run
+    renders it, and each tenant's telemetry must sum to the serial
+    totals."""
+
+    TENANTS = {"t0": ("cap", 0), "t1": ("crazy", 3), "t2": ("sleepy", 5)}
+    FRAMES = 3
+
+    @staticmethod
+    def outcome(served):
+        result = served.result
+        return result.pairs, result.stats.as_dict(), result.energy.as_dict()
+
+    def serial(self):
+        outcomes, totals = {}, {}
+        with make_service() as service:
+            for tenant, (scene, phase) in self.TENANTS.items():
+                service.register(tenant)
+                outcomes[tenant] = []
+                for frame in make_frames(self.FRAMES, scene, phase):
+                    future = service.submit(tenant, frame)
+                    service.drain()
+                    outcomes[tenant].append(self.outcome(future.result()))
+                totals[tenant] = service.tenant_registry(tenant).as_dict()
+        return outcomes, totals
+
+    def concurrent(self):
+        frames = {
+            tenant: make_frames(self.FRAMES, scene, phase)
+            for tenant, (scene, phase) in self.TENANTS.items()
+        }
+        futures = {tenant: [] for tenant in self.TENANTS}
+        errors = []
+        clients_done = threading.Event()
+
+        def client(tenant):
+            try:
+                for frame in frames[tenant]:
+                    futures[tenant].append(service.submit(tenant, frame))
+                    time.sleep(0.001)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        def stepper():
+            while not clients_done.is_set():
+                if service.step() == 0:
+                    time.sleep(0.0005)
+            service.drain()
+
+        with make_service(max_pending=self.FRAMES) as service:
+            for tenant in self.TENANTS:
+                service.register(tenant)
+            threads = [
+                threading.Thread(target=client, args=(tenant,))
+                for tenant in self.TENANTS
+            ]
+            batcher = threading.Thread(target=stepper)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave threads finely
+            try:
+                batcher.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                clients_done.set()
+                batcher.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in [batcher, *threads])
+            assert not errors, errors
+            outcomes = {}
+            for tenant, tenant_futures in futures.items():
+                served = [f.result(timeout=30) for f in tenant_futures]
+                assert [s.frame_seq for s in served] == list(
+                    range(self.FRAMES)
+                )
+                outcomes[tenant] = [self.outcome(s) for s in served]
+            totals = {
+                tenant: service.tenant_registry(tenant).as_dict()
+                for tenant in self.TENANTS
+            }
+        return outcomes, totals
+
+    def test_concurrent_submit_and_step_match_a_serial_run(self):
+        serial_outcomes, serial_totals = self.serial()
+        outcomes, totals = self.concurrent()
+        assert outcomes == serial_outcomes
+        assert totals == serial_totals
+        assert any(
+            pairs for frames in outcomes.values() for pairs, _, _ in frames
+        )
 
 
 def test_non_finite_frame_fails_only_its_future():
