@@ -10,8 +10,11 @@ The pass/fail decision is a kernel (:mod:`repro.gpu.kernels`): the
 reference backend runs the literal per-fragment scan, the vectorized
 backend a segmented exclusive prefix-min over the pixel-sorted stream.
 Both visit each fragment once and compare exact floats (no algebraic
-re-encoding), so the mask is bit-identical across backends; this module
-derives the Z-buffer and per-pixel winner from it.
+re-encoding), so the mask is bit-identical across backends.  The kernel
+also names each pixel's last passing fragment.  Every pass sets a
+strict new minimum at its pixel, so that fragment is the pixel's
+visible one and its depth the final Z-buffer value; a pixel with no
+pass keeps the clear value 1.0.
 """
 
 from __future__ import annotations
@@ -64,20 +67,12 @@ def depth_test(
     z = frags.z[tested_idx]
 
     backend = get_backend(config.kernel_backend)
-    mask = backend.earlyz_pass_mask(pixel, z)
+    mask, visible = backend.earlyz_test(pixel, z)
     passed[tested_idx] = mask
     stats.early_z_passes += int(mask.sum())
 
-    # Final Z-buffer: per-pixel minimum of tested depths.
-    # (minimum.at is unbuffered and handles duplicates.)
-    flat_z = z_buffer.ravel()
-    np.minimum.at(flat_z, pixel, z)
-
-    # Winner per pixel: the passing fragment with the minimal depth.
-    # Every later passing fragment at a pixel is strictly nearer than
-    # all earlier ones, so the winner is the passing fragment with the
-    # largest soup index — a per-pixel max reduction.
-    if mask.any():
-        np.maximum.at(winner.ravel(), pixel[mask], tested_idx[mask])
+    at = pixel[visible]
+    z_buffer.ravel()[at] = z[visible]
+    winner.ravel()[at] = tested_idx[visible]
 
     return DepthTestResult(passed, z_buffer, winner)

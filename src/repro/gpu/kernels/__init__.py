@@ -53,11 +53,13 @@ class KernelBackend:
         producing triangle index, in canonical order: triangle
         ascending, then row-major (row, then column) over the pixels
         each triangle covers.
-    ``earlyz_pass_mask(pixel, z)``
+    ``earlyz_test(pixel, z)``
         ``pixel`` is ``(N,) int64`` flat pixel indices and ``z`` the
-        matching depths, both in arrival order.  Returns the ``(N,)``
-        bool mask of fragments passing a LESS test against the running
-        per-pixel minimum (buffer cleared to 1.0).
+        matching depths, both in arrival order.  Returns ``(passed,
+        visible)``: the ``(N,)`` bool mask of fragments passing a LESS
+        test against the running per-pixel minimum (buffer cleared to
+        1.0), and the int64 index of each pixel's last passing
+        fragment, in ascending pixel order, one per pixel with a pass.
     ``zeb_insert(pixel, z_codes, object_id, is_front, config,
     tile_pixels)``
         A frame's collisionable fragments in arrival order (depths
@@ -74,7 +76,7 @@ class KernelBackend:
 
     name: str
     rasterize_triangles: Callable
-    earlyz_pass_mask: Callable
+    earlyz_test: Callable
     zeb_insert: Callable
     zoverlap_traverse: Callable
 

@@ -113,18 +113,24 @@ def rasterize_triangles(
     )
 
 
-def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
+def earlyz_test(
+    pixel: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Sequential LESS test against the running per-pixel minimum."""
     n = pixel.shape[0]
     passed = np.zeros(n, dtype=bool)
     z_buffer: dict[int, float] = {}
+    visible: dict[int, int] = {}
     for k in range(n):
         p = int(pixel[k])
         depth = float(z[k])
         if depth < z_buffer.get(p, 1.0):
             passed[k] = True
             z_buffer[p] = depth
-    return passed
+            visible[p] = k
+    return passed, np.array(
+        [visible[p] for p in sorted(visible)], dtype=np.int64
+    )
 
 
 def zeb_insert(pixel, z_codes, object_id, is_front, config, tile_pixels):
@@ -178,7 +184,7 @@ def _stack_tiles(tiles, tile_pixels) -> ZEBTile:
 BACKEND = KernelBackend(
     name="reference",
     rasterize_triangles=rasterize_triangles,
-    earlyz_pass_mask=earlyz_pass_mask,
+    earlyz_test=earlyz_test,
     zeb_insert=zeb_insert,
     zoverlap_traverse=traverse_lists_sequential,
 )

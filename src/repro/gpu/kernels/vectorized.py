@@ -3,29 +3,18 @@
 Bit-identical to the reference backend by construction, not by luck:
 
 * The batched rasterizer evaluates the *same* IEEE-754 expressions as
-  the per-triangle scalar loop — same subtractions, same products, same
-  divisions, elementwise — but only where it must.  Each (triangle,
-  row) gets a conservative column span: the pixel-centre scanline's
-  crossings with the edges, widened by one pixel and clamped to the
-  bounding box, so every pixel the edge tests would accept lies in it.
-  Each edge's row-constant term ``dx * (gy - ay)`` is computed once per
-  (triangle, row); the per-pixel rest, ``- dy * (gx - ax)``, per pixel.
-* For a fixed (triangle, row) each edge value *as computed* is monotone
-  in the column: ``gx - ax``, the product with ``dy`` and the
-  subtraction from the row term are each correctly rounded, and
-  rounding is monotone.  Each edge test therefore accepts a prefix or a
-  suffix of the row, and the covered columns form one interval.  A row
-  at least ``_WINDOW_MIN_WIDTH`` (7) columns wide tests only a window:
-  the three leftmost and the three rightmost columns of its span.  When
-  the third column from each end is covered, the exact run is [first
-  covered column on the left, last covered column on the right] and is
-  emitted without testing the columns between.  Every other row — a
-  narrower one, one whose window brackets no run, or one of a triangle
-  beyond ``_SPAN_MAX_COORD`` — tests each column of its span.  The two
-  kinds merge in (triangle, row, column) order through per-row offsets,
-  and edge values, barycentrics and depth are then computed once per
-  emitted fragment.  Fragments come out triangle-ascending, then
-  row-ascending, then column-ascending — a subset of the reference's
+  the per-triangle scalar loop, elementwise, but only where it must.
+  Each (triangle, row) gets a tight conservative column span: the
+  scanline's edge crossings, widened by ``_SPAN_EPS`` (2^-8 px) and
+  clamped one-sidedly into the bounding box (:func:`_row_spans`
+  derives the bound).  Rows with an empty span drop out before any
+  per-row work.  Each edge's row term ``dx * (gy - ay)`` is computed
+  once per (triangle, row), the rest per pixel.
+* Each edge value as computed is monotone in the column, so a row
+  whose two end columns are covered is covered throughout and is
+  emitted as one run untested (:func:`_end_runs`); every other row
+  tests each column of its span.  Fragments come out triangle-, then
+  row-, then column-ascending — a subset of the reference's
   bounding-box raster order — so equal values arrive in equal order.
 * Early-Z replaces the sequential per-fragment scan with a segmented
   exclusive prefix-min over the pixel-sorted stream: a doubling
@@ -54,18 +43,11 @@ from repro.rbcd.zeb import build_zeb
 _MAX_CANDIDATES = 1 << 20
 # Upper bound on (triangle, row) spans materialized per chunk.
 _MAX_ROWS = 1 << 18
-# Spans and run windows trust the arithmetic only while every vertex
-# coordinate stays below this magnitude: the crossing's rounding error
-# is then far under the one-pixel widening, and no edge term can
-# overflow into the inf or nan a monotone run cannot hold.  Triangles
-# beyond it test every column of their bounding-box rows.
-_SPAN_MAX_COORD = 2.0**40
-
-# Rows at least this wide first test only a six-column window: the
-# three leftmost and the three rightmost columns of their span.
-_WINDOW_MIN_WIDTH = 7
-_WINDOW_LEFT = np.arange(3)[:, None]
-_WINDOW_RIGHT = np.arange(-2, 1)[:, None]
+# Vertex coordinates below which span and run arithmetic is bounded
+# (_row_spans); triangles beyond it test every bounding-box column.
+_SPAN_MAX_COORD = 2.0**24
+# How far each span end reaches past its computed crossing, in pixels.
+_SPAN_EPS = 2.0**-8
 
 _EMPTY = (
     np.empty(0, dtype=np.int32),
@@ -115,30 +97,46 @@ def _edge_setup(vx, vy, sign):
 
 
 def _row_spans(edges, row_edges, tame, tri, x0, x1):
-    """Conservative pixel-column span ``[lo, hi]`` of each (triangle, row).
+    """Tight conservative pixel-column span ``[lo, hi]`` of each
+    (triangle, row), as floats; ``lo > hi`` is an empty row.
 
     On scanline ``gy = y + 0.5`` an edge with orientation-normalized
-    ``sdy > 0`` admits pixel centres left of its crossing ``xc``, one
-    with ``sdy < 0`` those right of it, and a horizontal edge sets no
-    bound.  Each bound is widened by one pixel past the exact one and
-    clamped to the triangle's bounding box; a non-finite crossing
-    leaves the box bound in place.  ``lo > hi`` is an empty row.
-    ``row_edges`` holds each edge's per-row ``(ax, gy - ay)``.
+    ``sdy > 0`` admits pixel centres left of its crossing, one with
+    ``sdy < 0`` those right of it, and a horizontal edge sets no bound.
+    With ``c`` the computed column whose centre sits on the crossing,
+    the bounds are ``floor(c + eps)`` and ``ceil(c - eps)``, ``eps =
+    _SPAN_EPS``.  They start at the bounding box and only tighten, so
+    crossed-over bounds beyond a box edge stay empty; a non-finite or
+    untame crossing sets none.  ``row_edges`` holds each edge's per-row
+    ``(ax, r = gy - ay)``.
+
+    Why ``eps`` suffices: take ``dx``, ``dy``, ``ax`` and ``r`` as
+    computed — the edge test and the crossing read the same values —
+    and let ``u = 2^-53``, ``T = (dx / dy) * r`` exactly, and ``X = col
+    + 0.5 - ax``.  The test ``dx * r - dy * (col + 0.5 - ax)`` rounds
+    three times before a final subtraction whose sign is exact, so it
+    accepts only ``X <= T + 3.01u |T|`` (for ``sdy > 0``; mirrored for
+    ``sdy < 0``).  The crossing ``(ax - 0.5) + (dx / dy) * r`` rounds
+    four times, off by at most ``u (|ax| + 0.5 + |c|) + 2.01u |T|``.
+    A tame triangle has every coordinate below ``M = _SPAN_MAX_COORD
+    = 2^24``, so ``|ax|`` and every box column are below ``M``; where
+    ``|T| > 4M`` the bound misses the box or no column passes, and
+    otherwise the two errors sum to under ``32u M = 2^-24`` px, far
+    below ``eps``.  Every accepted column is then below ``c + eps``,
+    and ``floor`` of the rounded ``c + eps`` keeps it.  A tame
+    triangle's nonzero ``dy`` are also normal floats: an underflowing
+    product is off by up to ``2^-1075``, which the division by ``dy``
+    turns into at most ``2^-53`` px.
     """
-    lo = np.full(tri.shape[0], -np.inf)
-    hi = np.full(tri.shape[0], np.inf)
+    lo = x0[tri].astype(np.float64)
+    hi = x1[tri].astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for (dx, dy, dyn, _), (ax, rel_y) in zip(edges, row_edges):
             slope = np.where(tame, dx / dy, np.nan)
             sdy = dyn[tri]
-            # Pixel column whose centre sits on the crossing: xc - 0.5.
             c = ax - 0.5 + slope[tri] * rel_y
-            hi = np.where(sdy > 0.0, np.fmin(hi, np.floor(c) + 1.0), hi)
-            lo = np.where(sdy < 0.0, np.fmax(lo, np.ceil(c) - 1.0), lo)
-    box_lo = x0[tri].astype(np.float64)
-    box_hi = x1[tri].astype(np.float64)
-    lo = np.clip(lo, box_lo, box_hi).astype(np.int64)
-    hi = np.clip(hi, box_lo, box_hi).astype(np.int64)
+            hi = np.where(sdy > 0.0, np.fmin(hi, np.floor(c + _SPAN_EPS)), hi)
+            lo = np.where(sdy < 0.0, np.fmax(lo, np.ceil(c - _SPAN_EPS)), lo)
     return lo, hi
 
 
@@ -170,31 +168,24 @@ def _inside(terms, sign, rows, gx):
     return inside
 
 
-def _window_runs(inside, lo, hi):
-    """Exact covered runs of the rows whose window brackets one.
+def _end_runs(ends, lo, hi):
+    """Exact covered runs of the rows whose two end columns are covered.
 
-    ``inside`` is the ``(6, rows)`` test of columns ``lo .. lo+2`` and
-    ``hi-2 .. hi``.  Each edge value, as computed, is monotone in the
-    column (every step of it is a correctly rounded, monotone
-    operation), so a row's covered columns form one interval.  When the
-    third column from each end is covered, every column between them is
-    too, and the run is [first covered column on the left, last covered
-    column on the right].  Returns the mask of such rows and their
-    runs' ``first`` and ``last`` columns.
+    ``ends`` is the ``(2, rows)`` test of columns ``lo`` and ``hi``.  An
+    edge's accepted columns are a prefix or a suffix of the row (its
+    value is monotone in the column), so an edge that accepts both ends
+    accepts every column between.  Returns those rows and their runs'
+    ``first`` and ``last`` columns.
     """
-    ok = inside[2] & inside[3]
-    first = lo[ok] + np.argmax(inside[:3, ok], axis=0)
-    last = hi[ok] - np.argmax(inside[:2:-1, ok], axis=0)
-    return ok, first, last
+    runs = np.flatnonzero(ends[0] & ends[1])
+    return runs, lo[runs], hi[runs]
 
 
 def _raster_rows(z, area2, sign, edges, row_edges, tame, tri, y, lo, hi):
     """Fragments of the rows ``(tri, y)`` within their spans ``[lo, hi]``.
 
-    Rows of span-safe triangles at least ``_WINDOW_MIN_WIDTH`` wide
-    test only their six window columns (:func:`_window_runs`); every
-    other row tests each column of its span.  The two kinds merge in
-    (row, column) order through per-row offsets, then edge values,
+    Runs (:func:`_end_runs`) and candidate-tested rows merge in (row,
+    column) order through per-row offsets; then edge values,
     barycentrics and depth are computed once per emitted fragment.
     """
     row_sign = sign[tri]
@@ -204,22 +195,15 @@ def _raster_rows(z, area2, sign, edges, row_edges, tame, tri, y, lo, hi):
         for (dx, dy, _, top_left), (ax, rel_y) in zip(edges, row_edges)
     ]
     num_rows = tri.shape[0]
-    width = hi - lo + 1
 
-    win = np.flatnonzero(tame[tri] & (width >= _WINDOW_MIN_WIDTH))
-    window = np.concatenate(
-        (lo[win] + _WINDOW_LEFT, hi[win] + _WINDOW_RIGHT), axis=0
-    )
-    ok, first, last = _window_runs(
-        _inside(terms, row_sign, win, window + 0.5), lo[win], hi[win]
-    )
-    runs = win[ok]
+    ends = _inside(terms, row_sign, slice(None), np.stack((lo, hi)) + 0.5)
+    ends &= tame[tri]
+    runs, first, last = _end_runs(ends, lo, hi)
 
-    tested = np.ones(num_rows, dtype=bool)
-    tested[runs] = False
-    tested = np.flatnonzero(tested & (width > 0))
-    cand_row = np.repeat(tested, width[tested])
-    cand_col = _ramps(lo[tested], width[tested])
+    tested = np.delete(np.arange(num_rows), runs)
+    width = hi[tested] - lo[tested] + 1
+    cand_row = np.repeat(tested, width)
+    cand_col = _ramps(lo[tested], width)
     keep = np.flatnonzero(_inside(terms, row_sign, cand_row, cand_col + 0.5))
     kept_row = cand_row[keep]
 
@@ -257,8 +241,7 @@ def rasterize_triangles(
     xy: np.ndarray, z: np.ndarray, width: int, height: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scan-convert a whole triangle batch over per-row spans."""
-    num_tris = xy.shape[0]
-    if num_tris == 0:
+    if xy.shape[0] == 0:
         return _EMPTY
 
     vx = xy[:, :, 0]
@@ -282,11 +265,14 @@ def rasterize_triangles(
     if live.shape[0] == 0:
         return _EMPTY
     rows = y1[live] - y0[live] + 1
+    edges = _edge_setup(vx, vy, sign)
+    # Tame triangles: those whose span arithmetic _row_spans bounds.
     tame = (
         np.maximum(np.maximum(-min_x, max_x), np.maximum(-min_y, max_y))
         < _SPAN_MAX_COORD
     )
-    edges = _edge_setup(vx, vy, sign)
+    for _, dy, _, _ in edges:
+        tame &= (dy == 0.0) | (np.abs(dy) >= np.finfo(np.float64).tiny)
 
     # Rows run triangle-ascending, then row-ascending, and each row's
     # fragments column-ascending: a subset of the bounding-box raster
@@ -302,8 +288,12 @@ def rasterize_triangles(
             for i in range(3)
         ]
         lo, hi = _row_spans(edges, row_edges, tame, row_tri, x0, x1)
-        cols = np.maximum(hi - lo + 1, 0)
-        for c, d in _bounded_runs(cols, _MAX_CANDIDATES):
+        # Rows that can hold a fragment; their bounds lie in the box.
+        held = np.flatnonzero(lo <= hi)
+        row_tri, row_y = row_tri[held], row_y[held]
+        row_edges = [(ax[held], rel_y[held]) for ax, rel_y in row_edges]
+        lo, hi = lo[held].astype(np.int64), hi[held].astype(np.int64)
+        for c, d in _bounded_runs(hi - lo + 1, _MAX_CANDIDATES):
             piece = _raster_rows(
                 z, area2, sign, edges,
                 [(ax[c:d], rel_y[c:d]) for ax, rel_y in row_edges], tame,
@@ -341,7 +331,9 @@ def _segmented_prefix_min(values, keys):
     return run
 
 
-def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
+def earlyz_test(
+    pixel: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Segmented exclusive prefix-min LESS test, one visit per fragment.
 
     Fragments are stably sorted by pixel (keeping arrival order within
@@ -349,12 +341,12 @@ def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
     minimum of the buffer's clear value 1.0 and every earlier depth at
     its pixel.  That exclusive minimum is the inclusive running minimum
     of the sorted depths shifted by one, with 1.0 at each segment
-    start.
+    start.  Each pixel's visible fragment is its segment's last pass.
     """
     n = pixel.shape[0]
     passed = np.zeros(n, dtype=bool)
     if n == 0:
-        return passed
+        return passed, np.empty(0, dtype=np.int64)
 
     order = np.argsort(pixel, kind="stable")
     sp = pixel[order]
@@ -362,14 +354,21 @@ def earlyz_pass_mask(pixel: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     shifted = np.ones(n)  # 1.0: the z-buffer clear value
     np.copyto(shifted[1:], sz[:-1], where=sp[1:] == sp[:-1])
-    passed[order] = sz < _segmented_prefix_min(shifted, sp)
-    return passed
+    sorted_pass = sz < _segmented_prefix_min(shifted, sp)
+    passed[order] = sorted_pass
+
+    # A pass is its pixel's last when the next pass lies at another pixel.
+    at = np.flatnonzero(sorted_pass)
+    keys = sp[at]
+    last = np.ones(at.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    return passed, order[at[last]]
 
 
 BACKEND = KernelBackend(
     name="vectorized",
     rasterize_triangles=rasterize_triangles,
-    earlyz_pass_mask=earlyz_pass_mask,
+    earlyz_test=earlyz_test,
     zeb_insert=build_zeb,
     zoverlap_traverse=analyze_tile,
 )

@@ -120,30 +120,33 @@ def _tile_schedule(
     ZEB stalls) is therefore hidden exactly where the paper says it is:
     in tiles whose fragment-shading work exceeds their raster work.
     """
-    n = raster.shape[0]
-    raster_start = np.zeros(n)
-    raster_end = np.zeros(n)
-    overlap_end = np.zeros(n)
-    fragment_end = np.zeros(n)
+    # Plain Python floats: the recurrence is scalar, and indexing numpy
+    # arrays per tile costs more than its arithmetic.
+    raster_start: list[float] = []
+    raster_end: list[float] = []
+    overlap_end: list[float] = []
+    fragment_end: list[float] = []
     stall = 0.0
     prev_raster_end = 0.0
     prev_overlap_end = 0.0
     prev_fragment_end = 0.0
-    for t in range(n):
+    for t, (r, f, o) in enumerate(
+        zip(raster.tolist(), fragment.tolist(), overlap.tolist())
+    ):
         zeb_free_at = overlap_end[t - zeb_count] if t >= zeb_count else 0.0
         queue_limit = prev_fragment_end - _QUEUE_COVERAGE_CYCLES
         start = max(prev_raster_end, queue_limit, zeb_free_at)
         stall += max(0.0, zeb_free_at - max(prev_raster_end, queue_limit))
-        end = start + raster[t]
-        o_end = max(end, prev_overlap_end) + overlap[t]
+        end = start + r
+        o_end = max(end, prev_overlap_end) + o
         # Fragments stream into the processors as they are rasterized;
         # the tile cannot finish shading before it finishes rasterizing.
         f_start = max(prev_fragment_end, start)
-        f_end = max(f_start + fragment[t], end)
-        raster_start[t] = start
-        raster_end[t] = end
-        overlap_end[t] = o_end
-        fragment_end[t] = f_end
+        f_end = max(f_start + f, end)
+        raster_start.append(start)
+        raster_end.append(end)
+        overlap_end.append(o_end)
+        fragment_end.append(f_end)
         prev_raster_end = end
         prev_overlap_end = o_end
         prev_fragment_end = f_end
@@ -152,10 +155,10 @@ def _tile_schedule(
         raster_cycles=raster,
         fragment_cycles=fragment,
         overlap_cycles=overlap,
-        raster_start=raster_start,
-        raster_end=raster_end,
-        overlap_end=overlap_end,
-        fragment_end=fragment_end,
+        raster_start=np.array(raster_start, dtype=np.float64),
+        raster_end=np.array(raster_end, dtype=np.float64),
+        overlap_end=np.array(overlap_end, dtype=np.float64),
+        fragment_end=np.array(fragment_end, dtype=np.float64),
         stall_cycles=stall,
         total_cycles=total,
     )

@@ -1,4 +1,5 @@
-"""Early depth test: vectorized pass vs a literal sequential reference."""
+"""Early depth test: vectorized pass vs a literal sequential reference,
+and its Z-buffer and winner vs the scatter oracle."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.earlyz import depth_test
 from repro.gpu.raster import FragmentSoup
 from repro.gpu.stats import GPUStats
+from tests.gpu.earlyz_oracle import scatter_buffers
 
 CFG = GPUConfig().with_screen(32, 32)
 
@@ -136,3 +138,38 @@ class TestAgainstReference:
             mask = (frags.x == px) & (frags.y == py)
             expected = frags.z[mask].min() if mask.any() else 1.0
             assert result.z_buffer[py, px] == pytest.approx(expected)
+
+
+# Depth ties, the clear value itself (never passes) and free depths.
+depth = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestAgainstScatterOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # Four pixels, so that most of them see several fragments.
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 1), st.integers(0, 1), depth, st.booleans()
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        far=st.lists(
+            st.tuples(st.integers(4, 7), st.integers(0, 7)), max_size=10
+        ),
+    )
+    def test_buffers_match_scatter_oracle(self, rows, far):
+        # ``far`` pixels get only z = 1.0 fragments: every test fails.
+        rows = rows + [(x, y, 1.0, False) for x, y in far]
+        x, y, z, tagged = (list(c) for c in zip(*rows))
+        frags = make_frags(x, y, z, tagged=tagged)
+        result = depth_test(frags, CFG, GPUStats())
+        z_buffer, winner = scatter_buffers(
+            frags.x, frags.y, frags.z, frags.tagged, result.passed,
+            CFG.screen_width, CFG.screen_height,
+        )
+        np.testing.assert_array_equal(
+            result.z_buffer.view(np.int64), z_buffer.view(np.int64)
+        )
+        np.testing.assert_array_equal(result.winner, winner)

@@ -9,7 +9,7 @@ fragment streams, and asserts full observable equality:
 
 * rasterizer fragments (coordinates, depth *bit patterns*, triangle
   provenance, emission order);
-* early-Z pass masks;
+* early-Z pass masks and each pixel's visible fragment;
 * ZEB contents and counters after insertion;
 * Z-Overlap results — pairs, evidence arrays, and every counter;
 * whole-frame fingerprints through the real pipeline, selected both by
@@ -49,6 +49,13 @@ def assert_fragments_equal(a, b):
         a[2].view(np.int64), b[2].view(np.int64)
     )  # pz, exact bit pattern
     np.testing.assert_array_equal(a[3], b[3])  # tri
+
+
+def assert_earlyz_equal(a, b):
+    """Equal early-Z pass masks and visible-fragment indices."""
+    for ours, theirs in zip(a, b):
+        assert ours.dtype == theirs.dtype
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def assert_overlap_equal(a, b):
@@ -164,9 +171,8 @@ class TestKernelConformance:
         n = 800
         pixel = rng.integers(0, 40, size=n).astype(np.int64)
         z = rng.choice([0.25, 0.5, 0.5, 0.75, 1.0], size=n)  # heavy ties
-        np.testing.assert_array_equal(
-            backend.earlyz_pass_mask(pixel, z),
-            REFERENCE.earlyz_pass_mask(pixel, z),
+        assert_earlyz_equal(
+            backend.earlyz_test(pixel, z), REFERENCE.earlyz_test(pixel, z)
         )
 
     @pytest.mark.parametrize("m", [2, 4])
@@ -285,9 +291,8 @@ def test_earlyz_conforms_on_generated_streams(backend, pixels, data):
     )
     pixel = np.array(pixels, dtype=np.int64)
     z = np.array(depths, dtype=np.float64)
-    np.testing.assert_array_equal(
-        backend.earlyz_pass_mask(pixel, z),
-        REFERENCE.earlyz_pass_mask(pixel, z),
+    assert_earlyz_equal(
+        backend.earlyz_test(pixel, z), REFERENCE.earlyz_test(pixel, z)
     )
 
 
@@ -354,8 +359,8 @@ def raster_triangle(
 
 
 # Triangles with a pixel centre on a top-left edge whose rounded
-# crossing lands just past that centre: a span without the one-pixel
-# widening misses a fragment of each.
+# crossing lands just past that centre: a span not widened past its
+# computed crossing misses a fragment of each.
 ON_EDGE_CENTRES = [
     [[0.0, 19.0], [-1.0, 10.0], [24.0, -1.0]],
     [[1.55, 9.2], [21.0, 17.75], [25.25, 29.0]],
@@ -396,6 +401,76 @@ def test_span_narrowed_past_exact_crossing_fails_conformance(monkeypatch, side):
             )
 
 
+@pytest.mark.parametrize("tri", ON_EDGE_CENTRES)
+def test_span_not_widened_past_its_crossing_fails_conformance(monkeypatch, tri):
+    """With no widening (eps = 0) each on-edge-centre triangle loses the
+    fragment whose centre its rounded crossing lands just past."""
+    monkeypatch.setattr(vectorized, "_SPAN_EPS", 0.0)
+    xy = np.array([tri], dtype=np.float64)
+    z = np.array([[0.2, 0.5, 0.8]])
+    with pytest.raises(AssertionError):
+        assert_fragments_equal(
+            vectorized.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
+            REFERENCE.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
+        )
+
+
+def test_crossed_over_span_beyond_a_box_edge_stays_empty():
+    """A wedge whose apex lies past the screen's right edge: on rows
+    where it lies wholly past the box (clamped to the screen), and on
+    the row past the apex where its two edges' crossings cross over,
+    the span stays empty instead of shrinking to the box's last
+    column."""
+    xy = np.array([[[60.0, 10.0], [100.0, 20.0], [60.0, 12.0]]])
+    vx, vy = xy[:, :, 0], xy[:, :, 1]
+    edges = vectorized._edge_setup(vx, vy, np.array([1.0]))  # area2 = 80
+    row_y = np.arange(10, 21)  # the bounding box's rows; 20 is past the apex
+    tri = np.zeros(row_y.shape[0], dtype=np.int64)
+    row_edges = [(vx[tri, i], row_y + 0.5 - vy[tri, i]) for i in range(3)]
+    x0, x1 = np.array([60]), np.array([63])  # the box, clamped to 64 columns
+    lo, hi = vectorized._row_spans(
+        edges, row_edges, np.array([True]), tri, x0, x1
+    )
+    # From row 13 on the wedge lies past column 63.
+    np.testing.assert_array_equal(lo > hi, row_y >= 13)
+    assert (lo >= x0[0]).all() and (hi <= x1[0]).all()
+
+
+# Coordinates on both sides of the span-safe bound, and pixel-scale
+# offsets from it, so that batches mix tame and untame triangles whose
+# edges still cross the screen.
+_M = vectorized._SPAN_MAX_COORD
+straddle_coord = (
+    st.sampled_from([-_M, _M]).flatmap(
+        lambda m: st.floats(-64.0, 64.0).map(lambda d: m + d)
+    )
+    | st.floats(-2.0 * _M, 2.0 * _M)
+    | st.floats(-8.0, 72.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    batch=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(straddle_coord, straddle_coord), min_size=3,
+                max_size=3,
+            ),
+            st.lists(st.floats(-0.5, 1.5), min_size=3, max_size=3),
+        ),
+        min_size=1, max_size=6,
+    )
+)
+def test_rasterizer_matches_reference_across_span_max_coord(batch):
+    xy = np.array([tri for tri, _ in batch], dtype=np.float64)
+    z = np.array([depths for _, depths in batch], dtype=np.float64)
+    assert_fragments_equal(
+        vectorized.rasterize_triangles(xy, z, 64, 64),
+        REFERENCE.rasterize_triangles(xy, z, 64, 64),
+    )
+
+
 def test_rasterize_chunked_spans_match_reference(monkeypatch):
     """Tiny chunk bounds split triangles across row chunks and rows
     across candidate chunks (a 64-wide row alone exceeds the bound)."""
@@ -409,9 +484,8 @@ def test_rasterize_chunked_spans_match_reference(monkeypatch):
         )
 
 
-# A screen wide enough for many spans of at least
-# ``vectorized._WINDOW_MIN_WIDTH`` columns, so rows take the run window
-# and, where the window brackets no run, its candidate-test fallback.
+# A screen wide enough for long rows, so rows take the end-column run
+# rule and, where an end is uncovered, its candidate-test fallback.
 WIDE_W, WIDE_H = 96, 64
 wide_screen_triangle = raster_triangle(
     coord=st.floats(-12.0, 108.0),
@@ -422,17 +496,23 @@ wide_screen_triangle = raster_triangle(
 )
 
 
-def test_vectorized_rasterizer_matches_reference_at_a_wider_screen(monkeypatch):
+def _count_end_runs(monkeypatch):
+    """Hook the run rule; returns the running ``{runs, fallbacks}``."""
     seen = {"runs": 0, "fallbacks": 0}
-    window_runs = vectorized._window_runs
+    end_runs = vectorized._end_runs
 
-    def counting(inside, lo, hi):
-        ok, first, last = window_runs(inside, lo, hi)
-        seen["runs"] += int(ok.sum())
-        seen["fallbacks"] += int((~ok).sum())
-        return ok, first, last
+    def counting(ends, lo, hi):
+        runs, first, last = end_runs(ends, lo, hi)
+        seen["runs"] += runs.shape[0]
+        seen["fallbacks"] += ends.shape[1] - runs.shape[0]
+        return runs, first, last
 
-    monkeypatch.setattr(vectorized, "_window_runs", counting)
+    monkeypatch.setattr(vectorized, "_end_runs", counting)
+    return seen
+
+
+def test_vectorized_rasterizer_matches_reference_at_a_wider_screen(monkeypatch):
+    seen = _count_end_runs(monkeypatch)
 
     @settings(max_examples=200, deadline=None)
     @given(batch=st.lists(wide_screen_triangle, min_size=1, max_size=6))
@@ -447,7 +527,7 @@ def test_vectorized_rasterizer_matches_reference_at_a_wider_screen(monkeypatch):
         )
 
     check()
-    # Both the windowed path and its fallback ran.
+    # Both the run path and its fallback ran.
     assert seen["runs"] > 0
     assert seen["fallbacks"] > 0
 
@@ -457,8 +537,8 @@ def horizontal_edge_triangles(seed: int, n: int = 12):
 
     The bounding box reaches a row past that edge whose scanline lies
     outside the triangle, while the other two edges' lines still span
-    most of the box there: a wide span with no covered pixel, so the
-    run window brackets nothing and the row falls back to the
+    most of the box there: a wide span with no covered pixel, so
+    neither end column is covered and the row falls back to the
     candidate test.
     """
     rng = np.random.default_rng(seed)
@@ -477,22 +557,14 @@ def horizontal_edge_triangles(seed: int, n: int = 12):
 
 
 def test_rows_past_a_horizontal_edge_match_reference(monkeypatch):
-    fallbacks = []
-    window_runs = vectorized._window_runs
-
-    def counting(inside, lo, hi):
-        ok, first, last = window_runs(inside, lo, hi)
-        fallbacks.append(int((~ok).sum()))
-        return ok, first, last
-
-    monkeypatch.setattr(vectorized, "_window_runs", counting)
+    seen = _count_end_runs(monkeypatch)
     for seed in (0, 1, 2):
         xy, z = horizontal_edge_triangles(seed)
         assert_fragments_equal(
             vectorized.rasterize_triangles(xy, z, 64, 64),
             REFERENCE.rasterize_triangles(xy, z, 64, 64),
         )
-    assert sum(fallbacks) > 0
+    assert seen["fallbacks"] > 0
 
 
 def _assert_every_fixture_fails_conformance(fixture):
@@ -505,31 +577,31 @@ def _assert_every_fixture_fails_conformance(fixture):
             )
 
 
-def test_run_accepted_without_its_third_window_column_fails_conformance(
+def test_run_accepted_with_only_its_left_end_covered_fails_conformance(
     monkeypatch,
 ):
-    """A run taken without checking that the third column from each
-    end is covered emits pixels the reference leaves out."""
-    window_runs = vectorized._window_runs
+    """A run taken without checking its right end column emits pixels
+    the reference leaves out."""
+    end_runs = vectorized._end_runs
 
-    def unchecked(inside, lo, hi):
-        inside = inside.copy()
-        inside[2:4] = True
-        return window_runs(inside, lo, hi)
+    def left_only(ends, lo, hi):
+        return end_runs(np.stack((ends[0], ends[0])), lo, hi)
 
-    monkeypatch.setattr(vectorized, "_window_runs", unchecked)
+    monkeypatch.setattr(vectorized, "_end_runs", left_only)
     _assert_every_fixture_fails_conformance(horizontal_edge_triangles)
 
 
 @pytest.mark.parametrize("side", ["first", "last"])
 def test_run_narrowed_by_one_pixel_fails_conformance(monkeypatch, side):
-    window_runs = vectorized._window_runs
+    end_runs = vectorized._end_runs
 
-    def narrowed(inside, lo, hi):
-        ok, first, last = window_runs(inside, lo, hi)
-        return (ok, first + 1, last) if side == "first" else (ok, first, last - 1)
+    def narrowed(ends, lo, hi):
+        runs, first, last = end_runs(ends, lo, hi)
+        if side == "first":
+            return runs, first + 1, last
+        return runs, first, last - 1
 
-    monkeypatch.setattr(vectorized, "_window_runs", narrowed)
+    monkeypatch.setattr(vectorized, "_end_runs", narrowed)
     _assert_every_fixture_fails_conformance(
         lambda seed: random_triangles(seed, 24)
     )
@@ -554,9 +626,9 @@ def test_earlyz_scan_without_its_segment_guard_fails_conformance(monkeypatch):
         pixel = rng.integers(0, 40, size=800).astype(np.int64)
         z = rng.choice([0.25, 0.5, 0.5, 0.75, 1.0], size=800)
         with pytest.raises(AssertionError):
-            np.testing.assert_array_equal(
-                vectorized.earlyz_pass_mask(pixel, z),
-                REFERENCE.earlyz_pass_mask(pixel, z),
+            assert_earlyz_equal(
+                vectorized.earlyz_test(pixel, z),
+                REFERENCE.earlyz_test(pixel, z),
             )
 
 
