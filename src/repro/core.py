@@ -16,6 +16,7 @@ at small list lengths.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,26 @@ class RBCDSystem:
         tracer=None,
         observers=(),
     ) -> None:
+        if isinstance(resolution, GPUConfig):
+            raise TypeError(
+                "RBCDSystem's first parameter is resolution; pass a "
+                "GPUConfig as RBCDSystem(config=...)"
+            )
         if config is None:
+            if not (
+                isinstance(resolution, (tuple, list))
+                and len(resolution) == 2
+                and all(
+                    isinstance(v, numbers.Integral)
+                    and not isinstance(v, bool)
+                    and v > 0
+                    for v in resolution
+                )
+            ):
+                raise ValueError(
+                    "resolution must be a (width, height) pair of positive "
+                    f"ints, got {resolution!r}"
+                )
             width, height = resolution
             config = GPUConfig().with_screen(width, height).with_rbcd(
                 zeb_count=zeb_count,

@@ -37,9 +37,8 @@ The document layout (checked by :func:`validate_bench_document`):
 
     {
       "schema": "rbcd-bench",          # fixed discriminator
-      "version": 8,
-      "config": {width, height, frames, detail, quick,
-                 kernel_backend, broad_phase, tile_profile},
+      "version": 9,
+      "config": {width, height, frames, detail, quick, tile_profile},
       "scenes": {
         "<alias>": {
           "frames": N,
@@ -60,13 +59,9 @@ The document layout (checked by :func:`validate_bench_document`):
       }
     }
 
-Schema v8 drops every host wall-time field of v7 (the per-stage wall
-samples and their statistics, the ``stats`` and ``throughput`` blocks,
-``config.runs`` and ``config.profile``) and adds the ``oracle`` block;
-every cycle, joule, count and grid value is unchanged from v7.  The
-validator accepts v8 documents only.  ``kernel_backend`` and
-``broad_phase`` stay in the config block so that documents produced
-under different configurations never gate against each other silently.
+Schema v9 drops two config keys of v8: the kernel-backend name (there
+is one kernel set) and the broad-phase name (nothing read it).  Every
+scene value is unchanged.  The validator accepts v9 documents only.
 
 ``--append-history`` appends a one-line ndjson summary per run to
 ``benchmarks/history/HISTORY.ndjson`` (or a given file), building the
@@ -90,7 +85,6 @@ from typing import Any, Mapping, Sequence
 from repro.core import RBCDSystem
 from repro.energy.report import FrameEnergyReport
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernels import backend_names, get_backend as get_kernel_backend
 from repro.observability.attribution import attribute_documents
 from repro.observability.counters import CounterRegistry
 from repro.observability.export import write_chrome_trace, write_ndjson
@@ -119,8 +113,8 @@ __all__ = [
 ]
 
 SCHEMA_NAME = "rbcd-bench"
-SCHEMA_VERSION = 8
-SUPPORTED_VERSIONS = (8,)
+SCHEMA_VERSION = 9
+SUPPORTED_VERSIONS = (9,)
 
 # Default history file for --append-history (repo-relative).
 HISTORY_PATH = Path("benchmarks/history/HISTORY.ndjson")
@@ -245,34 +239,18 @@ def run_bench(
     detail: int,
     quick: bool = False,
     trace_dir: Path | None = None,
-    kernel_backend: str | None = None,
-    broad_phase: str = "lbvh",
     tile_profile: bool = False,
     progress=None,
 ) -> dict[str, Any]:
     """Run the bench over ``scenes`` and assemble the full document.
 
-    ``kernel_backend`` selects the GPU kernel implementation (default:
-    the config's own default, i.e. ``REPRO_KERNEL_BACKEND`` or
-    ``vectorized``); the *resolved* name is recorded in the config
-    block.  ``broad_phase`` names the software broad phase the
-    document's CPU-side numbers assume — the bench itself is GPU-side,
-    but the key exists for comparability: two documents measured under
-    different configurations must never gate against each other.
     ``tile_profile`` attaches a per-scene
     :class:`~repro.observability.tileprofile.TileProfiler` and stores
     its grids in the ``tile_profile`` blocks — strictly observational,
     but recorded in the config block so profiled and unprofiled
     documents never gate against each other.
     """
-    from repro.physics.world import BROAD_ALGOS
-
-    if broad_phase not in BROAD_ALGOS:
-        raise ValueError(f"broad_phase must be one of {BROAD_ALGOS}")
     config = GPUConfig().with_screen(width, height)
-    if kernel_backend is not None:
-        config = config.with_kernel_backend(kernel_backend)
-    get_kernel_backend(config.kernel_backend)  # fail fast on bad names
     doc: dict[str, Any] = {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
@@ -282,8 +260,6 @@ def run_bench(
             "frames": frames,
             "detail": detail,
             "quick": quick,
-            "kernel_backend": config.kernel_backend,
-            "broad_phase": broad_phase,
             "tile_profile": tile_profile,
         },
         "scenes": {},
@@ -401,10 +377,6 @@ def validate_bench_document(doc: Any) -> None:
         for key in ("quick", "tile_profile"):
             if not isinstance(config.get(key), bool):
                 _fail(errors, f"config.{key}", "expected a bool")
-        for key in ("kernel_backend", "broad_phase"):
-            value = config.get(key)
-            if not isinstance(value, str) or not value:
-                _fail(errors, f"config.{key}", "expected a non-empty string")
 
     scenes = doc.get("scenes")
     if not isinstance(scenes, Mapping) or not scenes:
@@ -502,8 +474,7 @@ def history_line(doc: Mapping[str, Any]) -> str:
         "version": doc.get("version"),
         "config": {
             key: config.get(key)
-            for key in ("width", "height", "frames", "detail",
-                        "kernel_backend", "broad_phase", "tile_profile")
+            for key in ("width", "height", "frames", "detail", "tile_profile")
         },
         "scenes": {},
     }
@@ -556,17 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="CI preset: {width}x{height}, {frames} frames, detail {detail}; "
              "excludes the four flags above".format(**QUICK_PRESET),
-    )
-    parser.add_argument(
-        "--kernel-backend", choices=backend_names(), default=None,
-        help="GPU kernel implementation (default: the config default, "
-             "REPRO_KERNEL_BACKEND or 'vectorized'); recorded in the "
-             "document's config block",
-    )
-    parser.add_argument(
-        "--broad-phase", default="lbvh",
-        help="software broad-phase configuration to record in the "
-             "document's config block (default: lbvh)",
     )
     parser.add_argument(
         "--tile-profile", action="store_true",
@@ -646,8 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     doc = run_bench(
         args.scenes, args.width, args.height, args.frames, args.detail,
         quick=args.quick, trace_dir=args.trace_dir,
-        kernel_backend=args.kernel_backend,
-        broad_phase=args.broad_phase, tile_profile=args.tile_profile,
+        tile_profile=args.tile_profile,
         progress=lambda alias: print(f"bench: {alias} ...", flush=True),
     )
     validate_bench_document(doc)

@@ -10,21 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field, replace
-
-# Kernel-backend selection: the env var overrides the built-in default
-# for freshly-constructed configs (explicit with_kernel_backend() /
-# dataclass arguments always win).  The registry itself lives in
-# repro.gpu.kernels, which imports this module — names are validated
-# where they are resolved (GPU construction, tile compute), not here.
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-DEFAULT_KERNEL_BACKEND = "vectorized"
-
-
-def _default_kernel_backend() -> str:
-    return os.environ.get(KERNEL_BACKEND_ENV, DEFAULT_KERNEL_BACKEND)
-
 
 @dataclass(frozen=True, slots=True)
 class CacheConfig:
@@ -189,14 +175,6 @@ class GPUConfig:
     # RBCD unit attached to this GPU (None-able at the pipeline level).
     rbcd: RBCDConfig = field(default_factory=RBCDConfig)
 
-    # Kernel backend running the per-pixel/per-tile hot loops
-    # (rasterize / early-Z / ZEB insert / Z-Overlap).  All registered
-    # backends are bit-identical (enforced by the conformance suite),
-    # so the choice affects wall time only.  Resolved against the
-    # repro.gpu.kernels registry at GPU construction and tile compute
-    # time; the default honours REPRO_KERNEL_BACKEND.
-    kernel_backend: str = field(default_factory=_default_kernel_backend)
-
     def __post_init__(self) -> None:
         # Pixel and tile counts index arrays: a float or a bool here
         # would construct, then fail (or silently mean 1) mid-frame.
@@ -206,8 +184,6 @@ class GPUConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.screen_width <= 0 or self.screen_height <= 0:
             raise ValueError("screen dimensions must be positive")
-        if not isinstance(self.kernel_backend, str) or not self.kernel_backend:
-            raise ValueError("kernel_backend must be a non-empty string")
         if self.tile_size <= 0:
             raise ValueError("tile size must be positive")
         # Throughputs, counts and the clock divide cycle and time
@@ -258,14 +234,11 @@ class GPUConfig:
         """Copy with a different render resolution (tests use small ones)."""
         return replace(self, screen_width=width, screen_height=height)
 
-    def with_kernel_backend(self, name: str) -> "GPUConfig":
-        """Copy with a different kernel backend (see repro.gpu.kernels)."""
-        return replace(self, kernel_backend=name)
-
-    # The benchmark harness (``perfbench/workloads.py``) pins these two
-    # members: it builds its config with ``with_tile_cache(False)`` and
-    # records ``tile_cache_enabled``.  There is no cross-frame tile
-    # cache, so the value is always False and cannot be switched on.
+    # The benchmark harness (``perfbench/workloads.py``) pins the four
+    # members below: it selects the vectorized kernels and switches the
+    # tile cache off when it builds its config, and records both values.
+    # There is one kernel set and no cross-frame tile cache, so the
+    # values are fixed.
 
     @property
     def tile_cache_enabled(self) -> bool:
@@ -276,6 +249,18 @@ class GPUConfig:
         """Return ``self``; ``enabled=True`` raises ``ValueError``."""
         if enabled:
             raise ValueError("there is no cross-frame tile cache to enable")
+        return self
+
+    @property
+    def kernel_backend(self) -> str:
+        """Always ``"vectorized"``: kept only for the benchmark harness."""
+        return "vectorized"
+
+    def with_kernel_backend(self, name: str) -> "GPUConfig":
+        """Return ``self``; any name but ``"vectorized"`` raises
+        ``ValueError``."""
+        if name != "vectorized":
+            raise ValueError(f"there is no kernel backend {name!r} to select")
         return self
 
 

@@ -6,15 +6,15 @@ pixel (buffer cleared to 1.0 = far plane).  Tagged-to-be-culled
 fragments never reach this stage (Section 3.3) — the caller filters
 them.
 
-The pass/fail decision is a kernel (:mod:`repro.gpu.kernels`): the
-reference backend runs the literal per-fragment scan, the vectorized
-backend a segmented exclusive prefix-min over the pixel-sorted stream.
-Both visit each fragment once and compare exact floats (no algebraic
-re-encoding), so the mask is bit-identical across backends.  The kernel
-also names each pixel's last passing fragment.  Every pass sets a
-strict new minimum at its pixel, so that fragment is the pixel's
-visible one and its depth the final Z-buffer value; a pixel with no
-pass keeps the clear value 1.0.
+The pass/fail decision is a kernel
+(:func:`repro.gpu.kernels.earlyz_test`): a segmented exclusive
+prefix-min over the pixel-sorted stream.  It visits each fragment once
+and compares exact floats (no algebraic re-encoding), so the mask is
+bit-identical to the literal per-fragment scan.  The kernel also names
+each pixel's last passing fragment.  Every pass sets a strict new
+minimum at its pixel, so that fragment is the pixel's visible one and
+its depth the final Z-buffer value; a pixel with no pass keeps the
+clear value 1.0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernels import get_backend
+from repro.gpu.kernels import earlyz_test
 from repro.gpu.raster import FragmentSoup
 from repro.gpu.stats import GPUStats
 
@@ -66,8 +66,7 @@ def depth_test(
     pixel = pixel[tested_idx]
     z = frags.z[tested_idx]
 
-    backend = get_backend(config.kernel_backend)
-    mask, visible = backend.earlyz_test(pixel, z)
+    mask, visible = earlyz_test(pixel, z)
     passed[tested_idx] = mask
     stats.early_z_passes += int(mask.sum())
 

@@ -1,6 +1,31 @@
-"""The vectorized (default) kernel backend: batched numpy hot loops.
+"""The per-pixel hot loops of a frame: rasterize and early-Z.
 
-Bit-identical to the reference backend by construction, not by luck:
+The pipeline spends most of its time in four loops: edge-function
+rasterization, the early-Z depth test, ZEB sorted insertion and the
+Z-Overlap FF-Stack traversal.  This module holds the first two as pure
+functions over typed arrays; the other two are
+:func:`repro.rbcd.zeb.build_zeb` (a rank-based keep-the-M-nearest
+filter) and :func:`repro.rbcd.overlap.analyze_tile` (a lock-step walk
+of every list at once).
+
+``rasterize_triangles(xy, z, width, height)``
+    ``xy`` is ``(T, 3, 2)`` float64 screen coordinates, ``z`` is
+    ``(T, 3)`` float64 vertex depths.  Returns ``(px, py, pz, tri)``:
+    integer pixel coordinates, interpolated depths, and the producing
+    triangle index, in canonical order: triangle ascending, then
+    row-major (row, then column) over the pixels each triangle covers.
+``earlyz_test(pixel, z)``
+    ``pixel`` is ``(N,) int64`` flat pixel indices and ``z`` the
+    matching depths, both in arrival order.  Returns ``(passed,
+    visible)``: the ``(N,)`` bool mask of fragments passing a LESS test
+    against the running per-pixel minimum (buffer cleared to 1.0), and
+    the int64 index of each pixel's last passing fragment, in ascending
+    pixel order, one per pixel with a pass.
+
+All four are bit-identical to the hardware-literal scalar walkers kept
+as test oracles (``tests/gpu/kernel_oracle.py``,
+``tests/rbcd/zeb_oracle.py``, ``tests/rbcd/zoverlap_oracle.py``):
+the same IEEE operations in the same per-element order.
 
 * The batched rasterizer evaluates the *same* IEEE-754 expressions as
   the per-triangle scalar loop, elementwise, but only where it must.
@@ -14,7 +39,7 @@ Bit-identical to the reference backend by construction, not by luck:
   whose two end columns are covered is covered throughout and is
   emitted as one run untested (:func:`_end_runs`); every other row
   tests each column of its span.  Fragments come out triangle-, then
-  row-, then column-ascending — a subset of the reference's
+  row-, then column-ascending — a subset of the scalar loop's
   bounding-box raster order — so equal values arrive in equal order.
 * Early-Z replaces the sequential per-fragment scan with a segmented
   exclusive prefix-min over the pixel-sorted stream: a doubling
@@ -22,10 +47,6 @@ Bit-identical to the reference backend by construction, not by luck:
   contiguous memory.  Comparisons are the same exact float LESS, and
   ``min`` is exact, so the order in which minima combine cannot change
   a decision.
-* ZEB insertion and the Z-Overlap traversal reuse the proven
-  frame-wide builders (:func:`repro.rbcd.zeb.build_zeb`, a rank-based
-  keep-the-M-nearest filter, and :func:`repro.rbcd.overlap.analyze_tile`,
-  a lock-step walk of every list at once).
 
 Rows and their span pixels are processed in bounded chunks (~256k rows,
 ~1M span pixels) so peak memory stays flat on large frames.
@@ -34,10 +55,6 @@ Rows and their span pixels are processed in bounded chunks (~256k rows,
 from __future__ import annotations
 
 import numpy as np
-
-from repro.gpu.kernels import KernelBackend
-from repro.rbcd.overlap import analyze_tile
-from repro.rbcd.zeb import build_zeb
 
 # Upper bound on span pixels (and so on fragments) per chunk.
 _MAX_CANDIDATES = 1 << 20
@@ -276,7 +293,7 @@ def rasterize_triangles(
 
     # Rows run triangle-ascending, then row-ascending, and each row's
     # fragments column-ascending: a subset of the bounding-box raster
-    # order, so emission order matches the reference backend.
+    # order, so emission order matches the scalar loop.
     pieces = []
     for a, b in _bounded_runs(rows, _MAX_ROWS):
         row_tri = np.repeat(live[a:b], rows[a:b])
@@ -364,11 +381,3 @@ def earlyz_test(
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
     return passed, order[at[last]]
 
-
-BACKEND = KernelBackend(
-    name="vectorized",
-    rasterize_triangles=rasterize_triangles,
-    earlyz_test=earlyz_test,
-    zeb_insert=build_zeb,
-    zoverlap_traverse=analyze_tile,
-)

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gpu import kernels
 from repro.gpu.assembly import TriangleSoup, assemble
 from repro.gpu.caches import Cache
 from repro.gpu.commands import Frame
@@ -216,11 +215,6 @@ class GPU:
                 "IMR mode is baseline-only, as in the paper's Section 3.1"
             )
         self.config = config if config is not None else GPUConfig()
-        # Fail fast on unknown/unavailable kernel backends: resolving
-        # here surfaces a typo'd REPRO_KERNEL_BACKEND at construction
-        # instead of mid-frame (tile compute re-resolves by name from
-        # the config, so the instance itself is not stored).
-        kernels.get_backend(self.config.kernel_backend)
         self.rbcd_enabled = rbcd_enabled
         self.rendering_mode = rendering_mode
         self.tracer = ensure_tracer(tracer)

@@ -9,10 +9,9 @@ Depth is the NDC z remapped to [0, 1]; it is interpolated linearly in
 screen space, which is exact for the post-projection depth a real
 Z-buffer stores.
 
-The scan-conversion loop itself lives in the kernel layer
-(:mod:`repro.gpu.kernels`): this module assembles the resulting
-fragment soup and keeps the stats, while ``config.kernel_backend``
-selects which (bit-identical) implementation runs the hot loop.
+The scan-conversion loop itself is a kernel
+(:func:`repro.gpu.kernels.rasterize_triangles`): this module assembles
+the resulting fragment soup and keeps the stats.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernels import get_backend
+from repro.gpu.kernels import rasterize_triangles
 from repro.gpu.stats import GPUStats
 
 
@@ -82,8 +81,7 @@ def rasterize(
     if soup.count == 0:
         return FragmentSoup.empty()
 
-    backend = get_backend(config.kernel_backend)
-    x, y, z, tri = backend.rasterize_triangles(
+    x, y, z, tri = rasterize_triangles(
         soup.xy, soup.z, config.screen_width, config.screen_height
     )
     if x.shape[0] == 0:

@@ -204,16 +204,14 @@ def config_fingerprint(config) -> dict[str, Any]:
     """A readable + hashable identity for a stream's ``GPUConfig``.
 
     Carries the fields that shape results (screen, tiles, RBCD unit)
-    plus the kernel backend, which must *not* change them, and a
-    blake2b digest of the canonical config bytes so two dumps can be
-    compared for config drift at a glance.
+    and a blake2b digest of the canonical config bytes, so two dumps
+    can be compared for config drift at a glance.
     """
     return {
         "screen": [config.screen_width, config.screen_height],
         "tile_size": config.tile_size,
         "zeb_count": config.rbcd.zeb_count,
         "list_length": config.rbcd.list_length,
-        "kernel_backend": config.kernel_backend,
         "token": hashlib.blake2b(
             _config_token(config), digest_size=16
         ).hexdigest(),

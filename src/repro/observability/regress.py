@@ -45,8 +45,6 @@ CONFIG_TABLE = (
     ("frames", None),
     ("detail", None),
     ("quick", None),
-    ("kernel_backend", None),
-    ("broad_phase", None),
     ("tile_profile", None),
 )
 

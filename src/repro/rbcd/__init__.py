@@ -8,12 +8,8 @@ timing model.
 """
 
 from repro.rbcd.element import pack_element, unpack_element, quantize_depth
-from repro.rbcd.zeb import ZEBTile, build_zeb, insert_sequential
-from repro.rbcd.overlap import (
-    OverlapResult,
-    analyze_pixel_list,
-    analyze_tile,
-)
+from repro.rbcd.zeb import ZEBTile, build_zeb
+from repro.rbcd.overlap import OverlapResult, analyze_tile
 from repro.rbcd.manifold import ContactManifold, build_manifold, unproject_contacts
 from repro.rbcd.pairs import CollisionPair, ContactPoint, CollisionReport
 from repro.rbcd.unit import RBCDUnit, RBCDTileResult
@@ -27,11 +23,9 @@ __all__ = [
     "RBCDTileResult",
     "RBCDUnit",
     "ZEBTile",
-    "analyze_pixel_list",
     "analyze_tile",
     "build_manifold",
     "build_zeb",
-    "insert_sequential",
     "pack_element",
     "quantize_depth",
     "unpack_element",

@@ -34,13 +34,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gpu import kernels as _kernels
 from repro.gpu.config import GPUConfig, RBCDConfig
 from repro.observability.counters import CounterRegistry
 from repro.rbcd.element import dequantize_depth, max_object_id, quantize_depth
-from repro.rbcd.overlap import OverlapResult
+from repro.rbcd.overlap import OverlapResult, analyze_tile
 from repro.rbcd.pairs import CollisionReport, ContactPoint
-from repro.rbcd.zeb import ZEBTile
+from repro.rbcd.zeb import ZEBTile, build_zeb
 
 if TYPE_CHECKING:
     from repro.gpu.parallel import TileBatch
@@ -87,9 +86,7 @@ def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult
     lock-step Z-Overlap pass cover the frame while each tile keeps its
     own lists and spare pool.  The frame result is then split into one
     :class:`RBCDTileResult` per tile, in batch (tile-schedule) order,
-    each identical to what computing that tile alone gives.  The
-    kernels run on the backend named by ``gpu_config.kernel_backend``
-    (all backends are bit-identical; see :mod:`repro.gpu.kernels`).
+    each identical to what computing that tile alone gives.
     """
     if len(batch) == 0:
         return []
@@ -99,12 +96,11 @@ def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult
     keys = zeb_keys(
         gpu_config, batch.x, batch.y, np.repeat(batch.tile_index, sizes)
     )
-    backend = _kernels.get_backend(gpu_config.kernel_backend)
-    zeb = backend.zeb_insert(
+    zeb = build_zeb(
         keys, quantize_depth(batch.z, config), batch.object_id, batch.front,
         config, gpu_config.tile_pixels,
     )
-    overlap = backend.zoverlap_traverse(zeb, config)
+    overlap = analyze_tile(zeb, config)
     return _split_by_tile(gpu_config, batch.tile_index, sizes, zeb, overlap)
 
 

@@ -7,22 +7,20 @@ fall off the far end is dropped (the new element, if it is the
 farthest) — so after any arrival sequence the list holds the M
 *nearest* fragments seen, which is what the vectorized builder exploits.
 
-Two implementations are provided:
-
-* :func:`insert_sequential` — the literal 3-step hardware algorithm
-  (read list, parallel compare + mux shift, write back), one fragment at
-  a time.  Used as the executable specification in tests.
-* :func:`build_zeb` — a numpy builder that produces bit-identical
-  final lists, plus the overflow statistics, for every tile of a frame
-  at once (fragments keyed by tile and local pixel).
+:func:`build_zeb` is a numpy builder that produces the final lists,
+plus the overflow statistics, for every tile of a frame at once
+(fragments keyed by tile and local pixel).  It is bit-identical to the
+literal 3-step hardware algorithm (read list, parallel compare + mux
+shift, write back), one fragment at a time, which the tests keep as
+their oracle (``tests/rbcd/zeb_oracle.py``).
 
 The Section 5.3 extension (a pool of spare entries per tile,
-dynamically lengthening overflowing lists) is supported by both paths.
+dynamically lengthening overflowing lists) is supported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,106 +67,6 @@ class ZEBTile:
             object_ids=np.empty((0, 0), dtype=np.int64),
             is_front=np.empty((0, 0), dtype=bool),
         )
-
-
-# ---------------------------------------------------------------------------
-# Reference (hardware-literal) path
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _PixelList:
-    """One pixel's sorted list, as the hardware holds it."""
-
-    z: list[int] = field(default_factory=list)
-    oid: list[int] = field(default_factory=list)
-    front: list[bool] = field(default_factory=list)
-    capacity: int = 0
-
-
-def insert_sequential(
-    fragments: list[tuple[int, int, int, bool]],
-    config: RBCDConfig,
-    tile_pixels: int,
-) -> ZEBTile:
-    """Insert fragments one at a time, exactly as the hardware would.
-
-    ``fragments`` is a list of ``(pixel_index, z_code, object_id,
-    is_front)`` in arrival order.  Returns the final tile contents and
-    statistics.  This is the executable specification; use
-    :func:`build_zeb` for speed.
-    """
-    m = config.list_length
-    spare_pool = config.spare_entries_per_tile
-    lists: dict[int, _PixelList] = {}
-    insertions = 0
-    overflow_events = 0
-    spare_allocations = 0
-
-    for pixel, z_code, oid, front in fragments:
-        if not 0 <= pixel < tile_pixels:
-            raise ValueError(f"pixel index {pixel} outside tile of {tile_pixels}")
-        insertions += 1  # every fragment triggers the read/compare step
-        lst = lists.setdefault(pixel, _PixelList(capacity=m))
-        if len(lst.z) >= lst.capacity:
-            if spare_pool > 0:
-                spare_pool -= 1
-                spare_allocations += 1
-                lst.capacity += 1
-            else:
-                overflow_events += 1
-                if lst.z and z_code >= lst.z[-1]:
-                    continue  # new element is the farthest: dropped
-                # otherwise the current farthest element falls off below
-        # Parallel less-than compare: position = first i with z < z[i];
-        # equal depths keep arrival order (strict compare).
-        pos = len(lst.z)
-        for i, existing in enumerate(lst.z):
-            if z_code < existing:
-                pos = i
-                break
-        lst.z.insert(pos, z_code)
-        lst.oid.insert(pos, oid)
-        lst.front.insert(pos, front)
-        if len(lst.z) > lst.capacity:
-            lst.z.pop()
-            lst.oid.pop()
-            lst.front.pop()
-
-    non_empty = sorted(p for p, lst in lists.items() if lst.z)
-    if not non_empty:
-        tile = ZEBTile.empty()
-        tile.overflow_events = overflow_events
-        tile.spare_allocations = spare_allocations
-        return tile
-    max_len = max(len(lists[p].z) for p in non_empty)
-    count_p = len(non_empty)
-    z = np.zeros((count_p, max_len), dtype=np.int64)
-    oid_arr = np.full((count_p, max_len), -1, dtype=np.int64)
-    front_arr = np.zeros((count_p, max_len), dtype=bool)
-    counts = np.zeros(count_p, dtype=np.int64)
-    for row, pixel in enumerate(non_empty):
-        lst = lists[pixel]
-        n = len(lst.z)
-        counts[row] = n
-        z[row, :n] = lst.z
-        oid_arr[row, :n] = lst.oid
-        front_arr[row, :n] = lst.front
-    return ZEBTile(
-        pixel_index=np.array(non_empty, dtype=np.int64),
-        counts=counts,
-        z_codes=z,
-        object_ids=oid_arr,
-        is_front=front_arr,
-        insertions=insertions,
-        overflow_events=overflow_events,
-        spare_allocations=spare_allocations,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized path
-# ---------------------------------------------------------------------------
 
 
 def _arrival_ranks(keys: np.ndarray) -> np.ndarray:
@@ -219,8 +117,8 @@ def build_zeb(
     The result's lists are ordered by key, so a frame's tiles come out
     tile by tile, each keeping its own spare pool.
 
-    Equivalent to :func:`insert_sequential` on each tile because sorted
-    insertion with drop-farthest is a streaming "keep the M nearest"
+    Equivalent to sequential hardware insertion on each tile because
+    sorted insertion with drop-farthest is a streaming "keep the M nearest"
     filter, and a spare entry lengthens its list by one.
     """
     pixel = np.asarray(pixel, dtype=np.int64)

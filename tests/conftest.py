@@ -1,4 +1,5 @@
-"""Shared fixtures: small GPU configs and simple scenes.
+"""Shared fixtures: small GPU configs, simple scenes, and the scalar
+oracle kernels swapped into the pipeline.
 
 Tests run at reduced resolutions — collision results are driven by
 relative geometry, not absolute pixel counts, and the cycle model's
@@ -15,8 +16,55 @@ import pytest
 
 from repro.geometry.primitives import make_box, make_uv_sphere
 from repro.geometry.vec import Mat4, Vec3
+from repro.gpu import earlyz, kernels, raster
 from repro.gpu.commands import DrawCommand, Frame
 from repro.gpu.config import GPUConfig
+from repro.rbcd import unit
+
+
+@pytest.fixture
+def reference_kernels(monkeypatch):
+    """Run the pipeline on the hardware-literal scalar kernels.
+
+    Swaps the test oracles in at the four kernel call sites — the
+    rasterizer, early-Z, ZEB insertion and the Z-Overlap Test — so a
+    whole frame renders the way the paper's hardware specifies it, one
+    triangle, fragment and list element at a time.  Tests compare the
+    result with the vectorized kernels' byte for byte.  The oracles are
+    read from their modules when the fixture is set up, so a test may
+    patch one of them first to check that the comparison catches it.
+    """
+    from tests.gpu import kernel_oracle
+    from tests.rbcd import zeb_oracle, zoverlap_oracle
+
+    monkeypatch.setattr(
+        raster, "rasterize_triangles", kernel_oracle.rasterize_triangles
+    )
+    monkeypatch.setattr(earlyz, "earlyz_test", kernel_oracle.earlyz_test)
+    monkeypatch.setattr(unit, "build_zeb", zeb_oracle.zeb_insert)
+    monkeypatch.setattr(
+        unit, "analyze_tile", zoverlap_oracle.traverse_lists_sequential
+    )
+
+
+# The kernel sets a whole-pipeline test can run on: the scalar oracles
+# (which must reproduce themselves) and the pipeline's own kernels.
+KERNEL_SETS = ("reference", "vectorized")
+
+
+def use_kernels(request, name: str) -> None:
+    """Run the rest of the test on the kernel set ``name``.
+
+    ``"vectorized"`` keeps the pipeline's own kernels, and cannot follow
+    ``"reference"``, which switches to the scalar oracles through
+    :func:`reference_kernels` for the rest of the test.
+    """
+    if name == "reference":
+        request.getfixturevalue("reference_kernels")
+    elif name != "vectorized":
+        raise ValueError(f"no kernel set {name!r}")
+    elif raster.rasterize_triangles is not kernels.rasterize_triangles:
+        raise RuntimeError("the test already runs on the oracle kernels")
 
 
 @pytest.fixture

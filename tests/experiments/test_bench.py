@@ -60,29 +60,13 @@ class TestRunBench:
         assert doc["schema"] == SCHEMA_NAME
         assert doc["version"] == SCHEMA_VERSION
         assert set(doc["scenes"]) == {"crazy"}
-        # v8 carries no host-time fields.
+        # v8 dropped the host-time fields.
         assert "stats" not in doc
         assert "runs" not in doc["config"] and "profile" not in doc["config"]
-        # v4: the resolved kernel backend + broad phase are recorded.
-        from repro.gpu.config import GPUConfig
-
-        assert doc["config"]["kernel_backend"] == GPUConfig().kernel_backend
-        assert doc["config"]["broad_phase"] == "lbvh"
-
-    def test_explicit_kernel_backend_recorded(self):
-        doc = run_bench(
-            ["crazy"], width=64, height=32, frames=1, detail=1,
-            kernel_backend="reference", broad_phase="bruteforce",
-        )
-        validate_bench_document(doc)
-        assert doc["config"]["kernel_backend"] == "reference"
-        assert doc["config"]["broad_phase"] == "bruteforce"
-
-    def test_unknown_backend_or_broad_phase_fail_fast(self):
-        with pytest.raises(ValueError, match="broad_phase"):
-            run_bench(["crazy"], 64, 32, 1, 1, broad_phase="bogus")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            run_bench(["crazy"], 64, 32, 1, 1, kernel_backend="bogus")
+        # v9 names no kernel backend and no broad phase.
+        assert set(doc["config"]) == {
+            "width", "height", "frames", "detail", "quick", "tile_profile",
+        }
 
     def test_scene_entry_contents(self, tiny_doc):
         doc, _ = tiny_doc
@@ -200,14 +184,12 @@ class TestRunBench:
 
 
 def valid_doc():
-    """A minimal schema-valid v8 document for validator tests."""
+    """A minimal schema-valid v9 document for validator tests."""
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
         "config": {"width": 64, "height": 32, "frames": 1,
-                   "detail": 1, "quick": True,
-                   "kernel_backend": "vectorized", "broad_phase": "lbvh",
-                   "tile_profile": False},
+                   "detail": 1, "quick": True, "tile_profile": False},
         "scenes": {
             "crazy": {
                 "frames": 1,
@@ -257,11 +239,11 @@ class TestValidator:
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_rejects_pre_v6_documents(self, version):
-        # Only v8 is accepted: an older document is refused with a
+        # Only v9 is accepted: an older document is refused with a
         # version error, by the validator and therefore by the gate.
         old = valid_doc()
         old["version"] = version
-        with pytest.raises(ValueError, match=r"version: expected one of \(8,\)"):
+        with pytest.raises(ValueError, match=r"version: expected one of \(9,\)"):
             validate_bench_document(old)
         report = gate_against_baseline(valid_doc(), old)
         assert not report.ok
@@ -273,7 +255,7 @@ class TestValidator:
         old = valid_doc()
         old["version"] = 6
         old["config"]["tile_cache"] = False
-        with pytest.raises(ValueError, match=r"expected one of \(8,\), got 6"):
+        with pytest.raises(ValueError, match=r"expected one of \(9,\), got 6"):
             validate_bench_document(old)
 
     def test_rejects_v7_document(self):
@@ -283,7 +265,16 @@ class TestValidator:
         old["version"] = 7
         old["config"].update(runs=3, profile=False)
         old["stats"] = {"bootstrap_resamples": 2000, "confidence": 0.95}
-        with pytest.raises(ValueError, match=r"expected one of \(8,\), got 7"):
+        with pytest.raises(ValueError, match=r"expected one of \(9,\), got 7"):
+            validate_bench_document(old)
+
+    def test_rejects_v8_document(self):
+        # v9 dropped the kernel-backend and broad-phase config keys; a
+        # v8 document is refused with an error naming its version.
+        old = valid_doc()
+        old["version"] = 8
+        old["config"].update(kernel_backend="vectorized", broad_phase="lbvh")
+        with pytest.raises(ValueError, match=r"expected one of \(9,\), got 8"):
             validate_bench_document(old)
 
     def test_accepts_enabled_tile_profile(self):
@@ -325,10 +316,6 @@ class TestValidator:
         (lambda d: d.pop("config"), "config"),
         (lambda d: d["config"].update(width=0), "config.width"),
         (lambda d: d["config"].update(quick="yes"), "config.quick"),
-        (lambda d: d["config"].pop("kernel_backend"), "config.kernel_backend"),
-        (lambda d: d["config"].update(kernel_backend=""),
-         "config.kernel_backend"),
-        (lambda d: d["config"].update(broad_phase=7), "config.broad_phase"),
         (lambda d: d.update(scenes={}), "scenes"),
         (lambda d: d["scenes"]["crazy"]["stages"].pop("rbcd"), "rbcd"),
         (lambda d: d["scenes"]["crazy"]["stages"]["frame"].update(count=0),

@@ -54,13 +54,13 @@ class TestGateAgainstBaseline:
         assert not report.ok
         assert any("baseline document invalid" in e for e in report.errors)
 
-    def test_broad_phase_mismatch_refused_both_ways(self, bench_doc):
+    def test_config_mismatch_refused_both_ways(self, bench_doc):
         other = copy.deepcopy(bench_doc)
-        other["config"]["broad_phase"] = "bruteforce"
+        other["config"]["height"] += 16
         for first, second in ((bench_doc, other), (other, bench_doc)):
             report = gate_against_baseline(first, second)
             assert not report.ok
-            assert any("config.broad_phase" in e for e in report.errors)
+            assert any("config.height" in e for e in report.errors)
 
 
 class TestGateCli:

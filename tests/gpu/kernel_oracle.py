@@ -1,23 +1,16 @@
-"""The reference kernel backend: hardware-literal scalar loops.
+"""Scalar rasterizer and early-Z: the hardware-literal kernels.
 
-This backend is the executable specification every other backend is
-conformance-tested against.  Each kernel mirrors what the paper's
-hardware does one element at a time: the rasterizer scan-converts one
-triangle at a time, early-Z tests one fragment at a time against the
-running Z-buffer, ZEB insertion runs the 3-step sorted insert per
-fragment into its own tile's ZEB
-(:func:`repro.rbcd.zeb.insert_sequential`, once per tile), and the
-Z-Overlap Test steps every list's FF-Stack in lock-step
-(:func:`repro.rbcd.overlap.traverse_lists_sequential`).
+The executable specification :mod:`repro.gpu.kernels` is held to, kept
+as a test oracle.  The rasterizer scan-converts one triangle at a time
+over its bounding box; early-Z tests one fragment at a time against the
+running Z-buffer.  ``tests/gpu/test_kernel_conformance.py`` compares the
+vectorized kernels with these, and the ``reference_kernels`` fixture
+(``tests/conftest.py``) runs the whole pipeline on them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.gpu.kernels import KernelBackend
-from repro.rbcd.overlap import traverse_lists_sequential
-from repro.rbcd.zeb import ZEBTile, insert_sequential
 
 
 def rasterize_triangle(xy: np.ndarray, z: np.ndarray, width: int, height: int):
@@ -131,60 +124,3 @@ def earlyz_test(
     return passed, np.array(
         [visible[p] for p in sorted(visible)], dtype=np.int64
     )
-
-
-def zeb_insert(pixel, z_codes, object_id, is_front, config, tile_pixels):
-    """One sorted insertion per fragment, in arrival order, into the ZEB
-    of its tile (``pixel // tile_pixels``); tiles stack in key order."""
-    pixel = np.asarray(pixel, dtype=np.int64)
-    streams: dict[int, list] = {}
-    for key, code, oid, front in zip(
-        pixel.tolist(),
-        np.asarray(z_codes).tolist(),
-        np.asarray(object_id).tolist(),
-        np.asarray(is_front).tolist(),
-    ):
-        tile, local = divmod(key, tile_pixels)
-        streams.setdefault(tile, []).append((local, code, oid, front))
-    return _stack_tiles(
-        [
-            (tile, insert_sequential(streams[tile], config, tile_pixels))
-            for tile in sorted(streams)
-        ],
-        tile_pixels,
-    )
-
-
-def _stack_tiles(tiles, tile_pixels) -> ZEBTile:
-    """One ZEB holding every ``(tile, ZEBTile)``'s lists, keyed by tile."""
-    if not tiles:
-        return ZEBTile.empty()
-    width = max(zeb.z_codes.shape[1] for _, zeb in tiles)
-
-    def padded(zeb, name, fill):
-        block = getattr(zeb, name)
-        pad = np.full((block.shape[0], width - block.shape[1]), fill, block.dtype)
-        return np.concatenate([block, pad], axis=1)
-
-    zebs = [zeb for _, zeb in tiles]
-    return ZEBTile(
-        pixel_index=np.concatenate(
-            [tile * tile_pixels + zeb.pixel_index for tile, zeb in tiles]
-        ),
-        counts=np.concatenate([zeb.counts for zeb in zebs]),
-        z_codes=np.concatenate([padded(zeb, "z_codes", 0) for zeb in zebs]),
-        object_ids=np.concatenate([padded(zeb, "object_ids", -1) for zeb in zebs]),
-        is_front=np.concatenate([padded(zeb, "is_front", False) for zeb in zebs]),
-        insertions=sum(zeb.insertions for zeb in zebs),
-        overflow_events=sum(zeb.overflow_events for zeb in zebs),
-        spare_allocations=sum(zeb.spare_allocations for zeb in zebs),
-    )
-
-
-BACKEND = KernelBackend(
-    name="reference",
-    rasterize_triangles=rasterize_triangles,
-    earlyz_test=earlyz_test,
-    zeb_insert=zeb_insert,
-    zoverlap_traverse=traverse_lists_sequential,
-)

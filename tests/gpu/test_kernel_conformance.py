@@ -1,41 +1,61 @@
-"""Kernel-backend conformance: every backend is bit-identical.
+"""Kernel conformance: the vectorized kernels equal the scalar oracles.
 
-The kernel API contract (:mod:`repro.gpu.kernels`) is that all
-registered backends compute the *same function* — not approximately,
-byte for byte.  This suite is the enforcement: each test runs the
-reference backend (the hardware-literal executable spec) next to every
-other registered backend over golden fixtures and hypothesis-generated
-fragment streams, and asserts full observable equality:
+The pipeline's kernels — :func:`repro.gpu.kernels.rasterize_triangles`,
+:func:`repro.gpu.kernels.earlyz_test`, :func:`repro.rbcd.zeb.build_zeb`
+and :func:`repro.rbcd.overlap.analyze_tile` — must compute the *same
+function* as the hardware-literal scalar walkers kept as test oracles
+(``tests/gpu/kernel_oracle.py``, ``tests/rbcd/zeb_oracle.py``,
+``tests/rbcd/zoverlap_oracle.py``): not approximately, byte for byte.
+Each test runs both kernel sets (the oracles must also reproduce
+themselves) over golden fixtures and hypothesis-generated fragment
+streams, and asserts full observable equality:
 
 * rasterizer fragments (coordinates, depth *bit patterns*, triangle
   provenance, emission order);
 * early-Z pass masks and each pixel's visible fragment;
 * ZEB contents and counters after insertion;
 * Z-Overlap results — pairs, evidence arrays, and every counter;
-* whole-frame fingerprints through the real pipeline, selected both by
-  ``GPUConfig.kernel_backend`` and the environment variable.
+* whole-frame fingerprints through the real pipeline, with the oracles
+  swapped in by the ``reference_kernels`` fixture.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.gpu import kernels
-from repro.gpu.kernels import vectorized
-from repro.gpu.config import GPUConfig, RBCDConfig
+from repro.gpu.config import RBCDConfig
 from repro.gpu.pipeline import GPU
 from repro.rbcd.element import quantize_depth
-from tests.conftest import sphere_pair_frame, two_boxes_frame
+from repro.rbcd.overlap import analyze_tile
+from repro.rbcd.zeb import build_zeb
+from tests.conftest import KERNEL_SETS, sphere_pair_frame, two_boxes_frame, use_kernels
+from tests.gpu import kernel_oracle
 from tests.gpu.test_parallel import frame_fingerprint
+from tests.rbcd import zeb_oracle, zoverlap_oracle
 from tests.rbcd.test_differential import assert_zeb_equal
 
 TILE_PIXELS = 256
 
-REFERENCE = kernels.get_backend("reference")
-
-
-# Every backend under test, reference included (it must match itself).
-BACKENDS = [kernels.get_backend(n) for n in kernels.backend_names()]
+REFERENCE = SimpleNamespace(
+    name="reference",
+    rasterize_triangles=kernel_oracle.rasterize_triangles,
+    earlyz_test=kernel_oracle.earlyz_test,
+    zeb_insert=zeb_oracle.zeb_insert,
+    zoverlap_traverse=zoverlap_oracle.traverse_lists_sequential,
+)
+VECTORIZED = SimpleNamespace(
+    name="vectorized",
+    rasterize_triangles=kernels.rasterize_triangles,
+    earlyz_test=kernels.earlyz_test,
+    zeb_insert=build_zeb,
+    zoverlap_traverse=analyze_tile,
+)
+# Both kernel sets under test, the oracles included (they must match
+# themselves).
+BACKENDS = [REFERENCE, VECTORIZED]
 BACKEND_IDS = [b.name for b in BACKENDS]
 
 
@@ -71,47 +91,6 @@ def assert_overlap_equal(a, b):
         "unmatched_backfaces", "disjoint_closures", "self_pairs_filtered",
     ):
         assert getattr(a, name) == getattr(b, name), name
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = kernels.backend_names()
-        assert "reference" in names
-        assert "vectorized" in names
-
-    def test_available_backends_always_include_core_pair(self):
-        available = kernels.backend_names()
-        assert {"reference", "vectorized"} <= set(available)
-        for name in available:
-            assert kernels.get_backend(name).name == name
-
-    def test_unknown_backend_raises_value_error(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.get_backend("no-such-backend")
-
-    def test_numba_is_an_unknown_backend(self, monkeypatch):
-        """The numba backend was removed: naming it is a plain typo."""
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.get_backend("numba")
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "numba")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            GPU(GPUConfig().with_screen(64, 32))
-
-    def test_config_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "reference")
-        assert GPUConfig().kernel_backend == "reference"
-        monkeypatch.delenv(kernels.KERNEL_BACKEND_ENV)
-        assert GPUConfig().kernel_backend == kernels.DEFAULT_KERNEL_BACKEND
-
-    def test_pipeline_rejects_unknown_backend_at_construction(self):
-        config = GPUConfig().with_screen(64, 32).with_kernel_backend("bogus")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            GPU(config)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +354,7 @@ def test_vectorized_rasterizer_matches_reference_on_adversarial_triangles(batch)
     xy = np.array([tri for tri, _ in batch], dtype=np.float64)
     z = np.array([depths for _, depths in batch], dtype=np.float64)
     assert_fragments_equal(
-        vectorized.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
+        kernels.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
         REFERENCE.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
     )
 
@@ -385,18 +364,18 @@ def test_span_narrowed_past_exact_crossing_fails_conformance(monkeypatch, side):
     """The span suite can fail: narrowing either end of every exact
     span (the widened span less one pixel per side) by one more pixel
     drops fragments the reference emits."""
-    row_spans = vectorized._row_spans
+    row_spans = kernels._row_spans
 
     def narrowed(*args):
         lo, hi = row_spans(*args)
         return (lo + 2, hi) if side == "lo" else (lo, hi - 2)
 
-    monkeypatch.setattr(vectorized, "_row_spans", narrowed)
+    monkeypatch.setattr(kernels, "_row_spans", narrowed)
     for seed in (0, 1, 2):
         xy, z = random_triangles(seed, 24)
         with pytest.raises(AssertionError):
             assert_fragments_equal(
-                vectorized.rasterize_triangles(xy, z, 64, 64),
+                kernels.rasterize_triangles(xy, z, 64, 64),
                 REFERENCE.rasterize_triangles(xy, z, 64, 64),
             )
 
@@ -405,12 +384,12 @@ def test_span_narrowed_past_exact_crossing_fails_conformance(monkeypatch, side):
 def test_span_not_widened_past_its_crossing_fails_conformance(monkeypatch, tri):
     """With no widening (eps = 0) each on-edge-centre triangle loses the
     fragment whose centre its rounded crossing lands just past."""
-    monkeypatch.setattr(vectorized, "_SPAN_EPS", 0.0)
+    monkeypatch.setattr(kernels, "_SPAN_EPS", 0.0)
     xy = np.array([tri], dtype=np.float64)
     z = np.array([[0.2, 0.5, 0.8]])
     with pytest.raises(AssertionError):
         assert_fragments_equal(
-            vectorized.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
+            kernels.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
             REFERENCE.rasterize_triangles(xy, z, RASTER_W, RASTER_H),
         )
 
@@ -423,12 +402,12 @@ def test_crossed_over_span_beyond_a_box_edge_stays_empty():
     column."""
     xy = np.array([[[60.0, 10.0], [100.0, 20.0], [60.0, 12.0]]])
     vx, vy = xy[:, :, 0], xy[:, :, 1]
-    edges = vectorized._edge_setup(vx, vy, np.array([1.0]))  # area2 = 80
+    edges = kernels._edge_setup(vx, vy, np.array([1.0]))  # area2 = 80
     row_y = np.arange(10, 21)  # the bounding box's rows; 20 is past the apex
     tri = np.zeros(row_y.shape[0], dtype=np.int64)
     row_edges = [(vx[tri, i], row_y + 0.5 - vy[tri, i]) for i in range(3)]
     x0, x1 = np.array([60]), np.array([63])  # the box, clamped to 64 columns
-    lo, hi = vectorized._row_spans(
+    lo, hi = kernels._row_spans(
         edges, row_edges, np.array([True]), tri, x0, x1
     )
     # From row 13 on the wedge lies past column 63.
@@ -439,7 +418,7 @@ def test_crossed_over_span_beyond_a_box_edge_stays_empty():
 # Coordinates on both sides of the span-safe bound, and pixel-scale
 # offsets from it, so that batches mix tame and untame triangles whose
 # edges still cross the screen.
-_M = vectorized._SPAN_MAX_COORD
+_M = kernels._SPAN_MAX_COORD
 straddle_coord = (
     st.sampled_from([-_M, _M]).flatmap(
         lambda m: st.floats(-64.0, 64.0).map(lambda d: m + d)
@@ -466,7 +445,7 @@ def test_rasterizer_matches_reference_across_span_max_coord(batch):
     xy = np.array([tri for tri, _ in batch], dtype=np.float64)
     z = np.array([depths for _, depths in batch], dtype=np.float64)
     assert_fragments_equal(
-        vectorized.rasterize_triangles(xy, z, 64, 64),
+        kernels.rasterize_triangles(xy, z, 64, 64),
         REFERENCE.rasterize_triangles(xy, z, 64, 64),
     )
 
@@ -474,12 +453,12 @@ def test_rasterizer_matches_reference_across_span_max_coord(batch):
 def test_rasterize_chunked_spans_match_reference(monkeypatch):
     """Tiny chunk bounds split triangles across row chunks and rows
     across candidate chunks (a 64-wide row alone exceeds the bound)."""
-    monkeypatch.setattr(vectorized, "_MAX_ROWS", 7)
-    monkeypatch.setattr(vectorized, "_MAX_CANDIDATES", 50)
+    monkeypatch.setattr(kernels, "_MAX_ROWS", 7)
+    monkeypatch.setattr(kernels, "_MAX_CANDIDATES", 50)
     for seed in (0, 1, 2):
         xy, z = random_triangles(seed, 24)
         assert_fragments_equal(
-            vectorized.rasterize_triangles(xy, z, 64, 64),
+            kernels.rasterize_triangles(xy, z, 64, 64),
             REFERENCE.rasterize_triangles(xy, z, 64, 64),
         )
 
@@ -499,7 +478,7 @@ wide_screen_triangle = raster_triangle(
 def _count_end_runs(monkeypatch):
     """Hook the run rule; returns the running ``{runs, fallbacks}``."""
     seen = {"runs": 0, "fallbacks": 0}
-    end_runs = vectorized._end_runs
+    end_runs = kernels._end_runs
 
     def counting(ends, lo, hi):
         runs, first, last = end_runs(ends, lo, hi)
@@ -507,7 +486,7 @@ def _count_end_runs(monkeypatch):
         seen["fallbacks"] += ends.shape[1] - runs.shape[0]
         return runs, first, last
 
-    monkeypatch.setattr(vectorized, "_end_runs", counting)
+    monkeypatch.setattr(kernels, "_end_runs", counting)
     return seen
 
 
@@ -522,7 +501,7 @@ def test_vectorized_rasterizer_matches_reference_at_a_wider_screen(monkeypatch):
         xy = np.array([tri for tri, _ in batch], dtype=np.float64)
         z = np.array([depths for _, depths in batch], dtype=np.float64)
         assert_fragments_equal(
-            vectorized.rasterize_triangles(xy, z, WIDE_W, WIDE_H),
+            kernels.rasterize_triangles(xy, z, WIDE_W, WIDE_H),
             REFERENCE.rasterize_triangles(xy, z, WIDE_W, WIDE_H),
         )
 
@@ -561,7 +540,7 @@ def test_rows_past_a_horizontal_edge_match_reference(monkeypatch):
     for seed in (0, 1, 2):
         xy, z = horizontal_edge_triangles(seed)
         assert_fragments_equal(
-            vectorized.rasterize_triangles(xy, z, 64, 64),
+            kernels.rasterize_triangles(xy, z, 64, 64),
             REFERENCE.rasterize_triangles(xy, z, 64, 64),
         )
     assert seen["fallbacks"] > 0
@@ -572,7 +551,7 @@ def _assert_every_fixture_fails_conformance(fixture):
         xy, z = fixture(seed)
         with pytest.raises(AssertionError):
             assert_fragments_equal(
-                vectorized.rasterize_triangles(xy, z, 64, 64),
+                kernels.rasterize_triangles(xy, z, 64, 64),
                 REFERENCE.rasterize_triangles(xy, z, 64, 64),
             )
 
@@ -582,18 +561,18 @@ def test_run_accepted_with_only_its_left_end_covered_fails_conformance(
 ):
     """A run taken without checking its right end column emits pixels
     the reference leaves out."""
-    end_runs = vectorized._end_runs
+    end_runs = kernels._end_runs
 
     def left_only(ends, lo, hi):
         return end_runs(np.stack((ends[0], ends[0])), lo, hi)
 
-    monkeypatch.setattr(vectorized, "_end_runs", left_only)
+    monkeypatch.setattr(kernels, "_end_runs", left_only)
     _assert_every_fixture_fails_conformance(horizontal_edge_triangles)
 
 
 @pytest.mark.parametrize("side", ["first", "last"])
 def test_run_narrowed_by_one_pixel_fails_conformance(monkeypatch, side):
-    end_runs = vectorized._end_runs
+    end_runs = kernels._end_runs
 
     def narrowed(ends, lo, hi):
         runs, first, last = end_runs(ends, lo, hi)
@@ -601,7 +580,7 @@ def test_run_narrowed_by_one_pixel_fails_conformance(monkeypatch, side):
             return runs, first + 1, last
         return runs, first, last - 1
 
-    monkeypatch.setattr(vectorized, "_end_runs", narrowed)
+    monkeypatch.setattr(kernels, "_end_runs", narrowed)
     _assert_every_fixture_fails_conformance(
         lambda seed: random_triangles(seed, 24)
     )
@@ -620,14 +599,14 @@ def test_earlyz_scan_without_its_segment_guard_fails_conformance(monkeypatch):
             d *= 2
         return run
 
-    monkeypatch.setattr(vectorized, "_segmented_prefix_min", unguarded)
+    monkeypatch.setattr(kernels, "_segmented_prefix_min", unguarded)
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
         pixel = rng.integers(0, 40, size=800).astype(np.int64)
         z = rng.choice([0.25, 0.5, 0.5, 0.75, 1.0], size=800)
         with pytest.raises(AssertionError):
             assert_earlyz_equal(
-                vectorized.earlyz_test(pixel, z),
+                kernels.earlyz_test(pixel, z),
                 REFERENCE.earlyz_test(pixel, z),
             )
 
@@ -645,7 +624,7 @@ def test_rasterize_huge_coordinates_match_reference(scale):
     xy = np.stack([far, mirrored, near], axis=1)
     z = rng.uniform(0.0, 1.0, size=(16, 3))
     assert_fragments_equal(
-        vectorized.rasterize_triangles(xy, z, 64, 64),
+        kernels.rasterize_triangles(xy, z, 64, 64),
         REFERENCE.rasterize_triangles(xy, z, 64, 64),
     )
 
@@ -655,25 +634,50 @@ def test_rasterize_huge_coordinates_match_reference(scale):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "name",
-    kernels.backend_names(),
-)
-def test_frame_fingerprints_identical_across_backends(name, tiny_config):
-    reference_config = tiny_config.with_kernel_backend("reference")
-    backend_config = tiny_config.with_kernel_backend(name)
-    for separation in (0.6, 1.4):
-        frame = sphere_pair_frame(tiny_config, separation)
-        want = frame_fingerprint(GPU(reference_config).render_frame(frame))
-        got = frame_fingerprint(GPU(backend_config).render_frame(frame))
-        assert got == want
+def _assert_frames_match_oracles(request, name, config):
+    """Frames rendered on the kernel set ``name`` fingerprint the same
+    as on the scalar oracles.  The coincident boxes tie in depth at
+    every pixel they share, so early-Z's strict LESS decides them."""
+    frames = [
+        sphere_pair_frame(config, 0.6),
+        sphere_pair_frame(config, 1.4),
+        two_boxes_frame(config, 0.0),
+    ]
+
+    def fingerprints():
+        gpu = GPU(config)
+        return [frame_fingerprint(gpu.render_frame(f)) for f in frames]
+
+    use_kernels(request, name)
+    got = fingerprints()
+    use_kernels(request, "reference")
+    assert got == fingerprints()
 
 
-def test_env_var_selection_reaches_pipeline(monkeypatch, tiny_config):
-    monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "reference")
-    config = GPUConfig().with_screen(64, 32)
-    assert config.kernel_backend == "reference"
-    frame = two_boxes_frame(config, 0.8)
-    want = frame_fingerprint(GPU(config).render_frame(frame))
-    gpu = GPU(tiny_config.with_kernel_backend("vectorized"))
-    assert frame_fingerprint(gpu.render_frame(frame)) == want
+@pytest.mark.parametrize("name", KERNEL_SETS)
+def test_frame_fingerprints_identical_across_backends(name, tiny_config, request):
+    _assert_frames_match_oracles(request, name, tiny_config)
+
+
+def _earlyz_less_or_equal(pixel, z):
+    """The scalar early-Z with ``<=`` in place of ``<``: a later
+    fragment at an equal depth passes too."""
+    passed = np.zeros(pixel.shape[0], dtype=bool)
+    z_buffer: dict[int, float] = {}
+    visible: dict[int, int] = {}
+    for k, (p, depth) in enumerate(zip(pixel.tolist(), z.tolist())):
+        if depth <= z_buffer.get(p, 1.0):
+            passed[k] = True
+            z_buffer[p] = depth
+            visible[p] = k
+    return passed, np.array([visible[p] for p in sorted(visible)], dtype=np.int64)
+
+
+def test_earlyz_oracle_with_less_or_equal_fails_pipeline_conformance(
+    monkeypatch, tiny_config, request
+):
+    """The fixture really puts the oracles in the pipeline: an early-Z
+    oracle that lets equal depths pass fails the frame comparison."""
+    monkeypatch.setattr(kernel_oracle, "earlyz_test", _earlyz_less_or_equal)
+    with pytest.raises(AssertionError):
+        _assert_frames_match_oracles(request, "vectorized", tiny_config)

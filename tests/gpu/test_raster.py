@@ -5,9 +5,9 @@ import pytest
 
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernels.reference import rasterize_triangle
 from repro.gpu.raster import FRAGMENT_DTYPES, FragmentSoup, rasterize
 from repro.gpu.stats import GPUStats
+from tests.gpu.kernel_oracle import rasterize_triangle
 
 CFG = GPUConfig().with_screen(64, 64)
 

@@ -76,6 +76,22 @@ class TestRBCDSystem:
         assert result.pairs == {(1, 2)}
         assert result.stats.fragments_shaded == 0
 
+    def test_positional_config_names_the_config_keyword(self):
+        from repro.gpu.config import GPUConfig
+
+        with pytest.raises(TypeError, match=r"config="):
+            RBCDSystem(GPUConfig().with_screen(64, 32))
+        config = GPUConfig().with_screen(64, 32)
+        assert RBCDSystem(config=config).config is config
+
+    @pytest.mark.parametrize("resolution", [
+        (0, 96), (160, -1), (160.0, 96), (True, 96), (160,), (160, 96, 1),
+        "160x96", None,
+    ])
+    def test_resolution_must_be_a_pair_of_positive_ints(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be a"):
+            RBCDSystem(resolution=resolution)
+
     def test_custom_zeb_configuration(self):
         system = RBCDSystem(resolution=(160, 96), zeb_count=1, list_length=4)
         assert system.config.rbcd.zeb_count == 1
@@ -264,7 +280,7 @@ EDGE_ENTRIES = ["detect_frame", "detect_collisions", "submit"]
 
 def edge_case_outcome(entry: str, objs):
     """Pairs plus, where the entry point exposes them, the fragment and
-    cycle counts of one run under the current kernel backend."""
+    cycle counts of one run on the kernels currently in place."""
     from repro.gpu.commands import DrawCommand, Frame
     from repro.gpu.config import GPUConfig
     from repro.serve import CollisionService
@@ -303,14 +319,11 @@ class TestEdgeCaseInputs:
         for entry in EDGE_ENTRIES
         if (case, entry) != ("empty", "detect_collisions")
     ])
-    def test_matches_reference_kernels(self, monkeypatch, case, entry):
-        from repro.gpu.kernels import KERNEL_BACKEND_ENV
-
+    def test_matches_reference_kernels(self, request, case, entry):
         objs = edge_case_objects(case)
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "reference")
-        want = edge_case_outcome(entry, objs)
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "vectorized")
-        assert edge_case_outcome(entry, objs) == want
+        got = edge_case_outcome(entry, objs)
+        request.getfixturevalue("reference_kernels")
+        assert got == edge_case_outcome(entry, objs)
 
     @pytest.mark.parametrize("entry", EDGE_ENTRIES)
     def test_id_8192_names_the_field(self, entry):

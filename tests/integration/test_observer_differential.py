@@ -17,7 +17,6 @@ import functools
 
 import pytest
 
-from repro.gpu import kernels
 from repro.gpu.config import GPUConfig
 from repro.gpu.pipeline import GPU
 from repro.hybrid import HybridCDSystem
@@ -31,7 +30,12 @@ from repro.observability.provenance import ProvenanceRecorder
 from repro.observability.tileprofile import TileProfiler
 from repro.observability.tracer import Tracer
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
-from tests.conftest import sphere_pair_frame, two_boxes_frame
+from tests.conftest import (
+    KERNEL_SETS,
+    sphere_pair_frame,
+    two_boxes_frame,
+    use_kernels,
+)
 from tests.gpu.test_parallel import frame_fingerprint
 
 # The four benchmark scenes plus hand-built primitive pairs that are
@@ -376,17 +380,16 @@ def test_ring_contents_deterministic_across_repeat_runs():
     assert rings[0] == rings[1]
 
 
-@pytest.mark.parametrize("backend", kernels.backend_names())
+@pytest.mark.parametrize("backend", KERNEL_SETS)
 @pytest.mark.parametrize("frames", STREAMS)
-def test_kernel_backend_matrix_under_observation(backend, frames):
-    """Every kernel backend × stream length reproduces the reference
-    backend's fingerprints with a monitor attached."""
+def test_kernel_backend_matrix_under_observation(backend, frames, request):
+    """Each kernel set × stream length reproduces the scalar oracles'
+    fingerprints with a monitor attached."""
     stream = scene_frames("cap")[:frames]
-    reference = CONFIG.with_kernel_backend("reference")
-    want = render(reference, stream, observers=[LiveMonitor(window=8)])
-    config = CONFIG.with_kernel_backend(backend)
-    got = render(config, stream, observers=[LiveMonitor(window=8)])
-    assert got == want
+    use_kernels(request, backend)
+    got = render(CONFIG, stream, observers=[LiveMonitor(window=8)])
+    use_kernels(request, "reference")
+    assert got == render(CONFIG, stream, observers=[LiveMonitor(window=8)])
 
 
 # The hybrid system threads its tracer and observers into its own RBCD

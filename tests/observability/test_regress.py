@@ -16,8 +16,7 @@ def make_doc(cycles=100.0, gpu_cycles=5000.0, energy_total=1e-3, edp=1e-6):
     """A minimal gate-comparable document (one scene, one stage)."""
     return {
         "config": {"width": 64, "height": 32, "frames": 2, "detail": 1,
-                   "quick": True, "kernel_backend": "vectorized",
-                   "broad_phase": "lbvh", "tile_profile": True},
+                   "quick": True, "tile_profile": True},
         "scenes": {
             "cap": {
                 "frames": 2,
@@ -170,22 +169,6 @@ class TestStructuralErrors:
         assert not report.ok
         assert any("config.width" in e for e in report.errors)
         assert report.checked == 0  # refused before comparing anything
-
-    def test_kernel_backend_mismatch_refused(self):
-        # Documents produced under different configurations never
-        # compare, even where the outputs are meant to be identical.
-        cur = make_doc()
-        cur["config"]["kernel_backend"] = "reference"
-        report = compare_documents(make_doc(), cur)
-        assert not report.ok
-        assert any("config.kernel_backend" in e for e in report.errors)
-
-    def test_broad_phase_mismatch_refused(self):
-        cur = make_doc()
-        cur["config"]["broad_phase"] = "bruteforce"
-        report = compare_documents(make_doc(), cur)
-        assert not report.ok
-        assert any("config.broad_phase" in e for e in report.errors)
 
     def test_missing_scene_errors(self):
         cur = make_doc()

@@ -3,7 +3,8 @@
 Randomized (seeded) fragment soups are pushed through the three
 implementations of the ZEB insertion path —
 
-* :func:`insert_sequential`, the hardware-literal executable spec;
+* :func:`insert_sequential`, the hardware-literal executable spec
+  (``tests/rbcd/zeb_oracle.py``);
 * :func:`build_zeb`, the vectorized builder;
 * the frame pass (:func:`gather_tile_tasks` → :class:`TileExecutor` →
   :func:`compute_tile` → absorb), against the per-tile oracle in
@@ -11,7 +12,9 @@ implementations of the ZEB insertion path —
 
 — and every observable is asserted bit-identical: z-codes, object ids,
 facing bits, per-list counts, and the overflow/spare counters, across
-M ∈ {2, 4, 8}, spare-pool on/off, and several seeded soups.
+M ∈ {2, 4, 8}, spare-pool on/off, and several seeded soups.  The kernel
+matrix at the end runs the frame pass on the scalar oracles too (the
+``reference_kernels`` fixture).
 """
 
 import numpy as np
@@ -22,8 +25,10 @@ from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup
 from repro.rbcd.element import quantize_depth
 from repro.rbcd.unit import RBCDUnit
-from repro.rbcd.zeb import build_zeb, insert_sequential
+from repro.rbcd.zeb import build_zeb
+from tests.conftest import KERNEL_SETS, use_kernels
 from tests.rbcd.tile_oracle import compute_tile_oracle
+from tests.rbcd.zeb_oracle import insert_sequential
 
 TILE_PIXELS = 256  # one 16x16 tile
 
@@ -270,55 +275,41 @@ def test_empty_soup_yields_no_tasks():
 
 
 # ---------------------------------------------------------------------------
-# Kernel-backend matrix
+# Kernel matrix: the tile loop on each kernel set vs the scalar oracles
 # ---------------------------------------------------------------------------
 
-from repro.gpu import kernels as _kernels  # noqa: E402
 
-
-def _backend_matrix() -> list[str]:
-    """Every registered kernel backend."""
-    return list(_kernels.backend_names())
-
-
-@pytest.mark.parametrize("backend", _backend_matrix())
-@pytest.mark.parametrize("soup_seed", [1, 2, 8])
-def test_backend_matrix_matches_reference(backend, soup_seed):
-    """sequential spec ≡ every kernel backend through the tile loop.
-
-    The serial reference always runs the ``reference`` backend; the
-    tile loop uses the backend under test, over several seeded soups.
-    """
-    soup = random_frame_soup(seed=30 + soup_seed)
-    serial_config = (
-        GPUConfig().with_screen(*SCREEN)
-        .with_rbcd(list_length=4)
-        .with_kernel_backend("reference")
-    )
-    serial_unit, _ = run_serial_reference(serial_config, soup)
-
-    config = serial_config.with_kernel_backend(backend)
+def _tile_loop_matches_serial_reference(request, backend, config, soup):
+    """The tile loop on the kernel set ``backend`` reproduces the serial
+    reference computed on the scalar oracles."""
+    use_kernels(request, backend)
     tasks = gather_tile_tasks(soup, config)
     merged = RBCDUnit(config)
     for result in TileExecutor().run(config, tasks):
         merged.absorb(result)
+    use_kernels(request, "reference")
+    serial_unit, _ = run_serial_reference(config, soup)
     assert unit_fingerprint(merged) == unit_fingerprint(serial_unit)
 
 
-@pytest.mark.parametrize("backend", _backend_matrix())
-def test_backend_matrix_with_spare_pool(backend):
-    """The backend matrix again with the spare pool on."""
-    soup = random_frame_soup(seed=77)
-    serial_config = (
+@pytest.mark.parametrize("backend", KERNEL_SETS)
+@pytest.mark.parametrize("soup_seed", [1, 2, 8])
+def test_backend_matrix_matches_reference(backend, soup_seed, request):
+    """sequential spec ≡ each kernel set through the tile loop, over
+    several seeded soups."""
+    config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=4)
+    _tile_loop_matches_serial_reference(
+        request, backend, config, random_frame_soup(seed=30 + soup_seed)
+    )
+
+
+@pytest.mark.parametrize("backend", KERNEL_SETS)
+def test_backend_matrix_with_spare_pool(backend, request):
+    """The kernel matrix again with the spare pool on."""
+    config = (
         GPUConfig().with_screen(*SCREEN)
         .with_rbcd(list_length=4, spare_entries_per_tile=6)
-        .with_kernel_backend("reference")
     )
-    serial_unit, _ = run_serial_reference(serial_config, soup)
-
-    config = serial_config.with_kernel_backend(backend)
-    tasks = gather_tile_tasks(soup, config)
-    merged = RBCDUnit(config)
-    for result in TileExecutor().run(config, tasks):
-        merged.absorb(result)
-    assert unit_fingerprint(merged) == unit_fingerprint(serial_unit)
+    _tile_loop_matches_serial_reference(
+        request, backend, config, random_frame_soup(seed=77)
+    )

@@ -6,8 +6,9 @@ import pytest
 from repro.gpu.config import GPUConfig, RBCDConfig
 from repro.gpu.pipeline import GPU
 from repro.rbcd.element import max_object_id, quantize_depth
-from repro.rbcd.overlap import analyze_pixel_list, analyze_tile
+from repro.rbcd.overlap import analyze_tile
 from repro.rbcd.zeb import build_zeb
+from tests.rbcd.zoverlap_oracle import analyze_pixel_list
 from tests.conftest import two_boxes_frame
 
 

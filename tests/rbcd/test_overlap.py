@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.overlap import OverlapResult, analyze_pixel_list, analyze_tile
+from repro.rbcd.overlap import OverlapResult, analyze_tile
 from repro.rbcd.zeb import build_zeb
+from tests.rbcd.zoverlap_oracle import analyze_pixel_list
 
 
 def tile_from_lists(lists, config):

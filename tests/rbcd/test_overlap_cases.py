@@ -13,8 +13,8 @@ from repro.rbcd.overlap import (
     CASE_DISJOINT,
     CASE_NAMES,
     CASE_NESTED,
-    analyze_pixel_list,
 )
+from tests.rbcd.zoverlap_oracle import analyze_pixel_list
 
 CFG = RBCDConfig()
 

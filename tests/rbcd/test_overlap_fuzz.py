@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.overlap import analyze_pixel_list, analyze_tile
+from repro.rbcd.overlap import analyze_tile
 from repro.rbcd.zeb import ZEBTile
+from tests.rbcd.zoverlap_oracle import analyze_pixel_list
 
 
 def tile_from_rows(rows: list[list[tuple[int, int, bool]]]) -> ZEBTile:

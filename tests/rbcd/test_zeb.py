@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.zeb import ZEBTile, build_zeb, insert_sequential
+from repro.rbcd.zeb import ZEBTile, build_zeb
+from tests.rbcd.zeb_oracle import insert_sequential
 
 TILE_PIXELS = 256
 

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import RBCDConfig
-from repro.rbcd.zeb import build_zeb, insert_sequential
+from repro.rbcd.zeb import build_zeb
+from tests.rbcd.zeb_oracle import insert_sequential
 
 TILE_PIXELS = 64
 M_VALUES = (2, 4, 8, 16)

@@ -5,7 +5,9 @@ lock-step Z-Overlap pass over a whole frame, then splits the result by
 tile.  This module keeps the tile loop it replaced: every tile goes
 through the kernels on its own, so no spare entry, pair or tally can
 leak between tiles.  Tests compare the frame pass with it field by
-field, dtypes included.
+field, dtypes included.  The kernels are the ones ``compute_tile``
+calls, read at call time, so under the ``reference_kernels`` fixture
+both sides run the scalar walkers.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.gpu import kernels as _kernels
 from repro.gpu.config import GPUConfig
 from repro.gpu.parallel import TileBatch
+from repro.rbcd import unit
 from repro.rbcd.element import max_object_id, quantize_depth
 from repro.rbcd.unit import (
     _BITMAP_PIXELS_PER_CYCLE,
@@ -46,13 +48,12 @@ def compute_tile_oracle(
             f"object id {int(object_id.max())} exceeds the "
             f"{config.id_bits}-bit ZEB id field"
         )
-    backend = _kernels.get_backend(gpu_config.kernel_backend)
     local = (y % ts).astype(np.int64) * ts + (x % ts).astype(np.int64)
     codes = quantize_depth(z, config)
-    zeb = backend.zeb_insert(
+    zeb = unit.build_zeb(
         local, codes, object_id, is_front, config, gpu_config.tile_pixels
     )
-    overlap = backend.zoverlap_traverse(zeb, config)
+    overlap = unit.analyze_tile(zeb, config)
 
     multi_object = _multi_object_lists(zeb)
     analyzed_lists = int(multi_object.sum())
