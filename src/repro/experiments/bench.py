@@ -24,12 +24,10 @@ by the repository benchmark, ``perfbench/``):
 ``--baseline FILE`` compares the fresh document against a stored
 baseline (``benchmarks/baselines/*.json``) with
 :func:`repro.observability.regress.compare_documents`: every numeric
-leaf of every scene must match, in either direction.  ``--gate`` turns
-any difference into a non-zero exit, and every gate failure emits a
-machine-greppable ``GATE-FAIL`` line; ``--explain`` prints the top-k
-causes from the regression **attribution** engine
-(:mod:`repro.observability.attribution`), and ``--explain-json``
-additionally writes the full attribution report for CI artifacts.
+leaf of every scene must match, in either direction, and each one that
+moved is printed as a ``CHANGED scene/metric: a -> b`` line.  ``--gate``
+turns any difference into a non-zero exit, and every gate failure emits
+one machine-greppable ``GATE-FAIL`` line.
 
 The document layout (checked by :func:`validate_bench_document`):
 
@@ -63,15 +61,21 @@ Schema v9 drops two config keys of v8: the kernel-backend name (there
 is one kernel set) and the broad-phase name (nothing read it).  Every
 scene value is unchanged.  The validator accepts v9 documents only.
 
+Besides the layout, the validator checks the model's own identities in
+every scene (:data:`IDENTITIES`): frame cycles against the counters,
+the energy sums, ``rbcd.tile = zeb-insert + z-overlap`` and, when
+profiled, the tile grids against their stage and energy totals.  A
+document that breaks one is refused by ``--check``, before ``main()``
+writes it, and on either side of the gate.
+
 ``--append-history`` appends a one-line ndjson summary per run to
-``benchmarks/history/HISTORY.ndjson`` (or a given file), building the
-longitudinal record the attribution workflow starts from.
+``benchmarks/history/HISTORY.ndjson`` (or a given file), building a
+longitudinal record of the headline metrics.
 
 ``--quick`` is the CI preset (160x96, 4 frames, detail 1) and cannot be
 combined with ``--width``/``--height``/``--frames``/``--detail``;
-``--check FILE`` validates an existing document and exits, so CI can
-assert the artifact it just produced is well-formed without any
-third-party schema library.
+``--check FILE`` validates an existing document (layout and
+identities) and exits, without any third-party schema library.
 """
 
 from __future__ import annotations
@@ -85,12 +89,15 @@ from typing import Any, Mapping, Sequence
 from repro.core import RBCDSystem
 from repro.energy.report import FrameEnergyReport
 from repro.gpu.config import GPUConfig
-from repro.observability.attribution import attribute_documents
 from repro.observability.counters import CounterRegistry
 from repro.observability.export import write_chrome_trace, write_ndjson
 from repro.observability.forensics import oracle_pairs
 from repro.observability.provenance import ProvenanceRecorder
-from repro.observability.regress import GateReport, compare_documents
+from repro.observability.regress import (
+    GateReport,
+    compare_documents,
+    within_tol,
+)
 from repro.observability.tileprofile import GRID_NAMES, TileProfiler
 from repro.observability.tracer import Tracer
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
@@ -100,6 +107,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "SUPPORTED_VERSIONS",
     "REQUIRED_STAGES",
+    "REQUIRED_COUNTERS",
+    "IDENTITIES",
     "HISTORY_PATH",
     "QUICK_PRESET",
     "run_bench",
@@ -144,6 +153,50 @@ _ENERGY_GPU_KEYS = (
 )
 _ENERGY_RBCD_KEYS = ("insertion_j", "overlap_j", "output_j", "static_j", "total_j")
 _ENERGY_TOP_KEYS = ("total_j", "delay_s", "edp_js")
+
+# Counters the model's identities read; every document carries them.
+REQUIRED_COUNTERS = (
+    "gpu.gpu_cycles",
+    "gpu.geometry.geometry_cycles",
+    "gpu.raster.raster_pipeline_cycles",
+    "energy.total_j",
+)
+
+# The model's identities over one scene entry, as (name, left, right):
+# the operands on each side, as key paths into the entry, add up to the
+# same total within float-summation noise (regress.REL_TOL) in every
+# document the model writes.  A list operand (a tile grid) counts as
+# its sum; a stage that opened no span counts as zero cycles.
+IDENTITIES = (
+    ("totals.gpu_cycles == counters[gpu.gpu_cycles]",
+     [("totals", "gpu_cycles")], [("counters", "gpu.gpu_cycles")]),
+    ("totals.gpu_cycles == counters[gpu.geometry.geometry_cycles]"
+     " + counters[gpu.raster.raster_pipeline_cycles]",
+     [("totals", "gpu_cycles")],
+     [("counters", "gpu.geometry.geometry_cycles"),
+      ("counters", "gpu.raster.raster_pipeline_cycles")]),
+    ("energy.total_j == counters[energy.total_j]",
+     [("energy", "total_j")], [("counters", "energy.total_j")]),
+    ("energy.total_j == energy.gpu.total_j + energy.rbcd.total_j",
+     [("energy", "total_j")],
+     [("energy", "gpu", "total_j"), ("energy", "rbcd", "total_j")]),
+    ("energy.gpu.total_j == sum(energy.gpu components)",
+     [("energy", "gpu", "total_j")],
+     [("energy", "gpu", key) for key in _ENERGY_GPU_KEYS[:-1]]),
+    ("energy.rbcd.total_j == sum(energy.rbcd components)",
+     [("energy", "rbcd", "total_j")],
+     [("energy", "rbcd", key) for key in _ENERGY_RBCD_KEYS[:-1]]),
+    ("stages[rbcd.tile] == stages[rbcd.zeb-insert] + stages[rbcd.z-overlap]",
+     [("stages", "rbcd.tile", "cycles")],
+     [("stages", "rbcd.zeb-insert", "cycles"),
+      ("stages", "rbcd.z-overlap", "cycles")]),
+    ("stages[rbcd.tile] == sum(tile_profile.cycles)",
+     [("stages", "rbcd.tile", "cycles")], [("tile_profile", "cycles")]),
+    ("energy.rbcd dynamic joules == sum(tile_profile.energy_j)",
+     [("energy", "rbcd", key)
+      for key in ("insertion_j", "overlap_j", "output_j")],
+     [("tile_profile", "energy_j")]),
+)
 
 
 def stage_summary(tracer: Tracer) -> dict[str, dict[str, float]]:
@@ -278,8 +331,12 @@ def _fail(errors: list[str], path: str, message: str) -> None:
     errors.append(f"{path}: {message}")
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_number(errors, path, value, minimum=0.0) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         _fail(errors, path, f"expected a number, got {type(value).__name__}")
     elif value < minimum:
         _fail(errors, path, f"expected >= {minimum}, got {value}")
@@ -350,17 +407,44 @@ def _check_int_block(errors, path, block, keys) -> None:
         _check_int(errors, f"{path}.{key}", block.get(key))
 
 
-def validate_bench_document(doc: Any) -> None:
-    """Raise ``ValueError`` (listing every problem) if ``doc`` is not a
-    well-formed rbcd-bench document.
+def _operand(entry: Mapping[str, Any], path: tuple[str, ...]) -> Any:
+    """The number at ``path`` in a scene entry (see :data:`IDENTITIES`),
+    or ``None`` when it is missing or malformed."""
+    value: Any = entry
+    for depth, key in enumerate(path):
+        if not isinstance(value, Mapping):
+            return None
+        if key not in value:
+            return 0.0 if path[0] == "stages" and depth == 1 else None
+        value = value[key]
+    if isinstance(value, list):
+        return sum(value) if all(map(_is_number, value)) else None
+    return value if _is_number(value) else None
 
-    Accepts only the versions in :data:`SUPPORTED_VERSIONS`.  Unknown
-    *extra* keys are tolerated here; the gate, which compares every
-    value, is where an extra field counts as a change.
+
+def _check_identities(errors, base, entry) -> None:
+    """Refuse a scene whose values break one of the model's identities.
+
+    An identity with a missing or malformed operand is skipped: the
+    layout checks already report that operand (and an unprofiled scene
+    has no tile grids to check).
     """
+    for name, left, right in IDENTITIES:
+        lhs = [_operand(entry, path) for path in left]
+        rhs = [_operand(entry, path) for path in right]
+        if None in lhs or None in rhs:
+            continue
+        if not within_tol(sum(lhs), sum(rhs)):
+            _fail(errors, base,
+                  f"breaks {name}: {sum(lhs)!r} != {sum(rhs)!r}")
+
+
+def _document_problems(doc: Any) -> list[str]:
+    """Every problem that makes ``doc`` not a valid rbcd-bench document,
+    one line each (empty when it is valid)."""
     errors: list[str] = []
     if not isinstance(doc, Mapping):
-        raise ValueError("bench document must be a JSON object")
+        return ["bench document must be a JSON object"]
     if doc.get("schema") != SCHEMA_NAME:
         _fail(errors, "schema", f"expected {SCHEMA_NAME!r}, got {doc.get('schema')!r}")
     version = doc.get("version")
@@ -418,12 +502,13 @@ def validate_bench_document(doc: Any) -> None:
             _fail(errors, f"{base}.counters", "missing, not an object, or empty")
         else:
             for name, value in counters.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if not _is_number(value):
                     _fail(errors, f"{base}.counters.{name}",
                           f"expected a number, got {type(value).__name__}")
-            if "energy.total_j" not in counters:
-                _fail(errors, f"{base}.counters",
-                      "missing the energy.* namespace (energy.total_j)")
+            for name in REQUIRED_COUNTERS:
+                if name not in counters:
+                    _fail(errors, f"{base}.counters",
+                          f"missing counter {name!r}")
 
         _check_energy(errors, base, entry.get("energy"))
         _check_int_block(errors, f"{base}.cases", entry.get("cases"), _CASE_KEYS)
@@ -431,7 +516,20 @@ def validate_bench_document(doc: Any) -> None:
             errors, f"{base}.oracle", entry.get("oracle"), _ORACLE_KEYS
         )
         _check_tile_profile(errors, base, entry.get("tile_profile"))
+        _check_identities(errors, base, entry)
+    return errors
 
+
+def validate_bench_document(doc: Any) -> None:
+    """Raise ``ValueError`` (listing every problem) if ``doc`` is not a
+    well-formed rbcd-bench document whose scenes keep the model's
+    :data:`IDENTITIES`.
+
+    Accepts only the versions in :data:`SUPPORTED_VERSIONS`.  Unknown
+    *extra* keys are tolerated here; the gate, which compares every
+    value, is where an extra field counts as a change.
+    """
+    errors = _document_problems(doc)
     if errors:
         raise ValueError(
             "invalid rbcd-bench document:\n  " + "\n  ".join(errors)
@@ -444,15 +542,15 @@ def gate_against_baseline(
 ) -> GateReport:
     """Compare a fresh document against a baseline document.
 
-    Both documents are schema-validated first; an invalid one fails the
-    gate before any value is compared.
+    Both documents are validated first, one error per problem; an
+    invalid one fails the gate before any value is compared.
     """
     report = GateReport()
     for label, doc in (("baseline", baseline), ("current", current)):
-        try:
-            validate_bench_document(doc)
-        except ValueError as exc:
-            report.errors.append(f"{label} document invalid: {exc}")
+        report.errors.extend(
+            f"{label} document invalid: {problem}"
+            for problem in _document_problems(doc)
+        )
     if report.errors:
         return report
     return compare_documents(baseline, current)
@@ -464,9 +562,8 @@ def history_line(doc: Mapping[str, Any]) -> str:
     One JSON object per *scene* field inside a single line per run:
     schema version, workload config fingerprint, and per-scene
     gpu_cycles / total_j / EDP — enough to plot a metric's
-    trajectory or pick two runs to feed the attribution engine, small
-    enough to append forever.  No timestamps: the append order is the
-    history.
+    trajectory, small enough to append forever.  No timestamps: the
+    append order is the history.
     """
     config = doc.get("config", {})
     record: dict[str, Any] = {
@@ -531,8 +628,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tile-profile", action="store_true",
         help="record per-tile cycle/energy/activity grids into the "
-             "tile_profile blocks (strictly observational; enables the "
-             "attribution engine's spatial layer)",
+             "tile_profile blocks (strictly observational; the gate then "
+             "names every tile cell that changed)",
     )
     parser.add_argument(
         "--output", type=Path, default=Path("BENCH_rbcd.json"),
@@ -550,17 +647,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--gate", action="store_true",
         help="exit non-zero when any value differs from the baseline "
              "(requires --baseline)",
-    )
-    parser.add_argument(
-        "--explain", action="store_true",
-        help="on gate failure, run the attribution engine against the "
-             "baseline and print the top attributed causes "
-             "(requires --baseline)",
-    )
-    parser.add_argument(
-        "--explain-json", type=Path, default=None, metavar="FILE",
-        help="also write the full attribution report as JSON on gate "
-             "failure (CI artifact; implies --explain)",
     )
     parser.add_argument(
         "--append-history", nargs="?", type=Path, const=HISTORY_PATH,
@@ -592,10 +678,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.gate and args.baseline is None:
         parser.error("--gate requires --baseline")
-    if args.explain_json is not None:
-        args.explain = True
-    if args.explain and args.baseline is None:
-        parser.error("--explain requires --baseline")
     preset = QUICK_PRESET if args.quick else _DEFAULTS
     for key, value in preset.items():
         if getattr(args, key) is None:
@@ -638,54 +720,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(report.render())
         if not report.ok:
             print(report.failure_line(), file=sys.stderr)
-            if args.explain:
-                _explain_failure(report, baseline, doc, args.explain_json)
             if args.gate:
                 print("gate: FAILED", file=sys.stderr)
                 return 1
-            print("gate: values changed (informational; pass --gate "
+            outcome = (
+                "baseline refused" if report.errors else "values changed"
+            )
+            print(f"gate: {outcome} (informational; pass --gate "
                   "to enforce)")
         else:
             print("gate: ok")
     return 0
-
-
-def _explain_failure(
-    report: GateReport,
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    json_path: Path | None,
-) -> None:
-    """Attribute a failed gate: print top causes per changed metric
-    (falling back to the global ranking on structural failures) and
-    optionally write the full attribution report for CI to upload."""
-    attribution = attribute_documents(baseline, current)
-    printed = 0
-    for mismatch in report.mismatches:
-        causes = attribution.explain(mismatch.scene, mismatch.metric)
-        if not causes:
-            continue
-        print(f"explain [{mismatch.scene}] {mismatch.metric}:",
-              file=sys.stderr)
-        for cause in causes:
-            note = f" — {cause['note']}" if cause["note"] else ""
-            print(
-                f"  {cause['path']}: {cause['baseline']:.6g} -> "
-                f"{cause['current']:.6g} ({cause['delta']:+.6g}, "
-                f"{cause['share']:+.1%}){note}",
-                file=sys.stderr,
-            )
-            printed += 1
-    if printed == 0:
-        # Structural failure or no tree covers the changed metric: the
-        # global ranking is still the best available pointer.
-        for line in attribution.render_text(top_k=10).splitlines():
-            print(f"explain: {line}", file=sys.stderr)
-    if json_path is not None:
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        json_path.write_text(attribution.to_json() + "\n")
-        print(f"explain: wrote attribution report to {json_path}",
-              file=sys.stderr)
 
 
 if __name__ == "__main__":

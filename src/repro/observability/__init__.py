@@ -67,24 +67,13 @@ from repro.observability.window import (
     QuantileSketch,
     SlidingWindow,
 )
-from repro.observability.attribution import (
-    AttributionReport,
-    DeltaNode,
-    SceneAttribution,
-    SpatialDelta,
-    attribute_documents,
-    cross_check_document,
-)
 from repro.observability.export import (
-    heatmap_csv,
     provenance_instant_events,
-    render_heatmap_ascii,
     span_record,
     to_chrome_trace,
     to_ndjson,
     to_provenance_ndjson,
     write_chrome_trace,
-    write_heatmap_csv,
     write_ndjson,
     write_provenance_ndjson,
 )
@@ -107,6 +96,7 @@ from repro.observability.regress import (
     GateReport,
     MetricComparison,
     compare_documents,
+    within_tol,
 )
 from repro.observability.tileprofile import GRID_NAMES, TileProfiler
 from repro.observability.tracer import (
@@ -142,21 +132,13 @@ __all__ = [
     "write_provenance_ndjson",
     "CONFIG_TABLE",
     "REL_TOL",
+    "within_tol",
     "GateReport",
     "MetricComparison",
     "compare_documents",
-    # regression attribution + tile profiles
-    "AttributionReport",
-    "DeltaNode",
-    "SceneAttribution",
-    "SpatialDelta",
-    "attribute_documents",
-    "cross_check_document",
+    # per-tile profiles
     "GRID_NAMES",
     "TileProfiler",
-    "heatmap_csv",
-    "write_heatmap_csv",
-    "render_heatmap_ascii",
     # live telemetry
     "LiveMonitor",
     "MetricSnapshot",

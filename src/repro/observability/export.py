@@ -14,10 +14,6 @@
 * :func:`provenance_instant_events` — the same evidence as Chrome-trace
   instant ("i") events; ``to_chrome_trace(tracer, provenance=...)``
   interleaves them with the span events.
-* :func:`write_heatmap_csv` / :func:`render_heatmap_ascii` — per-tile
-  grids (a :class:`~repro.observability.tileprofile.TileProfiler` grid
-  or an attribution :class:`~repro.observability.attribution.SpatialDelta`
-  delta grid) as a spreadsheet-ready CSV matrix or a terminal heatmap.
 """
 
 from __future__ import annotations
@@ -149,62 +145,3 @@ def provenance_instant_events(recorder) -> list[dict]:
         )
     return events
 
-
-# ---------------------------------------------------------------------------
-# Per-tile heatmaps (tile profiles and attribution spatial deltas)
-# ---------------------------------------------------------------------------
-
-
-def heatmap_csv(grid, tiles_x: int, tiles_y: int) -> str:
-    """A flat row-major per-tile grid as a CSV matrix, one row per tile
-    row (top row first, matching screen layout)."""
-    if len(grid) != tiles_x * tiles_y:
-        raise ValueError(
-            f"grid has {len(grid)} cells, expected {tiles_x * tiles_y}"
-        )
-    rows = []
-    for y in range(tiles_y):
-        row = grid[y * tiles_x:(y + 1) * tiles_x]
-        rows.append(",".join(f"{v!r}" for v in row))
-    return "\n".join(rows) + "\n"
-
-
-def write_heatmap_csv(grid, tiles_x: int, tiles_y: int, path) -> Path:
-    path = Path(path)
-    path.write_text(heatmap_csv(grid, tiles_x, tiles_y))
-    return path
-
-
-# Shade ramp for ASCII heatmaps, darkest last.  Signed grids (deltas)
-# use '-' shades for negative cells so a regression's hot tiles and an
-# improvement's cooled tiles are distinguishable at a glance.
-_RAMP = " .:-=+*#%@"
-
-
-def render_heatmap_ascii(grid, tiles_x: int, tiles_y: int) -> str:
-    """A flat row-major per-tile grid as a terminal heatmap.
-
-    Cells are shaded by magnitude relative to the grid's maximum
-    absolute value; negative cells are rendered lowercase-style with a
-    leading ``-`` ramp (``,;~`` ...) so signed delta grids read
-    correctly.  All-zero grids render as spaces.
-    """
-    if len(grid) != tiles_x * tiles_y:
-        raise ValueError(
-            f"grid has {len(grid)} cells, expected {tiles_x * tiles_y}"
-        )
-    peak = max((abs(v) for v in grid), default=0.0)
-    neg_ramp = " ,;~^\"v<>o0"
-    lines = []
-    for y in range(tiles_y):
-        cells = []
-        for x in range(tiles_x):
-            v = grid[y * tiles_x + x]
-            if peak == 0.0 or v == 0.0:
-                cells.append(_RAMP[0])
-                continue
-            level = min(len(_RAMP) - 1,
-                        1 + int(abs(v) / peak * (len(_RAMP) - 2)))
-            cells.append(_RAMP[level] if v > 0 else neg_ramp[level])
-        lines.append("".join(cells))
-    return "\n".join(lines)

@@ -11,11 +11,12 @@ drop in cycles is as much a model change as a rise, and a drop in
 ``colliding_pairs`` is the unit losing collisions.  A change that is
 meant must be declared and the baseline regenerated.
 
-Integers must be equal; floats must agree within
-:data:`REL_TOL` (a float-summation guard, not a tolerance for
-behaviour).  Comparing documents from different workload configs
-(resolution, frames, detail, ...) is refused outright: the numbers are
-not commensurable.
+Integers must be equal; floats must agree within :data:`REL_TOL` (a
+float-summation guard, not a tolerance for behaviour), as
+:func:`within_tol` decides; the bench validator checks the model's
+identities inside each document with the same guard.  Comparing
+documents from different workload configs (resolution, frames, detail,
+...) is refused outright: the numbers are not commensurable.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Any, Iterator, Mapping
 
 __all__ = [
     "REL_TOL",
+    "within_tol",
     "MetricComparison",
     "GateReport",
     "compare_documents",
@@ -84,8 +86,9 @@ class GateReport:
 
         ``GATE-FAIL scene=<s> metric=<path> baseline=<b> current=<c>
         ratio=<r>`` for the first mismatch, or ``GATE-FAIL
-        error="<first error>"`` when the gate failed structurally.
-        Empty string when the gate passed.  The fixed ``GATE-FAIL``
+        error="<first error>"`` when the gate failed structurally (a
+        multi-line error is folded onto the line).  Empty string when
+        the gate passed.  The fixed ``GATE-FAIL``
         prefix is the contract: CI log scrapers grep for it and get the
         offending metric path and both values without parsing the full
         report.
@@ -98,7 +101,7 @@ class GateReport:
                 f"ratio={first.ratio:.6g}"
             )
         if self.errors:
-            return f'GATE-FAIL error="{self.errors[0]}"'
+            return f'GATE-FAIL error="{" ".join(self.errors[0].split())}"'
         return ""
 
     def render(self) -> str:
@@ -134,12 +137,17 @@ def _leaves(value: Any, path: str = "") -> Iterator[tuple[str, Any]]:
         yield path, value
 
 
+def within_tol(a: float, b: float) -> bool:
+    """``a`` and ``b`` agree within :data:`REL_TOL` of the larger."""
+    return abs(a - b) <= REL_TOL * max(abs(a), abs(b))
+
+
 def _equal(base: Any, cur: Any) -> bool:
     if not (_is_number(base) and _is_number(cur)):
         return base == cur
     if isinstance(base, int) and isinstance(cur, int):
         return base == cur
-    return abs(cur - base) <= REL_TOL * max(abs(base), abs(cur))
+    return within_tol(base, cur)
 
 
 def compare_documents(

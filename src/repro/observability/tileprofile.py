@@ -13,9 +13,11 @@ concentrate in the tiles the colliding geometry covers.  A
 * ``lookups``  — times the tile carried RBCD work at all,
 
 summed over every recorded frame.  The bench harness stores the grids
-in each scene's ``tile_profile`` block, and the attribution engine
-(:mod:`repro.observability.attribution`) diffs two such blocks to
-localize a cycle/energy regression to screen regions.
+in each scene's ``tile_profile`` block; its validator checks that the
+``cycles`` grid sums to the scene's ``rbcd.tile`` stage cycles and the
+``energy_j`` grid to its dynamic RBCD joules, and the exact gate names
+every cell that moved, so a changed cycle or joule is localized to the
+screen tiles it sits in.
 
 Contract (the :class:`~repro.observability.observer.FrameObserver`
 contract every observer obeys, differential-tested by

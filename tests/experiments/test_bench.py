@@ -1,10 +1,12 @@
 """Bench harness tests: document generation, schema validation, CLI."""
 
+import copy
 import json
 
 import pytest
 
 from repro.experiments.bench import (
+    IDENTITIES,
     QUICK_PRESET,
     REQUIRED_STAGES,
     SCHEMA_NAME,
@@ -184,7 +186,8 @@ class TestRunBench:
 
 
 def valid_doc():
-    """A minimal schema-valid v9 document for validator tests."""
+    """A minimal valid v9 document for validator tests: schema-valid,
+    and its values keep every one of the model's identities."""
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
@@ -194,13 +197,19 @@ def valid_doc():
             "crazy": {
                 "frames": 1,
                 "stages": {
-                    stage: {"count": 1, "cycles": 10.0}
-                    for stage in REQUIRED_STAGES
+                    **{stage: {"count": 1, "cycles": 10.0}
+                       for stage in REQUIRED_STAGES},
+                    "rbcd.tile": {"count": 2, "cycles": 10.0},
+                    "rbcd.zeb-insert": {"count": 2, "cycles": 6.0},
+                    "rbcd.z-overlap": {"count": 2, "cycles": 4.0},
                 },
                 "totals": {"fragments_produced": 5,
                            "pair_records_written": 1,
                            "gpu_cycles": 100.0, "colliding_pairs": 1},
-                "counters": {"gpu.frames": 1, "energy.total_j": 1e-3},
+                "counters": {"gpu.frames": 1, "gpu.gpu_cycles": 100.0,
+                             "gpu.geometry.geometry_cycles": 40.0,
+                             "gpu.raster.raster_pipeline_cycles": 60.0,
+                             "energy.total_j": 1e-3},
                 "energy": {
                     "gpu": {"geometry_j": 1e-4, "raster_j": 1e-4,
                             "fragment_j": 5e-4, "memory_j": 1e-4,
@@ -227,7 +236,7 @@ def valid_doc_profiled():
     doc["config"]["tile_profile"] = True
     doc["scenes"]["crazy"]["tile_profile"] = {
         "enabled": True, "tiles_x": 2, "tiles_y": 1, "frames": 1,
-        "cycles": [8.0, 2.0], "energy_j": [1e-5, 2e-6],
+        "cycles": [8.0, 2.0], "energy_j": [7e-5, 2e-5],
         "activity": [5.0, 1.0], "lookups": [1.0, 1.0],
     }
     return doc
@@ -371,6 +380,70 @@ class TestValidator:
         assert "config.width" in message and "frames" in message
 
 
+@pytest.fixture(scope="module")
+def profiled_doc():
+    """One real profiled document, so every identity has operands."""
+    return run_bench(
+        ["crazy"], width=64, height=32, frames=1, detail=1,
+        tile_profile=True,
+    )
+
+
+class TestIdentities:
+    """The validator checks the model's identities in every scene, so a
+    document that breaks one is refused wherever it is validated."""
+
+    def test_cross_checks_pass_on_real_document(self, profiled_doc):
+        validate_bench_document(profiled_doc)
+
+    def test_broken_counter_algebra_is_caught(self, profiled_doc):
+        broken = copy.deepcopy(profiled_doc)
+        # gpu_cycles no longer equals its counter, nor geometry +
+        # raster_pipeline.
+        broken["scenes"]["crazy"]["totals"]["gpu_cycles"] += 1.0
+        with pytest.raises(ValueError) as excinfo:
+            validate_bench_document(broken)
+        message = str(excinfo.value)
+        assert f"scenes.crazy: breaks {IDENTITIES[0][0]}" in message
+        assert f"scenes.crazy: breaks {IDENTITIES[1][0]}" in message
+        report = gate_against_baseline(profiled_doc, broken)
+        assert not report.ok and report.checked == 0
+        assert any(IDENTITIES[0][0] in e for e in report.errors)
+
+    def test_broken_tile_profile_sum_is_caught(self, profiled_doc):
+        broken = copy.deepcopy(profiled_doc)
+        profile = broken["scenes"]["crazy"]["tile_profile"]
+        profile["cycles"] = [v + 1.0 for v in profile["cycles"]]
+        with pytest.raises(ValueError, match=r"sum\(tile_profile\.cycles\)"):
+            validate_bench_document(broken)
+
+    def test_unprofiled_scene_skips_the_grid_identities(self):
+        doc = valid_doc()
+        doc["scenes"]["crazy"]["stages"]["rbcd.tile"]["cycles"] = 10.0
+        validate_bench_document(doc)
+        doc["scenes"]["crazy"]["stages"]["rbcd.tile"]["cycles"] = 11.0
+        with pytest.raises(ValueError, match="breaks stages"):
+            validate_bench_document(doc)
+
+    def test_absent_tile_stages_count_as_no_work(self):
+        doc = valid_doc_profiled()
+        stages = doc["scenes"]["crazy"]["stages"]
+        for name in ("rbcd.tile", "rbcd.zeb-insert", "rbcd.z-overlap"):
+            del stages[name]
+        # Grids that carry cycles no span accounts for are refused.
+        with pytest.raises(ValueError, match=r"0\.0 != 10\.0"):
+            validate_bench_document(doc)
+
+    def test_malformed_operand_is_reported_once(self):
+        doc = valid_doc()
+        doc["scenes"]["crazy"]["counters"].pop("gpu.gpu_cycles")
+        with pytest.raises(ValueError) as excinfo:
+            validate_bench_document(doc)
+        message = str(excinfo.value)
+        assert "missing counter 'gpu.gpu_cycles'" in message
+        assert "breaks" not in message
+
+
 class TestCli:
     def test_check_mode_accepts_valid_file(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
@@ -431,10 +504,13 @@ class TestCli:
             main(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_explain_requires_baseline(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["--explain"], ["--explain-json", "ATTRIBUTION.json"],
+    ])
+    def test_explain_flags_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit):
-            main(["--explain"])
-        assert "--baseline" in capsys.readouterr().err
+            main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tile_profile_flag_threads_through(self, tmp_path, capsys):
         out = tmp_path / "BENCH_tp.json"

@@ -7,12 +7,17 @@ without re-testing the simulator (``test_systems.py`` owns the
 headline shapes).
 """
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.bench import validate_bench_document
+from repro.experiments.bench import (
+    IDENTITIES,
+    _operand,
+    validate_bench_document,
+)
 from repro.experiments.figures import (
     GEOMEAN,
     OverflowSweepResult,
@@ -29,10 +34,7 @@ from repro.experiments.figures import (
 from repro.experiments.systems import run_workload
 from repro.experiments.tables import render_comparison, render_figure
 from repro.gpu.config import GPUConfig
-from repro.observability.attribution import (
-    attribute_documents,
-    cross_check_document,
-)
+from repro.observability.regress import compare_documents, within_tol
 from repro.scenes.benchmarks import make_cap, make_crazy
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -108,23 +110,32 @@ class TestTableRenderers:
 
 
 class TestCommittedBenchDocument:
-    """The repo-root BENCH_rbcd.json is a contract artifact: CI checks
-    it, the README points at it, and attribution self-diffs it."""
+    """The repo-root BENCH_rbcd.json is a contract artifact: the README
+    points at it, and a fresh profiled quick run gates clean against it
+    (``test_bench_gate.py``)."""
 
     @pytest.fixture(scope="class")
     def doc(self):
         return json.loads(BENCH_DOC.read_text())
 
     def test_document_validates(self, doc):
-        validate_bench_document(doc)  # raises on any problem
+        # Raises on any problem, a broken identity included.
+        validate_bench_document(doc)
 
     def test_counter_algebra_cross_checks_pass(self, doc):
-        assert cross_check_document(doc, "BENCH_rbcd.json") == []
+        # The validator skips an identity whose operand is missing; on
+        # the committed (profiled) document every one is evaluated.
+        for alias, entry in doc["scenes"].items():
+            for name, left, right in IDENTITIES:
+                lhs = [_operand(entry, path) for path in left]
+                rhs = [_operand(entry, path) for path in right]
+                assert None not in lhs + rhs, (alias, name)
+                assert within_tol(sum(lhs), sum(rhs)), (alias, name)
 
-    def test_self_attribution_is_all_zero(self, doc):
-        report = attribute_documents(doc, doc)
+    def test_self_comparison_is_all_zero(self, doc):
+        report = compare_documents(doc, copy.deepcopy(doc))
         assert report.ok
-        assert report.all_zero
+        assert not report.mismatches
 
     def test_covers_all_quick_scenes(self, doc):
         assert set(doc["scenes"]) == {"cap", "crazy", "sleepy", "temple"}

@@ -229,6 +229,12 @@ class TestFailureLine:
         assert line.startswith('GATE-FAIL error="')
         assert "config.width" in line
 
+    def test_multi_line_error_stays_on_one_line(self):
+        report = GateReport(errors=["invalid document:\n  schema: bad\n  x"])
+        assert report.failure_line() == (
+            'GATE-FAIL error="invalid document: schema: bad x"'
+        )
+
     def test_first_regression_wins_and_pass_is_empty(self):
         base = make_doc()
         assert compare_documents(base, copy.deepcopy(base)).failure_line() == ""
