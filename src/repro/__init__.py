@@ -27,8 +27,9 @@ The package provides:
     evaluation section.
 
 ``repro.observability``
-    Tracing, typed counters, provenance, statistics, and the live
-    telemetry service (OpenMetrics exposition + watchdog alerting).
+    Tracing, typed counters, provenance, statistics, the live monitor
+    (sliding windows + watchdog alerting, read in process) and the
+    flight recorder.
 
 The top-level module re-exports the high-level API from ``repro.core``
 and makes ``repro.observability`` importable as an attribute.

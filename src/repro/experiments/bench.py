@@ -26,8 +26,9 @@ baseline (``benchmarks/baselines/*.json``) with
 :func:`repro.observability.regress.compare_documents`: every numeric
 leaf of every scene must match, in either direction, and each one that
 moved is printed as a ``CHANGED scene/metric: a -> b`` line.  ``--gate``
-turns any difference into a non-zero exit, and every gate failure emits
-one machine-greppable ``GATE-FAIL`` line.
+turns any difference into a non-zero exit; a baseline that cannot be
+read or is refused as invalid exits non-zero with or without it.
+Every gate failure emits one machine-greppable ``GATE-FAIL`` line.
 
 The document layout (checked by :func:`validate_bench_document`):
 
@@ -364,9 +365,11 @@ def _check_energy(errors, base, energy) -> None:
         _check_number(errors, f"{base}.energy.{key}", energy.get(key))
 
 
-def _check_tile_profile(errors, base, profile) -> None:
+def _check_tile_profile(errors, base, profile, profiled) -> None:
     """Per-scene ``tile_profile`` block: ``{"enabled": False}`` alone
-    when disabled; dimensions + full-length grids when enabled."""
+    when disabled; dimensions + full-length grids when enabled.
+    ``enabled`` must match the document's ``config.tile_profile``
+    (``profiled``; not compared when that is not a bool)."""
     ppath = f"{base}.tile_profile"
     if not isinstance(profile, Mapping):
         _fail(errors, ppath, "missing or not an object")
@@ -375,6 +378,9 @@ def _check_tile_profile(errors, base, profile) -> None:
     if not isinstance(enabled, bool):
         _fail(errors, f"{ppath}.enabled", "expected a bool")
         return
+    if isinstance(profiled, bool) and enabled is not profiled:
+        _fail(errors, f"{ppath}.enabled",
+              f"{enabled} disagrees with config.tile_profile {profiled}")
     if not enabled:
         return
     for key in ("tiles_x", "tiles_y", "frames"):
@@ -455,6 +461,7 @@ def _document_problems(doc: Any) -> list[str]:
     config = doc.get("config")
     if not isinstance(config, Mapping):
         _fail(errors, "config", "missing or not an object")
+        config = {}
     else:
         for key in ("width", "height", "frames", "detail"):
             _check_int(errors, f"config.{key}", config.get(key), minimum=1)
@@ -515,7 +522,9 @@ def _document_problems(doc: Any) -> list[str]:
         _check_int_block(
             errors, f"{base}.oracle", entry.get("oracle"), _ORACLE_KEYS
         )
-        _check_tile_profile(errors, base, entry.get("tile_profile"))
+        _check_tile_profile(
+            errors, base, entry.get("tile_profile"), config.get("tile_profile")
+        )
         _check_identities(errors, base, entry)
     return errors
 
@@ -713,9 +722,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             baseline = json.loads(args.baseline.read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"FAIL {args.baseline}: {exc}", file=sys.stderr)
-            return 1
-        report = gate_against_baseline(doc, baseline)
+            report = GateReport(errors=[f"baseline unreadable: {exc}"])
+        else:
+            report = gate_against_baseline(doc, baseline)
         print(f"baseline: {args.baseline}")
         print(report.render())
         if not report.ok:
@@ -723,10 +732,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.gate:
                 print("gate: FAILED", file=sys.stderr)
                 return 1
-            outcome = (
-                "baseline refused" if report.errors else "values changed"
-            )
-            print(f"gate: {outcome} (informational; pass --gate "
+            # An unusable baseline fails in both modes; only a value
+            # change is informational without --gate.
+            if report.errors:
+                print("gate: baseline refused", file=sys.stderr)
+                return 1
+            print("gate: values changed (informational; pass --gate "
                   "to enforce)")
         else:
             print("gate: ok")

@@ -4,12 +4,10 @@
 :class:`~repro.serve.CollisionService`, registers N simulated tenants
 (scenes assigned round-robin from the four benchmark workloads, phase
 offsets drawn from a fixed seed), drives their frame streams through
-the service in a closed loop, and serves the labelled telemetry over
-HTTP while the run lasts::
+the service in a closed loop, and reports what it served::
 
     $ PYTHONPATH=src python -m repro.experiments.loadgen \\
           --tenants 4 --frames 8 --quick
-    serving http://127.0.0.1:40213  (endpoints: /metrics /healthz ...)
     served 32 frames for 4 tenants in 8 batches: 0 alert(s)
 
 The loop is **closed**: every tenant submits its next frame only after
@@ -51,11 +49,9 @@ from repro.gpu.config import GPUConfig
 from repro.observability.flightrecorder import FlightRecorder
 from repro.observability.live import (
     PAPER_ACTIVITY_ENVELOPE,
-    MetricsServer,
     default_rules,
 )
 from repro.observability.log import configure_json_logging
-from repro.observability.netutil import linger, write_port_file
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
 from repro.serve import CollisionService
 
@@ -412,19 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=8,
         help="admission backlog bound per tenant (default: 8)",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="HTTP port; 0 binds an ephemeral port (default: 0)",
-    )
-    parser.add_argument(
-        "--port-file", default=None,
-        help="write the bound port number to this file once serving",
-    )
-    parser.add_argument(
-        "--linger", type=float, default=0.0,
-        help="keep the endpoint up this many seconds after the run",
-    )
     parser.add_argument(
         "--json-logs", action="store_true",
         help="emit structured JSON log lines on stderr",
@@ -531,21 +514,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         with _make_service(args_like, rules, recorder=recorder) as service:
-            server = MetricsServer(
-                service, host=args.host, port=args.port
-            ).start()
-            try:
-                if args.port_file:
-                    write_port_file(args.port_file, server.port)
-                print(
-                    f"serving {server.url}  (endpoints: /metrics /healthz "
-                    f"/healthz/<tenant> /snapshot.json)",
-                    flush=True,
-                )
-                workload = run_closed_loop(service, plans(), args.frames)
-                linger(args.linger)
-            finally:
-                server.stop()
+            workload = run_closed_loop(service, plans(), args.frames)
         alerts_total = sum(len(a) for a in workload["alerts"].values())
         print(
             f"served {workload['frames_served']} frames for "

@@ -2,19 +2,16 @@
 
 ``python -m repro.experiments.monitor`` drives one workload frame after
 frame through an :class:`~repro.core.RBCDSystem` with a
-:class:`~repro.observability.live.LiveMonitor` attached, and serves the
-live telemetry over HTTP while the stream runs::
+:class:`~repro.observability.live.LiveMonitor` attached, then prints
+the stream's health and every watchdog alert::
 
-    $ PYTHONPATH=src python -m repro.experiments.monitor --scene cap
-    serving http://127.0.0.1:43815  (endpoints: /metrics /healthz /snapshot.json)
-    ...
+    $ PYTHONPATH=src python -m repro.experiments.monitor --quick --frames 5
+    rendered 5 frames of 'cap': health ok, 0 alert(s)
 
 ``--frames 0`` (the default) streams forever, looping the scene's
-animation; a finite ``--frames N`` renders N frames, then keeps the
-endpoint up for ``--linger`` seconds so scrapers can collect the final
-state.  ``--port 0`` binds an ephemeral port; scripts can read it back
-from ``--port-file``.  ``--fail-on-alert`` turns any watchdog alert
-into exit code 1, which makes the CLI usable as a CI canary::
+animation, until Ctrl-C.  ``--fail-on-alert`` turns any watchdog alert
+into exit code 1 and prints the breaching rules and the window state
+behind them on stderr, which makes the CLI usable as a CI canary::
 
     $ python -m repro.experiments.monitor --quick --frames 5 --fail-on-alert
 
@@ -36,11 +33,9 @@ from repro.observability.flightrecorder import FlightRecorder
 from repro.observability.live import (
     PAPER_ACTIVITY_ENVELOPE,
     LiveMonitor,
-    MetricsServer,
     default_rules,
 )
 from repro.observability.log import configure_json_logging
-from repro.observability.netutil import linger, write_port_file
 from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
 
 __all__ = ["main", "run_stream"]
@@ -81,8 +76,8 @@ def run_stream(
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.monitor",
-        description="Stream a benchmark scene with live telemetry "
-                    "(OpenMetrics /metrics, /healthz, /snapshot.json).",
+        description="Stream a benchmark scene through a live monitor "
+                    "and report its health and watchdog alerts.",
     )
     parser.add_argument(
         "--scene", choices=BENCHMARKS, default="cap",
@@ -105,20 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--interval", type=float, default=0.0,
         help="seconds to sleep between frames (default: 0)",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="HTTP port; 0 binds an ephemeral port (default: 0)",
-    )
-    parser.add_argument(
-        "--port-file", default=None,
-        help="write the bound port number to this file once serving",
-    )
-    parser.add_argument(
-        "--linger", type=float, default=0.0,
-        help="keep the endpoint up this many seconds after the last "
-             "frame (finite --frames only; default: 0)",
     )
     parser.add_argument(
         "--window", type=int, default=120,
@@ -189,24 +170,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         recorder.attach_monitor(monitor)
 
     try:
-        with MetricsServer(monitor, host=args.host, port=args.port) as server:
-            if args.port_file:
-                write_port_file(args.port_file, server.port)
-            print(
-                f"serving {server.url}  "
-                f"(endpoints: /metrics /healthz /snapshot.json)",
-                flush=True,
+        with RBCDSystem(
+            config=config, tracer=tracer, observers=[monitor],
+        ) as system:
+            if recorder is not None:
+                recorder.attach_config(system.config)
+            rendered = run_stream(
+                system, workload, args.frames, interval_s=args.interval
             )
-            with RBCDSystem(
-                config=config, tracer=tracer, observers=[monitor],
-            ) as system:
-                if recorder is not None:
-                    recorder.attach_config(system.config)
-                rendered = run_stream(
-                    system, workload, args.frames, interval_s=args.interval
-                )
-            if args.frames != 0:
-                linger(args.linger)
     finally:
         if recorder is not None:
             recorder.close()

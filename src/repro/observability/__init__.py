@@ -5,10 +5,11 @@ record where wall time and simulated cycles go (frame → tile → stage),
 :class:`CounterRegistry` gives every subsystem's counters one named,
 mergeable namespace, and the exporters turn a trace into ndjson or a
 ``chrome://tracing`` file.  ``python -m repro.experiments.bench`` sits
-on top and writes ``BENCH_rbcd.json``; :class:`LiveMonitor` and
-:class:`MetricsServer` (``python -m repro.experiments.monitor``) turn
-a long-running frame stream into live OpenMetrics telemetry with
-watchdog alerting.
+on top and writes ``BENCH_rbcd.json``; :class:`LiveMonitor`
+(``python -m repro.experiments.monitor``) turns a long-running frame
+stream into sliding-window rates with watchdog alerting, read in
+process, and :class:`FlightRecorder` keeps the recent evidence for
+post-mortem dumps.
 """
 
 from repro.observability.counters import (
@@ -24,6 +25,7 @@ from repro.observability.flightrecorder import (
     WALL_FIELDS,
     FlightRecorder,
     RingBuffer,
+    atomic_write_text,
     config_fingerprint,
     deterministic_event,
     deterministic_events,
@@ -37,7 +39,6 @@ from repro.observability.live import (
     Alert,
     LiveMonitor,
     MetricSnapshot,
-    MetricsServer,
     WatchdogRule,
     aggregate_window_values,
     default_rules,
@@ -47,20 +48,6 @@ from repro.observability.log import (
     configure_json_logging,
     get_logger,
     log_event,
-)
-from repro.observability.netutil import (
-    atomic_write_text,
-    linger,
-    read_port_file,
-    write_port_file,
-)
-from repro.observability.openmetrics import (
-    MetricFamily,
-    Sample,
-    metric_name_of,
-    parse_openmetrics,
-    render_families,
-    validate_openmetrics,
 )
 from repro.observability.window import (
     Ewma,
@@ -142,7 +129,6 @@ __all__ = [
     # live telemetry
     "LiveMonitor",
     "MetricSnapshot",
-    "MetricsServer",
     "WatchdogRule",
     "Alert",
     "default_rules",
@@ -162,25 +148,14 @@ __all__ = [
     "validate_postmortem_document",
     "verify_alert_record",
     "window_values_from_snapshots",
+    "atomic_write_text",
     # streaming aggregation
     "SlidingWindow",
     "Ewma",
     "QuantileSketch",
-    # OpenMetrics exposition
-    "MetricFamily",
-    "Sample",
-    "metric_name_of",
-    "render_families",
-    "parse_openmetrics",
-    "validate_openmetrics",
     # structured logging
     "JsonFormatter",
     "get_logger",
     "log_event",
     "configure_json_logging",
-    # serving net helpers
-    "atomic_write_text",
-    "write_port_file",
-    "read_port_file",
-    "linger",
 ]

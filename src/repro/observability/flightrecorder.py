@@ -21,9 +21,9 @@ plus one global ring of structured log events captured from the
 ``repro`` logger tree.  On a trigger — watchdog alert, admission
 rejection, unhandled exception in ``CollisionService.step``, or an
 explicit :meth:`FlightRecorder.dump` — it writes a schema-validated
-``rbcd-postmortem`` v1 document through the atomic-rename path in
-:mod:`repro.observability.netutil`, so a half-written incident file
-can never be mistaken for evidence.
+``rbcd-postmortem`` v1 document through :func:`atomic_write_text`
+(write-temp + rename), so a half-written incident file can never be
+mistaken for evidence.
 
 Strictly observational: recording reads spans, snapshots and log
 records; it never feeds anything back into the pipeline.  The
@@ -47,6 +47,7 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import threading
 import time
 from collections import deque
@@ -58,7 +59,6 @@ from repro.observability.live import (
     aggregate_window_values,
 )
 from repro.observability.log import _RESERVED, get_logger, log_event
-from repro.observability.netutil import atomic_write_text
 from repro.observability.tracer import Span, Tracer
 from repro.observability.window import Ewma, QuantileSketch, SlidingWindow
 
@@ -75,6 +75,7 @@ __all__ = [
     "window_values_from_snapshots",
     "verify_alert_record",
     "validate_postmortem_document",
+    "atomic_write_text",
 ]
 
 _LOG = get_logger(__name__)
@@ -94,6 +95,22 @@ WALL_FIELDS = frozenset({"ts", "wall_s", "t_start", "t_end"})
 # Kinds that auto-dump by default.  "manual" (explicit dump()) is
 # always allowed and never suppressed by the dump limit check alone.
 DEFAULT_DUMP_ON = ("alert", "rejection", "exception")
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> Path:
+    """Atomically publish ``text`` to ``path`` (write-temp + rename).
+
+    The temporary file lives in the target's directory so the
+    ``os.replace`` is a same-filesystem rename — atomic on POSIX.  Any
+    reader that sees ``path`` at all sees the complete contents; a
+    crash mid-write leaves the previous version (or nothing) in place.
+    Returns the path written.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, target)
+    return target
 
 
 class RingBuffer:
@@ -536,7 +553,7 @@ class FlightRecorder:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Ring depths and dump counters (the metrics-gauge source)."""
+        """Ring depths and dump counters, read in process."""
         with self._lock:
             return {
                 "dumps_written": self.dumps_written,

@@ -11,17 +11,12 @@ energy budget, p50/p95/p99 frame latency), and a declarative
 :class:`WatchdogRule` engine raises structured :class:`Alert` records
 the moment the stream drifts out of its envelope.
 
-Three consumption paths:
-
-* :meth:`LiveMonitor.to_openmetrics` — OpenMetrics text for any
-  Prometheus-compatible scraper;
-* :class:`MetricsServer` — a stdlib ``http.server`` endpoint on a
-  background thread serving ``/metrics``, ``/healthz`` and
-  ``/snapshot.json`` for a monitor (``python -m
-  repro.experiments.monitor`` wires it to an endless frame stream) or
-  for a multi-tenant :class:`~repro.serve.service.CollisionService`;
-* :attr:`LiveMonitor.alerts` / structured log events through
-  :mod:`repro.observability.log`.
+The state is read in process: :attr:`LiveMonitor.healthy`,
+:attr:`LiveMonitor.alerts`, :meth:`LiveMonitor.window_values` and
+:meth:`LiveMonitor.totals_registry`, plus listeners and structured
+log events through :mod:`repro.observability.log`.  ``python -m
+repro.experiments.monitor`` drives one over a benchmark scene, and
+the flight recorder keeps its recent snapshots for post-mortems.
 
 Determinism contract (the observer contract, asserted by
 ``tests/integration/test_observer_differential.py``): monitoring is
@@ -34,21 +29,14 @@ host, not the model).
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.observability.counters import CounterRegistry
 from repro.observability.log import get_logger, log_event
 from repro.observability.observer import FrameObserver
-from repro.observability.openmetrics import (
-    MetricFamily,
-    metric_name_of,
-    render_families,
-)
 from repro.observability.window import Ewma, QuantileSketch, SlidingWindow
 
 __all__ = [
@@ -56,7 +44,6 @@ __all__ = [
     "WatchdogRule",
     "Alert",
     "LiveMonitor",
-    "MetricsServer",
     "default_rules",
     "aggregate_window_values",
     "PAPER_ACTIVITY_ENVELOPE",
@@ -68,11 +55,6 @@ _LOG = get_logger(__name__)
 # The paper's headline envelope (Figure 9/11): RBCD activity stays
 # below ~1 % of frame time.  The default watchdog guards this bound.
 PAPER_ACTIVITY_ENVELOPE = 0.01
-
-# Content type for /metrics, per the OpenMetrics spec.
-OPENMETRICS_CONTENT_TYPE = (
-    "application/openmetrics-text; version=1.0.0; charset=utf-8"
-)
 
 _QUANTILES = (0.5, 0.95, 0.99)
 
@@ -297,8 +279,8 @@ class LiveMonitor(FrameObserver):
     Frames can also be fed by hand with :meth:`observe` (a
     :class:`~repro.gpu.pipeline.FrameResult`) or :meth:`observe_frame`
     (raw stats + energy).  Read back at any time — all public readers
-    and the writer are serialized by one lock, so a background
-    :class:`MetricsServer` can scrape mid-stream.
+    and the writer are serialized by one lock, so another thread can
+    read mid-stream.
     """
 
     def __init__(
@@ -328,8 +310,6 @@ class LiveMonitor(FrameObserver):
         # Cumulative totals (deterministic).
         self._total_counters: dict[str, int | float] = {}
         self._counter_specs: dict = {}
-        self._total_wall_s = 0.0
-        self._total_sim_s = 0.0
         # Per-frame series windows (raw numerators/denominators, so
         # windowed rates are ratios of window sums).
         self._windows: dict[str, SlidingWindow] = {
@@ -417,8 +397,6 @@ class LiveMonitor(FrameObserver):
                 self._total_counters[name] = (
                     self._total_counters.get(name, 0) + counters[name]
                 )
-            self._total_wall_s += wall_s
-            self._total_sim_s += sim_s
             push = {
                 "rbcd_cycles": rbcd_cycles,
                 "gpu_cycles": gpu_cycles,
@@ -538,232 +516,3 @@ class LiveMonitor(FrameObserver):
                 registry.register(self._counter_specs[name])
                 registry.set(name, value)
             return registry
-
-    def snapshot_dict(self) -> dict[str, Any]:
-        """The ``/snapshot.json`` document."""
-        with self._lock:
-            return {
-                "frames": self.frames,
-                "healthy": not self._active_rules,
-                "active_alerts": sorted(self._active_rules),
-                "alerts": [a.as_dict() for a in self.alerts],
-                "latest": self._latest.as_dict() if self._latest else None,
-                "window": self._window_values_locked(),
-                "totals": dict(self._total_counters),
-            }
-
-    def health_dict(self, tenant: str | None = None) -> dict[str, Any]:
-        """The ``/healthz`` document.
-
-        A single stream has no tenants, so any ``tenant`` raises
-        :class:`KeyError` (``/healthz/<tenant>`` answers 404).
-        """
-        if tenant is not None:
-            raise KeyError(f"unknown tenant {tenant!r}")
-        with self._lock:
-            healthy = not self._active_rules
-            return {
-                "status": "ok" if healthy else "failing",
-                "frames": self.frames,
-                "active_alerts": sorted(self._active_rules),
-                "alerts_total": len(self.alerts),
-            }
-
-    # -- exposition ----------------------------------------------------------
-
-    def to_openmetrics(self) -> str:
-        """Render the full live state as OpenMetrics text."""
-        with self._lock:
-            families: list[MetricFamily] = []
-            families.append(
-                MetricFamily(
-                    "repro_frames_observed", "counter",
-                    help="Frames ingested by the live monitor.",
-                ).add(self.frames, suffix="_total")
-            )
-            families.append(
-                MetricFamily(
-                    "repro_health", "gauge",
-                    help="1 while no watchdog rule is in breach, else 0.",
-                ).add(0 if self._active_rules else 1)
-            )
-            alerts = MetricFamily(
-                "repro_watchdog_alerts", "counter",
-                help="Watchdog alerts fired since start.",
-            ).add(len(self.alerts), suffix="_total")
-            families.append(alerts)
-            active = MetricFamily(
-                "repro_watchdog_breached", "gauge",
-                help="1 while the labelled rule is in breach.",
-            )
-            for rule in self.rules:
-                active.add(
-                    1 if rule.name in self._active_rules else 0, rule=rule.name
-                )
-            families.append(active)
-
-            for name in sorted(self._total_counters):
-                family = MetricFamily(
-                    metric_name_of(name), "counter",
-                    help=f"Cumulative registry counter {name}.",
-                )
-                family.add(self._total_counters[name], suffix="_total")
-                families.append(family)
-
-            window_family = MetricFamily(
-                "repro_window", "gauge",
-                help="Sliding-window aggregates, EWMAs and quantiles "
-                     "by metric key.",
-            )
-            for key, value in sorted(self._window_values_locked().items()):
-                window_family.add(value, metric=key)
-            families.append(window_family)
-
-            for series, seconds_name, total in (
-                ("frame.wall_ms", "repro_frame_wall_seconds",
-                 self._total_wall_s),
-                ("frame.sim_ms", "repro_frame_sim_seconds",
-                 self._total_sim_s),
-            ):
-                sketch = self._sketches[series]
-                family = MetricFamily(
-                    seconds_name, "summary",
-                    help=f"Per-frame latency summary ({series}).",
-                )
-                if sketch.count:
-                    for q in _QUANTILES:
-                        quantile = sketch.quantile(q)
-                        assert quantile is not None
-                        family.add(quantile / 1e3, quantile=f"{q:g}")
-                family.add(sketch.count, suffix="_count")
-                family.add(total, suffix="_sum")
-                families.append(family)
-            return render_families(families)
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Routes /metrics, /healthz[/<tenant>] and /snapshot.json to the
-    bound source."""
-
-    server_version = "repro-live/1.0"
-    source: Any  # set by MetricsServer via the handler subclass
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        path = self.path.split("?", 1)[0]
-        source = self.source
-        if path == "/metrics":
-            body = source.to_openmetrics().encode("utf-8")
-            self._respond(200, OPENMETRICS_CONTENT_TYPE, body)
-        elif path == "/healthz" or path.startswith("/healthz/"):
-            tenant = path[len("/healthz/"):] if path != "/healthz" else None
-            try:
-                health = source.health_dict(tenant)
-            except KeyError:
-                self._json(404, {"error": f"unknown tenant {tenant!r}"})
-                return
-            self._json(200 if health["status"] == "ok" else 503, health)
-        elif path == "/snapshot.json":
-            self._json(200, source.snapshot_dict())
-        else:
-            self._json(404, {
-                "error": "not found",
-                "endpoints": [
-                    "/metrics", "/healthz", "/healthz/<tenant>",
-                    "/snapshot.json",
-                ],
-            })
-
-    def _json(self, status: int, doc) -> None:
-        body = (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-        self._respond(status, "application/json; charset=utf-8", body)
-
-    def _respond(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:
-        log_event(
-            _LOG, "http.request", level=logging.DEBUG,
-            client=self.client_address[0], line=format % args,
-        )
-
-
-class MetricsServer:
-    """Background-thread HTTP endpoint over a telemetry source.
-
-    The source is anything with ``to_openmetrics()``,
-    ``health_dict(tenant=None)`` and ``snapshot_dict()`` — a
-    :class:`LiveMonitor` or a
-    :class:`~repro.serve.service.CollisionService`.  Endpoints:
-    ``/metrics`` (OpenMetrics text), ``/healthz`` (503 while the source
-    is in breach), ``/healthz/<tenant>`` (one tenant's verdict; 404 when
-    ``health_dict`` raises :class:`KeyError`) and ``/snapshot.json``.
-
-    ``port=0`` binds an ephemeral port (read it back from
-    :attr:`port` after :meth:`start`).  The server thread is a daemon;
-    :meth:`stop` shuts it down cleanly.  Usable as a context manager.
-    """
-
-    def __init__(
-        self,
-        source,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.source = source
-        self.host = host
-        self._requested_port = port
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("server is not running")
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MetricsServer":
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        handler = type(
-            "BoundMetricsHandler", (_MetricsHandler,), {"source": self.source}
-        )
-        self._server = ThreadingHTTPServer(
-            (self.host, self._requested_port), handler
-        )
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        log_event(
-            _LOG, "metrics.server.started",
-            host=self.host, port=self.port,
-        )
-        return self
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        log_event(_LOG, "metrics.server.stopped", host=self.host)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -3,11 +3,12 @@
 ``repro.serve`` turns the simulator into the thing the paper says the
 hardware is — a collision service many clients offload queries to.
 :class:`CollisionService` multiplexes N tenant scene streams, each rendered
-through its own system, with watchdog-rule admission control;
-:class:`~repro.observability.live.MetricsServer` exposes its labelled
-OpenMetrics / health endpoints; ``python -m repro.experiments.loadgen``
-drives it with simulated clients in a closed loop and writes a
-deterministic ``rbcd-serve-bench`` document.  Host serving speed is
+through its own system, with watchdog-rule admission control; its
+health, alerts and merged counters are read in process
+(:meth:`~CollisionService.healthy`, :meth:`~CollisionService.alerts`,
+:meth:`~CollisionService.global_registry`); ``python -m
+repro.experiments.loadgen`` drives it with simulated clients in a
+closed loop and writes a deterministic ``rbcd-serve-bench`` document.  Host serving speed is
 the repository benchmark's ``serve_tenants`` workload.
 
 The two contracts everything here is tested against:

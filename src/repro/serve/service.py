@@ -32,9 +32,10 @@ Telemetry is tenant-scoped end to end:
   records every span of a served frame inside
   ``tracer.context(tenant=..., stream=..., frame_seq=...)``, so even
   the per-tile spans are attributable to their tenant;
-* :meth:`CollisionService.to_openmetrics` renders ``tenant="..."``
-  labelled series, and per-tenant watchdog alerts flow through the
-  structured JSON log layer under the tenant's logger.
+* :meth:`CollisionService.healthy`, :meth:`CollisionService.alerts`
+  and :meth:`CollisionService.global_registry` read the state in
+  process, and per-tenant watchdog alerts flow through the structured
+  JSON log layer under the tenant's logger.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ from repro.observability.live import (
     default_rules,
 )
 from repro.observability.log import get_logger, log_event
-from repro.observability.openmetrics import (
-    MetricFamily,
-    metric_name_of,
-    render_families,
-)
 
 __all__ = [
     "AdmissionError",
@@ -71,9 +67,8 @@ __all__ = [
 
 _LOG = get_logger(__name__)
 
-# Label value charset for tenant ids: anything is escapable in
-# OpenMetrics, but keeping ids conservative keeps logs, label sets and
-# URL paths (/healthz/<tenant>) unambiguous.
+# Tenant id charset: conservative ids keep logger names, span
+# attributes and flight-recorder stream names unambiguous.
 _TENANT_OK = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
 )
@@ -454,143 +449,3 @@ class CollisionService:
         with self._lock:
             sessions = [self._tenants[t] for t in sorted(self._tenants)]
         return {s.tenant: list(s.monitor.alerts) for s in sessions}
-
-    def health_dict(self, tenant: str | None = None) -> dict:
-        """The ``/healthz`` (or ``/healthz/<tenant>``) document."""
-        if tenant is not None:
-            doc = self.session(tenant).monitor.health_dict()
-            doc["tenant"] = tenant
-            return doc
-        with self._lock:
-            sessions = [self._tenants[t] for t in sorted(self._tenants)]
-            batches = self.batches
-        per_tenant = {s.tenant: s.monitor.health_dict() for s in sessions}
-        healthy = all(d["status"] == "ok" for d in per_tenant.values())
-        return {
-            "status": "ok" if healthy else "failing",
-            "batches": batches,
-            "tenants": per_tenant,
-        }
-
-    def snapshot_dict(self) -> dict:
-        """The ``/snapshot.json`` document: global + per-tenant state."""
-        with self._lock:
-            sessions = [self._tenants[t] for t in sorted(self._tenants)]
-            batches = self.batches
-        return {
-            "batches": batches,
-            "tenants": {
-                s.tenant: {
-                    "pending": len(s.pending),
-                    "snapshot": s.monitor.snapshot_dict(),
-                    "serve": s.serve_counters.as_dict(),
-                }
-                for s in sessions
-            },
-            "totals": self.global_registry().as_dict(),
-        }
-
-    def metric_families(self) -> list[MetricFamily]:
-        """Labelled metric families for the ``/metrics`` exposition."""
-        with self._lock:
-            sessions = [self._tenants[t] for t in sorted(self._tenants)]
-            batches = self.batches
-            pending = {s.tenant: len(s.pending) for s in sessions}
-        families: list[MetricFamily] = []
-        families.append(
-            MetricFamily(
-                "repro_serve_tenants", "gauge",
-                help="Registered tenant sessions.",
-            ).add(len(sessions))
-        )
-        families.append(
-            MetricFamily(
-                "repro_serve_batches", "counter",
-                help="Cross-tenant batches rendered by the service.",
-            ).add(batches, suffix="_total")
-        )
-        health = MetricFamily(
-            "repro_tenant_health", "gauge",
-            help="1 while the labelled tenant has no watchdog breach.",
-        )
-        alerts = MetricFamily(
-            "repro_tenant_watchdog_alerts", "counter",
-            help="Watchdog alerts fired for the labelled tenant.",
-        )
-        frames = MetricFamily(
-            "repro_tenant_frames", "counter",
-            help="Frames served for the labelled tenant.",
-        )
-        rejected = MetricFamily(
-            "repro_tenant_rejected", "counter",
-            help="Frames refused by admission control for the tenant.",
-        )
-        queue = MetricFamily(
-            "repro_tenant_pending", "gauge",
-            help="Frames queued (admitted, not yet served) per tenant.",
-        )
-        window = MetricFamily(
-            "repro_tenant_window", "gauge",
-            help="Per-tenant sliding-window aggregates and quantiles "
-                 "(p95 frame latency lives at metric="
-                 "\"quantile.frame.wall_ms.p95\").",
-        )
-        for session in sessions:
-            tenant = session.tenant
-            health.add(1 if session.monitor.healthy else 0, tenant=tenant)
-            alerts.add(
-                len(session.monitor.alerts), suffix="_total", tenant=tenant
-            )
-            frames.add(
-                session.serve_counters["serve.frames_completed"],
-                suffix="_total", tenant=tenant,
-            )
-            rejected.add(
-                session.serve_counters["serve.frames_rejected"],
-                suffix="_total", tenant=tenant,
-            )
-            queue.add(pending[tenant], tenant=tenant)
-            for key, value in sorted(session.monitor.window_values().items()):
-                window.add(value, tenant=tenant, metric=key)
-        families.extend([health, alerts, frames, rejected, queue, window])
-
-        # Registry counters: one family per counter name, one labelled
-        # series per tenant.  The (unexposed) global value is the label
-        # sum — exactly CounterAlgebra, which is why no separate global
-        # family is needed.
-        shards = [(s.tenant, s.registry().as_dict()) for s in sessions]
-        names = sorted({name for _, counters in shards for name in counters})
-        for name in names:
-            family = MetricFamily(
-                metric_name_of(name), "counter",
-                help=f"Cumulative registry counter {name} by tenant.",
-            )
-            for tenant, counters in shards:
-                if name in counters:
-                    family.add(counters[name], suffix="_total", tenant=tenant)
-            families.append(family)
-
-        if self.recorder is not None:
-            stats = self.recorder.stats()
-            dumps = MetricFamily(
-                "repro_flightrecorder_dumps", "counter",
-                help="Post-mortem documents written by the flight recorder.",
-            ).add(stats["dumps_written"], suffix="_total")
-            suppressed = MetricFamily(
-                "repro_flightrecorder_dumps_suppressed", "counter",
-                help="Triggered dumps suppressed by the dump limit.",
-            ).add(stats["dumps_suppressed"], suffix="_total")
-            depth = MetricFamily(
-                "repro_flightrecorder_ring_depth", "gauge",
-                help="Events currently buffered per flight-recorder ring.",
-            )
-            for stream in sorted(stats["streams"]):
-                for ring, depth_now in sorted(stats["streams"][stream].items()):
-                    depth.add(depth_now, stream=stream, ring=ring)
-            depth.add(stats["logs"], stream="_service", ring="logs")
-            families.extend([dumps, suppressed, depth])
-        return families
-
-    def to_openmetrics(self) -> str:
-        """Render the labelled multi-tenant exposition (strictly valid)."""
-        return render_families(self.metric_families())

@@ -467,6 +467,21 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["--check", str(path)]) == 1
 
+    @pytest.mark.parametrize("config_profiled", [True, False])
+    def test_check_refuses_tile_profile_disagreeing_with_config(
+        self, config_profiled, tmp_path, capsys
+    ):
+        # config says profiled but the scene is {"enabled": false}, and
+        # the other way round: both break the document's own layout.
+        doc = valid_doc() if config_profiled else valid_doc_profiled()
+        doc["config"]["tile_profile"] = config_profiled
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "scenes.crazy.tile_profile.enabled: " in err
+        assert f"disagrees with config.tile_profile {config_profiled}" in err
+
     def test_gate_requires_baseline(self, capsys):
         with pytest.raises(SystemExit):
             main(["--gate"])

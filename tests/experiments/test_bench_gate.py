@@ -239,19 +239,25 @@ class TestGateCli:
         assert "metric=" in line and "ratio=" in line
 
     def test_refused_baseline_is_not_a_value_change(self, tmp_path, capsys):
-        path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"schema": "junk"}))
-        code = main([
-            "--scenes", "crazy", "--width", "64", "--height", "32",
-            "--frames", "1", "--detail", "1",
-            "--output", str(tmp_path / "fresh.json"),
-            "--baseline", str(path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0 values checked" in out
-        assert "gate: baseline refused" in out
-        assert "values changed" not in out
+        # Without --gate only a value change is informational: a
+        # baseline that parses but is refused as invalid, and one that
+        # cannot be loaded at all, both exit 1, as they do with --gate.
+        for name, content in (("junk.json", json.dumps({"schema": "junk"})),
+                              ("broken.json", "{not json")):
+            path = tmp_path / name
+            path.write_text(content)
+            code = main([
+                "--scenes", "crazy", "--width", "64", "--height", "32",
+                "--frames", "1", "--detail", "1",
+                "--output", str(tmp_path / "fresh.json"),
+                "--baseline", str(path),
+            ])
+            assert code == 1, name
+            captured = capsys.readouterr()
+            assert "0 values checked" in captured.out
+            assert "gate: baseline refused" in captured.err
+            assert captured.err.count("GATE-FAIL error=") == 1
+            assert "values changed" not in captured.out + captured.err
 
     def test_refusal_is_one_gate_fail_line(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

@@ -1,34 +1,18 @@
-"""The monitor CLI end to end: frame stream, live HTTP endpoints, exits.
+"""The monitor CLI end to end: frame stream, live monitor state, exits.
 
 Runs ``repro.experiments.monitor.main`` in-process against real scenes
-at tiny resolutions and scrapes the live endpoint over actual HTTP —
-including the acceptance-criterion flow where a tripped watchdog flips
-``/healthz`` to 503 mid-stream.
+at tiny resolutions, and reads a live monitor mid-stream — including
+the flow where a tripped watchdog turns the stream unhealthy and a
+recovered one turns it healthy again.
 """
-
-import json
-import threading
-from urllib.error import HTTPError
-from urllib.request import urlopen
-
-import pytest
 
 from repro.core import RBCDSystem
 from repro.experiments.monitor import main, run_stream
 from repro.gpu.config import GPUConfig
-from repro.observability.live import LiveMonitor, MetricsServer, WatchdogRule
-from repro.observability.openmetrics import parse_openmetrics, validate_openmetrics
+from repro.observability.live import LiveMonitor, WatchdogRule
 from repro.scenes.benchmarks import workload_by_alias
 
 TINY = ["--width", "96", "--height", "64", "--detail", "1"]
-
-
-def fetch(url):
-    try:
-        with urlopen(url, timeout=10) as response:
-            return response.status, response.read().decode("utf-8")
-    except HTTPError as err:
-        return err.code, err.read().decode("utf-8")
 
 
 class TestRunStream:
@@ -50,17 +34,14 @@ class TestRunStream:
 
 
 class TestMonitorCli:
-    def test_healthy_quick_run_exits_zero(self, capsys, tmp_path):
-        port_file = tmp_path / "port"
+    def test_healthy_quick_run_exits_zero(self, capsys):
         code = main(TINY + [
-            "--scene", "cap", "--frames", "3",
-            "--port-file", str(port_file), "--fail-on-alert",
+            "--scene", "cap", "--frames", "3", "--fail-on-alert",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "serving http://127.0.0.1:" in out
         assert "health ok, 0 alert(s)" in out
-        assert port_file.read_text().strip().isdigit()
+        assert "http" not in out
 
     def test_quick_preset_overrides_resolution(self, capsys):
         code = main(["--quick", "--frames", "1"])
@@ -139,42 +120,25 @@ class TestMonitorCli:
         assert "energy-budget @ frame 0: reproduced" in out
 
 
-class TestLiveEndpointEndToEnd:
-    """Scrape the endpoint over HTTP while a real stream renders."""
+class TestLiveStateEndToEnd:
+    """Read the monitor in process while a real stream renders."""
 
-    def stream_with_server(self, rules, frames=4):
+    def stream(self, monitor, frames=4, on_frame=None):
         config = GPUConfig().with_screen(96, 64)
         workload = workload_by_alias("cap", detail=1)
-        monitor = LiveMonitor(window=8, rules=rules)
-        scrapes = {}
-        with MetricsServer(monitor) as server:
-            with RBCDSystem(config=config, observers=[monitor]) as system:
-                run_stream(system, workload, frames=frames)
-            scrapes["metrics"] = fetch(server.url + "/metrics")
-            scrapes["healthz"] = fetch(server.url + "/healthz")
-            scrapes["snapshot"] = fetch(server.url + "/snapshot.json")
-        return monitor, scrapes
+        with RBCDSystem(config=config, observers=[monitor]) as system:
+            run_stream(system, workload, frames=frames, on_frame=on_frame)
+        return monitor
 
-    def test_healthy_stream_serves_valid_openmetrics(self):
-        monitor, scrapes = self.stream_with_server(rules=[])
-        status, text = scrapes["metrics"]
-        assert status == 200
-        assert validate_openmetrics(text) > 0
-        families = parse_openmetrics(text)
-        assert families["repro_frames_observed"]["samples"][0][2] == 4.0
+    def test_healthy_stream_reports_real_rbcd_work(self):
+        monitor = self.stream(LiveMonitor(window=8, rules=[]))
+        assert monitor.frames == 4
+        assert monitor.healthy
         # Real frames produced real RBCD work.
-        insertions = families["repro_gpu_rbcd_zeb_insertions"]["samples"]
-        assert insertions[0][2] > 0
+        assert monitor.totals()["gpu.rbcd.zeb_insertions"] > 0
+        assert monitor.window_values()["window.rbcd.activity_ratio"] > 0.0
 
-        status, body = scrapes["healthz"]
-        assert status == 200 and json.loads(body)["status"] == "ok"
-
-        status, body = scrapes["snapshot"]
-        snapshot = json.loads(body)
-        assert snapshot["frames"] == 4
-        assert snapshot["window"]["window.rbcd.activity_ratio"] > 0.0
-
-    def test_tripped_watchdog_flips_healthz_to_503(self):
+    def test_tripped_watchdog_turns_the_stream_unhealthy(self):
         # ge 0.0 over a rate that's always >= 0: trips on frame 0.
         rules = [
             WatchdogRule(
@@ -182,36 +146,23 @@ class TestLiveEndpointEndToEnd:
                 description="always trips",
             )
         ]
-        monitor, scrapes = self.stream_with_server(rules=rules)
-        status, body = scrapes["healthz"]
-        assert status == 503
-        health = json.loads(body)
-        assert health["status"] == "failing"
-        assert health["active_alerts"] == ["canary"]
-        families = parse_openmetrics(scrapes["metrics"][1])
-        assert families["repro_health"]["samples"][0][2] == 0.0
+        monitor = self.stream(LiveMonitor(window=8, rules=rules))
+        assert not monitor.healthy
+        assert monitor.active_alerts == ["canary"]
         assert len(monitor.alerts) == 1
 
-    def test_healthz_recovers_to_200_mid_stream(self):
-        """The health endpoint tracks breach entry AND exit live."""
-        config = GPUConfig().with_screen(96, 64)
-        workload = workload_by_alias("cap", detail=1)
+    def test_health_recovers_mid_stream(self):
+        """Health tracks breach entry AND exit live."""
         # Trips only while the window holds a single frame, so it
         # recovers as soon as the second frame lands.
-        rules = [
-            WatchdogRule("warmup", "window.frames", "le", 1.0)
-        ]
-        monitor = LiveMonitor(window=8, rules=rules)
-        statuses = []
-        with MetricsServer(monitor) as server:
-            with RBCDSystem(config=config, observers=[monitor]) as system:
-                run_stream(
-                    system, workload, frames=3,
-                    on_frame=lambda i, r: statuses.append(
-                        fetch(server.url + "/healthz")[0]
-                    ),
-                )
-        assert statuses[0] == 503
-        assert statuses[-1] == 200
+        monitor = LiveMonitor(
+            window=8, rules=[WatchdogRule("warmup", "window.frames", "le", 1.0)]
+        )
+        health = []
+        self.stream(
+            monitor, frames=3,
+            on_frame=lambda i, r: health.append(monitor.healthy),
+        )
+        assert health == [False, True, True]
         assert len(monitor.alerts) == 1
         assert monitor.healthy

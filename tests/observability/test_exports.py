@@ -7,6 +7,10 @@ package re-exports.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +22,7 @@ SUBMODULES = (
     "repro.observability.tracer",
     "repro.observability.window",
     "repro.observability.log",
-    "repro.observability.openmetrics",
     "repro.observability.live",
-    "repro.observability.netutil",
     "repro.observability.flightrecorder",
 )
 
@@ -49,9 +51,7 @@ class TestObservabilityExports:
             Ewma,
             JsonFormatter,
             LiveMonitor,
-            MetricFamily,
             MetricSnapshot,
-            MetricsServer,
             QuantileSketch,
             SlidingWindow,
             WatchdogRule,
@@ -59,18 +59,12 @@ class TestObservabilityExports:
             default_rules,
             get_logger,
             log_event,
-            metric_name_of,
-            parse_openmetrics,
-            render_families,
-            validate_openmetrics,
         )
 
         for name in (
-            Alert, Ewma, JsonFormatter, LiveMonitor, MetricFamily,
-            MetricSnapshot, MetricsServer, QuantileSketch, SlidingWindow,
-            WatchdogRule, configure_json_logging, default_rules,
-            get_logger, log_event, metric_name_of, parse_openmetrics,
-            render_families, validate_openmetrics,
+            Alert, Ewma, JsonFormatter, LiveMonitor, MetricSnapshot,
+            QuantileSketch, SlidingWindow, WatchdogRule,
+            configure_json_logging, default_rules, get_logger, log_event,
         ):
             assert name is not None
 
@@ -86,8 +80,6 @@ class TestObservabilityExports:
             if module_name in (
                 "repro.observability.window",
                 "repro.observability.log",
-                "repro.observability.openmetrics",
-                "repro.observability.netutil",
                 "repro.observability.flightrecorder",
             ):
                 assert hasattr(obs, name), (
@@ -98,6 +90,7 @@ class TestObservabilityExports:
         from repro.observability import (
             FlightRecorder,
             RingBuffer,
+            atomic_write_text,
             config_fingerprint,
             deterministic_events,
             validate_postmortem_document,
@@ -106,7 +99,7 @@ class TestObservabilityExports:
         )
 
         for name in (
-            FlightRecorder, RingBuffer, config_fingerprint,
+            FlightRecorder, RingBuffer, atomic_write_text, config_fingerprint,
             deterministic_events, validate_postmortem_document,
             verify_alert_record, window_values_from_snapshots,
         ):
@@ -171,6 +164,18 @@ class TestTopLevelExports:
 
         assert observability is obs
         assert "observability" in repro.__all__
+
+    def test_core_and_serve_import_no_http_server(self):
+        # Telemetry is read in process; no import pulls in a web server.
+        code = (
+            "import sys, repro.core, repro.serve, repro.observability; "
+            "assert 'http.server' not in sys.modules"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
 
     def test_core_api_still_present(self):
         assert repro.RBCDSystem is not None

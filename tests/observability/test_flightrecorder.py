@@ -24,6 +24,7 @@ from repro.observability.flightrecorder import (
     WALL_FIELDS,
     FlightRecorder,
     RingBuffer,
+    atomic_write_text,
     config_fingerprint,
     deterministic_event,
     deterministic_events,
@@ -91,6 +92,24 @@ class TestRingBuffer:
         snap = ring.snapshot()
         snap.append("b")
         assert ring.snapshot() == ["a"]
+
+
+class TestAtomicWriteText:
+    def test_writes_and_returns_target(self, tmp_path):
+        path = tmp_path / "doc.json"
+        assert atomic_write_text(path, "{}\n") == path
+        assert path.read_text() == "{}\n"
+
+    def test_overwrites_atomically_without_temp_residue(self, tmp_path):
+        path = tmp_path / "doc.json"
+        atomic_write_text(path, "first\n")
+        atomic_write_text(path, "second\n")
+        assert path.read_text() == "second\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_accepts_string_paths(self, tmp_path):
+        target = atomic_write_text(str(tmp_path / "s.txt"), "x")
+        assert target.read_text() == "x"
 
 
 class TestConfigFingerprint:

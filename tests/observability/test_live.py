@@ -1,4 +1,4 @@
-"""LiveMonitor: snapshots, windows, watchdogs, exposition, HTTP server.
+"""LiveMonitor: snapshots, windows, watchdogs and in-process readers.
 
 Frames here are synthetic :class:`GPUStats` / :class:`FrameEnergyReport`
 objects so every derived value is known in closed form; the end-to-end
@@ -7,7 +7,6 @@ tests over real rendered frames live in
 ``tests/integration/test_live_differential.py``.
 """
 
-import json
 import threading
 
 import pytest
@@ -19,12 +18,10 @@ from repro.observability.live import (
     PAPER_ACTIVITY_ENVELOPE,
     Alert,
     LiveMonitor,
-    MetricsServer,
     WatchdogRule,
     aggregate_window_values,
     default_rules,
 )
-from repro.observability.openmetrics import parse_openmetrics, validate_openmetrics
 
 
 def make_stats(
@@ -316,152 +313,26 @@ class TestWatchdogBehavior:
         monitor.observe_frame(make_stats(), make_energy())
         assert not monitor.healthy
 
-    def test_health_and_snapshot_documents(self):
+    def test_health_and_alert_readers(self):
         monitor = LiveMonitor(window=4, rules=self.overflow_every_frame)
-        assert monitor.health_dict()["status"] == "ok"
-        monitor.observe_frame(make_stats(), make_energy())
-        health = monitor.health_dict()
-        assert health["status"] == "failing"
-        assert health["active_alerts"] == ["always-overflow"]
-        assert health["alerts_total"] == 1
-
-        snapshot = monitor.snapshot_dict()
-        assert snapshot["frames"] == 1
-        assert snapshot["healthy"] is False
-        assert snapshot["alerts"][0]["rule"] == "always-overflow"
-        assert snapshot["latest"]["frame"] == 0
-        json.dumps(snapshot)  # must be JSON-serializable as-is
-
-
-class TestOpenMetricsExposition:
-    def test_empty_monitor_renders_valid_exposition(self):
-        text = LiveMonitor().to_openmetrics()
-        assert validate_openmetrics(text) > 0
-        families = parse_openmetrics(text)
-        assert families["repro_frames_observed"]["samples"] == [
-            ("repro_frames_observed_total", {}, 0.0)
-        ]
-        assert families["repro_health"]["samples"][0][2] == 1.0
-
-    def test_exposition_reflects_stream_state(self):
-        monitor = LiveMonitor(
-            window=8,
-            rules=[WatchdogRule("trip", "window.zeb.overflow_rate", "ge", 0.0)],
-        )
-        monitor.observe_frame(
-            make_stats(zeb_insertions=100), make_energy(), wall_s=0.002
-        )
-        monitor.observe_frame(
-            make_stats(zeb_insertions=50), make_energy(), wall_s=0.002
-        )
-        families = parse_openmetrics(monitor.to_openmetrics())
-
-        assert families["repro_frames_observed"]["samples"][0][2] == 2.0
-        assert families["repro_health"]["samples"][0][2] == 0.0
-        assert families["repro_watchdog_alerts"]["samples"][0][2] == 1.0
-        breached = families["repro_watchdog_breached"]["samples"]
-        assert ("repro_watchdog_breached", {"rule": "trip"}, 1.0) in breached
-        # Cumulative registry counters surface with _total samples.
-        insertions = families["repro_gpu_rbcd_zeb_insertions"]["samples"]
-        assert insertions == [
-            ("repro_gpu_rbcd_zeb_insertions_total", {}, 150.0)
-        ]
-        # Window gauge carries the metric= label per key.
-        window = {
-            labels["metric"]: value
-            for _, labels, value in families["repro_window"]["samples"]
-        }
-        assert window["window.frames"] == 2.0
-        # Latency summaries expose quantiles in seconds plus count/sum.
-        lat = families["repro_frame_wall_seconds"]["samples"]
-        by_name = {}
-        for name, labels, value in lat:
-            by_name.setdefault(name, []).append((labels, value))
-        assert ({}, 2.0) in by_name["repro_frame_wall_seconds_count"]
-        quantiles = {
-            labels["quantile"]
-            for labels, _ in by_name["repro_frame_wall_seconds"]
-        }
-        assert quantiles == {"0.5", "0.95", "0.99"}
-
-
-class TestMetricsServer:
-    def fetch(self, url):
-        from urllib.error import HTTPError
-        from urllib.request import urlopen
-
-        try:
-            with urlopen(url, timeout=10) as response:
-                return response.status, response.read().decode("utf-8"), \
-                    response.headers.get("Content-Type", "")
-        except HTTPError as err:
-            return err.code, err.read().decode("utf-8"), \
-                err.headers.get("Content-Type", "")
-
-    def test_serves_all_endpoints(self):
-        monitor = LiveMonitor(window=4, rules=[])
-        monitor.observe_frame(make_stats(), make_energy())
-        with MetricsServer(monitor) as server:
-            assert server.url.startswith("http://127.0.0.1:")
-
-            status, body, ctype = self.fetch(server.url + "/metrics")
-            assert status == 200
-            assert ctype.startswith("application/openmetrics-text")
-            assert validate_openmetrics(body) > 0
-
-            status, body, ctype = self.fetch(server.url + "/healthz")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
-
-            status, body, _ = self.fetch(server.url + "/snapshot.json")
-            assert status == 200
-            assert json.loads(body)["frames"] == 1
-
-            status, body, _ = self.fetch(server.url + "/nope")
-            assert status == 404
-            assert "/metrics" in json.loads(body)["endpoints"]
-
-    def test_healthz_returns_503_when_failing(self):
-        monitor = LiveMonitor(
-            window=4,
-            rules=[WatchdogRule("trip", "window.zeb.overflow_rate", "ge", 0.0)],
-        )
+        assert monitor.healthy
+        assert monitor.active_alerts == []
         monitor.observe_frame(make_stats(), make_energy())
         assert not monitor.healthy
-        with MetricsServer(monitor) as server:
-            status, body, _ = self.fetch(server.url + "/healthz")
-        assert status == 503
-        assert json.loads(body)["status"] == "failing"
+        assert monitor.active_alerts == ["always-overflow"]
+        assert len(monitor.alerts) == 1
 
-    def test_tenant_healthz_is_404_for_a_single_stream(self):
-        monitor = LiveMonitor(rules=[])
-        with pytest.raises(KeyError):
-            monitor.health_dict("alice")
-        with MetricsServer(monitor) as server:
-            status, body, _ = self.fetch(server.url + "/healthz/alice")
-        assert status == 404
-        assert "alice" in json.loads(body)["error"]
+        assert monitor.frames == 1
+        assert monitor.alerts[0].rule == "always-overflow"
+        assert monitor.latest.frame == 0
+        assert monitor.window_values()["window.frames"] == 1.0
 
-    def test_query_strings_are_ignored(self):
-        monitor = LiveMonitor(rules=[])
-        with MetricsServer(monitor) as server:
-            status, _, _ = self.fetch(server.url + "/metrics?x=1")
-        assert status == 200
 
-    def test_lifecycle_guards(self):
-        monitor = LiveMonitor(rules=[])
-        server = MetricsServer(monitor)
-        with pytest.raises(RuntimeError):
-            server.port  # not started yet
-        server.start()
-        try:
-            with pytest.raises(RuntimeError):
-                server.start()  # double start
-        finally:
-            server.stop()
-        server.stop()  # second stop is a no-op
-
-    def test_concurrent_scrapes_while_observing(self):
+class TestConcurrentReaders:
+    def test_readers_see_consistent_state_while_observing(self):
+        """Every reader takes the monitor lock, so another thread may
+        read mid-stream: each read sees whole frames, never a torn
+        update."""
         monitor = LiveMonitor(window=8, rules=[])
         errors = []
 
@@ -472,13 +343,16 @@ class TestMetricsServer:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        with MetricsServer(monitor) as server:
-            writer = threading.Thread(target=observe_many)
-            writer.start()
-            for _ in range(10):
-                status, body, _ = self.fetch(server.url + "/metrics")
-                assert status == 200
-                validate_openmetrics(body)
-            writer.join()
+        writer = threading.Thread(target=observe_many)
+        writer.start()
+        for _ in range(50):
+            values = monitor.window_values()
+            frames = values["window.frames"]
+            assert 0.0 <= frames <= 8.0
+            if frames:
+                assert values["window.pairs.per_frame"] == 3.0
+            assert monitor.totals().get("gpu.frames", 0) in range(31)
+        writer.join()
         assert errors == []
         assert monitor.frames == 30
+        assert monitor.totals_registry().as_dict() == monitor.totals()

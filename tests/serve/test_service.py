@@ -3,8 +3,6 @@
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 import warnings
 from collections import deque
 
@@ -12,11 +10,7 @@ import pytest
 
 from repro.gpu.config import GPUConfig
 from repro.observability.counters import CounterRegistry
-from repro.observability.live import MetricsServer, WatchdogRule
-from repro.observability.openmetrics import (
-    parse_openmetrics,
-    validate_openmetrics,
-)
+from repro.observability.live import WatchdogRule
 from repro.observability.tracer import Tracer
 from repro.scenes.benchmarks import workload_by_alias
 from repro.serve import (
@@ -93,7 +87,7 @@ class TestRegistration:
         with pytest.warns(DeprecationWarning, match="workers"):
             service = make_service(workers=2)
         with service:
-            assert "workers" not in service.snapshot_dict()
+            assert not hasattr(service, "workers")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_service(workers=1).close()
@@ -252,35 +246,7 @@ class TestTelemetryMerge:
             assert global_registry["serve.frames_completed"] == 6
             assert global_registry["gpu.frames"] == 6
 
-    def test_openmetrics_exposition_is_strictly_valid_and_labelled(self):
-        with make_service() as service:
-            service.register("alice")
-            service.register("bob")
-            frames = make_frames(1)
-            service.submit("alice", frames[0])
-            service.submit("bob", frames[0])
-            service.drain()
-            text = service.to_openmetrics()
-        assert validate_openmetrics(text) > 0
-        families = parse_openmetrics(text)
-        frames_family = families["repro_tenant_frames"]["samples"]
-        assert (
-            "repro_tenant_frames_total", {"tenant": "alice"}, 1.0
-        ) in frames_family
-        assert (
-            "repro_tenant_frames_total", {"tenant": "bob"}, 1.0
-        ) in frames_family
-        # registry counters are labelled per tenant
-        gpu_frames = families["repro_gpu_frames"]["samples"]
-        assert ("repro_gpu_frames_total", {"tenant": "alice"}, 1.0) in gpu_frames
-        # the per-tenant p95 series the SLO watchdog reads is exposed
-        window = families["repro_tenant_window"]["samples"]
-        assert any(
-            labels.get("metric") == "quantile.frame.wall_ms.p95"
-            for _, labels, _ in window
-        )
-
-    def test_health_and_snapshot_documents(self):
+    def test_health_and_alert_readers(self):
         with make_service(rules=TRIP_RULES, admit_unhealthy=True) as service:
             service.register("alice")
             service.register("bob")
@@ -289,63 +255,13 @@ class TestTelemetryMerge:
             assert not service.healthy("alice")
             assert service.healthy("bob")
             assert not service.healthy()
-            doc = service.health_dict()
-            assert doc["status"] == "failing"
-            assert doc["tenants"]["alice"]["status"] == "failing"
-            assert doc["tenants"]["bob"]["status"] == "ok"
-            assert service.health_dict("bob")["tenant"] == "bob"
-            snapshot = service.snapshot_dict()
-            assert snapshot["tenants"]["alice"]["snapshot"]["frames"] == 1
-            assert snapshot["totals"]["serve.frames_completed"] == 1
-
-
-def fetch(url):
-    try:
-        with urllib.request.urlopen(url) as response:
-            return response.status, response.read().decode("utf-8")
-    except urllib.error.HTTPError as error:
-        return error.code, error.read().decode("utf-8")
-
-
-class TestMetricsServerOverService:
-    def test_endpoints(self):
-        with make_service() as service:
-            service.register("alice")
-            service.submit("alice", make_frames(1)[0])
-            service.drain()
-            with MetricsServer(service) as server:
-                status, body = fetch(server.url + "/metrics")
-                assert status == 200
-                assert validate_openmetrics(body) > 0
-                assert 'tenant="alice"' in body
-
-                status, body = fetch(server.url + "/healthz")
-                assert status == 200
-
-                status, body = fetch(server.url + "/healthz/alice")
-                assert status == 200
-                assert '"tenant": "alice"' in body
-
-                status, body = fetch(server.url + "/healthz/ghost")
-                assert status == 404
-
-                status, body = fetch(server.url + "/snapshot.json")
-                assert status == 200
-                assert '"batches": 1' in body
-
-                status, body = fetch(server.url + "/nope")
-                assert status == 404
-
-    def test_unhealthy_tenant_flips_healthz_to_503(self):
-        with make_service(rules=TRIP_RULES, admit_unhealthy=True) as service:
-            service.register("alice")
-            service.register("bob")
-            service.submit("alice", make_frames(1)[0])
-            service.drain()
-            with MetricsServer(service) as server:
-                assert fetch(server.url + "/healthz")[0] == 503
-                assert fetch(server.url + "/healthz/alice")[0] == 503
-                assert fetch(server.url + "/healthz/bob")[0] == 200
+            alerts = service.alerts()
+            assert [a.rule for a in alerts["alice"]] == ["always"]
+            assert alerts["bob"] == []
+            assert service.session("alice").monitor.frames == 1
+            assert service.global_registry()["serve.frames_completed"] == 1
+            with pytest.raises(KeyError):
+                service.healthy("ghost")
 
 
 class TestConcurrentClients:
