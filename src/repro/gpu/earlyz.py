@@ -3,8 +3,9 @@
 Functionally exact: each non-tagged fragment is tested LESS against the
 Z-buffer value left by the fragments that arrived before it at the same
 pixel (buffer cleared to 1.0 = far plane).  Tagged-to-be-culled
-fragments never reach this stage (Section 3.3) — the caller filters
-them.
+fragments never reach the Z-buffer (Section 3.3): each runs through the
+kernel at a private key past the screen, where it meets no other
+fragment, and its result is dropped.
 
 The pass/fail decision is a kernel
 (:func:`repro.gpu.kernels.earlyz_test`): a segmented exclusive
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpu import scratch
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import earlyz_test
 from repro.gpu.raster import FragmentSoup
@@ -45,33 +47,55 @@ def depth_test(
     """Run early-Z over the non-tagged fragments of a frame.
 
     The returned ``passed`` mask is aligned with the *input* soup; a
-    tagged fragment is always ``False`` (it was filtered before the
-    test and is not counted as a test).
+    tagged fragment is always ``False`` (it is tested at a private key
+    and not counted as a test).
     """
     height, width = config.screen_height, config.screen_width
+    n = frags.count
     z_buffer = np.ones((height, width), dtype=np.float64)
-    winner = np.full((height, width), -1, dtype=np.int64)
-    passed = np.zeros(frags.count, dtype=bool)
-    if frags.count == 0:
+    winner = scratch.empty("earlyz.winner", height * width, np.int64)
+    winner = winner.reshape(height, width)
+    winner.fill(-1)
+    passed = scratch.empty("earlyz.passed", n, np.bool_)
+    passed.fill(False)
+    if n == 0:
         return DepthTestResult(passed, z_buffer, winner)
 
-    tested_idx = np.flatnonzero(~frags.tagged)
-    stats.early_z_tests += int(tested_idx.shape[0])
-    if tested_idx.shape[0] == 0:
+    tested = n - int(np.count_nonzero(frags.tagged))
+    stats.early_z_tests += tested
+    if tested == 0:
         return DepthTestResult(passed, z_buffer, winner)
 
-    pixel = frags.y.astype(np.int64)
-    pixel *= width
+    # Flat pixel keys y * width + x.  A tagged fragment takes a private
+    # key past the screen instead (height * width plus its rank among
+    # the tagged), so the test passes over it without touching a pixel
+    # and the stream needs no compaction.
+    screen = height * width
+    pixel = scratch.empty("earlyz.pixel", n, np.int64)
+    np.multiply(frags.y, width, out=pixel, dtype=np.int64)
     pixel += frags.x
-    pixel = pixel[tested_idx]
-    z = frags.z[tested_idx]
+    if tested < n:
+        private = scratch.empty("tmp.0", n, np.int64)
+        np.cumsum(frags.tagged, out=private)
+        private += screen - 1
+        np.copyto(pixel, private, where=frags.tagged)
 
-    mask, visible = earlyz_test(pixel, z)
-    passed[tested_idx] = mask
-    stats.early_z_passes += int(mask.sum())
+    mask, visible = earlyz_test(pixel, frags.z)
+    np.logical_not(frags.tagged, out=passed)
+    passed &= mask
+    stats.early_z_passes += int(np.count_nonzero(passed))
 
-    at = pixel[visible]
-    z_buffer.ravel()[at] = z[visible]
-    winner.ravel()[at] = tested_idx[visible]
+    # Visible fragments come in pixel order, so the on-screen ones lead.
+    at = np.take(
+        pixel, visible, out=scratch.empty("tmp.0", visible.shape[0], np.int64),
+        mode="clip",
+    )
+    on = int(np.searchsorted(at, screen))
+    at, visible = at[:on], visible[:on]
+    z_buffer.ravel()[at] = np.take(
+        frags.z, visible, out=scratch.empty("tmp.1", on, np.float64),
+        mode="clip",
+    )
+    winner.ravel()[at] = visible
 
     return DepthTestResult(passed, z_buffer, winner)

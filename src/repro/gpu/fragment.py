@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpu import scratch
 from repro.gpu.commands import Frame
 from repro.gpu.config import GPUConfig
 from repro.gpu.earlyz import DepthTestResult
@@ -67,27 +68,46 @@ def shade_fragments(
         return ShadingResult(color, np.zeros(frags.count, dtype=bool), 0.0)
 
     if deferred_shading:
-        shaded = np.zeros(frags.count, dtype=bool)
-        winners = depth.winner[depth.winner >= 0]
-        shaded[winners] = True
+        shaded = scratch.empty("fragment.shaded", frags.count, np.bool_)
+        shaded.fill(False)
+        shaded[depth.winner[depth.winner >= 0]] = True
     else:
         shaded = depth.passed
     per_draw = fragment_shader_cycles_per_draw(frame, config)
-    cycles = float(per_draw[frags.draw_index[shaded]].sum())
+    _, costs = shaded_cycles(frags, shaded, per_draw)
+    cycles = float(costs.sum())
 
     num_shaded = int(np.count_nonzero(shaded))
     stats.fragments_shaded += num_shaded
     stats.texture_accesses += num_shaded * _TEXTURE_ACCESSES_PER_FRAGMENT
     stats.fragment_cycles += cycles / config.num_fragment_processors
 
-    # Resolve visible colors from the per-pixel winners with one gather:
-    # a pixel no fragment won (winner -1) takes draw index -1, which
-    # picks the palette's extra black row.
-    draw = np.take(np.append(frags.draw_index, -1), depth.winner)
+    # Resolve visible colors from the per-pixel winners with one gather
+    # of draw indices: a pixel no fragment won (winner -1) takes draw
+    # index -1, which picks the palette's extra black row.
+    unwritten = depth.winner < 0
+    draw = scratch.empty("tmp.0", depth.winner.size, np.int64)
+    draw = np.take(
+        frags.draw_index, depth.winner, out=draw.reshape(depth.winner.shape),
+        mode="wrap",
+    )
+    np.copyto(draw, -1, where=unwritten)
     palette = np.array(
         [d.color for d in frame.draws] + [(0.0, 0.0, 0.0)], dtype=np.float64
     )
     color = np.take(palette, draw, axis=0)
-    stats.color_writes += int(np.count_nonzero(depth.winner >= 0))
+    stats.color_writes += draw.size - int(np.count_nonzero(unwritten))
 
     return ShadingResult(color, shaded, cycles)
+
+
+def shaded_cycles(
+    frags: FragmentSoup, shaded: np.ndarray, per_draw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the ``shaded`` fragments, and the shader cost of
+    each (its draw's entry of ``per_draw``), in fragment order."""
+    idx = np.flatnonzero(shaded)
+    draw = scratch.empty("tmp.0", idx.shape[0], np.int64)
+    np.take(frags.draw_index, idx, out=draw, mode="clip")
+    cycles = scratch.empty("tmp.1", idx.shape[0], per_draw.dtype)
+    return idx, np.take(per_draw, draw, out=cycles, mode="clip")

@@ -44,17 +44,28 @@ the same IEEE operations in the same per-element order.
 * Early-Z replaces the sequential per-fragment scan with a segmented
   exclusive prefix-min over the pixel-sorted stream: a doubling
   (Hillis-Steele) scan in ``ceil(log2(max overdraw))`` passes over
-  contiguous memory.  Comparisons are the same exact float LESS, and
+  contiguous memory.  The stable sort is one in-place sort of distinct
+  keys, each pixel packed above its fragment's index
+  (:func:`_pixel_order`).  Comparisons are the same exact float LESS, and
   ``min`` is exact, so the order in which minima combine cannot change
   a decision.
 
-Rows and their span pixels are processed in bounded chunks (~256k rows,
-~1M span pixels) so peak memory stays flat on large frames.
+Rows and their span pixels are processed in bounded chunks (~256k
+rows, ~1M span pixels); per-row and per-candidate arrays are allocated
+fresh.
+Frame-sized arrays — per-fragment temporaries and the rasterizer's
+outputs — come from :mod:`repro.gpu.scratch`: inside a frame they reuse
+the thread's buffers, so a warm frame allocates almost nothing
+frame-sized; called outside a frame, the kernels return fresh arrays.
+Slots ``tmp.*`` hold temporaries only, dead when a kernel returns
+(early-Z's ``passed`` mask until its caller has read it).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.gpu import scratch
 
 # Upper bound on span pixels (and so on fragments) per chunk.
 _MAX_CANDIDATES = 1 << 20
@@ -66,12 +77,16 @@ _SPAN_MAX_COORD = 2.0**24
 # How far each span end reaches past its computed crossing, in pixels.
 _SPAN_EPS = 2.0**-8
 
-_EMPTY = (
-    np.empty(0, dtype=np.int32),
-    np.empty(0, dtype=np.int32),
-    np.empty(0, dtype=np.float64),
-    np.empty(0, dtype=np.int64),
+# The rasterizer's outputs (px, py, pz, tri): the scratch slots of the
+# FragmentSoup columns they become, and their dtypes.
+_OUTPUTS = (
+    ("frag.x", np.int32),
+    ("frag.y", np.int32),
+    ("frag.z", np.float64),
+    ("frag.tri_index", np.int64),
 )
+
+_EMPTY = tuple(np.empty(0, dtype=dtype) for _, dtype in _OUTPUTS)
 
 
 def _bounded_runs(counts, limit):
@@ -157,31 +172,38 @@ def _row_spans(edges, row_edges, tame, tri, x0, x1):
     return lo, hi
 
 
-def _edge_values(terms, rows, gx):
-    """Each edge's value at pixel centres ``gx`` on ``rows``.
+def _gather(values, rows):
+    """``values[rows]``: a view for a slice, else in the gather slot."""
+    if isinstance(rows, slice):
+        return values[rows]
+    out = scratch.empty("tmp.4", rows.shape[0], values.dtype)
+    return np.take(values, rows, out=out, mode="clip")
 
-    ``terms`` holds each edge's per-row ``(c, dy, ax, top_left)``, with
-    ``c = dx * (gy - ay)`` the row-constant half of the scalar loop's
-    ``dx * (gy - ay) - dy * (gx - ax)``; the rest is evaluated per
-    pixel, operation for operation (in place, to spare temporaries).
-    ``rows`` indexes the per-row arrays and broadcasts against ``gx``.
+
+def _edge_value(term, rows, gx, out):
+    """One edge's value at pixel centres ``gx`` on ``rows``, in ``out``.
+
+    ``term`` is the edge's per-row ``(c, dy, ax, top_left)``, with ``c =
+    dx * (gy - ay)`` the row-constant half of the scalar loop's ``dx *
+    (gy - ay) - dy * (gx - ax)``; the rest is evaluated per pixel,
+    operation for operation.  ``rows`` indexes the per-row arrays and
+    broadcasts against ``gx``.
     """
-    values = []
-    for c, dy, ax, _ in terms:
-        f = gx - ax[rows]
-        np.multiply(dy[rows], f, out=f)
-        np.subtract(c[rows], f, out=f)
-        values.append(f)
-    return values
+    c, dy, ax, _ = term
+    f = np.subtract(gx, _gather(ax, rows), out=out)
+    np.multiply(_gather(dy, rows), f, out=f)
+    return np.subtract(_gather(c, rows), f, out=f)
 
 
 def _inside(terms, sign, rows, gx):
     """Top-left-rule inside test of pixel centres ``gx`` on ``rows``."""
     s = sign[rows]
     inside = True
-    for f, (_, _, _, top_left) in zip(_edge_values(terms, rows, gx), terms):
+    f = scratch.empty("tmp.2", gx.size, np.float64).reshape(gx.shape)
+    for term in terms:
+        _edge_value(term, rows, gx, f)
         np.multiply(s, f, out=f)
-        inside = inside & np.where(top_left[rows], f >= 0.0, f > 0.0)
+        inside = inside & np.where(term[3][rows], f >= 0.0, f > 0.0)
     return inside
 
 
@@ -198,12 +220,38 @@ def _end_runs(ends, lo, hi):
     return runs, lo[runs], hi[runs]
 
 
-def _raster_rows(z, area2, sign, edges, row_edges, tame, tri, y, lo, hi):
+def _row_columns(count, offset, start, total):
+    """Each fragment's row, and its column as a float, when row ``k``
+    emits ``count[k]`` consecutive columns from ``start[k]`` at
+    ``offset[k]``.
+
+    Both are running sums of per-fragment steps: the row steps at each
+    row's first fragment, and the column steps by one within a row and
+    from the previous row's last column to the next row's first.  Every
+    partial sum is a column index, so the float sums are exact.
+    """
+    full = np.flatnonzero(count)
+    at = offset[full]
+    row = scratch.empty("tmp.0", total, np.int64)
+    row.fill(0)
+    row[at] = np.diff(full, prepend=0)
+    np.cumsum(row, out=row)
+    col = scratch.empty("tmp.1", total, np.float64)
+    col.fill(1.0)
+    last = start[full] + count[full] - 1
+    col[at] = start[full] - np.r_[0, last[:-1]]
+    np.cumsum(col, out=col)
+    return row, col
+
+
+def _raster_rows(out, z, area2, sign, edges, row_edges, tame, tri, y, lo, hi):
     """Fragments of the rows ``(tri, y)`` within their spans ``[lo, hi]``.
 
     Runs (:func:`_end_runs`) and candidate-tested rows merge in (row,
     column) order through per-row offsets; then edge values,
-    barycentrics and depth are computed once per emitted fragment.
+    barycentrics and depth are computed once per emitted fragment.  The
+    fragments go to the leading entries of the ``out`` columns ``(px,
+    py, pz, tri)``; returns how many.
     """
     row_sign = sign[tri]
     # Per (triangle, row): the row-constant half of each edge value.
@@ -229,29 +277,44 @@ def _raster_rows(z, area2, sign, edges, row_edges, tame, tri, y, lo, hi):
     count[runs] = last - first + 1
     total = int(count.sum())
     if total == 0:
-        return None
+        return 0
     offset = np.cumsum(count) - count
     start = np.zeros(num_rows, dtype=np.int64)
     start[runs] = first
-    row = np.repeat(np.arange(num_rows), count)
-    col = np.arange(total, dtype=np.int64) + (start - offset)[row]
+    row, col = _row_columns(count, offset, start, total)
     # Candidate-tested rows take their kept columns, in place.
     kept_offset = offset - (np.cumsum(kept) - kept)
     col[np.arange(keep.shape[0]) + kept_offset[kept_row]] = cand_col[keep]
 
-    kt = tri[row]
-    f0, f1, f2 = _edge_values(terms, row, col + 0.5)
-    a2 = area2[kt]
+    px, py, pz, kt = (column[:total] for column in out)
+    np.take(tri, row, out=kt, mode="clip")
+    np.take(y.astype(np.int32), row, out=py, mode="clip")
+    px[...] = col
+    gx = np.add(col, 0.5, out=col)
+    a2 = scratch.empty("tmp.3", total, np.float64)
+    np.take(area2, kt, out=a2, mode="clip")
     # Barycentric weights: F_i / area2 is the weight of vertex i+2.
-    w2 = np.divide(f0, a2, out=f0)
-    w0 = np.divide(f1, a2, out=f1)
-    w1 = np.divide(f2, a2, out=f2)
-    # pz = w0 * z0 + w1 * z1 + w2 * z2, summed left to right.  (take
-    # on a column view gathers ~3x faster than z[kt, i].)
-    pz = np.multiply(w0, np.take(z[:, 0], kt), out=w0)
-    pz += np.multiply(w1, np.take(z[:, 1], kt), out=w1)
-    pz += np.multiply(w2, np.take(z[:, 2], kt), out=w2)
-    return col.astype(np.int32), y[row].astype(np.int32), pz, kt
+    # pz = w0 * z0 + w1 * z1 + w2 * z2, summed left to right, so edges
+    # 1, 2 and 0 are evaluated in turn.  (take on a column view gathers
+    # ~3x faster than z[kt, i].)
+    f = scratch.empty("tmp.2", total, np.float64)
+    for vertex, edge in enumerate((1, 2, 0)):
+        w = _edge_value(terms[edge], row, gx, pz if vertex == 0 else f)
+        np.divide(w, a2, out=w)
+        np.multiply(w, _gather(z[:, vertex], kt), out=w)
+        if vertex:
+            pz += w
+    return total
+
+
+def _reserve(out, filled, n):
+    """The output columns, sized for ``n`` fragments, keeping the
+    ``filled`` already emitted into ``out``."""
+    grown = [scratch.empty(name, n, dtype) for name, dtype in _OUTPUTS]
+    for new, old in zip(grown, out or ()):
+        if not np.may_share_memory(new, old):
+            new[:filled] = old[:filled]
+    return grown
 
 
 def rasterize_triangles(
@@ -294,7 +357,8 @@ def rasterize_triangles(
     # Rows run triangle-ascending, then row-ascending, and each row's
     # fragments column-ascending: a subset of the bounding-box raster
     # order, so emission order matches the scalar loop.
-    pieces = []
+    out = None
+    filled = 0
     for a, b in _bounded_runs(rows, _MAX_ROWS):
         row_tri = np.repeat(live[a:b], rows[a:b])
         row_y = _ramps(y0[live[a:b]], rows[a:b])
@@ -310,25 +374,25 @@ def rasterize_triangles(
         row_tri, row_y = row_tri[held], row_y[held]
         row_edges = [(ax[held], rel_y[held]) for ax, rel_y in row_edges]
         lo, hi = lo[held].astype(np.int64), hi[held].astype(np.int64)
-        for c, d in _bounded_runs(hi - lo + 1, _MAX_CANDIDATES):
-            piece = _raster_rows(
-                z, area2, sign, edges,
+        span = hi - lo + 1
+        # A span bounds its row's fragments.
+        out = _reserve(out, filled, filled + int(span.sum()))
+        for c, d in _bounded_runs(span, _MAX_CANDIDATES):
+            filled += _raster_rows(
+                [column[filled:] for column in out], z, area2, sign, edges,
                 [(ax[c:d], rel_y[c:d]) for ax, rel_y in row_edges], tame,
                 row_tri[c:d], row_y[c:d], lo[c:d], hi[c:d],
             )
-            if piece is not None:
-                pieces.append(piece)
 
-    if not pieces:
+    if filled == 0:
         return _EMPTY
-    if len(pieces) == 1:
-        return pieces[0]
-    return tuple(np.concatenate(parts) for parts in zip(*pieces))
+    return tuple(column[:filled] for column in out)
 
 
 def _segmented_prefix_min(values, keys):
     """Inclusive running minimum of ``values`` within each run of equal
-    ``keys`` (``keys`` sorted, so each run is one contiguous segment).
+    ``keys`` (``keys`` sorted, so each run is one contiguous segment),
+    computed in place in ``values``.
 
     A doubling (Hillis-Steele) scan: after the pass with shift ``d``
     every element holds the minimum of the ``2d`` elements ending at
@@ -337,15 +401,47 @@ def _segmented_prefix_min(values, keys):
     its partner ``d`` back only when both share a key, which for sorted
     keys is exactly when its position in the segment is at least ``d``.
     """
-    run = values.copy()
+    run = values
+    n = run.shape[0]
+    same = scratch.empty("tmp.5", n, np.bool_)
+    low = scratch.empty("tmp.4", n, run.dtype)
     d = 1
-    while d < run.shape[0]:
-        same = keys[d:] == keys[:-d]
-        if not same.any():
+    while d < n:
+        step = np.equal(keys[d:], keys[:-d], out=same[: n - d])
+        if not step.any():
             break
-        np.copyto(run[d:], np.minimum(run[d:], run[:-d]), where=same)
+        np.minimum(run[d:], run[:-d], out=low[: n - d])
+        np.copyto(run[d:], low[: n - d], where=step)
         d *= 2
     return run
+
+
+def _pixel_order(pixel):
+    """The stable ascending order of ``pixel``, and the sorted pixels.
+
+    Each fragment's pixel is packed above its index into one int64
+    key.  The keys are distinct, so one in-place sort of any kind gives
+    exactly the stable order, and unpacking the sorted keys gives both
+    arrays.
+    """
+    n = pixel.shape[0]
+    shift = max(n - 1, 1).bit_length()
+    if pixel.min() < 0 or int(pixel.max()) >> (63 - shift):
+        raise ValueError(
+            f"pixel indices must lie in [0, 2**{63 - shift}) to sort "
+            f"{n} fragments"
+        )
+    key = scratch.empty("tmp.0", n, np.int64)
+    order = scratch.empty("tmp.1", n, np.int64)
+    order.fill(1)
+    order[0] = 0
+    np.cumsum(order, out=order)  # 0, 1, ..., n - 1
+    np.left_shift(pixel, shift, out=key, dtype=np.int64)
+    key |= order
+    key.sort()
+    np.bitwise_and(key, (1 << shift) - 1, out=order)
+    np.right_shift(key, shift, out=key)
+    return order, key
 
 
 def earlyz_test(
@@ -359,25 +455,34 @@ def earlyz_test(
     its pixel.  That exclusive minimum is the inclusive running minimum
     of the sorted depths shifted by one, with 1.0 at each segment
     start.  Each pixel's visible fragment is its segment's last pass.
+    Pixel indices must be non-negative and small enough to pack with
+    the fragment count into an int64 (:func:`_pixel_order`).
     """
     n = pixel.shape[0]
-    passed = np.zeros(n, dtype=bool)
+    passed = scratch.empty("tmp.7", n, np.bool_)
+    passed.fill(False)
     if n == 0:
         return passed, np.empty(0, dtype=np.int64)
 
-    order = np.argsort(pixel, kind="stable")
-    sp = pixel[order]
-    sz = z[order]
+    order, sp = _pixel_order(pixel)
+    sz = scratch.empty("tmp.2", n, z.dtype)
+    np.take(z, order, out=sz, mode="clip")
 
-    shifted = np.ones(n)  # 1.0: the z-buffer clear value
-    np.copyto(shifted[1:], sz[:-1], where=sp[1:] == sp[:-1])
-    sorted_pass = sz < _segmented_prefix_min(shifted, sp)
+    shifted = scratch.empty("tmp.3", n, np.float64)
+    shifted.fill(1.0)  # the z-buffer clear value
+    same = scratch.empty("tmp.5", n - 1, np.bool_)
+    np.equal(sp[1:], sp[:-1], out=same)
+    np.copyto(shifted[1:], sz[:-1], where=same)
+    sorted_pass = np.less(
+        sz, _segmented_prefix_min(shifted, sp),
+        out=scratch.empty("tmp.6", n, np.bool_),
+    )
     passed[order] = sorted_pass
 
     # A pass is its pixel's last when the next pass lies at another pixel.
     at = np.flatnonzero(sorted_pass)
-    keys = sp[at]
+    keys = scratch.empty("tmp.2", at.shape[0], sp.dtype)
+    np.take(sp, at, out=keys, mode="clip")
     last = np.ones(at.shape[0], dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
     return passed, order[at[last]]
-

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.gpu import scratch
 from repro.gpu.assembly import TriangleSoup, assemble
 from repro.gpu.caches import Cache
 from repro.gpu.commands import Frame
@@ -49,6 +50,7 @@ from repro.gpu.fragment import (
     ShadingResult,
     fragment_shader_cycles_per_draw,
     shade_fragments,
+    shaded_cycles,
 )
 from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup, rasterize
@@ -243,13 +245,17 @@ class GPU:
         ``begin_frame`` first, ``record_tile`` per absorbed RBCD tile,
         ``end_frame`` last.  A frame that raises closes its spans and
         gets no ``end_frame``.
+
+        The frame's internal arrays live in this thread's scratch
+        (:mod:`repro.gpu.scratch`); everything the result holds is
+        fresh.
         """
         wall_t0 = time.perf_counter()
         for observer in self.observers:
             observer.begin_frame(self.config)
         with self.tracer.span(
             "frame", category="frame", draws=len(frame.draws)
-        ) as frame_span:
+        ) as frame_span, scratch.frame():
             if self.rendering_mode == "imr":
                 result = self._render_imr(frame)
             else:
@@ -366,12 +372,14 @@ class GPU:
             shader_cycles_tile = np.zeros(config.tile_count)
             if frags.count and not frame.raster_only:
                 per_draw = fragment_shader_cycles_per_draw(frame, config)
-                shaded_idx = np.flatnonzero(shading.shaded_mask)
-                np.add.at(
-                    shader_cycles_tile,
-                    tile_idx[shaded_idx],
-                    per_draw[frags.draw_index[shaded_idx]],
+                shaded_idx, cycles = shaded_cycles(
+                    frags, shading.shaded_mask, per_draw
                 )
+                shaded_tile = scratch.empty(
+                    "tmp.2", shaded_idx.shape[0], np.int64
+                )
+                np.take(tile_idx, shaded_idx, out=shaded_tile, mode="clip")
+                np.add.at(shader_cycles_tile, shaded_tile, cycles)
 
             prims_per_tile = np.diff(binning.tile_offsets).astype(np.float64)
             raster_busy_cycles = (
@@ -424,7 +432,7 @@ class GPU:
             collisions=report,
             cpu_fallback=cpu_fallback,
             tile_timing=timing if keep_tile_timing else None,
-            fragments=frags if keep_fragments else None,
+            fragments=frags.copy() if keep_fragments else None,
             energy=self.energy_account.frame_report(stats),
         )
 
@@ -537,8 +545,12 @@ class GPU:
                         elements=result.analyzed_elements,
                     )
                 unit.absorb(result)
-                for observer in observers:
-                    observer.record_tile(result)
+                if observers:
+                    # Observers run as a nested frame: what they render
+                    # or take from scratch is fresh, never this frame's.
+                    with scratch.frame():
+                        for observer in observers:
+                            observer.record_tile(result)
                 tile_span.cycles = result.insertion_cycles + result.overlap_cycles
             overlap_cycles[result.tile_index] = result.overlap_cycles
             insertion_limit[result.tile_index] = result.insertion_cycles

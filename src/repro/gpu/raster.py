@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gpu import scratch
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernels import rasterize_triangles
@@ -60,11 +61,30 @@ class FragmentSoup:
         return int(self.x.shape[0])
 
     def tile_index(self, config: GPUConfig) -> np.ndarray:
-        """(N,) tile index of each fragment."""
+        """(N,) int64 tile index of each fragment.
+
+        Computed in int32, which holds every index below the guarded
+        tile count: row tile times ``tiles_x`` plus column tile.
+        """
+        if config.tile_count >= 2**31:
+            raise ValueError("tile indices must fit in int32")
         ts = config.tile_size
-        return (self.y // ts).astype(np.int64) * config.tiles_x + (
-            self.x // ts
-        ).astype(np.int64)
+        n = self.count
+        tile = scratch.empty("tmp.0", n, np.int32)
+        np.floor_divide(self.y, ts, out=tile)
+        tile *= config.tiles_x
+        tile += np.floor_divide(
+            self.x, ts, out=scratch.empty("tmp.1", n, np.int32)
+        )
+        index = scratch.empty("frame.tile_index", n, np.int64)
+        index[...] = tile
+        return index
+
+    def copy(self) -> "FragmentSoup":
+        """A copy that owns every column."""
+        return FragmentSoup(**{
+            name: getattr(self, name).copy() for name in FRAGMENT_DTYPES
+        })
 
     @staticmethod
     def empty() -> "FragmentSoup":
@@ -91,13 +111,23 @@ def rasterize(
     frags = FragmentSoup(
         x=x.astype(d["x"], copy=False),
         y=y.astype(d["y"], copy=False),
-        z=np.clip(z, 0.0, 1.0).astype(d["z"], copy=False),
-        object_id=soup.object_id[tri].astype(d["object_id"], copy=False),
-        front=soup.front[tri].astype(d["front"], copy=False),
-        tagged=soup.tagged[tri].astype(d["tagged"], copy=False),
-        draw_index=soup.draw_index[tri].astype(d["draw_index"], copy=False),
+        z=np.clip(z, 0.0, 1.0, out=z).astype(d["z"], copy=False),
+        object_id=_per_fragment(soup.object_id, tri, "object_id"),
+        front=_per_fragment(soup.front, tri, "front"),
+        tagged=_per_fragment(soup.tagged, tri, "tagged"),
+        draw_index=_per_fragment(soup.draw_index, tri, "draw_index"),
         tri_index=tri.astype(d["tri_index"], copy=False),
     )
     stats.fragments_produced += frags.count
     stats.fragments_tagged_culled += int(frags.tagged.sum())
     return frags
+
+
+def _per_fragment(
+    column: np.ndarray, tri: np.ndarray, field: str
+) -> np.ndarray:
+    """The per-triangle ``column`` at each fragment's triangle, as the
+    soup's ``field`` (in that field's scratch slot)."""
+    dtype = FRAGMENT_DTYPES[field]
+    out = scratch.empty("frag." + field, tri.shape[0], dtype)
+    return np.take(column.astype(dtype, copy=False), tri, out=out, mode="clip")

@@ -12,11 +12,14 @@ aggregate without parsing prose:
      "event": "watchdog.alert", "rule": "zeb-overflow-rate",
      "value": 0.31, "threshold": 0.05}
 
-Nothing is configured by default: loggers propagate to the stdlib root,
-so a library user's own logging setup applies, and with no handlers
-installed the records cost one disabled-level check each.  Call
-:func:`configure_json_logging` (the ``monitor`` CLI's ``--json-logs``
-does) to attach a JSON-lines handler.
+By default the ``repro`` logger carries only a ``logging.NullHandler``
+(the stdlib's advice for libraries): records propagate to the stdlib
+root, so a library user's own logging setup applies, and a process that
+configured none prints nothing.  Without it, WARNING events such as
+``watchdog.alert`` would reach ``logging.lastResort`` and print their
+bare event name on stderr.  Records below the root's level cost one
+disabled-level check each.  Call :func:`configure_json_logging` (the
+``monitor`` CLI's ``--json-logs`` does) to attach a JSON-lines handler.
 
 ``ts`` is seconds since the formatter was created (monotonic relative
 time, stable across clock adjustments); pass ``absolute_time=True`` for
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 ROOT_LOGGER_NAME = "repro"
+
+logging.getLogger(ROOT_LOGGER_NAME).addHandler(logging.NullHandler())
 
 # LogRecord attributes that are plumbing, not payload; everything else
 # attached to a record (via ``extra=``) is treated as an event field.

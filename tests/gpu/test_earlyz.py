@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.earlyz import depth_test
+from repro.gpu.kernels import earlyz_test
 from repro.gpu.raster import FragmentSoup
 from repro.gpu.stats import GPUStats
 from tests.gpu.earlyz_oracle import scatter_buffers
@@ -98,6 +99,43 @@ class TestBasics:
         depth_test(frags, CFG, stats)
         assert stats.early_z_tests == 3
         assert stats.early_z_passes == 2
+
+    def test_tagged_fragments_are_not_counted(self):
+        frags = make_frags(
+            [3, 3, 3, 5], [4, 4, 4, 5], [0.5, 0.3, 0.1, 0.2],
+            tagged=[False, True, False, True],
+        )
+        stats = GPUStats()
+        result = depth_test(frags, CFG, stats)
+        assert stats.early_z_tests == 2
+        assert stats.early_z_passes == 2
+        assert result.passed.tolist() == [True, False, True, False]
+        assert result.winner[4, 3] == 2 and result.winner[5, 5] == -1
+        assert result.z_buffer[5, 5] == 1.0
+
+
+class TestKernelKeys:
+    """The kernel packs each pixel above its fragment index."""
+
+    def test_refuses_negative_pixel_indices(self):
+        with pytest.raises(ValueError, match="pixel indices"):
+            earlyz_test(np.array([0, -1]), np.array([0.5, 0.5]))
+
+    def test_refuses_pixel_indices_too_large_to_pack(self):
+        # Two fragments take one index bit, leaving 62 for the pixel.
+        with pytest.raises(ValueError, match="pixel indices"):
+            earlyz_test(np.array([0, 1 << 62]), np.array([0.5, 0.5]))
+
+    def test_largest_packable_pixel_index(self):
+        # Three fragments take two index bits, leaving 61.
+        top = (1 << 61) - 1
+        passed, visible = earlyz_test(
+            np.array([top, 0, top]), np.array([0.5, 0.5, 0.25])
+        )
+        assert passed.tolist() == [True, True, True]
+        assert visible.tolist() == [1, 2]
+        with pytest.raises(ValueError, match="pixel indices"):
+            earlyz_test(np.array([top + 1, 0, 0]), np.array([0.5] * 3))
 
 
 class TestAgainstReference:

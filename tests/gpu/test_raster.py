@@ -135,6 +135,59 @@ class TestAttributesAndStats:
         assert (tiles == expected).all()
 
 
+def old_tile_index(frags, config):
+    """The int64 formula the int32 computation replaced."""
+    ts = config.tile_size
+    return (frags.y // ts).astype(np.int64) * config.tiles_x + (
+        frags.x // ts
+    ).astype(np.int64)
+
+
+def soup_at(x, y):
+    n = len(x)
+    return FragmentSoup(
+        x=np.asarray(x, dtype=np.int32), y=np.asarray(y, dtype=np.int32),
+        z=np.zeros(n), object_id=np.full(n, -1), front=np.ones(n, bool),
+        tagged=np.zeros(n, bool), draw_index=np.zeros(n, np.int64),
+        tri_index=np.zeros(n, np.int64),
+    )
+
+
+class TestTileIndexInt32:
+    @pytest.mark.parametrize("size", [(64, 64), (480, 288), (799, 481)])
+    def test_matches_int64_formula_on_random_coordinates(self, size):
+        config = GPUConfig().with_screen(*size)
+        rng = np.random.default_rng(sum(size))
+        frags = soup_at(
+            rng.integers(0, size[0], 5000), rng.integers(0, size[1], 5000)
+        )
+        tiles = frags.tile_index(config)
+        assert tiles.dtype == np.int64
+        np.testing.assert_array_equal(tiles, old_tile_index(frags, config))
+
+    @pytest.mark.parametrize("size", [(64, 64), (480, 288), (799, 481)])
+    def test_matches_int64_formula_on_screen_corners(self, size):
+        config = GPUConfig().with_screen(*size)
+        w, h = size
+        frags = soup_at([0, w - 1, 0, w - 1], [0, 0, h - 1, h - 1])
+        tiles = frags.tile_index(config)
+        np.testing.assert_array_equal(tiles, old_tile_index(frags, config))
+        assert tiles[0] == 0 and tiles[-1] == config.tile_count - 1
+
+    def test_empty_soup(self):
+        tiles = FragmentSoup.empty().tile_index(CFG)
+        assert tiles.shape == (0,) and tiles.dtype == np.int64
+
+    def test_refuses_tile_counts_past_int32(self):
+        class Huge:
+            tile_size = 16
+            tiles_x = 2**16
+            tile_count = 2**31
+
+        with pytest.raises(ValueError, match="int32"):
+            soup_at([0], [0]).tile_index(Huge())
+
+
 class TestWatertightness:
     def test_fan_covers_quad_exactly_once(self):
         """A triangle fan must tile its polygon with no seams or overlap."""

@@ -141,3 +141,44 @@ class TestConfigureJsonLogging:
             teardown_handler(handler2)
         assert emitted(stream1) == []
         assert [r["event"] for r in emitted(stream2)] == ["routed"]
+
+
+class TestUnconfigured:
+    """With no logging configured, events print nothing on stderr."""
+
+    def test_warning_writes_nothing_to_stderr(self, capfd, monkeypatch):
+        # No handler on the stdlib root (pytest installs its own there),
+        # so only the repro tree's own handlers stand between a record
+        # and logging.lastResort.
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        log_event(
+            get_logger("observability.live"), "watchdog.alert",
+            level=logging.WARNING, rule="zeb-overflow-rate",
+        )
+        assert capfd.readouterr().err == ""
+
+    def test_without_the_null_handler_the_last_resort_prints(
+        self, capfd, monkeypatch
+    ):
+        """The check above is live: removing the package's NullHandler
+        brings back the bare event name on stderr."""
+        monkeypatch.setattr(logging.getLogger(), "handlers", [])
+        root = logging.getLogger(ROOT_LOGGER_NAME)
+        monkeypatch.setattr(root, "handlers", [
+            h for h in root.handlers if not isinstance(h, logging.NullHandler)
+        ])
+        log_event(get_logger("observability.live"), "watchdog.alert",
+                  level=logging.WARNING)
+        assert capfd.readouterr().err.strip() == "watchdog.alert"
+
+    def test_caplog_and_json_handler_still_see_the_record(self, caplog):
+        stream, handler = capture_events()
+        try:
+            log_event(get_logger("test"), "json.routed", level=logging.WARNING)
+        finally:
+            teardown_handler(handler)
+        assert [r["event"] for r in emitted(stream)] == ["json.routed"]
+        with caplog.at_level(logging.WARNING, logger=ROOT_LOGGER_NAME):
+            log_event(get_logger("test"), "caplog.routed",
+                      level=logging.WARNING)
+        assert [r.getMessage() for r in caplog.records] == ["caplog.routed"]
