@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.energy.components import ComponentEnergies
 from repro.gpu.config import GPUConfig
 from repro.gpu.stats import GPUStats
@@ -24,9 +26,9 @@ from repro.observability.counters import CounterAlgebra, CounterRegistry
 
 @dataclass
 class RBCDEnergyBreakdown(CounterAlgebra):
-    """Per-component energy of the RBCD unit (one frame, one tile, or
-    any accumulation — every field merges by plain sum via
-    :class:`~repro.observability.counters.CounterAlgebra`)."""
+    """Per-component energy of the RBCD unit (one frame, a frame's tiles
+    as per-tile arrays, or any accumulation — every field merges by
+    plain sum via :class:`~repro.observability.counters.CounterAlgebra`)."""
 
     insertion_j: float = 0.0
     overlap_j: float = 0.0
@@ -98,20 +100,19 @@ class RBCDEnergyModel:
         return fraction * self.gpu_static_power_w
 
     def tile_breakdown(self, result) -> RBCDEnergyBreakdown:
-        """Dynamic energy of one computed tile
-        (:class:`~repro.rbcd.unit.RBCDTileResult`).
+        """Dynamic energy of every tile of a frame's
+        :class:`~repro.rbcd.unit.RBCDTiles`, each field a per-tile array.
 
         Static leakage is excluded — it accrues with *frame* time, not
-        per tile — so summing a frame's tile breakdowns reproduces its
-        dynamic energy exactly
-        (``breakdown(stats)`` minus its ``static_j``).
+        per tile — so summing a frame's tiles reproduces its dynamic
+        energy exactly (``breakdown(stats)`` minus its ``static_j``).
         """
         return RBCDEnergyBreakdown(
-            insertion_j=result.zeb.insertions
+            insertion_j=result.insertions
             * self.insertion_energy_per_fragment_j(),
             overlap_j=result.analyzed_elements
             * self.overlap_energy_per_element_j(),
-            output_j=result.overlap.pair_records
+            output_j=np.diff(result.pair_offsets)
             * self.components.pair_record_write_j,
         )
 

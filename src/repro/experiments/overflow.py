@@ -41,13 +41,11 @@ class OverflowSweepResult:
 
 
 def rerun_unit(frags: FragmentSoup, gpu_config: GPUConfig) -> RBCDUnit:
-    """Feed a frame's collisionable fragments through a fresh RBCD unit,
-    tile by tile in tile-schedule order."""
+    """Feed a frame's collisionable fragments through a fresh RBCD unit."""
     unit = RBCDUnit(gpu_config)
-    for result in TileExecutor().run(
-        gpu_config, gather_tile_tasks(frags, gpu_config)
-    ):
-        unit.absorb(result)
+    unit.absorb(
+        TileExecutor().run(gpu_config, gather_tile_tasks(frags, gpu_config))
+    )
     return unit
 
 
@@ -77,9 +75,9 @@ def overflow_sweep(
                 spare_entries_per_tile=spare_entries,
             )
             unit = rerun_unit(result.fragments, cfg_m)
-            insertions[m] += unit.insertions
-            overflows[m] += unit.overflow_events
-            spares[m] += unit.spare_allocations
+            insertions[m] += unit.tiles.zeb.insertions
+            overflows[m] += unit.tiles.zeb.overflow_events
+            spares[m] += unit.tiles.zeb.spare_allocations
             pairs[m].append({(p.id_a, p.id_b) for p in unit.report.pairs})
 
     rates = {

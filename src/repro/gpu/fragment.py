@@ -46,6 +46,7 @@ class ShadingResult:
     color: np.ndarray            # (H, W, 3) float RGB, black where unwritten
     shaded_mask: np.ndarray      # (N,) fragments that were shaded
     shader_cycles_total: float   # summed single-processor cycles
+    tile_cycles: np.ndarray | None = None  # (tiles,) the same, per tile
 
 
 def shade_fragments(
@@ -55,6 +56,7 @@ def shade_fragments(
     config: GPUConfig,
     stats: GPUStats,
     deferred_shading: bool = False,
+    tile_index: np.ndarray | None = None,
 ) -> ShadingResult:
     """Shade the early-Z survivors and resolve the color buffer.
 
@@ -62,10 +64,16 @@ def shade_fragments(
     hidden-surface removal guarantees the fragment processors run only
     for the fragments that reach the final image — exactly one per
     covered pixel — instead of every early-Z pass.
+
+    Given each fragment's ``tile_index``, the result also carries the
+    shader cycles per tile, summed in fragment order.
     """
+    tile_cycles = None if tile_index is None else np.zeros(config.tile_count)
     if frags.count == 0 or frame.raster_only:
         color = np.zeros((config.screen_height, config.screen_width, 3))
-        return ShadingResult(color, np.zeros(frags.count, dtype=bool), 0.0)
+        return ShadingResult(
+            color, np.zeros(frags.count, dtype=bool), 0.0, tile_cycles
+        )
 
     if deferred_shading:
         shaded = scratch.empty("fragment.shaded", frags.count, np.bool_)
@@ -74,8 +82,14 @@ def shade_fragments(
     else:
         shaded = depth.passed
     per_draw = fragment_shader_cycles_per_draw(frame, config)
-    _, costs = shaded_cycles(frags, shaded, per_draw)
+    idx, costs = shaded_cycles(frags, shaded, per_draw)
     cycles = float(costs.sum())
+    if tile_index is not None:
+        tile = scratch.empty("tmp.0", idx.shape[0], tile_index.dtype)
+        np.take(tile_index, idx, out=tile, mode="clip")
+        tile_cycles = np.bincount(
+            tile, weights=costs, minlength=config.tile_count
+        )
 
     num_shaded = int(np.count_nonzero(shaded))
     stats.fragments_shaded += num_shaded
@@ -98,7 +112,7 @@ def shade_fragments(
     color = np.take(palette, draw, axis=0)
     stats.color_writes += draw.size - int(np.count_nonzero(unwritten))
 
-    return ShadingResult(color, shaded, cycles)
+    return ShadingResult(color, shaded, cycles, tile_cycles)
 
 
 def shaded_cycles(

@@ -7,20 +7,20 @@ output buffer.  The simulator computes a frame's tiles together:
 :func:`gather_tile_tasks` groups the collisionable fragments by tile
 into one :class:`TileBatch`, :class:`TileExecutor` hands the batch to
 :func:`repro.rbcd.unit.compute_tile` (one ZEB build and one lock-step
-Z-Overlap pass for the whole frame, split back into per-tile results),
-and the caller absorbs the results tile by tile with
+Z-Overlap pass for the whole frame), and the caller absorbs the one
+columnar :class:`~repro.rbcd.unit.RBCDTiles` it returns with
 :meth:`RBCDUnit.absorb`.
 
 Determinism argument:
 
 1. :func:`compute_tile` is a pure function of ``(config, batch)`` and
-   each tile's result depends on that tile's fragments alone — its
-   keys keep it in its own ZEB lists and spare pool.
-2. Results come back in tile-schedule order, the order of the batch.
-3. Absorbing the results (and summing their stats) runs over that
-   order, so contact-record ordering, counters and the per-tile cycle
-   arrays fed to the stall model are fixed.  Simulated ``gpu_cycles``
-   are computed from those per-tile timings — never from wall clock.
+   each tile's slice of its result depends on that tile's fragments
+   alone — its keys keep it in its own ZEB lists and spare pool.
+2. The per-tile columns follow the batch's tile-schedule order, and the
+   pair records are regrouped into that order once, so contact-record
+   ordering, counters and the per-tile cycle arrays fed to the stall
+   model are fixed.  Simulated ``gpu_cycles`` are computed from those
+   per-tile timings — never from wall clock.
 
 The module keeps its historical name because the benchmark harness
 (``perfbench/layers.py``) patches ``TileExecutor.run`` and
@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.gpu.config import GPUConfig
-from repro.rbcd.unit import RBCDTileResult, compute_tile
+from repro.rbcd.unit import RBCDTiles, compute_tile
 
 __all__ = [
     "TileBatch",
@@ -136,11 +136,12 @@ def gather_tile_tasks(
 class TileExecutor:
     """Runs a frame's RBCD work: one :func:`compute_tile` call per batch.
 
-    :meth:`run` returns per-tile results in tile-schedule order.  The
-    executor holds no state, so one instance serves every frame and
-    config — pass the config per call.
+    :meth:`run` returns one :class:`~repro.rbcd.unit.RBCDTiles` whose
+    per-tile columns follow the batch.  The executor holds no state, so
+    one instance serves every frame and config — pass the config per
+    call.
     """
 
-    def run(self, config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult]:
-        """Compute every tile of ``batch``; results in batch order."""
+    def run(self, config: GPUConfig, batch: TileBatch) -> RBCDTiles:
+        """Compute every tile of ``batch`` in one pass."""
         return compute_tile(config, batch)

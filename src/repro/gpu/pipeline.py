@@ -46,12 +46,7 @@ from repro.gpu.caches import Cache
 from repro.gpu.commands import Frame
 from repro.gpu.config import GPUConfig
 from repro.gpu.earlyz import DepthTestResult, depth_test
-from repro.gpu.fragment import (
-    ShadingResult,
-    fragment_shader_cycles_per_draw,
-    shade_fragments,
-    shaded_cycles,
-)
+from repro.gpu.fragment import ShadingResult, shade_fragments
 from repro.gpu.parallel import TileExecutor, gather_tile_tasks
 from repro.gpu.raster import FragmentSoup, rasterize
 from repro.gpu.shading import shade_draws, vertex_stage_cycles
@@ -205,8 +200,8 @@ class GPU:
         snapshots and watchdogs) or a
         :class:`~repro.observability.tileprofile.TileProfiler`
         (per-tile grids).  :meth:`render_frame` calls their hooks at
-        frame begin, after each absorbed RBCD tile (tile-schedule
-        order) and at frame end.  Observers are strictly observational:
+        frame begin, once the RBCD unit has absorbed the frame's tiles,
+        and at frame end.  Observers are strictly observational:
         every result is bit-identical with any set of them attached.
         """
         if rendering_mode not in ("tbr", "tbdr", "imr"):
@@ -242,9 +237,9 @@ class GPU:
         """Render one frame; returns image, stats and collisions.
 
         The one place observer hooks fire, for every rendering mode:
-        ``begin_frame`` first, ``record_tile`` per absorbed RBCD tile,
-        ``end_frame`` last.  A frame that raises closes its spans and
-        gets no ``end_frame``.
+        ``begin_frame`` first, ``record_tiles`` once the RBCD unit has
+        absorbed the frame, ``end_frame`` last.  A frame that raises
+        closes its spans and gets no ``end_frame``.
 
         The frame's internal arrays live in this thread's scratch
         (:mod:`repro.gpu.scratch`); everything the result holds is
@@ -334,6 +329,7 @@ class GPU:
                     ),
                     shaded_mask=np.zeros(frags.count, dtype=bool),
                     shader_cycles_total=0.0,
+                    tile_cycles=np.zeros(config.tile_count),
                 )
             else:
                 with tracer.span("raster.early-z"):
@@ -342,6 +338,7 @@ class GPU:
                     shading = shade_fragments(
                         frame, frags, depth, config, stats,
                         deferred_shading=self.rendering_mode == "tbdr",
+                        tile_index=tile_idx,
                     )
 
         # -- RBCD unit -----------------------------------------------------------
@@ -369,18 +366,6 @@ class GPU:
         with tracer.span("schedule") as schedule_span:
             frags_per_tile = np.bincount(tile_idx, minlength=config.tile_count)
 
-            shader_cycles_tile = np.zeros(config.tile_count)
-            if frags.count and not frame.raster_only:
-                per_draw = fragment_shader_cycles_per_draw(frame, config)
-                shaded_idx, cycles = shaded_cycles(
-                    frags, shading.shaded_mask, per_draw
-                )
-                shaded_tile = scratch.empty(
-                    "tmp.2", shaded_idx.shape[0], np.int64
-                )
-                np.take(tile_idx, shaded_idx, out=shaded_tile, mode="clip")
-                np.add.at(shader_cycles_tile, shaded_tile, cycles)
-
             prims_per_tile = np.diff(binning.tile_offsets).astype(np.float64)
             raster_busy_cycles = (
                 prims_per_tile * config.raster_setup_cycles_per_tri
@@ -393,7 +378,7 @@ class GPU:
             # Rasterizer busy work (the Figure 11 activity factor counts
             # busy cycles only).
             raster_effective = np.maximum(raster_busy_cycles, insertion_limit)
-            fragment_cycles = shader_cycles_tile / config.num_fragment_processors
+            fragment_cycles = shading.tile_cycles / config.num_fragment_processors
 
             active = (prims_per_tile > 0) | (frags_per_tile > 0)
             timing = _tile_schedule(
@@ -513,54 +498,56 @@ class GPU:
         overlap_cycles: np.ndarray,
         insertion_limit: np.ndarray,
     ) -> CollisionReport:
-        """Feed every collisionable fragment to the unit, tile by tile.
+        """Feed every collisionable fragment to the unit in one pass.
 
         :class:`~repro.gpu.parallel.TileExecutor` computes the frame's
-        tiles in one pass; the results are absorbed in tile-schedule
-        order.
-
-        The host wall time of that one compute pass belongs to the
-        enclosing ``rbcd`` stage span.  Per-tile spans and observer
-        ``record_tile`` hooks fire afterwards, at absorb time, in
-        tile-schedule order: ``rbcd.tile`` and its ``rbcd.zeb-insert``
-        / ``rbcd.z-overlap`` children carry the tile's simulated
-        insertion/overlap cycles, and their wall time is the absorb
-        cost only.
+        tiles together and the unit absorbs the one result.  Its host
+        wall time belongs to the enclosing ``rbcd`` stage span.  The
+        per-tile spans (``rbcd.tile`` and its ``rbcd.zeb-insert`` /
+        ``rbcd.z-overlap`` children, tile-schedule order) open
+        afterwards: they carry each tile's simulated cycles, and no
+        work.  Observers' ``record_tiles`` hook then gets the result.
         """
         tracer = self.tracer
         batch = gather_tile_tasks(frags, self.config, tile_idx)
         stats.rbcd_fragments_in += batch.fragment_count
-        observers = self.observers
-        for result in self._executor.run(self.config, batch):
-            with tracer.span(
-                "rbcd.tile", category="tile", tile=result.tile_index
-            ) as tile_span:
-                with tracer.span("rbcd.zeb-insert") as insert_span:
-                    insert_span.cycles = result.insertion_cycles
-                    insert_span.annotate(insertions=result.zeb.insertions)
-                with tracer.span("rbcd.z-overlap") as overlap_span:
-                    overlap_span.cycles = result.overlap_cycles
-                    overlap_span.annotate(
-                        lists=result.analyzed_lists,
-                        elements=result.analyzed_elements,
-                    )
-                unit.absorb(result)
-                if observers:
-                    # Observers run as a nested frame: what they render
-                    # or take from scratch is fresh, never this frame's.
-                    with scratch.frame():
-                        for observer in observers:
-                            observer.record_tile(result)
-                tile_span.cycles = result.insertion_cycles + result.overlap_cycles
-            overlap_cycles[result.tile_index] = result.overlap_cycles
-            insertion_limit[result.tile_index] = result.insertion_cycles
+        result = self._executor.run(self.config, batch)
+        unit.absorb(result)
+        overlap_cycles[result.tile_index] = result.overlap_cycles
+        insertion_limit[result.tile_index] = result.insertion_cycles
+        if tracer.enabled:
+            for tile, insertion, overlap, insertions, lists, elements in zip(
+                result.tile_index.tolist(),
+                result.insertion_cycles.tolist(),
+                result.overlap_cycles.tolist(),
+                result.insertions.tolist(),
+                result.analyzed_lists.tolist(),
+                result.analyzed_elements.tolist(),
+            ):
+                with tracer.span(
+                    "rbcd.tile", category="tile", tile=tile
+                ) as tile_span:
+                    with tracer.span("rbcd.zeb-insert") as insert_span:
+                        insert_span.cycles = insertion
+                        insert_span.annotate(insertions=insertions)
+                    with tracer.span("rbcd.z-overlap") as overlap_span:
+                        overlap_span.cycles = overlap
+                        overlap_span.annotate(lists=lists, elements=elements)
+                    tile_span.cycles = insertion + overlap
+        if self.observers:
+            # Observers run as a nested frame: what they render or take
+            # from scratch is fresh, never this frame's.
+            with scratch.frame():
+                for observer in self.observers:
+                    observer.record_tiles(result)
 
-        stats.zeb_insertions += unit.insertions
-        stats.zeb_overflow_events += unit.overflow_events
-        stats.zeb_spare_allocations += unit.spare_allocations
-        stats.zeb_lists_analyzed += unit.lists_analyzed
-        stats.overlap_elements_read += unit.elements_read
-        stats.ff_stack_overflows += unit.stack_overflows
-        stats.unmatched_backfaces += unit.unmatched_backfaces
-        stats.collision_pairs_emitted += unit.report.pair_records_written
+        zeb, overlap = result.zeb, result.overlap
+        stats.zeb_insertions += zeb.insertions
+        stats.zeb_overflow_events += zeb.overflow_events
+        stats.zeb_spare_allocations += zeb.spare_allocations
+        stats.zeb_lists_analyzed += int(result.analyzed_lists.sum())
+        stats.overlap_elements_read += int(result.analyzed_elements.sum())
+        stats.ff_stack_overflows += overlap.stack_overflows
+        stats.unmatched_backfaces += overlap.unmatched_backfaces
+        stats.collision_pairs_emitted += overlap.pair_records
         return unit.report

@@ -67,7 +67,6 @@ from repro.observability.export import (
 from repro.observability.provenance import (
     PairEvidence,
     ProvenanceRecorder,
-    evidence_from_tile,
     validate_evidence_record,
     validate_provenance_ndjson,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "write_chrome_trace",
     "PairEvidence",
     "ProvenanceRecorder",
-    "evidence_from_tile",
     "validate_evidence_record",
     "validate_provenance_ndjson",
     "provenance_instant_events",

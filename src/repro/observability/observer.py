@@ -10,8 +10,9 @@ or ``CollisionService.register``; ``GPU.render_frame`` is the only
 caller of the hooks, for every rendering mode:
 
 * :meth:`begin_frame` before any work, with the frame's ``GPUConfig``;
-* :meth:`record_tile` once per RBCD tile, right after the unit absorbs
-  it, in tile-schedule order (and never fires without an RBCD unit);
+* :meth:`record_tiles` once per RBCD frame, right after the unit
+  absorbs the frame's :class:`~repro.rbcd.unit.RBCDTiles`, even when
+  the frame has no tiles (and never without an RBCD unit);
 * :meth:`end_frame` with the finished
   :class:`~repro.gpu.pipeline.FrameResult` and the host wall seconds
   the frame took.  A frame that raises gets no ``end_frame``.
@@ -32,8 +33,8 @@ class FrameObserver:
     def begin_frame(self, config) -> None:
         """A frame is about to render under ``config``."""
 
-    def record_tile(self, result) -> None:
-        """One :class:`~repro.rbcd.unit.RBCDTileResult` was absorbed."""
+    def record_tiles(self, result) -> None:
+        """The frame's :class:`~repro.rbcd.unit.RBCDTiles` was absorbed."""
 
     def end_frame(self, result, wall_s: float) -> None:
         """The frame finished: its ``FrameResult`` and host wall time."""

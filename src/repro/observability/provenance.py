@@ -16,21 +16,26 @@ totals:
 Design invariant — *strictly observational*: the evidence fields are
 computed unconditionally inside :func:`repro.rbcd.overlap.analyze_tile`
 (they ride in :class:`~repro.rbcd.overlap.OverlapResult`), and the
-recorder merely collects them in its ``record_tile`` hook, which the
-pipeline calls right after :meth:`RBCDUnit.absorb`, in tile-schedule
-order.  Detection results, ``rbcd.*`` counters, and energy reports are
+recorder merely reads the pair columns of the frame's
+:class:`~repro.rbcd.unit.RBCDTiles` in its ``record_tiles`` hook,
+which the pipeline calls right after :meth:`RBCDUnit.absorb`.
+Detection results, ``rbcd.*`` counters, and energy reports are
 therefore bit-identical with the recorder on or off
 (``tests/integration/test_observer_differential.py``).
 
 Recordings come out ordered by ``(frame, tile, record)``, where
-``record`` is the emission index within the tile's output buffer,
-because tiles are absorbed in tile-schedule order.
+``record`` is the emission index within the tile's output buffer: the
+result's pairs are in tile-schedule order, and every evidence record
+corresponds 1:1 (same order) to a contact record in the frame's
+:class:`~repro.rbcd.pairs.CollisionReport`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.observability.counters import CounterRegistry
 from repro.observability.observer import FrameObserver
@@ -45,7 +50,6 @@ from repro.rbcd.overlap import (
 __all__ = [
     "PairEvidence",
     "ProvenanceRecorder",
-    "evidence_from_tile",
     "validate_evidence_record",
     "validate_provenance_ndjson",
 ]
@@ -108,48 +112,6 @@ class PairEvidence:
         }
 
 
-def evidence_from_tile(result, gpu_config, frame: int = 0) -> list[PairEvidence]:
-    """Evidence records for every pair one tile emitted.
-
-    ``result`` is an :class:`~repro.rbcd.unit.RBCDTileResult`; the
-    pixel-coordinate reconstruction mirrors
-    :meth:`RBCDUnit._record_pairs` exactly, so every evidence record
-    corresponds 1:1 (same order) to a contact record in the frame's
-    :class:`~repro.rbcd.pairs.CollisionReport`.
-    """
-    overlap = result.overlap
-    if overlap.pair_records == 0:
-        return []
-    config = gpu_config.rbcd
-    ts = gpu_config.tile_size
-    tiles_x = gpu_config.tiles_x
-    tile_x0 = (result.tile_index % tiles_x) * ts
-    tile_y0 = (result.tile_index // tiles_x) * ts
-    local = result.zeb.pixel_index[overlap.pair_row]
-    px = tile_x0 + (local % ts)
-    py = tile_y0 + (local // ts)
-    zf = dequantize_depth(overlap.pair_z_front, config)
-    zb = dequantize_depth(overlap.pair_z_back, config)
-    return [
-        PairEvidence(
-            frame=frame,
-            tile=result.tile_index,
-            record=k,
-            x=int(px[k]),
-            y=int(py[k]),
-            id_front=int(overlap.pair_id_a[k]),
-            id_back=int(overlap.pair_id_b[k]),
-            z_front_code=int(overlap.pair_z_front[k]),
-            z_back_code=int(overlap.pair_z_back[k]),
-            z_front=float(zf[k]),
-            z_back=float(zb[k]),
-            stack_depth=int(overlap.pair_stack_depth[k]),
-            case_id=int(overlap.pair_case[k]),
-        )
-        for k in range(overlap.pair_records)
-    ]
-
-
 class ProvenanceRecorder(FrameObserver):
     """Opt-in, strictly observational collector of pair evidence.
 
@@ -188,9 +150,10 @@ class ProvenanceRecorder(FrameObserver):
     def current_frame(self) -> int:
         return max(self.frames - 1, 0)
 
-    def record_tile(self, result) -> None:
-        """Collect one absorbed tile's evidence (tile-schedule order)."""
-        self.tiles_recorded += 1
+    def record_tiles(self, result) -> None:
+        """Collect the evidence of a frame's absorbed
+        :class:`~repro.rbcd.unit.RBCDTiles`, in output-buffer order."""
+        self.tiles_recorded += len(result)
         overlap = result.overlap
         self.case_counts[CASE_DISJOINT] += overlap.disjoint_closures
         self.case_counts[CASE_CROSSING] += int(
@@ -200,8 +163,30 @@ class ProvenanceRecorder(FrameObserver):
             (overlap.pair_case == CASE_NESTED).sum()
         )
         self.self_pairs_filtered += overlap.self_pairs_filtered
+        # Each record's tile, and its index within that tile's records.
+        per_tile = np.diff(result.pair_offsets)
+        tile = np.repeat(result.tile_index, per_tile)
+        record = np.arange(overlap.pair_records) - np.repeat(
+            result.pair_offsets[:-1], per_tile
+        )
+        frame = self.current_frame
+        config = self.config.rbcd
         self.records.extend(
-            evidence_from_tile(result, self.config, frame=self.current_frame)
+            PairEvidence(frame, *row)
+            for row in zip(
+                tile.tolist(),
+                record.tolist(),
+                result.x.tolist(),
+                result.y.tolist(),
+                overlap.pair_id_a.tolist(),
+                overlap.pair_id_b.tolist(),
+                overlap.pair_z_front.tolist(),
+                overlap.pair_z_back.tolist(),
+                dequantize_depth(overlap.pair_z_front, config).tolist(),
+                dequantize_depth(overlap.pair_z_back, config).tolist(),
+                overlap.pair_stack_depth.tolist(),
+                overlap.pair_case.tolist(),
+            )
         )
 
     # -- views --------------------------------------------------------------
@@ -220,9 +205,10 @@ class ProvenanceRecorder(FrameObserver):
     def registry(self) -> CounterRegistry:
         """``rbcd.case.*`` / ``rbcd.evidence.*`` counters.
 
-        A separate registry from :meth:`RBCDUnit.counters` so the
-        recorder never perturbs existing counter values; merge it into
-        a frame registry explicitly when a combined view is wanted.
+        A separate registry from the frame's ``GPUStats`` counters so
+        the recorder never perturbs existing counter values; merge it
+        into a frame registry explicitly when a combined view is
+        wanted.
         """
         registry = CounterRegistry()
         for name, value, description in (

@@ -26,13 +26,16 @@ contract every observer obeys, differential-tested by
 * **zero feedback** — recording reads tile results and writes only the
   profiler's own grids, so every detection output is bit-identical with
   the profiler attached or not;
-* **deterministic** — tiles are recorded at absorb time in
-  tile-schedule order, and every grid cell is a plain per-tile sum.
+* **deterministic** — each frame's tiles are recorded once the unit
+  has absorbed them, and every grid cell is a plain per-tile sum,
+  frame by frame.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
+
+import numpy as np
 
 from repro.observability.observer import FrameObserver
 
@@ -48,7 +51,7 @@ class TileProfiler(FrameObserver):
     """Accumulates per-tile RBCD activity grids across frames.
 
     Attach in ``observers=``; the pipeline calls :meth:`begin_frame`
-    once per frame and :meth:`record_tile` once per absorbed tile.
+    and :meth:`record_tiles` once per frame.
     Grid dimensions are fixed by the first frame's config — a profiler
     never spans screen configurations — and the energy grid is priced
     by that config's :class:`~repro.energy.rbcd_power.RBCDEnergyModel`.
@@ -58,7 +61,7 @@ class TileProfiler(FrameObserver):
         self._tiles_x = 0
         self._tiles_y = 0
         self.frames = 0
-        self._grids: dict[str, list[float]] = {}
+        self._grids: dict[str, np.ndarray] = {}
         self._energy_model = None
 
     @property
@@ -86,7 +89,7 @@ class TileProfiler(FrameObserver):
             self._tiles_x = config.tiles_x
             self._tiles_y = config.tiles_y
             self._grids = {
-                name: [0.0] * self.tile_count for name in GRID_NAMES
+                name: np.zeros(self.tile_count) for name in GRID_NAMES
             }
         elif (config.tiles_x, config.tiles_y) != (self._tiles_x, self._tiles_y):
             raise ValueError(
@@ -103,23 +106,22 @@ class TileProfiler(FrameObserver):
             self._energy_model = RBCDEnergyModel(config)
         self.frames += 1
 
-    def record_tile(self, result) -> None:
-        """Absorb one tile's :class:`~repro.rbcd.unit.RBCDTileResult`.
+    def record_tiles(self, result) -> None:
+        """Add a frame's :class:`~repro.rbcd.unit.RBCDTiles` to the grids.
 
         Purely observational: reads the result, mutates only this
         profiler.
         """
         if self._energy_model is None:
-            raise RuntimeError("record_tile() before begin_frame()")
-        idx = result.tile_index
-        self._grids["cycles"][idx] += (
-            result.insertion_cycles + result.overlap_cycles
-        )
-        self._grids["energy_j"][idx] += (
+            raise RuntimeError("record_tiles() before begin_frame()")
+        tiles = result.tile_index
+        grids = self._grids
+        grids["cycles"][tiles] += result.insertion_cycles + result.overlap_cycles
+        grids["energy_j"][tiles] += (
             self._energy_model.tile_breakdown(result).total_j
         )
-        self._grids["activity"][idx] += result.zeb.insertions
-        self._grids["lookups"][idx] += 1
+        grids["activity"][tiles] += result.insertions
+        grids["lookups"][tiles] += 1
 
     def grid(self, name: str) -> list[float]:
         """One grid, row-major ``tiles_y`` x ``tiles_x`` (flat copy)."""
@@ -127,7 +129,7 @@ class TileProfiler(FrameObserver):
             raise KeyError(f"unknown grid {name!r} (have {GRID_NAMES})")
         if not self._grids:
             return []
-        return list(self._grids[name])
+        return self._grids[name].tolist()
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready view: dimensions, frame count, and every grid."""
@@ -151,7 +153,7 @@ class TileProfiler(FrameObserver):
         if profiler.tile_count:
             profiler._grids = {}
             for name in GRID_NAMES:
-                values = [float(v) for v in data.get(name, ())]
+                values = np.array(data.get(name, ()), dtype=np.float64)
                 if len(values) != profiler.tile_count:
                     raise ValueError(
                         f"grid {name!r} has {len(values)} cells, expected "

@@ -26,10 +26,11 @@ Each span records two clocks:
   carry the cycles ``compute_tile`` returned for that tile).
 
 The RBCD subtree is the exception on the wall clock.  A frame's tiles
-are computed in one pass, so that compute time sits in the ``rbcd``
-stage span itself, outside any tile.  ``rbcd.tile``, ``rbcd.zeb-insert``
-and ``rbcd.z-overlap`` open afterwards, as each tile is absorbed: they
-carry the tile's cycles, and their wall time is the absorb cost only.
+are computed and absorbed in one pass, so that time sits in the
+``rbcd`` stage span itself, outside any tile.  ``rbcd.tile``,
+``rbcd.zeb-insert`` and ``rbcd.z-overlap`` open afterwards, only when
+tracing, one set per tile in tile-schedule order: they carry cycles
+only, and time no work.
 
 Tracing is strictly observational: span bookkeeping never feeds back
 into the cycle model, so enabling a tracer changes no collision pair,

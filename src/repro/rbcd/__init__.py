@@ -12,7 +12,7 @@ from repro.rbcd.zeb import ZEBTile, build_zeb
 from repro.rbcd.overlap import OverlapResult, analyze_tile
 from repro.rbcd.manifold import ContactManifold, build_manifold, unproject_contacts
 from repro.rbcd.pairs import CollisionPair, ContactPoint, CollisionReport
-from repro.rbcd.unit import RBCDUnit, RBCDTileResult
+from repro.rbcd.unit import RBCDTiles, RBCDUnit
 
 __all__ = [
     "CollisionPair",
@@ -20,7 +20,7 @@ __all__ = [
     "CollisionReport",
     "ContactPoint",
     "OverlapResult",
-    "RBCDTileResult",
+    "RBCDTiles",
     "RBCDUnit",
     "ZEBTile",
     "analyze_tile",

@@ -2,15 +2,17 @@
 
 The hardware writes each detected pair ``<Idi, Idcur>`` with its
 coordinates to an output buffer headed for system memory (Section 3.5,
-step 2).  ``CollisionReport`` is the software-visible aggregation the
-CPU would read back: the set of colliding object pairs plus their
-per-pixel contact points.
+step 2).  ``CollisionReport`` is that buffer as the CPU reads it back,
+one column per record field, with the set of colliding object pairs
+and their per-pixel contact points as views.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+
+import numpy as np
 
 
 def canonical_pair(id_a: int, id_b: int) -> tuple[int, int]:
@@ -54,22 +56,63 @@ class CollisionPair:
         return object_id in (self.id_a, self.id_b)
 
 
-@dataclass
-class CollisionReport:
-    """All collisions detected in one frame."""
+def _column(dtype):
+    return field(default_factory=lambda: np.empty(0, dtype=dtype))
 
-    contacts: dict[CollisionPair, list[ContactPoint]] = field(
-        default_factory=lambda: defaultdict(list)
-    )
-    pair_records_written: int = 0  # raw output-buffer writes (with duplicates)
+
+@dataclass(frozen=True, eq=False)
+class CollisionReport:
+    """All collisions detected in one frame: the read-back output buffer.
+
+    One entry per pair record written, as parallel columns in
+    output-buffer (tile-schedule) order: the stacked front face's
+    object (``id_a``, Idi) and the closing back face's (``id_b``,
+    Idcur), the witness pixel, and the overlap interval's depths.  The
+    pair and contact views are computed from the columns.
+    """
+
+    id_a: np.ndarray = _column(np.int64)
+    id_b: np.ndarray = _column(np.int64)
+    x: np.ndarray = _column(np.int64)
+    y: np.ndarray = _column(np.int64)
+    z_front: np.ndarray = _column(np.float64)
+    z_back: np.ndarray = _column(np.float64)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            dtype = np.float64 if f.name.startswith("z_") else np.int64
+            object.__setattr__(
+                self, f.name, np.asarray(getattr(self, f.name), dtype=dtype)
+            )
+        if len({getattr(self, f.name).shape for f in fields(self)}) != 1:
+            raise ValueError("report columns must be parallel")
+
+    @property
+    def pair_records_written(self) -> int:
+        """Raw output-buffer writes (duplicates included)."""
+        return int(self.id_a.shape[0])
 
     @property
     def pairs(self) -> set[CollisionPair]:
-        return set(self.contacts.keys())
+        """The distinct colliding pairs."""
+        return {
+            CollisionPair.make(a, b)
+            for a, b in set(zip(self.id_a.tolist(), self.id_b.tolist()))
+        }
 
-    def add(self, id_a: int, id_b: int, contact: ContactPoint) -> None:
-        self.contacts[CollisionPair.make(id_a, id_b)].append(contact)
-        self.pair_records_written += 1
+    @cached_property
+    def contacts(self) -> dict[CollisionPair, list[ContactPoint]]:
+        """Each pair's contact points: pairs in order of first record,
+        each pair's points in record order."""
+        out: dict[CollisionPair, list[ContactPoint]] = {}
+        for a, b, *point in zip(
+            self.id_a.tolist(), self.id_b.tolist(), self.x.tolist(),
+            self.y.tolist(), self.z_front.tolist(), self.z_back.tolist(),
+        ):
+            out.setdefault(CollisionPair.make(a, b), []).append(
+                ContactPoint(*point)
+            )
+        return out
 
     def contact_count(self, id_a: int, id_b: int) -> int:
         return len(self.contacts.get(CollisionPair.make(id_a, id_b), []))
@@ -77,19 +120,18 @@ class CollisionReport:
     def colliding_with(self, object_id: int) -> set[int]:
         """Ids of every object in contact with ``object_id``."""
         out = set()
-        for pair in self.contacts:
+        for pair in self.pairs:
             if pair.involves(object_id):
                 out.add(pair.id_b if pair.id_a == object_id else pair.id_a)
         return out
 
     def as_sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted((p.id_a, p.id_b) for p in self.contacts)
+        return sorted((p.id_a, p.id_b) for p in self.pairs)
 
     def __contains__(self, pair) -> bool:
-        if isinstance(pair, CollisionPair):
-            return pair in self.contacts
-        id_a, id_b = pair
-        return CollisionPair.make(id_a, id_b) in self.contacts
+        if not isinstance(pair, CollisionPair):
+            pair = CollisionPair.make(*pair)
+        return pair in self.pairs
 
     def __len__(self) -> int:
-        return len(self.contacts)
+        return len(self.pairs)

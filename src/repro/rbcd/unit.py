@@ -5,10 +5,10 @@ Pipeline talks to.  In hardware the unit is fed one tile's
 collisionable fragments at a time (the Rasterizer's output order),
 fills that tile's ZEB, then runs the Z-Overlap Test over it.  The
 simulator computes all of a frame's tiles in one pass
-(:func:`compute_tile`) and hands back per-tile results; the pipeline
-timing model uses their cycle counts together with the configured
-number of ZEBs to decide when the Tile Scheduler stalls (Section 3.5,
-last paragraph).
+(:func:`compute_tile`) and hands back one columnar result; the
+pipeline timing model uses its per-tile cycle counts together with the
+configured number of ZEBs to decide when the Tile Scheduler stalls
+(Section 3.5, last paragraph).
 
 Cycle-model assumptions (the paper gives the structures, not the
 per-operation latencies):
@@ -29,16 +29,15 @@ per-operation latencies):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.gpu.config import GPUConfig, RBCDConfig
-from repro.observability.counters import CounterRegistry
 from repro.rbcd.element import dequantize_depth, max_object_id, quantize_depth
 from repro.rbcd.overlap import OverlapResult, analyze_tile
-from repro.rbcd.pairs import CollisionReport, ContactPoint
+from repro.rbcd.pairs import CollisionReport
 from repro.rbcd.zeb import ZEBTile, build_zeb
 
 if TYPE_CHECKING:
@@ -59,24 +58,44 @@ def _multi_object_lists(zeb: ZEBTile) -> np.ndarray:
 
 
 @dataclass
-class RBCDTileResult:
-    """Everything the unit produced for one tile.
+class RBCDTiles:
+    """One frame's RBCD output: frame-wide lists and pairs, per-tile columns.
 
-    Instances are self-contained (plain ints and numpy arrays):
-    :func:`compute_tile` builds them and the owning :class:`RBCDUnit`
-    absorbs them afterwards, in tile-schedule order.
+    ``zeb`` and ``overlap`` cover the whole frame.  The ZEB's lists are
+    keyed ``tile * tile_pixels + local pixel`` (so tile-major) and its
+    counters are frame totals.  The overlap's pair columns are in
+    output-buffer order: tile by tile in tile-schedule order, each
+    tile's pairs in its own (element step, list row, FF-Stack slot)
+    order; ``pair_row`` indexes the frame ZEB's lists.  ``x``/``y`` are
+    each pair's global witness pixel.
+
+    The per-tile arrays are aligned with ``tile_index`` (the batch's
+    tiles, ascending); tile ``k`` wrote pairs
+    ``pair_offsets[k]:pair_offsets[k + 1]``.  Everything is plain numpy
+    arrays and ints: :func:`compute_tile` builds one per frame and the
+    owning :class:`RBCDUnit` absorbs it.
     """
 
-    tile_index: int
     zeb: ZEBTile
     overlap: OverlapResult
-    insertion_cycles: float
-    overlap_cycles: float
-    analyzed_lists: int = 0
-    analyzed_elements: int = 0
+    x: np.ndarray                  # (K,) witness pixel of each pair
+    y: np.ndarray
+    tile_index: np.ndarray         # (T,)
+    insertions: np.ndarray         # (T,) fragments received
+    overflow_events: np.ndarray    # (T,)
+    spare_allocations: np.ndarray  # (T,)
+    analyzed_lists: np.ndarray     # (T,) multi-object lists walked
+    analyzed_elements: np.ndarray  # (T,) elements of those lists
+    tallies: np.ndarray            # (T, 4) columns as OverlapResult.list_tallies
+    insertion_cycles: np.ndarray   # (T,) float64
+    overlap_cycles: np.ndarray     # (T,) float64
+    pair_offsets: np.ndarray       # (T + 1,)
+
+    def __len__(self) -> int:
+        return int(self.tile_index.shape[0])
 
 
-def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult]:
+def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> RBCDTiles:
     """Pure RBCD computation of a frame's tiles: ZEB insertion + Z-Overlap.
 
     ``batch`` is a :class:`~repro.gpu.parallel.TileBatch` (global pixel
@@ -84,12 +103,9 @@ def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult
     fragment is keyed by ``(tile, local pixel)``, mirroring how the
     Rasterizer addresses its tile's ZEB, so one ZEB build and one
     lock-step Z-Overlap pass cover the frame while each tile keeps its
-    own lists and spare pool.  The frame result is then split into one
-    :class:`RBCDTileResult` per tile, in batch (tile-schedule) order,
-    each identical to what computing that tile alone gives.
+    own lists and spare pool.  Each tile's slice of the result is
+    identical to what computing that tile alone gives.
     """
-    if len(batch) == 0:
-        return []
     config = gpu_config.rbcd
     _check_object_ids(batch, config)
     sizes = np.diff(batch.offsets)
@@ -101,7 +117,7 @@ def compute_tile(gpu_config: GPUConfig, batch: TileBatch) -> list[RBCDTileResult
         config, gpu_config.tile_pixels,
     )
     overlap = analyze_tile(zeb, config)
-    return _split_by_tile(gpu_config, batch.tile_index, sizes, zeb, overlap)
+    return _tile_columns(gpu_config, batch.tile_index, sizes, zeb, overlap)
 
 
 def zeb_keys(
@@ -135,15 +151,17 @@ def _by_tile(slot: np.ndarray, num_tiles: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(slot, kind="stable"), np.bincount(slot, minlength=num_tiles)
 
 
-def _split_by_tile(
+def _tile_columns(
     gpu_config: GPUConfig,
     tiles: np.ndarray,
     sizes: np.ndarray,
     zeb: ZEBTile,
     overlap: OverlapResult,
-) -> list[RBCDTileResult]:
-    """Cut a frame-wide ZEB and traversal into per-tile results."""
+) -> RBCDTiles:
+    """Per-tile columns of a frame-wide ZEB and traversal, with the
+    pairs regrouped into output-buffer order."""
     tp = gpu_config.tile_pixels
+    ts = gpu_config.tile_size
     m = gpu_config.rbcd.list_length
     num_tiles = tiles.shape[0]
     counts = zeb.counts
@@ -159,10 +177,6 @@ def _split_by_tile(
         running = np.concatenate([zero, np.cumsum(values, axis=0)])
         return running[row_hi] - running[row_lo]
 
-    # Each tile's lists are padded only to that tile's longest list.
-    width = np.zeros(num_tiles, dtype=np.int64)
-    np.maximum.at(width, row_slot, counts)
-    elements = tile_sums(counts)
     # The multi-object filter: lists whose entries all belong to one
     # object are skipped by the overlap hardware (they cannot yield a
     # pair).  Functionally a no-op; counted for the cycle model.
@@ -172,165 +186,79 @@ def _split_by_tile(
 
     # Pairs come out in frame lock-step order (step, frame row, slot);
     # regrouping them by tile restores each tile's (step, row, slot).
-    pair_slot = row_slot[overlap.pair_row]
-    order, pair_records = _by_tile(pair_slot, num_tiles)
-    pair_hi = np.cumsum(pair_records)
-    columns = [overlap.pair_row[order] - row_lo[pair_slot[order]]] + [
-        column[order]
-        for column in (
-            overlap.pair_id_a,
-            overlap.pair_id_b,
-            overlap.pair_z_front,
-            overlap.pair_z_back,
-            overlap.pair_case,
-            overlap.pair_stack_depth,
+    order, pair_records = _by_tile(row_slot[overlap.pair_row], num_tiles)
+    overlap = replace(overlap, **{
+        name: getattr(overlap, name)[order]
+        for name in (
+            "pair_row", "pair_id_a", "pair_id_b", "pair_z_front",
+            "pair_z_back", "pair_case", "pair_stack_depth",
         )
-    ]
+    })
+    key = zeb.pixel_index[overlap.pair_row]
+    tile, local = np.divmod(key, tp)
+    tile_y, tile_x = np.divmod(tile, gpu_config.tiles_x)
     overlap_cycles = (
         tp / _BITMAP_PIXELS_PER_CYCLE
         + analyzed_lists
         + analyzed_elements
         + pair_records
     )
-
-    local_pixel = zeb.pixel_index - row_tile * tp
-    per_tile = np.column_stack([
-        sizes, row_lo, row_hi, width, pair_hi - pair_records, pair_hi,
-        elements,
+    return RBCDTiles(
+        zeb=zeb,
+        overlap=overlap,
+        x=tile_x * ts + local % ts,
+        y=tile_y * ts + local // ts,
+        tile_index=tiles,
+        insertions=sizes,
         # An arrival leaves its list's length unchanged exactly when it
         # is an overflow event, and a spare lengthens a list past M by one.
-        sizes - elements,
-        tile_sums(np.maximum(counts - m, 0)),
-        analyzed_lists,
-        analyzed_elements,
-        tile_sums(overlap.list_tallies),
-    ]).tolist()
-    results = []
-    for tile, cycles, (
-        size, lo, hi, w, plo, phi, read, overflows, spares, lists, analyzed,
-        *tallies,
-    ) in zip(tiles.tolist(), overlap_cycles.tolist(), per_tile):
-        tile_zeb = ZEBTile(
-            pixel_index=local_pixel[lo:hi],
-            counts=counts[lo:hi],
-            z_codes=zeb.z_codes[lo:hi, :w],
-            object_ids=zeb.object_ids[lo:hi, :w],
-            is_front=zeb.is_front[lo:hi, :w],
-            insertions=size,
-            overflow_events=overflows,
-            spare_allocations=spares,
-        )
-        tile_overlap = OverlapResult(
-            *(column[plo:phi] for column in columns),
-            elements_read=read,
-            pair_records=phi - plo,
-            stack_overflows=tallies[0],
-            unmatched_backfaces=tallies[1],
-            disjoint_closures=tallies[2],
-            self_pairs_filtered=tallies[3],
-            list_tallies=overlap.list_tallies[lo:hi],
-        )
-        results.append(RBCDTileResult(
-            tile_index=tile,
-            zeb=tile_zeb,
-            overlap=tile_overlap,
-            insertion_cycles=float(size),
-            overlap_cycles=cycles if size else 0.0,
-            analyzed_lists=lists,
-            analyzed_elements=analyzed,
-        ))
-    return results
+        overflow_events=sizes - tile_sums(counts),
+        spare_allocations=tile_sums(np.maximum(counts - m, 0)),
+        analyzed_lists=analyzed_lists,
+        analyzed_elements=analyzed_elements,
+        tallies=tile_sums(overlap.list_tallies),
+        insertion_cycles=sizes.astype(np.float64),
+        overlap_cycles=np.where(sizes > 0, overlap_cycles, 0.0),
+        pair_offsets=np.concatenate([[0], np.cumsum(pair_records)]),
+    )
 
 
 class RBCDUnit:
     """One RBCD unit attached to a GPU's raster pipeline.
 
-    The unit accumulates a per-frame :class:`CollisionReport`; call
-    :meth:`reset` between frames (the pipeline does this).
+    :meth:`absorb` takes one frame's :class:`RBCDTiles`; ``tiles`` then
+    holds it and ``report`` is the frame's :class:`CollisionReport`.
     """
 
     def __init__(self, gpu_config: GPUConfig) -> None:
         self.gpu_config = gpu_config
         self.config: RBCDConfig = gpu_config.rbcd
+        self.tiles: RBCDTiles | None = None
         self.report = CollisionReport()
-        self.insertions = 0
-        self.overflow_events = 0
-        self.spare_allocations = 0
-        self.lists_analyzed = 0
-        self.elements_read = 0
-        self.stack_overflows = 0
-        self.unmatched_backfaces = 0
 
-    def reset(self) -> None:
-        """Clear per-frame state (new frame, fresh report)."""
-        self.report = CollisionReport()
-        self.insertions = 0
-        self.overflow_events = 0
-        self.spare_allocations = 0
-        self.lists_analyzed = 0
-        self.elements_read = 0
-        self.stack_overflows = 0
-        self.unmatched_backfaces = 0
+    def absorb(self, result: RBCDTiles) -> None:
+        """Take one frame's result and read its output buffer back.
 
-    def absorb(self, result: RBCDTileResult) -> None:
-        """Fold one tile's result into the per-frame counters and report.
-
-        The pipeline absorbs results in tile-schedule order, which fixes
-        the report's contact-record order; every counter is a plain sum.
+        The report's records keep the result's pair order (tile-schedule
+        order), and its depths are the pairs' z codes dequantized.
         """
-        self.insertions += result.zeb.insertions
-        self.overflow_events += result.zeb.overflow_events
-        self.spare_allocations += result.zeb.spare_allocations
-        self.lists_analyzed += result.analyzed_lists
-        self.elements_read += result.analyzed_elements
-        self.stack_overflows += result.overlap.stack_overflows
-        self.unmatched_backfaces += result.overlap.unmatched_backfaces
-        self._record_pairs(result.tile_index, result.zeb, result.overlap)
-
-    def _record_pairs(
-        self, tile_index: int, zeb: ZEBTile, overlap: OverlapResult
-    ) -> None:
-        if overlap.pair_records == 0:
-            return
-        ts = self.gpu_config.tile_size
-        tiles_x = self.gpu_config.tiles_x
-        tile_x0 = (tile_index % tiles_x) * ts
-        tile_y0 = (tile_index // tiles_x) * ts
-        local = zeb.pixel_index[overlap.pair_row]
-        px = tile_x0 + (local % ts)
-        py = tile_y0 + (local // ts)
-        zf = dequantize_depth(overlap.pair_z_front, self.config)
-        zb = dequantize_depth(overlap.pair_z_back, self.config)
-        for k in range(overlap.pair_records):
-            self.report.add(
-                int(overlap.pair_id_a[k]),
-                int(overlap.pair_id_b[k]),
-                ContactPoint(int(px[k]), int(py[k]), float(zf[k]), float(zb[k])),
-            )
-
-    def counters(self) -> CounterRegistry:
-        """Named counter view of the unit's per-frame tallies."""
-        registry = CounterRegistry()
-        for name, value in (
-            ("rbcd.zeb_insertions", self.insertions),
-            ("rbcd.zeb_overflow_events", self.overflow_events),
-            ("rbcd.zeb_spare_allocations", self.spare_allocations),
-            ("rbcd.overlap_lists_analyzed", self.lists_analyzed),
-            ("rbcd.overlap_elements_read", self.elements_read),
-            ("rbcd.ff_stack_overflows", self.stack_overflows),
-            ("rbcd.unmatched_backfaces", self.unmatched_backfaces),
-            ("rbcd.pair_records_written", self.report.pair_records_written),
-        ):
-            registry.counter(name)
-            registry.set(name, value)
-        return registry
+        self.tiles = result
+        overlap = result.overlap
+        self.report = CollisionReport(
+            overlap.pair_id_a,
+            overlap.pair_id_b,
+            result.x,
+            result.y,
+            dequantize_depth(overlap.pair_z_front, self.config),
+            dequantize_depth(overlap.pair_z_back, self.config),
+        )
 
     @property
     def overflow_rate(self) -> float:
         """Fraction of insertion attempts finding a full list (Table 3)."""
-        if self.insertions == 0:
+        if self.tiles is None or self.tiles.zeb.insertions == 0:
             return 0.0
-        return self.overflow_events / self.insertions
+        return self.tiles.zeb.overflow_events / self.tiles.zeb.insertions
 
     def wants_cpu_fallback(self) -> bool:
         """Section 5.3 fallback: punt the frame to software CD when the

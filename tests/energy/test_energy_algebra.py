@@ -10,6 +10,7 @@ priced sum of stats.
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.energy.gpu_power import GPUEnergyBreakdown, GPUEnergyModel
@@ -38,6 +39,18 @@ def random_rbcd_breakdown(rng):
         output_j=rng.uniform(0, 1e-4),
         static_j=rng.uniform(0, 1e-4),
     )
+
+
+def tile_breakdowns(model, tiles) -> list[RBCDEnergyBreakdown]:
+    """``model.tile_breakdown``'s per-tile columns, one scalar breakdown
+    per tile."""
+    columns = model.tile_breakdown(tiles)
+    return [
+        RBCDEnergyBreakdown(*(float(value) for value in row))
+        for row in zip(
+            columns.insertion_j, columns.overlap_j, columns.output_j
+        )
+    ]
 
 
 def random_shards(items, rng):
@@ -166,26 +179,27 @@ class TestPricingLinearity:
         config = GPUConfig().with_screen(64, 32)
         model = RBCDEnergyModel(config)
         rng = random.Random(8)
-        tiles = [
-            SimpleNamespace(
-                zeb=SimpleNamespace(insertions=rng.randint(0, 500)),
-                analyzed_elements=rng.randint(0, 500),
-                overlap=SimpleNamespace(pair_records=rng.randint(0, 50)),
-            )
-            for _ in range(16)
-        ]
+        pairs = [rng.randint(0, 50) for _ in range(16)]
+        tiles = SimpleNamespace(
+            insertions=np.array([rng.randint(0, 500) for _ in range(16)]),
+            analyzed_elements=np.array(
+                [rng.randint(0, 500) for _ in range(16)]
+            ),
+            pair_offsets=np.cumsum([0] + pairs),
+        )
         frame_stats = GPUStats(
-            zeb_insertions=sum(t.zeb.insertions for t in tiles),
-            overlap_elements_read=sum(t.analyzed_elements for t in tiles),
-            collision_pairs_emitted=sum(t.overlap.pair_records for t in tiles),
+            zeb_insertions=int(tiles.insertions.sum()),
+            overlap_elements_read=int(tiles.analyzed_elements.sum()),
+            collision_pairs_emitted=sum(pairs),
             gpu_cycles=1e5,
         )
         frame = model.breakdown(frame_stats)
+        per_tile = tile_breakdowns(model, tiles)
+        assert len(per_tile) == 16
         for trial in range(10):
-            shards = random_shards(tiles, rng)
+            shards = random_shards(per_tile, rng)
             merged = RBCDEnergyBreakdown.sum(
-                RBCDEnergyBreakdown.sum(model.tile_breakdown(t) for t in shard)
-                for shard in shards
+                RBCDEnergyBreakdown.sum(shard) for shard in shards
             )
             assert merged.static_j == 0.0
             assert merged.insertion_j == pytest.approx(frame.insertion_j, **APPROX)
@@ -199,11 +213,12 @@ class TestPricingLinearity:
         config = GPUConfig().with_screen(64, 32)
         model = RBCDEnergyModel(config)
         tile = SimpleNamespace(
-            zeb=SimpleNamespace(insertions=10),
-            analyzed_elements=20,
-            overlap=SimpleNamespace(pair_records=2),
+            insertions=np.array([10]),
+            analyzed_elements=np.array([20]),
+            pair_offsets=np.array([0, 2]),
         )
-        reg = model.tile_breakdown(tile).registry().as_dict()
+        (breakdown,) = tile_breakdowns(model, tile)
+        reg = breakdown.registry().as_dict()
         assert reg["energy.rbcd.insertion_j"] == pytest.approx(
             10 * model.insertion_energy_per_fragment_j()
         )

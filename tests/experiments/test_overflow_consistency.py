@@ -30,12 +30,15 @@ class TestRerunMatchesPipeline:
     def test_same_insertions(self, rendered_frames):
         for result in rendered_frames:
             unit = rerun_unit(result.fragments, CFG)
-            assert unit.insertions == result.stats.zeb_insertions
+            assert unit.tiles.zeb.insertions == result.stats.zeb_insertions
 
     def test_same_overflow_events(self, rendered_frames):
         for result in rendered_frames:
             unit = rerun_unit(result.fragments, CFG)
-            assert unit.overflow_events == result.stats.zeb_overflow_events
+            assert (
+                unit.tiles.zeb.overflow_events
+                == result.stats.zeb_overflow_events
+            )
 
     def test_same_pairs(self, rendered_frames):
         for result in rendered_frames:
@@ -55,5 +58,11 @@ class TestRerunMatchesPipeline:
     def test_same_analysis_volume(self, rendered_frames):
         for result in rendered_frames:
             unit = rerun_unit(result.fragments, CFG)
-            assert unit.lists_analyzed == result.stats.zeb_lists_analyzed
-            assert unit.elements_read == result.stats.overlap_elements_read
+            assert (
+                int(unit.tiles.analyzed_lists.sum())
+                == result.stats.zeb_lists_analyzed
+            )
+            assert (
+                int(unit.tiles.analyzed_elements.sum())
+                == result.stats.overlap_elements_read
+            )

@@ -75,7 +75,11 @@ class TestStatsMergeAlgebra:
 
 class TestExecutorMachinery:
     def test_run_on_empty_task_list(self):
-        assert TileExecutor().run(GPUConfig(), []) == []
+        from tests.rbcd.tile_oracle import tile_batch
+
+        result = TileExecutor().run(GPUConfig(), tile_batch())
+        assert len(result) == 0
+        assert result.pair_offsets.tolist() == [0]
 
     def test_close_is_idempotent_and_reopenable(self, small_config):
         # The system holds no resources: close() is a no-op that may be
@@ -142,13 +146,10 @@ class TestExecutorMachinery:
             two_boxes_frame(small_config, 0.8), keep_fragments=True
         )
         tasks = gather_tile_tasks(result.fragments, small_config)
-        tile_results = TileExecutor().run(small_config, tasks)
-        assert [r.tile_index for r in tile_results] == [
-            t.tile_index for t in tasks
-        ]
-        assert sum(r.zeb.insertions for r in tile_results) == sum(
-            t.fragment_count for t in tasks
-        )
+        tiles = TileExecutor().run(small_config, tasks)
+        assert tiles.tile_index.tolist() == [t.tile_index for t in tasks]
+        assert tiles.insertions.tolist() == [t.fragment_count for t in tasks]
+        assert tiles.zeb.insertions == tasks.fragment_count
 
 
 class TestShardedMergeAlgebra:

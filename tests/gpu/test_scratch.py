@@ -196,14 +196,14 @@ def test_threads_render_as_if_alone():
 
 
 class FrameInHook(FrameObserver):
-    """Renders another frame from inside every ``record_tile``."""
+    """Renders another frame from inside every ``record_tiles``."""
 
     def __init__(self, frame, config):
         self.frame = frame
         self.config = config
         self.results = []
 
-    def record_tile(self, result) -> None:
+    def record_tiles(self, result) -> None:
         gpu = GPU(self.config)
         self.results.append(
             gpu.render_frame(self.frame, keep_fragments=True)

@@ -15,6 +15,7 @@ Regenerate the fixtures (after an *intentional* change) with:
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.gpu.config import GPUConfig
@@ -67,21 +68,18 @@ def snapshot_scene(alias: str) -> dict:
     assert not missing, f"counters renamed or removed: {missing}"
     frame_counters = {name: registry[name] for name in FRAME_COUNTER_NAMES}
 
-    tiles = []
-    executor = TileExecutor()
     tasks = gather_tile_tasks(result.fragments, config)
-    for tile in executor.run(config, tasks):
-        tiles.append({
-            "tile_index": tile.tile_index,
-            "insertions": tile.zeb.insertions,
-            "overflow_events": tile.zeb.overflow_events,
-            "spare_allocations": tile.zeb.spare_allocations,
-            "analyzed_lists": tile.analyzed_lists,
-            "analyzed_elements": tile.analyzed_elements,
-            "insertion_cycles": tile.insertion_cycles,
-            "overlap_cycles": tile.overlap_cycles,
-            "pair_records": tile.overlap.pair_records,
-        })
+    frame_tiles = TileExecutor().run(config, tasks)
+    columns = {
+        name: getattr(frame_tiles, name).tolist()
+        for name in (
+            "tile_index", "insertions", "overflow_events",
+            "spare_allocations", "analyzed_lists", "analyzed_elements",
+            "insertion_cycles", "overlap_cycles",
+        )
+    }
+    columns["pair_records"] = np.diff(frame_tiles.pair_offsets).tolist()
+    tiles = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     return {
         "scene": alias,

@@ -36,6 +36,7 @@ from tests.conftest import (
     two_boxes_frame,
     use_kernels,
 )
+from tests.gpu.test_color_oracle import off_screen
 from tests.gpu.test_parallel import frame_fingerprint
 
 # The four benchmark scenes plus hand-built primitive pairs that are
@@ -190,8 +191,9 @@ class HookLog(FrameObserver):
     def begin_frame(self, config):
         self.calls.append("begin")
 
-    def record_tile(self, result):
-        self.calls.append("tile")
+    def record_tiles(self, result):
+        self.calls.append("tiles")
+        self.tiles = len(result)
 
     def end_frame(self, result, wall_s):
         assert wall_s > 0.0
@@ -200,16 +202,27 @@ class HookLog(FrameObserver):
 
 @pytest.mark.parametrize("mode", ["tbr", "tbdr", "imr"])
 def test_hooks_fire_once_per_frame_in_every_mode(mode):
-    """begin → one record_tile per RBCD tile → end, the same way for
+    """begin → one record_tiles per RBCD frame → end, the same way for
     every rendering mode (IMR has no RBCD unit, so no tiles)."""
     log = HookLog()
     GPU(
         CONFIG, rbcd_enabled=mode != "imr", rendering_mode=mode,
         observers=[log],
     ).render_frame(sphere_pair_frame(CONFIG, 0.7))
-    tiles = log.calls.count("tile")
-    assert log.calls == ["begin"] + ["tile"] * tiles + ["end"]
-    assert (tiles > 0) == (mode != "imr")
+    rbcd = mode != "imr"
+    assert log.calls == ["begin"] + ["tiles"] * rbcd + ["end"]
+    assert not rbcd or log.tiles > 0
+
+
+def test_record_tiles_fires_for_a_frame_without_tiles():
+    """An RBCD frame with nothing collisionable on screen still gets
+    its one ``record_tiles``, with no tiles in it."""
+    log = HookLog()
+    GPU(CONFIG, observers=[log]).render_frame(
+        off_screen(sphere_pair_frame(CONFIG, 0.7))
+    )
+    assert log.calls == ["begin", "tiles", "end"]
+    assert log.tiles == 0
 
 
 # -- observer-specific properties ----------------------------------------------

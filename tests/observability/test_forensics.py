@@ -82,7 +82,7 @@ class TestRunForensics:
         coll = frags.object_id >= 0
         pixels = set(zip(frags.x[coll].tolist(), frags.y[coll].tolist()))
         replays = _FrameReplays(frame, frags, config)
-        events = rerun_unit(frags, config).overflow_events
+        events = rerun_unit(frags, config).tiles.zeb.overflow_events
         assert events > 0
         assert replays.overflow_at(sorted(pixels)) == events
         assert replays.overflow_at([]) == 0

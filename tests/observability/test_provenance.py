@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.parallel import TileExecutor, gather_tile_tasks
+from repro.gpu.parallel import gather_tile_tasks
 from repro.gpu.pipeline import GPU
 from repro.observability.export import (
     provenance_instant_events,
@@ -15,13 +15,14 @@ from repro.observability.export import (
 from repro.observability.provenance import (
     PairEvidence,
     ProvenanceRecorder,
-    evidence_from_tile,
     validate_evidence_record,
     validate_provenance_ndjson,
 )
 from repro.observability.tracer import Tracer
+from repro.rbcd.element import dequantize_depth
 from repro.rbcd.overlap import CASE_CROSSING, CASE_NESTED
 from tests.conftest import sphere_pair_frame, two_boxes_frame
+from tests.rbcd.tile_oracle import oracle_results
 
 
 def render_with_recorder(config, frame):
@@ -85,9 +86,42 @@ class TestEvidence:
         assert counters["rbcd.case.disjoint"] >= 0
 
 
+def tile_evidence(result, gpu_config, frame: int = 0) -> list[PairEvidence]:
+    """Evidence records for every pair one tile emitted, from a per-tile
+    oracle result (tile-local list rows and pixel keys)."""
+    overlap = result.overlap
+    config = gpu_config.rbcd
+    ts = gpu_config.tile_size
+    tile_x0 = (result.tile_index % gpu_config.tiles_x) * ts
+    tile_y0 = (result.tile_index // gpu_config.tiles_x) * ts
+    local = result.zeb.pixel_index[overlap.pair_row]
+    px = tile_x0 + (local % ts)
+    py = tile_y0 + (local // ts)
+    zf = dequantize_depth(overlap.pair_z_front, config)
+    zb = dequantize_depth(overlap.pair_z_back, config)
+    return [
+        PairEvidence(
+            frame=frame,
+            tile=result.tile_index,
+            record=k,
+            x=int(px[k]),
+            y=int(py[k]),
+            id_front=int(overlap.pair_id_a[k]),
+            id_back=int(overlap.pair_id_b[k]),
+            z_front_code=int(overlap.pair_z_front[k]),
+            z_back_code=int(overlap.pair_z_back[k]),
+            z_front=float(zf[k]),
+            z_back=float(zb[k]),
+            stack_depth=int(overlap.pair_stack_depth[k]),
+            case_id=int(overlap.pair_case[k]),
+        )
+        for k in range(overlap.pair_records)
+    ]
+
+
 class TestShardMerge:
-    """Evidence computed tile by tile with ``evidence_from_tile`` is
-    exactly what the recorder collects."""
+    """Evidence computed tile by tile, each tile alone (the per-tile
+    oracle), is exactly what the recorder collects from the frame."""
 
     def test_tile_evidence_of_matches_the_recorder(self, small_config):
         frame = two_boxes_frame(small_config, 0.8)
@@ -95,20 +129,22 @@ class TestShardMerge:
             small_config, frame
         )
         tasks = gather_tile_tasks(result.fragments, small_config)
-        tiles = TileExecutor().run(small_config, tasks)
         sharded = [
             ev
-            for tile in tiles
-            for ev in evidence_from_tile(tile, small_config, frame=0)
+            for tile in oracle_results(small_config, tasks)
+            for ev in tile_evidence(tile, small_config, frame=0)
         ]
+        assert len({ev.tile for ev in sharded}) > 1
         assert sharded == reference.records
 
-    def test_evidence_from_tile_empty_without_pairs(self, small_config):
+    def test_no_evidence_without_pairs(self, small_config):
         frame = two_boxes_frame(small_config, 1.6)  # separated: no pairs
-        _, result = render_with_recorder(small_config, frame)
+        recorder, result = render_with_recorder(small_config, frame)
         tasks = gather_tile_tasks(result.fragments, small_config)
-        for tile in TileExecutor().run(small_config, tasks):
-            assert evidence_from_tile(tile, small_config) == []
+        assert recorder.tiles_recorded == len(tasks) > 0
+        assert recorder.records == []
+        for tile in oracle_results(small_config, tasks):
+            assert tile_evidence(tile, small_config) == []
 
 
 class TestExport:

@@ -1,7 +1,6 @@
 """TileProfiler unit tests: grids, round-trips, guard rails."""
 
-from types import SimpleNamespace
-
+import numpy as np
 import pytest
 
 from repro.energy.rbcd_power import RBCDEnergyModel
@@ -10,16 +9,17 @@ from repro.observability.tileprofile import GRID_NAMES, TileProfiler
 
 
 class FakeResult:
-    """Duck-typed RBCDTileResult: just the fields record_tile reads."""
+    """Duck-typed RBCDTiles: just the per-tile columns record_tiles
+    reads, one pair record per tile."""
 
-    def __init__(self, tile_index, insertion=10.0, overlap=5.0,
-                 insertions=3):
-        self.tile_index = tile_index
-        self.insertion_cycles = insertion
-        self.overlap_cycles = overlap
-        self.zeb = SimpleNamespace(insertions=insertions)
-        self.analyzed_elements = 2 * insertions
-        self.overlap = SimpleNamespace(pair_records=1)
+    def __init__(self, *tiles, insertion=10.0, overlap=5.0, insertions=3):
+        n = len(tiles)
+        self.tile_index = np.array(tiles, dtype=np.int64)
+        self.insertion_cycles = np.full(n, insertion)
+        self.overlap_cycles = np.full(n, overlap)
+        self.insertions = np.full(n, insertions, dtype=np.int64)
+        self.analyzed_elements = 2 * self.insertions
+        self.pair_offsets = np.arange(n + 1, dtype=np.int64)
 
 
 def small_config():
@@ -40,23 +40,24 @@ class TestRecording:
     def test_record_tile_accumulates_all_grids(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(3))
-        profiler.record_tile(FakeResult(3))
+        profiler.record_tiles(FakeResult(3))
+        profiler.record_tiles(FakeResult(1, 3))
         # Energy is priced by the begin_frame config's RBCD model.
-        tile_j = RBCDEnergyModel(small_config()).tile_breakdown(
+        (tile_j,) = RBCDEnergyModel(small_config()).tile_breakdown(
             FakeResult(3)
-        ).total_j
+        ).total_j.tolist()
         assert tile_j > 0.0
         assert profiler.grid("cycles")[3] == 30.0
         assert profiler.grid("energy_j")[3] == 2 * tile_j
         assert profiler.grid("activity")[3] == 6.0
         assert profiler.grid("lookups")[3] == 2.0
+        assert profiler.grid("lookups")[1] == 1.0
         # Untouched tiles stay zero.
         assert profiler.grid("cycles")[0] == 0.0
 
     def test_record_before_begin_frame_raises(self):
         with pytest.raises(RuntimeError, match="begin_frame"):
-            TileProfiler().record_tile(FakeResult(0))
+            TileProfiler().record_tiles(FakeResult(0))
 
     def test_dimension_change_raises(self):
         profiler = TileProfiler()
@@ -67,7 +68,7 @@ class TestRecording:
     def test_reset_clears_everything(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(0))
+        profiler.record_tiles(FakeResult(0))
         profiler.reset()
         assert profiler.frames == 0
         assert profiler.tile_count == 0
@@ -83,7 +84,7 @@ class TestRoundTrip:
     def test_as_dict_from_dict_round_trips(self):
         profiler = TileProfiler()
         profiler.begin_frame(small_config())
-        profiler.record_tile(FakeResult(1))
+        profiler.record_tiles(FakeResult(1))
         data = profiler.as_dict()
         rebuilt = TileProfiler.from_dict(data)
         assert rebuilt.as_dict() == data

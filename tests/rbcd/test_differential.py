@@ -7,8 +7,9 @@ implementations of the ZEB insertion path —
   (``tests/rbcd/zeb_oracle.py``);
 * :func:`build_zeb`, the vectorized builder;
 * the frame pass (:func:`gather_tile_tasks` → :class:`TileExecutor` →
-  :func:`compute_tile` → absorb), against the per-tile oracle in
-  ``tests/rbcd/tile_oracle.py``;
+  :func:`compute_tile` → one absorb), against the per-tile oracle in
+  ``tests/rbcd/tile_oracle.py`` (each tile computed alone, then
+  absorbed tile by tile);
 
 — and every observable is asserted bit-identical: z-codes, object ids,
 facing bits, per-list counts, and the overflow/spare counters, across
@@ -27,7 +28,13 @@ from repro.rbcd.element import quantize_depth
 from repro.rbcd.unit import RBCDUnit
 from repro.rbcd.zeb import build_zeb
 from tests.conftest import KERNEL_SETS, use_kernels
-from tests.rbcd.tile_oracle import compute_tile_oracle
+from tests.rbcd.tile_oracle import (
+    absorb_oracle,
+    absorbed,
+    compute_tile_oracle,
+    mismatches,
+    tile_slices,
+)
 from tests.rbcd.zeb_oracle import insert_sequential
 
 TILE_PIXELS = 256  # one 16x16 tile
@@ -145,36 +152,23 @@ def random_frame_soup(seed: int, n: int = 1200) -> FragmentSoup:
     )
 
 
-def unit_fingerprint(unit: RBCDUnit) -> dict:
-    report = unit.report
-    return {
-        "insertions": unit.insertions,
-        "overflow_events": unit.overflow_events,
-        "spare_allocations": unit.spare_allocations,
-        "lists_analyzed": unit.lists_analyzed,
-        "elements_read": unit.elements_read,
-        "stack_overflows": unit.stack_overflows,
-        "unmatched_backfaces": unit.unmatched_backfaces,
-        "pair_records_written": report.pair_records_written,
-        "pairs": report.as_sorted_pairs(),
-        "contacts": {
-            (p.id_a, p.id_b): [(c.x, c.y, c.z_front, c.z_back) for c in pts]
-            for p, pts in report.contacts.items()
-        },
-    }
-
-
 def run_serial_reference(config: GPUConfig, soup: FragmentSoup):
-    unit = RBCDUnit(config)
+    """The per-tile oracle: each tile computed alone, then absorbed
+    tile by tile."""
     per_tile = {}
     for task in gather_tile_tasks(soup, config):
-        result = compute_tile_oracle(
+        per_tile[task.tile_index] = compute_tile_oracle(
             config, task.tile_index, task.x, task.y, task.z, task.object_id,
             task.front,
         )
-        unit.absorb(result)
-        per_tile[task.tile_index] = result
-    return unit, per_tile
+    return absorb_oracle(config, list(per_tile.values())), per_tile
+
+
+def run_frame_pass(config: GPUConfig, tasks):
+    """One compute pass, absorbed once: the unit and its result."""
+    unit = RBCDUnit(config)
+    unit.absorb(TileExecutor().run(config, tasks))
+    return unit
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
@@ -182,23 +176,21 @@ def run_serial_reference(config: GPUConfig, soup: FragmentSoup):
 def test_tile_loop_matches_serial_reference(m, soup_seed):
     config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=m)
     soup = random_frame_soup(seed=m * 10 + soup_seed)
-    serial_unit, per_tile = run_serial_reference(config, soup)
+    serial, per_tile = run_serial_reference(config, soup)
 
     tasks = gather_tile_tasks(soup, config)
-    results = TileExecutor().run(config, tasks)
+    merged_unit = run_frame_pass(config, tasks)
+    tiles = tile_slices(config, merged_unit.tiles)
 
-    # Results arrive in tile-schedule order with bit-identical tiles...
-    assert [r.tile_index for r in results] == [t.tile_index for t in tasks]
-    for result in results:
+    # Tiles come in tile-schedule order with bit-identical slices...
+    assert [r.tile_index for r in tiles] == [t.tile_index for t in tasks]
+    for result in tiles:
         assert_zeb_equal(result.zeb, per_tile[result.tile_index].zeb)
         assert result.insertion_cycles == per_tile[result.tile_index].insertion_cycles
         assert result.overlap_cycles == per_tile[result.tile_index].overlap_cycles
 
-    # ...and absorbing them in order reproduces the serial unit exactly.
-    merged_unit = RBCDUnit(config)
-    for result in results:
-        merged_unit.absorb(result)
-    assert unit_fingerprint(merged_unit) == unit_fingerprint(serial_unit)
+    # ...and the one absorb reproduces the serial unit exactly.
+    assert mismatches(absorbed(merged_unit), serial) == []
 
 
 @pytest.mark.parametrize("spare", [0, 8])
@@ -209,16 +201,12 @@ def test_spare_pool_matches_serial_reference(spare, soup_seed):
         .with_rbcd(list_length=4, spare_entries_per_tile=spare)
     )
     soup = random_frame_soup(seed=100 + spare + soup_seed)
-    serial_unit, per_tile = run_serial_reference(config, soup)
+    serial, per_tile = run_serial_reference(config, soup)
 
-    tasks = gather_tile_tasks(soup, config)
-    results = TileExecutor().run(config, tasks)
-
-    merged_unit = RBCDUnit(config)
-    for result in results:
+    merged_unit = run_frame_pass(config, gather_tile_tasks(soup, config))
+    for result in tile_slices(config, merged_unit.tiles):
         assert_zeb_equal(result.zeb, per_tile[result.tile_index].zeb)
-        merged_unit.absorb(result)
-    assert unit_fingerprint(merged_unit) == unit_fingerprint(serial_unit)
+    assert mismatches(absorbed(merged_unit), serial) == []
 
 
 def test_tile_loop_matches_sequential_spec_per_tile():
@@ -226,7 +214,7 @@ def test_tile_loop_matches_sequential_spec_per_tile():
     config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=4)
     soup = random_frame_soup(seed=42)
     tasks = gather_tile_tasks(soup, config)
-    results = TileExecutor().run(config, tasks)
+    results = tile_slices(config, TileExecutor().run(config, tasks))
     ts = config.tile_size
     for task, result in zip(tasks, results):
         local = (task.y % ts).astype(np.int64) * ts + (task.x % ts).astype(np.int64)
@@ -244,12 +232,8 @@ def test_serial_executor_is_the_reference():
     config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=4)
     soup = random_frame_soup(seed=5)
     tasks = gather_tile_tasks(soup, config)
-    serial_unit, per_tile = run_serial_reference(config, soup)
-    results = TileExecutor().run(config, tasks)
-    merged = RBCDUnit(config)
-    for result in results:
-        merged.absorb(result)
-    assert unit_fingerprint(merged) == unit_fingerprint(serial_unit)
+    serial, _ = run_serial_reference(config, soup)
+    assert mismatches(absorbed(run_frame_pass(config, tasks)), serial) == []
 
 
 def test_gather_tile_tasks_orders_tiles_and_preserves_arrival():
@@ -283,13 +267,10 @@ def _tile_loop_matches_serial_reference(request, backend, config, soup):
     """The tile loop on the kernel set ``backend`` reproduces the serial
     reference computed on the scalar oracles."""
     use_kernels(request, backend)
-    tasks = gather_tile_tasks(soup, config)
-    merged = RBCDUnit(config)
-    for result in TileExecutor().run(config, tasks):
-        merged.absorb(result)
+    merged = run_frame_pass(config, gather_tile_tasks(soup, config))
     use_kernels(request, "reference")
-    serial_unit, _ = run_serial_reference(config, soup)
-    assert unit_fingerprint(merged) == unit_fingerprint(serial_unit)
+    serial, _ = run_serial_reference(config, soup)
+    assert mismatches(absorbed(merged), serial) == []
 
 
 @pytest.mark.parametrize("backend", KERNEL_SETS)

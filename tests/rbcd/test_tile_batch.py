@@ -1,15 +1,19 @@
 """The frame pass of ``compute_tile`` against the per-tile oracle.
 
 :func:`repro.rbcd.unit.compute_tile` builds one ZEB and runs one
-lock-step Z-Overlap pass over every tile of a frame, then splits the
-result by tile.  Each tile's :class:`RBCDTileResult` must equal what
-the tile gives computed alone (``tests/rbcd/tile_oracle.py``'s
+lock-step Z-Overlap pass over every tile of a frame, and returns one
+columnar result.  Each tile's slice of it must equal what the tile
+gives computed alone (``tests/rbcd/tile_oracle.py``'s
 :func:`compute_tile_oracle`) in every field, dtypes and padding
-included.  The generated batches cover M ∈ {1, 2, 4, 8, 16}, spare pools
-of 0/1/3/12 entries, FF-Stacks of 1/2/8 entries, empty and missing
-neighbour tiles, one-fragment tiles, z-code ties and the ids 0 and
-8191.  Two mutants of the frame pass — spares ranked frame-wide, pairs
-left in frame order — must be caught.
+included, and a unit that absorbed it must hold what absorbing the
+oracle's tiles one by one gives (:func:`absorb_oracle`): counters,
+report columns in order, and the contact view.  The generated batches
+cover M ∈ {1, 2, 4, 8, 16}, spare pools of 0/1/3/12 entries, FF-Stacks
+of 1/2/8 entries, empty and missing neighbour tiles, one-fragment
+tiles, z-code ties and the ids 0 and 8191.  Mutants of the frame pass
+— spares ranked frame-wide, pairs left in frame order, two tiles'
+records swapped, a pair attributed to the neighbouring tile, a tile's
+overlap cycles off by one — must be caught.
 
 The generated batches run on the vectorized kernels, and once more on
 the scalar oracles (the ``reference_kernels`` fixture).
@@ -23,8 +27,8 @@ from hypothesis import strategies as st
 from repro.gpu.config import GPUConfig
 from repro.rbcd import unit as unit_module
 from repro.rbcd import zeb as zeb_module
-from repro.rbcd.unit import compute_tile
-from tests.rbcd.tile_oracle import mismatches, oracle_results, tile_batch
+from repro.rbcd.unit import RBCDUnit, compute_tile
+from tests.rbcd.tile_oracle import frame_mismatches, tile_batch, tile_slices
 
 SCREEN = (64, 48)  # 4 x 3 tiles of 16 x 16
 TILES = SCREEN[0] // 16 * (SCREEN[1] // 16)
@@ -102,8 +106,15 @@ def pair_order_witness():
     )
 
 
-def frame_pass_mismatches(config: GPUConfig, batch) -> list[str]:
-    return mismatches(compute_tile(config, batch), oracle_results(config, batch))
+def swap_witness():
+    """Tiles 0 and 1 each emit one pair, at different local pixels."""
+    crossing = [(1, 0.1, 1, True), (1, 0.2, 2, True), (1, 0.3, 1, False),
+                (1, 0.4, 2, False)]
+    other = [(17, 0.1, 3, True), (17, 0.2, 4, True), (17, 0.3, 3, False),
+             (17, 0.4, 4, False)]
+    return config_for(8, 0, 8), tile_batch(
+        fragments_at(0, crossing), fragments_at(1, other)
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,7 +127,7 @@ def frame_pass_mismatches(config: GPUConfig, batch) -> list[str]:
     stack=st.sampled_from([1, 2, 8]),
 )
 def test_frame_pass_matches_per_tile_oracle(batch, m, spares, stack):
-    assert frame_pass_mismatches(config_for(m, spares, stack), batch) == []
+    assert frame_mismatches(config_for(m, spares, stack), batch) == []
 
 
 @settings(
@@ -134,7 +145,7 @@ def test_frame_pass_matches_per_tile_oracle(batch, m, spares, stack):
 def test_frame_pass_matches_per_tile_oracle_on_reference_kernels(
     reference_kernels, batch, m, spares, stack
 ):
-    assert frame_pass_mismatches(config_for(m, spares, stack), batch) == []
+    assert frame_mismatches(config_for(m, spares, stack), batch) == []
 
 
 @pytest.mark.parametrize("m", [1, 2, 8])
@@ -144,23 +155,29 @@ def test_one_fragment_tiles(m):
         for tile in range(TILES)
     ))
     config = config_for(m, 1, 2)
-    assert frame_pass_mismatches(config, batch) == []
-    results = compute_tile(config, batch)
-    assert [r.zeb.insertions for r in results] == [1] * TILES
-    assert all(r.overlap.pair_records == 0 for r in results)
+    assert frame_mismatches(config, batch) == []
+    result = compute_tile(config, batch)
+    assert result.insertions.tolist() == [1] * TILES
+    assert result.pair_offsets.tolist() == [0] * (TILES + 1)
 
 
 def test_empty_batch_and_empty_tiles():
     config = config_for(2, 1, 2)
-    assert compute_tile(config, tile_batch()) == []
+    assert frame_mismatches(config, tile_batch()) == []
+    none = compute_tile(config, tile_batch())
+    assert len(none) == 0
+    assert (none.zeb.insertions, none.overlap.pair_records) == (0, 0)
+    unit = RBCDUnit(config)
+    unit.absorb(none)
+    assert unit.report.pair_records_written == 0 and len(unit.report) == 0
     batch = tile_batch(
         fragments_at(0, []),
         fragments_at(1, [(0, 0.1, 1, True), (0, 0.2, 2, True),
                          (0, 0.3, 1, False), (0, 0.4, 2, False)]),
         fragments_at(5, []),
     )
-    assert frame_pass_mismatches(config, batch) == []
-    empty = compute_tile(config, batch)[0]
+    assert frame_mismatches(config, batch) == []
+    empty = tile_slices(config, compute_tile(config, batch))[0]
     assert (empty.insertion_cycles, empty.overlap_cycles) == (0.0, 0.0)
     assert empty.zeb.z_codes.shape == (0, 0)
 
@@ -173,7 +190,7 @@ def test_mutant_frame_wide_spares_is_caught(monkeypatch):
         lambda pixel, config, tile_pixels: real(pixel, config, 1 << 62),
     )
     config, batch = spare_witness()
-    diffs = frame_pass_mismatches(config, batch)
+    diffs = frame_mismatches(config, batch)
     assert "result[1].zeb.spare_allocations: 0 != 1" in diffs
 
 
@@ -184,5 +201,51 @@ def test_mutant_pairs_in_frame_order_is_caught(monkeypatch):
         lambda slot, n: (np.arange(slot.shape[0]), np.bincount(slot, minlength=n)),
     )
     config, batch = pair_order_witness()
-    diffs = frame_pass_mismatches(config, batch)
+    diffs = frame_mismatches(config, batch)
     assert "result[0].overlap.pair_id_a: values" in diffs
+
+
+def test_mutant_records_swapped_across_tiles_is_caught(monkeypatch):
+    real = unit_module._by_tile
+
+    def swapped(slot, n):
+        order, records = real(slot, n)
+        a, b = records[:2].tolist()
+        return np.r_[order[a:a + b], order[:a], order[a + b:]], records
+
+    monkeypatch.setattr(unit_module, "_by_tile", swapped)
+    config, batch = swap_witness()
+    diffs = frame_mismatches(config, batch)
+    assert "result[0].overlap.pair_id_a: values" in diffs
+    assert "absorbed.columns.x: values" in diffs
+
+
+def test_mutant_pair_of_the_neighbouring_tile_is_caught(monkeypatch):
+    real = unit_module._by_tile
+
+    def shifted(slot, n):
+        order, records = real(slot, n)
+        moved = np.zeros_like(records)
+        moved[:2] = (-1, 1)  # tile 0's last record goes to tile 1
+        return order, records + moved
+
+    monkeypatch.setattr(unit_module, "_by_tile", shifted)
+    config, batch = swap_witness()
+    diffs = frame_mismatches(config, batch)
+    assert "result[0].overlap.pair_records: 0 != 1" in diffs
+    assert "result[1].overlap.pair_records: 2 != 1" in diffs
+
+
+def test_mutant_overlap_cycles_off_by_one_is_caught(monkeypatch):
+    real = unit_module._tile_columns
+
+    def off_by_one(*args):
+        result = real(*args)
+        result.overlap_cycles[1] += 1.0
+        return result
+
+    monkeypatch.setattr(unit_module, "_tile_columns", off_by_one)
+    config, batch = swap_witness()
+    assert frame_mismatches(config, batch) == [
+        "result[1].overlap_cycles: 15.0 != 14.0"
+    ]

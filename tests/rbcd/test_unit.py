@@ -13,7 +13,8 @@ CFG = GPUConfig().with_screen(64, 32)  # 4 x 2 tiles
 
 def one_tile(config, tile_index, *fragments):
     """compute_tile over a batch holding just this tile."""
-    (result,) = compute_tile(config, tile_batch((tile_index, *fragments)))
+    result = compute_tile(config, tile_batch((tile_index, *fragments)))
+    assert result.tile_index.tolist() == [tile_index]
     return result
 
 
@@ -45,24 +46,29 @@ class TestProcessTile:
             (0, *colliding_tile_fragments(0, 0)),
             (1, *colliding_tile_fragments(16, 0)),
         )
-        for result in compute_tile(CFG, batch):
-            unit.absorb(result)
-        assert unit.insertions == 8
+        unit.absorb(compute_tile(CFG, batch))
+        assert unit.tiles.zeb.insertions == 8
+        assert unit.tiles.insertions.tolist() == [4, 4]
         assert unit.report.pair_records_written == 2
+        assert unit.report.x.tolist() == [3, 19]  # tile-schedule order
 
-    def test_reset_clears_state(self):
+    def test_next_frame_replaces_state(self):
         unit = RBCDUnit(CFG)
         unit.absorb(one_tile(CFG, 0, *colliding_tile_fragments()))
-        unit.reset()
-        assert unit.insertions == 0
+        empty = np.empty(0, dtype=np.int32)
+        unit.absorb(one_tile(
+            CFG, 0, empty, empty, np.empty(0), np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=bool),
+        ))
+        assert unit.tiles.zeb.insertions == 0
         assert len(unit.report) == 0
 
     def test_cycle_outputs(self):
         unit = RBCDUnit(CFG)
         result = one_tile(CFG, 0, *colliding_tile_fragments())
         unit.absorb(result)
-        assert result.insertion_cycles == 4.0
-        assert result.overlap_cycles > 0
+        assert result.insertion_cycles.tolist() == [4.0]
+        assert result.overlap_cycles[0] > 0
 
     def test_empty_tile_costs_nothing(self):
         unit = RBCDUnit(CFG)
@@ -72,8 +78,8 @@ class TestProcessTile:
             np.empty(0, dtype=bool),
         )
         unit.absorb(result)
-        assert result.overlap_cycles == 0.0
-        assert result.insertion_cycles == 0.0
+        assert result.overlap_cycles.tolist() == [0.0]
+        assert result.insertion_cycles.tolist() == [0.0]
 
     def test_oversized_object_id_rejected(self):
         unit = RBCDUnit(CFG)
@@ -127,7 +133,7 @@ class TestMultiObjectFilter:
         unit = RBCDUnit(CFG)
         result = one_tile(CFG, 0, *colliding_tile_fragments())
         unit.absorb(result)
-        assert unit.lists_analyzed == 1
+        assert result.analyzed_lists.tolist() == [1]
         assert result.overlap.pair_records == 1
 
     def test_overlap_cycles_scale_with_contested_lists_only(self):
@@ -140,8 +146,8 @@ class TestMultiObjectFilter:
         front = np.array([True, False] * 10 + [True, True, False, False])
         result = one_tile(CFG, 0, x, y, z, oid, front)
         unit.absorb(result)
-        assert unit.lists_analyzed == 1
-        assert unit.elements_read == 4
+        assert result.analyzed_lists.tolist() == [1]
+        assert result.analyzed_elements.tolist() == [4]
 
 
 class TestFallback:
