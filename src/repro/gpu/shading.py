@@ -39,10 +39,17 @@ def shade_draws(
 ) -> list[ShadedDraw]:
     """Run the vertex stage for every draw of a frame.
 
-    The vertex cache persists across draws within the frame (it is the
-    caller's choice whether to flush between frames); each draw's
-    vertex buffer lives at a distinct synthetic base address so draws
-    do not falsely alias.
+    The Vertex Processor transforms one draw at a time with
+    ``(P @ V) @ M``, the view-projection product computed once per
+    frame.  The transform stays per draw: a stacked form rounds
+    differently and the clip positions must be bit-equal.  The Vertex
+    Fetcher's accesses go to the vertex cache as one call per frame:
+    each draw's indices in face order, draws in frame order, each draw's
+    vertex buffer at its own line-aligned synthetic base address so
+    draws do not falsely alias.  That is the access sequence of one call
+    per draw, so the LRU state carries from draw to draw exactly as it
+    would there; it is the caller's choice whether to flush between
+    frames.  A frame with no draws makes no cache call.
 
     Raises ``ValueError`` naming the draw when its clip-space positions
     are not all finite (a NaN or inf in the model matrix, the
@@ -52,37 +59,40 @@ def shade_draws(
         vertex_cache = Cache(config.vertex_cache)
 
     shaded: list[ShadedDraw] = []
+    streams: list[np.ndarray] = []
     base_address = 0
-    for draw_index, draw in enumerate(frame.draws):
-        mesh = draw.mesh
-        # A NaN/inf input is reported below, naming the draw, instead of
-        # as numpy's arithmetic warnings.
-        with np.errstate(invalid="ignore", over="ignore"):
-            mvp = frame.projection @ frame.view @ draw.model
-            clip = transform_points_homogeneous(mvp, mesh.vertices)
-        if not np.isfinite(clip).all():
-            raise ValueError(
-                f"draw {draw_index} (object_id {draw.object_id}) has "
-                f"non-finite clip-space vertex positions: check its model "
-                f"matrix, the view/projection and the mesh vertices"
+    # A NaN/inf input is reported below, naming the draw, instead of as
+    # numpy's arithmetic warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        view_projection = frame.projection @ frame.view
+        for draw_index, draw in enumerate(frame.draws):
+            mesh = draw.mesh
+            clip = transform_points_homogeneous(
+                view_projection @ draw.model, mesh.vertices
             )
+            if not np.isfinite(clip).all():
+                raise ValueError(
+                    f"draw {draw_index} (object_id {draw.object_id}) has "
+                    f"non-finite clip-space vertex positions: check its model "
+                    f"matrix, the view/projection and the mesh vertices"
+                )
+            shaded.append(ShadedDraw(draw, draw_index, clip))
+            # Vertex fetch: indexed access in face order (the access
+            # pattern the post-transform cache sees).
+            indices = mesh.faces.ravel()
+            streams.append(
+                base_address + indices.astype(np.int64) * _VERTEX_STRIDE_BYTES
+            )
+            base_address += mesh.vertex_count * _VERTEX_STRIDE_BYTES
+            # Keep draws line-aligned so the synthetic buffers stay disjoint.
+            base_address = -(-base_address // 64) * 64
 
-        # Vertex fetch: indexed access through the vertex cache in face
-        # order (the access pattern the post-transform cache sees).
-        indices = mesh.faces.ravel()
-        addresses = base_address + indices.astype(np.int64) * _VERTEX_STRIDE_BYTES
-        misses = vertex_cache.access_many(addresses)
-
-        stats.vertices_fetched += indices.size
-        stats.vertices_shaded += mesh.vertex_count
-        stats.vertex_cache_accesses += indices.size
-        stats.vertex_cache_misses += misses
-
-        shaded.append(ShadedDraw(draw, draw_index, clip))
-        base_address += mesh.vertex_count * _VERTEX_STRIDE_BYTES
-        # Keep draws line-aligned so the synthetic buffers stay disjoint.
-        base_address = -(-base_address // 64) * 64
-
+    if streams:
+        addresses = np.concatenate(streams)
+        stats.vertices_fetched += addresses.size
+        stats.vertices_shaded += sum(s.draw.mesh.vertex_count for s in shaded)
+        stats.vertex_cache_accesses += addresses.size
+        stats.vertex_cache_misses += vertex_cache.access_many(addresses)
     return shaded
 
 

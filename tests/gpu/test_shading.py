@@ -31,7 +31,7 @@ class TestTransforms:
         from repro.geometry.vec import transform_points_homogeneous
 
         expected = transform_points_homogeneous(mvp, make_box().vertices)
-        assert np.allclose(shaded[0].clip_positions, expected)
+        assert np.array_equal(shaded[0].clip_positions, expected)
 
     def test_draw_indices_sequential(self):
         frame = frame_of([DrawCommand(make_box(), Mat4.identity())] * 3)
@@ -56,10 +56,16 @@ class TestCounting:
         assert stats.vertex_cache_misses <= 4
 
     def test_draws_do_not_alias_in_cache(self):
-        frame = frame_of([DrawCommand(make_box(), Mat4.identity())] * 2)
-        stats = GPUStats()
-        shade_draws(frame, CFG, stats)
-        assert stats.vertices_shaded == 16
+        # The stock 4 KB cache holds both draws' lines: had the second
+        # draw aliased the first's buffer, it would hit on every line.
+        misses = []
+        for copies in (1, 2):
+            stats = GPUStats()
+            frame = frame_of([DrawCommand(make_box(), Mat4.identity())] * copies)
+            shade_draws(frame, CFG, stats, Cache(CFG.vertex_cache))
+            misses.append(stats.vertex_cache_misses)
+        assert misses[0] > 0
+        assert misses[1] == 2 * misses[0]
 
     def test_cycles_scale_with_vertices(self):
         stats1 = GPUStats()

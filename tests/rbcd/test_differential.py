@@ -136,17 +136,34 @@ SCREEN = (64, 32)  # 4 x 2 tiles of 16 x 16
 
 
 def random_frame_soup(seed: int, n: int = 1200) -> FragmentSoup:
-    """A seeded multi-tile fragment soup (global coordinates)."""
+    """A seeded multi-tile fragment soup (global coordinates).
+
+    Half the fragments are loose: any pixel, depth, object and facing.
+    The other half come in front/back pairs of one object at pixels the
+    objects share, the front nearer, so depth intervals of different
+    objects overlap there and the Z-Overlap test emits pair records.
+    """
     rng = np.random.default_rng(seed)
     width, height = SCREEN
-    x = rng.integers(0, width, size=n).astype(np.int32)
-    y = rng.integers(0, height, size=n).astype(np.int32)
-    z = rng.random(n)
-    oid = rng.integers(-1, 6, size=n).astype(np.int64)  # -1: non-collisionable
-    front = rng.random(n) < 0.5
+    pairs = n // 4
+    loose = n - 2 * pairs
+    shared = rng.integers(0, width * height, size=pairs // 4)
+    pixel = shared[rng.integers(0, shared.size, size=pairs)]
+    z_front = 0.8 * rng.random(pairs)
+    z_back = z_front + 1e-3 + 0.2 * rng.random(pairs)
+    pair_oid = rng.integers(0, 6, size=pairs)
+    px, py = pixel % width, pixel // width
+    x = np.concatenate((rng.integers(0, width, size=loose), px, px))
+    y = np.concatenate((rng.integers(0, height, size=loose), py, py))
+    z = np.concatenate((rng.random(loose), z_front, z_back))
+    # -1: non-collisionable.
+    oid = np.concatenate((rng.integers(-1, 6, size=loose), pair_oid, pair_oid))
+    front = np.concatenate((rng.random(loose) < 0.5, np.repeat([True, False], pairs)))
+    order = rng.permutation(n)
     zeros = np.zeros(n, dtype=np.int64)
     return FragmentSoup(
-        x=x, y=y, z=z, object_id=oid, front=front,
+        x=x[order].astype(np.int32), y=y[order].astype(np.int32), z=z[order],
+        object_id=oid[order].astype(np.int64), front=front[order],
         tagged=np.zeros(n, dtype=bool),
         draw_index=zeros, tri_index=zeros.copy(),
     )
@@ -177,6 +194,9 @@ def test_tile_loop_matches_serial_reference(m, soup_seed):
     config = GPUConfig().with_screen(*SCREEN).with_rbcd(list_length=m)
     soup = random_frame_soup(seed=m * 10 + soup_seed)
     serial, per_tile = run_serial_reference(config, soup)
+    # A pair needs three elements in one list (a front face, an element
+    # inside its interval, the back face): two-element lists emit none.
+    assert (serial.pair_records_written > 0) == (m > 2)
 
     tasks = gather_tile_tasks(soup, config)
     merged_unit = run_frame_pass(config, tasks)
@@ -202,6 +222,7 @@ def test_spare_pool_matches_serial_reference(spare, soup_seed):
     )
     soup = random_frame_soup(seed=100 + spare + soup_seed)
     serial, per_tile = run_serial_reference(config, soup)
+    assert serial.pair_records_written > 0
 
     merged_unit = run_frame_pass(config, gather_tile_tasks(soup, config))
     for result in tile_slices(config, merged_unit.tiles):
