@@ -28,7 +28,9 @@ leaf of every scene must match, in either direction, and each one that
 moved is printed as a ``CHANGED scene/metric: a -> b`` line.  ``--gate``
 turns any difference into a non-zero exit; a baseline that cannot be
 read or is refused as invalid exits non-zero with or without it.
-Every gate failure emits one machine-greppable ``GATE-FAIL`` line.
+Every gate failure emits one machine-greppable ``GATE-FAIL`` line.  A
+run with ``--baseline`` writes its fresh document only when
+``--output`` is given, so a gate run never replaces a committed one.
 
 The document layout (checked by :func:`validate_bench_document`):
 
@@ -641,8 +643,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "names every tile cell that changed)",
     )
     parser.add_argument(
-        "--output", type=Path, default=Path("BENCH_rbcd.json"),
-        help="output JSON path (default: BENCH_rbcd.json)",
+        "--output", type=Path, default=None,
+        help="output JSON path (default: BENCH_rbcd.json; with "
+             "--baseline, nothing is written unless this is given)",
     )
     parser.add_argument(
         "--trace-dir", type=Path, default=None,
@@ -701,8 +704,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         progress=lambda alias: print(f"bench: {alias} ...", flush=True),
     )
     validate_bench_document(doc)
-    args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.output}")
+    if args.output is None and args.baseline is None:
+        args.output = Path("BENCH_rbcd.json")
+    if args.output is not None:
+        args.output.write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"wrote {args.output}")
     if args.append_history is not None:
         append_history(doc, args.append_history)
         print(f"appended history line to {args.append_history}")

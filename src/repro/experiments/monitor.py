@@ -40,6 +40,10 @@ from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
 
 __all__ = ["main", "run_stream"]
 
+# --quick preset; it excludes the same flags on the command line.
+QUICK_PRESET = {"width": 160, "height": 96, "detail": 1}
+_DEFAULTS = {"width": 320, "height": 192, "detail": 1}
+
 
 def run_stream(
     system: RBCDSystem,
@@ -83,15 +87,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scene", choices=BENCHMARKS, default="cap",
         help="benchmark workload to stream (default: cap)",
     )
-    parser.add_argument("--width", type=int, default=320)
-    parser.add_argument("--height", type=int, default=192)
     parser.add_argument(
-        "--detail", type=int, default=1,
-        help="mesh tessellation detail (default: 1)",
+        "--width", type=int, default=None,
+        help=f"screen width (default: {_DEFAULTS['width']})",
+    )
+    parser.add_argument(
+        "--height", type=int, default=None,
+        help=f"screen height (default: {_DEFAULTS['height']})",
+    )
+    parser.add_argument(
+        "--detail", type=int, default=None,
+        help=f"mesh tessellation detail (default: {_DEFAULTS['detail']})",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke preset: 160x96, detail 1",
+        help="CI smoke preset: {width}x{height}, detail {detail}; "
+             "excludes the three flags above".format(**QUICK_PRESET),
     )
     parser.add_argument(
         "--frames", type=int, default=0,
@@ -147,9 +158,14 @@ def _bound(value: float | None) -> float | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.quick:
-        args.width, args.height, args.detail = 160, 96, 1
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    preset = QUICK_PRESET if args.quick else _DEFAULTS
+    for key, value in preset.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+        elif args.quick:
+            parser.error(f"--{key} cannot be combined with --quick")
     if args.json_logs:
         configure_json_logging()
 

@@ -6,10 +6,8 @@ hardware is — a collision service many clients offload queries to.
 through its own system, with watchdog-rule admission control; its
 health, alerts and merged counters are read in process
 (:meth:`~CollisionService.healthy`, :meth:`~CollisionService.alerts`,
-:meth:`~CollisionService.global_registry`); ``python -m
-repro.experiments.loadgen`` drives it with simulated clients in a
-closed loop and writes a deterministic ``rbcd-serve-bench`` document.  Host serving speed is
-the repository benchmark's ``serve_tenants`` workload.
+:meth:`~CollisionService.global_registry`).  Host serving speed is the
+repository benchmark's ``serve_tenants`` workload.
 
 The two contracts everything here is tested against:
 

@@ -155,7 +155,9 @@ class CollisionService:
     window, rules:
         Defaults for each tenant's :class:`LiveMonitor` shard.
         ``rules=None`` uses :func:`default_rules`; pass a callable for
-        per-tenant rule sets (called with the tenant id).
+        per-tenant rule sets (called with the tenant id).  A tenant
+        whose rules are in breach has new frames refused
+        ("unhealthy") until the stream recovers.
     tracer:
         Optional shared :class:`~repro.observability.tracer.Tracer`.
         Served frames run inside ``tracer.context(tenant=, stream=,
@@ -163,12 +165,9 @@ class CollisionService:
         tenant-attributable.
     max_pending:
         Admission bound: frames queued per tenant before ``submit``
-        raises :class:`AdmissionError` ("backlog").
-    admit_unhealthy:
-        When False (default), a tenant whose watchdog rules are in
-        breach has new frames refused ("unhealthy") until the stream
-        recovers.  Rejection is the only feedback admission control is
-        allowed: admitted frames are never altered.
+        raises :class:`AdmissionError` ("backlog").  Rejection is the
+        only feedback admission control is allowed: admitted frames are
+        never altered.
     recorder:
         Optional :class:`~repro.observability.FlightRecorder` black
         box.  The service then records every tenant's completed spans
@@ -192,7 +191,6 @@ class CollisionService:
         rules=None,
         tracer=None,
         max_pending: int = 8,
-        admit_unhealthy: bool = False,
         recorder=None,
     ) -> None:
         if workers < 1:
@@ -216,7 +214,6 @@ class CollisionService:
             tracer = recorder.attach_tracer(tracer)
         self.tracer = tracer
         self.max_pending = max_pending
-        self.admit_unhealthy = admit_unhealthy
         self.batches = 0
         self._tenants: dict[str, TenantSession] = {}
         self._lock = threading.Lock()       # queues, counters, tenant map
@@ -339,7 +336,7 @@ class CollisionService:
             if len(session.pending) >= self.max_pending:
                 session.serve_counters.add("serve.frames_rejected")
                 reason, detail = "backlog", f"{len(session.pending)} pending"
-            elif not healthy and not self.admit_unhealthy:
+            elif not healthy:
                 session.serve_counters.add("serve.frames_rejected")
                 reason = "unhealthy"
                 detail = ",".join(session.monitor.active_alerts)

@@ -126,6 +126,22 @@ class TestGateCli:
         out = capsys.readouterr().out
         assert "gate: ok" in out
 
+    def test_gate_without_output_writes_nothing(self, tmp_path, monkeypatch,
+                                                baseline_file, capsys):
+        # Without --output the document would land on the committed
+        # BENCH_rbcd.json, which a gate run must leave alone.
+        run_dir = tmp_path / "cwd"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = main([
+            "--scenes", "crazy", "--width", "64", "--height", "32",
+            "--frames", "1", "--detail", "1",
+            "--baseline", str(baseline_file), "--gate",
+        ])
+        assert code == 0
+        assert list(run_dir.iterdir()) == []
+        assert "wrote" not in capsys.readouterr().out
+
     def test_injected_energy_bloat_exits_nonzero(self, tmp_path, bench_doc,
                                                  capsys):
         # A baseline with *less* energy than the tree produces is what a

@@ -6,6 +6,10 @@ the flow where a tripped watchdog turns the stream unhealthy and a
 recovered one turns it healthy again.
 """
 
+import json
+
+import pytest
+
 from repro.core import RBCDSystem
 from repro.experiments.monitor import main, run_stream
 from repro.gpu.config import GPUConfig
@@ -47,6 +51,15 @@ class TestMonitorCli:
         code = main(["--quick", "--frames", "1"])
         assert code == 0
         assert "rendered 1 frames" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--width", "--height", "--detail"])
+    def test_quick_refuses_an_explicit_workload_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", flag, "2", "--frames", "1"])
+        assert excinfo.value.code == 2
+        assert f"{flag} cannot be combined with --quick" in (
+            capsys.readouterr().err
+        )
 
     def test_fail_on_alert_exits_nonzero(self, capsys):
         # An impossible energy budget trips the watchdog on frame 0.
@@ -118,6 +131,53 @@ class TestMonitorCli:
         out = capsys.readouterr().out
         assert "alert cross-checks:" in out
         assert "energy-budget @ frame 0: reproduced" in out
+
+
+class TestFlightRecorderCli:
+    def test_forced_slo_breach_writes_exactly_one_dump(
+        self, capsys, tmp_path
+    ):
+        """The black-box flow end to end: an impossibly tight p95 SLO
+        breaches on the first window, the stream renders every frame,
+        the recorder writes exactly one valid dump, and every alert in
+        it replay-verifies."""
+        from repro.experiments.postmortem import main as postmortem_main
+
+        dump_dir = tmp_path / "black-box"
+        code = main(TINY + [
+            "--scene", "cap", "--frames", "3",
+            "--max-frame-ms", "1e-6", "--fail-on-alert",
+            "--flight-recorder", str(dump_dir),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "rendered 3 frames" in captured.out
+        assert "monitor: FAILING" in captured.err
+        dumps = sorted(dump_dir.glob("postmortem-*.json"))
+        assert len(dumps) == 1  # dump storm protection: one per run
+        assert str(dumps[0]) in captured.err
+        assert postmortem_main([str(dumps[0]), "--check"]) == 0
+        assert postmortem_main([str(dumps[0])]) == 0
+        out = capsys.readouterr().out
+        assert "frame-latency-slo" in out
+        assert "reproduced" in out
+        # The machine-readable timeline: the recomputed window stats of
+        # every recorded alert equal the recorded ones exactly.
+        assert postmortem_main([str(dumps[0]), "--format", "json"]) == 0
+        timeline = json.loads(capsys.readouterr().out)
+        assert timeline["ok"] is True
+        assert timeline["verdicts"], "no alerts were cross-checked"
+        for verdict in timeline["verdicts"]:
+            assert verdict["status"] == "reproduced", verdict
+
+    def test_healthy_run_writes_no_dump(self, tmp_path):
+        dump_dir = tmp_path / "black-box"
+        code = main(TINY + [
+            "--scene", "cap", "--frames", "2", "--fail-on-alert",
+            "--flight-recorder", str(dump_dir),
+        ])
+        assert code == 0
+        assert not list(dump_dir.glob("*.json"))
 
 
 class TestLiveStateEndToEnd:

@@ -147,12 +147,6 @@ class TestServeExports:
                 f"{module_name}.{name} not re-exported by repro.serve"
             )
 
-    def test_loadgen_public_surface(self):
-        from repro.experiments import loadgen
-
-        for name in loadgen.__all__:
-            assert hasattr(loadgen, name), f"loadgen.{name} missing"
-
 
 class TestTopLevelExports:
     def test_all_names_resolve(self):

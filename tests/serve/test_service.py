@@ -170,16 +170,6 @@ class TestAdmissionControl:
             assert excinfo.value.reason == "unhealthy"
             assert "always" in str(excinfo.value)
 
-    def test_admit_unhealthy_override(self):
-        with make_service(rules=TRIP_RULES, admit_unhealthy=True) as service:
-            service.register("alice")
-            frames = make_frames(2)
-            service.submit("alice", frames[0])
-            service.drain()
-            future = service.submit("alice", frames[1])  # no rejection
-            service.drain()
-            assert future.result(timeout=10).frame_seq == 1
-
     def test_rejection_does_not_touch_other_tenants(self):
         with make_service(max_pending=1) as service:
             service.register("alice")
@@ -247,7 +237,7 @@ class TestTelemetryMerge:
             assert global_registry["gpu.frames"] == 6
 
     def test_health_and_alert_readers(self):
-        with make_service(rules=TRIP_RULES, admit_unhealthy=True) as service:
+        with make_service(rules=TRIP_RULES) as service:
             service.register("alice")
             service.register("bob")
             service.submit("alice", make_frames(1)[0])

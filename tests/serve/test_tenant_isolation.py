@@ -11,19 +11,55 @@ does not perturb results, and telemetry on ≡ telemetry off.
 """
 
 import contextlib
+import random
+from typing import Any, NamedTuple
 
 import pytest
 
 from repro.core import RBCDSystem
-from repro.experiments.loadgen import plan_tenants
 from repro.gpu.config import GPUConfig
+from repro.observability.live import WatchdogRule
 from repro.observability.provenance import ProvenanceRecorder
 from repro.observability.tracer import Tracer
+from repro.scenes.benchmarks import BENCHMARKS, workload_by_alias
 from repro.serve import CollisionService
 
 TENANTS = 8
 FRAMES = 2
 CONFIG = GPUConfig().with_screen(96, 64)
+# Breaches on each tenant's last frame: alert evaluation and alert
+# logging run inside the served ≡ solo comparison, and no frame is
+# refused, because no frame is submitted after a breach.
+LATE_RULES = [WatchdogRule("late", "window.frames", "ge", FRAMES)]
+
+
+class TenantPlan(NamedTuple):
+    """One simulated client: tenant id, its scene, a phase offset."""
+
+    tenant: str
+    workload: Any
+    phase: int
+
+    def frame_at(self, seq: int, config: GPUConfig):
+        """The tenant's frame ``seq``: its scene's animation,
+        phase-shifted; deterministic given (scene, phase, seq, config)."""
+        workload = self.workload
+        dt = workload.duration_s / max(workload.default_frames, 1)
+        t = ((seq + self.phase) * dt) % max(workload.duration_s, dt)
+        return workload.scene.frame_at(float(t), config)
+
+
+def plan_tenants(count: int, detail: int, seed: int) -> list[TenantPlan]:
+    """Round-robin scene assignment with seeded phase offsets."""
+    rng = random.Random(seed)
+    plans = []
+    for i in range(count):
+        scene = BENCHMARKS[i % len(BENCHMARKS)]
+        workload = workload_by_alias(scene, detail=detail)
+        plans.append(
+            TenantPlan(f"t{i:02d}-{scene}", workload, rng.randrange(0, 64))
+        )
+    return plans
 
 
 def result_fingerprint(result) -> tuple:
@@ -79,11 +115,8 @@ def test_each_tenant_is_bit_identical_to_solo(workers):
     plans = plan_tenants(TENANTS, detail=1, seed=7)
     assert len(plans) == TENANTS
 
-    # Served: 8 tenants interleaved, full telemetry on.
-    # admit_unhealthy keeps watchdog breaches (the "crazy" scene blows
-    # the paper's activity envelope at this tiny resolution) from
-    # rejecting lockstep frames — admission may only reject, and a
-    # rejected frame would make the streams diverge by construction.
+    # Served: 8 tenants interleaved, full telemetry on, every
+    # tenant's watchdog breaching on its last frame.
     served = {plan.tenant: [] for plan in plans}
     warns = (
         pytest.warns(DeprecationWarning, match="workers")
@@ -94,7 +127,7 @@ def test_each_tenant_is_bit_identical_to_solo(workers):
             workers=workers,
             base_config=config,
             tracer=Tracer(),
-            admit_unhealthy=True,
+            rules=LATE_RULES,
         )
     with service:
         for plan in plans:
@@ -112,6 +145,11 @@ def test_each_tenant_is_bit_identical_to_solo(workers):
             served[tenant].append(
                 result_fingerprint(future.result(timeout=30).result)
             )
+        fired = {
+            tenant: [alert.rule for alert in alerts]
+            for tenant, alerts in service.alerts().items()
+        }
+    assert fired == {plan.tenant: ["late"] for plan in plans}
 
     # Solo baselines, one tenant at a time, telemetry off.
     for plan in plans:
@@ -133,9 +171,7 @@ def test_provenance_matches_solo_recorder():
 
     served_recorder = ProvenanceRecorder()
     plans = plan_tenants(TENANTS, detail=1, seed=7)
-    with CollisionService(
-        base_config=config, admit_unhealthy=True
-    ) as service:
+    with CollisionService(base_config=config, rules=LATE_RULES) as service:
         for other in plans:
             service.register(
                 other.tenant,
