@@ -38,7 +38,7 @@ The document layout (checked by :func:`validate_bench_document`):
 
     {
       "schema": "rbcd-bench",          # fixed discriminator
-      "version": 9,
+      "version": 10,
       "config": {width, height, frames, detail, quick, tile_profile},
       "scenes": {
         "<alias>": {
@@ -60,14 +60,17 @@ The document layout (checked by :func:`validate_bench_document`):
       }
     }
 
-Schema v9 drops two config keys of v8: the kernel-backend name (there
-is one kernel set) and the broad-phase name (nothing read it).  Every
-scene value is unchanged.  The validator accepts v9 documents only.
+Schema v10 drops three stage entries of v9: the per-tile RBCD span
+and its ZEB-insertion and Z-Overlap children.  Those spans timed no
+work, and their cycles were already in the document as the
+``gpu.rbcd.rbcd_fragments_in`` and ``gpu.rbcd.rbcd_cycles`` counters.
+Every other value is unchanged.  The validator accepts v10 documents
+only.
 
 Besides the layout, the validator checks the model's own identities in
 every scene (:data:`IDENTITIES`): frame cycles against the counters,
-the energy sums, ``rbcd.tile = zeb-insert + z-overlap`` and, when
-profiled, the tile grids against their stage and energy totals.  A
+the energy sums, the ``rbcd`` stage against its counter and, when
+profiled, the tile grids against their counter and energy totals.  A
 document that breaks one is refused by ``--check``, before ``main()``
 writes it, and on either side of the gate.
 
@@ -125,8 +128,8 @@ __all__ = [
 ]
 
 SCHEMA_NAME = "rbcd-bench"
-SCHEMA_VERSION = 9
-SUPPORTED_VERSIONS = (9,)
+SCHEMA_VERSION = 10
+SUPPORTED_VERSIONS = (10,)
 
 # Default history file for --append-history (repo-relative).
 HISTORY_PATH = Path("benchmarks/history/HISTORY.ndjson")
@@ -162,6 +165,8 @@ REQUIRED_COUNTERS = (
     "gpu.gpu_cycles",
     "gpu.geometry.geometry_cycles",
     "gpu.raster.raster_pipeline_cycles",
+    "gpu.rbcd.rbcd_fragments_in",
+    "gpu.rbcd.rbcd_cycles",
     "energy.total_j",
 )
 
@@ -169,7 +174,8 @@ REQUIRED_COUNTERS = (
 # the operands on each side, as key paths into the entry, add up to the
 # same total within float-summation noise (regress.REL_TOL) in every
 # document the model writes.  A list operand (a tile grid) counts as
-# its sum; a stage that opened no span counts as zero cycles.
+# its sum.  A tile's cycles are its ZEB insertions (one per fragment)
+# plus its Z-Overlap cycles.
 IDENTITIES = (
     ("totals.gpu_cycles == counters[gpu.gpu_cycles]",
      [("totals", "gpu_cycles")], [("counters", "gpu.gpu_cycles")]),
@@ -189,12 +195,13 @@ IDENTITIES = (
     ("energy.rbcd.total_j == sum(energy.rbcd components)",
      [("energy", "rbcd", "total_j")],
      [("energy", "rbcd", key) for key in _ENERGY_RBCD_KEYS[:-1]]),
-    ("stages[rbcd.tile] == stages[rbcd.zeb-insert] + stages[rbcd.z-overlap]",
-     [("stages", "rbcd.tile", "cycles")],
-     [("stages", "rbcd.zeb-insert", "cycles"),
-      ("stages", "rbcd.z-overlap", "cycles")]),
-    ("stages[rbcd.tile] == sum(tile_profile.cycles)",
-     [("stages", "rbcd.tile", "cycles")], [("tile_profile", "cycles")]),
+    ("stages[rbcd] == counters[gpu.rbcd.rbcd_cycles]",
+     [("stages", "rbcd", "cycles")], [("counters", "gpu.rbcd.rbcd_cycles")]),
+    ("sum(tile_profile.cycles) == counters[gpu.rbcd.rbcd_fragments_in]"
+     " + counters[gpu.rbcd.rbcd_cycles]",
+     [("tile_profile", "cycles")],
+     [("counters", "gpu.rbcd.rbcd_fragments_in"),
+      ("counters", "gpu.rbcd.rbcd_cycles")]),
     ("energy.rbcd dynamic joules == sum(tile_profile.energy_j)",
      [("energy", "rbcd", key)
       for key in ("insertion_j", "overlap_j", "output_j")],
@@ -419,11 +426,9 @@ def _operand(entry: Mapping[str, Any], path: tuple[str, ...]) -> Any:
     """The number at ``path`` in a scene entry (see :data:`IDENTITIES`),
     or ``None`` when it is missing or malformed."""
     value: Any = entry
-    for depth, key in enumerate(path):
-        if not isinstance(value, Mapping):
+    for key in path:
+        if not isinstance(value, Mapping) or key not in value:
             return None
-        if key not in value:
-            return 0.0 if path[0] == "stages" and depth == 1 else None
         value = value[key]
     if isinstance(value, list):
         return sum(value) if all(map(_is_number, value)) else None

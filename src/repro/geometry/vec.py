@@ -294,9 +294,6 @@ class Mat4:
     def inverse(self) -> "Mat4":
         return Mat4(np.linalg.inv(self._a))
 
-    def transposed(self) -> "Mat4":
-        return Mat4(self._a.T)
-
     def normal_matrix(self) -> np.ndarray:
         """3x3 inverse-transpose for transforming normals."""
         return np.linalg.inv(self._a[:3, :3]).T

@@ -30,7 +30,6 @@ The module keeps its historical name because the benchmark harness
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -39,29 +38,9 @@ from repro.rbcd.unit import RBCDTiles, compute_tile
 
 __all__ = [
     "TileBatch",
-    "TileTask",
     "TileExecutor",
     "gather_tile_tasks",
 ]
-
-
-@dataclass(frozen=True)
-class TileTask:
-    """One tile's collisionable fragments, in arrival order.
-
-    Coordinates are global pixel coordinates.
-    """
-
-    tile_index: int
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    object_id: np.ndarray
-    front: np.ndarray
-
-    @property
-    def fragment_count(self) -> int:
-        return int(self.x.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +50,7 @@ class TileBatch:
     The fragment arrays are flat and tile-major: tile ``k`` (index
     ``tile_index[k]``; ascending, the order the Tile Scheduler visits
     them) owns ``offsets[k]:offsets[k + 1]``, in arrival order.
-    ``len()`` is the tile count; iterating yields :class:`TileTask`
-    views.
+    ``len()`` is the tile count.
     """
 
     tile_index: np.ndarray  # (T,) int64
@@ -85,19 +63,6 @@ class TileBatch:
 
     def __len__(self) -> int:
         return int(self.tile_index.shape[0])
-
-    def __iter__(self) -> Iterator[TileTask]:
-        bounds = self.offsets.tolist()
-        for k, tile in enumerate(self.tile_index.tolist()):
-            lo, hi = bounds[k], bounds[k + 1]
-            yield TileTask(
-                tile_index=tile,
-                x=self.x[lo:hi],
-                y=self.y[lo:hi],
-                z=self.z[lo:hi],
-                object_id=self.object_id[lo:hi],
-                front=self.front[lo:hi],
-            )
 
     @property
     def fragment_count(self) -> int:

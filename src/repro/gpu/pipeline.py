@@ -187,10 +187,11 @@ class GPU:
           TBR-vs-IMR memory-traffic trade the paper describes.
 
         ``tracer`` accepts a :class:`repro.observability.Tracer`; every
-        frame then records stage spans (frame → geometry/raster/rbcd →
-        per-tile) carrying host wall time and simulated cycles.  Tracing
-        is purely observational — it changes no result and no cycle
-        count — and defaults to the zero-overhead null tracer.
+        frame then records stage spans (frame → geometry/raster/rbcd/
+        schedule → sub-stages) carrying host wall time and simulated
+        cycles.  Tracing is purely observational — it changes no result
+        and no cycle count — and defaults to the zero-overhead null
+        tracer.
 
         ``observers`` is a sequence of
         :class:`~repro.observability.observer.FrameObserver` — e.g. a
@@ -502,38 +503,15 @@ class GPU:
 
         :class:`~repro.gpu.parallel.TileExecutor` computes the frame's
         tiles together and the unit absorbs the one result.  Its host
-        wall time belongs to the enclosing ``rbcd`` stage span.  The
-        per-tile spans (``rbcd.tile`` and its ``rbcd.zeb-insert`` /
-        ``rbcd.z-overlap`` children, tile-schedule order) open
-        afterwards: they carry each tile's simulated cycles, and no
-        work.  Observers' ``record_tiles`` hook then gets the result.
+        wall time belongs to the enclosing ``rbcd`` stage span.
+        Observers' ``record_tiles`` hook then gets the result.
         """
-        tracer = self.tracer
         batch = gather_tile_tasks(frags, self.config, tile_idx)
         stats.rbcd_fragments_in += batch.fragment_count
         result = self._executor.run(self.config, batch)
         unit.absorb(result)
         overlap_cycles[result.tile_index] = result.overlap_cycles
         insertion_limit[result.tile_index] = result.insertion_cycles
-        if tracer.enabled:
-            for tile, insertion, overlap, insertions, lists, elements in zip(
-                result.tile_index.tolist(),
-                result.insertion_cycles.tolist(),
-                result.overlap_cycles.tolist(),
-                result.insertions.tolist(),
-                result.analyzed_lists.tolist(),
-                result.analyzed_elements.tolist(),
-            ):
-                with tracer.span(
-                    "rbcd.tile", category="tile", tile=tile
-                ) as tile_span:
-                    with tracer.span("rbcd.zeb-insert") as insert_span:
-                        insert_span.cycles = insertion
-                        insert_span.annotate(insertions=insertions)
-                    with tracer.span("rbcd.z-overlap") as overlap_span:
-                        overlap_span.cycles = overlap
-                        overlap_span.annotate(lists=lists, elements=elements)
-                    tile_span.cycles = insertion + overlap
         if self.observers:
             # Observers run as a nested frame: what they render or take
             # from scratch is fresh, never this frame's.

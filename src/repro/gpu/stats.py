@@ -150,13 +150,6 @@ class GPUStats(CounterAlgebra):
         return self.zeb_overflow_events / self.zeb_insertions
 
     @property
-    def ff_stack_overflow_rate(self) -> float:
-        """FF-Stack overflow events per analyzed ZEB list."""
-        if self.zeb_lists_analyzed == 0:
-            return 0.0
-        return self.ff_stack_overflows / self.zeb_lists_analyzed
-
-    @property
     def early_z_pass_rate(self) -> float:
         if self.early_z_tests == 0:
             return 0.0

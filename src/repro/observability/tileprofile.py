@@ -14,8 +14,9 @@ concentrate in the tiles the colliding geometry covers.  A
 
 summed over every recorded frame.  The bench harness stores the grids
 in each scene's ``tile_profile`` block; its validator checks that the
-``cycles`` grid sums to the scene's ``rbcd.tile`` stage cycles and the
-``energy_j`` grid to its dynamic RBCD joules, and the exact gate names
+``cycles`` grid sums to the scene's ``gpu.rbcd.rbcd_fragments_in`` plus
+``gpu.rbcd.rbcd_cycles`` counters and the ``energy_j`` grid to its
+dynamic RBCD joules, and the exact gate names
 every cell that moved, so a changed cycle or joule is localized to the
 screen tiles it sits in.
 

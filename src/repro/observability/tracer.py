@@ -12,25 +12,22 @@ The span hierarchy mirrors the simulator's structure::
     │   ├── raster.rasterize
     │   ├── raster.early-z
     │   └── raster.shade
-    └── rbcd
-        └── rbcd.tile (one per tile with collisionable fragments)
-            ├── rbcd.zeb-insert
-            └── rbcd.z-overlap
+    ├── rbcd
+    └── schedule
+
+A tiled frame with RBCD on opens each of these spans exactly once.
+Without RBCD there is no ``rbcd`` span; an immediate-mode frame also
+has no ``geometry.bin``, ``raster.fetch`` or ``schedule``.  Every span
+times the work it names.  The RBCD unit computes and absorbs a frame's
+tiles in one pass, so its per-tile numbers live in the counters and
+the :class:`~repro.observability.tileprofile.TileProfiler` grids, not
+in spans.
 
 Each span records two clocks:
 
-* **wall seconds** — how long the *host simulation* spent in the stage
-  (the perf number ``repro.experiments.bench`` tracks across PRs);
+* **wall seconds** — how long the *host simulation* spent in the stage;
 * **simulated cycles** — the modelled hardware's cost of the stage
-  (assigned by the pipeline from its cycle model; per-tile RBCD spans
-  carry the cycles ``compute_tile`` returned for that tile).
-
-The RBCD subtree is the exception on the wall clock.  A frame's tiles
-are computed and absorbed in one pass, so that time sits in the
-``rbcd`` stage span itself, outside any tile.  ``rbcd.tile``,
-``rbcd.zeb-insert`` and ``rbcd.z-overlap`` open afterwards, only when
-tracing, one set per tile in tile-schedule order: they carry cycles
-only, and time no work.
+  (assigned by the pipeline from its cycle model).
 
 Tracing is strictly observational: span bookkeeping never feeds back
 into the cycle model, so enabling a tracer changes no collision pair,
@@ -62,7 +59,7 @@ class Span:
     """One traced stage execution."""
 
     name: str
-    category: str = "stage"     # "frame" | "tile" | "stage"
+    category: str = "stage"     # "frame" | "stage"
     index: int = 0              # position in the tracer's span list
     parent: int = -1            # index of the enclosing span (-1 = root)
     depth: int = 0
@@ -81,9 +78,6 @@ class Span:
     @property
     def closed(self) -> bool:
         return self.t_end is not None
-
-    def add_cycles(self, n: float) -> None:
-        self.cycles += float(n)
 
     def annotate(self, **attrs) -> None:
         self.attrs.update(attrs)
@@ -105,8 +99,6 @@ class Tracer:
     always on.  Span indices then restart per root, which keeps
     parent/child indices consistent within each retained tree.
     """
-
-    enabled = True
 
     def __init__(self, clock=time.perf_counter, keep_spans: bool = True) -> None:
         self._clock = clock
@@ -138,8 +130,7 @@ class Tracer:
         key collision).  Contexts nest — inner contexts layer over, and
         restore, the outer ones — which is how the serving frontend
         stamps ``tenant`` / ``stream`` / ``frame_seq`` onto every span
-        of a frame, including the per-tile spans recorded at absorb
-        time.
+        of a frame.
         """
         saved = self._context
         self._context = {**saved, **attrs}
@@ -177,16 +168,6 @@ class Tracer:
         if not self.keep_spans and not self._stack:
             self.spans = []
 
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
-    def add_cycles(self, n: float) -> None:
-        """Attribute simulated cycles to the innermost open span."""
-        if self._stack:
-            self._stack[-1].add_cycles(n)
-
     def reset(self) -> None:
         """Drop collected spans and re-zero the clock epoch."""
         if self._stack:
@@ -200,18 +181,6 @@ class Tracer:
 
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
-
-    def children(self, sp: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent == sp.index]
-
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent == -1]
-
-    def total_wall_s(self, name: str) -> float:
-        return sum(s.wall_s for s in self.by_name(name))
-
-    def total_cycles(self, name: str) -> float:
-        return sum(s.cycles for s in self.by_name(name))
 
 
 class _NullSpan:
@@ -234,9 +203,6 @@ class _NullSpan:
         # instrumented code never branches on whether tracing is on.
         pass
 
-    def add_cycles(self, n: float) -> None:
-        pass
-
     def annotate(self, **attrs) -> None:
         pass
 
@@ -247,7 +213,6 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """The disabled tracer: structurally compatible, records nothing."""
 
-    enabled = False
     spans: list = []
     keep_spans = False
 
@@ -268,30 +233,11 @@ class NullTracer:
     def end(self, sp) -> None:
         pass
 
-    @property
-    def current(self) -> None:
-        return None
-
-    def add_cycles(self, n: float) -> None:
-        pass
-
     def reset(self) -> None:
         pass
 
     def by_name(self, name: str) -> list:
         return []
-
-    def children(self, sp) -> list:
-        return []
-
-    def roots(self) -> list:
-        return []
-
-    def total_wall_s(self, name: str) -> float:
-        return 0.0
-
-    def total_cycles(self, name: str) -> float:
-        return 0.0
 
 
 NULL_TRACER = NullTracer()

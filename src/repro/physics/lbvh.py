@@ -207,9 +207,6 @@ class LBVH:
     def root(self) -> int:
         return 0 if self.num_leaves > 1 else self.num_internal
 
-    def leaf_node(self, sorted_leaf: int) -> int:
-        return self.num_internal + sorted_leaf
-
     def is_leaf_node(self, node: int) -> bool:
         return node >= self.num_internal
 

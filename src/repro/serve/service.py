@@ -30,8 +30,8 @@ Telemetry is tenant-scoped end to end:
   so any merge order reproduces the same global registry bit for bit;
 * a shared :class:`~repro.observability.tracer.Tracer` (optional)
   records every span of a served frame inside
-  ``tracer.context(tenant=..., stream=..., frame_seq=...)``, so even
-  the per-tile spans are attributable to their tenant;
+  ``tracer.context(tenant=..., stream=..., frame_seq=...)``, so every
+  stage span is attributable to its tenant;
 * :meth:`CollisionService.healthy`, :meth:`CollisionService.alerts`
   and :meth:`CollisionService.global_registry` read the state in
   process, and per-tenant watchdog alerts flow through the structured
@@ -161,8 +161,7 @@ class CollisionService:
     tracer:
         Optional shared :class:`~repro.observability.tracer.Tracer`.
         Served frames run inside ``tracer.context(tenant=, stream=,
-        frame_seq=)`` so every span — including per-tile spans — is
-        tenant-attributable.
+        frame_seq=)`` so every span is tenant-attributable.
     max_pending:
         Admission bound: frames queued per tenant before ``submit``
         raises :class:`AdmissionError` ("backlog").  Rejection is the

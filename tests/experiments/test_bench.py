@@ -149,11 +149,14 @@ class TestRunBench:
             assert len(profile[name]) == tile_count
         assert "hits" not in profile
         # The grids are a spatial decomposition of frame totals: tile
-        # cycles sum to the rbcd.tile stage, tile activity to the ZEB
-        # insertion counter, and dynamic tile energy to the rbcd
-        # component joules minus static leakage.
+        # cycles sum to the ZEB insertions (one cycle per fragment in)
+        # plus the Z-Overlap cycles, tile activity to the ZEB insertion
+        # counter, and dynamic tile energy to the rbcd component joules
+        # minus static leakage.
+        counters = entry["counters"]
         assert sum(profile["cycles"]) == pytest.approx(
-            entry["stages"]["rbcd.tile"]["cycles"]
+            counters["gpu.rbcd.rbcd_fragments_in"]
+            + counters["gpu.rbcd.rbcd_cycles"]
         )
         assert sum(profile["activity"]) == pytest.approx(
             entry["counters"]["gpu.rbcd.zeb_insertions"]
@@ -186,7 +189,7 @@ class TestRunBench:
 
 
 def valid_doc():
-    """A minimal valid v9 document for validator tests: schema-valid,
+    """A minimal valid v10 document for validator tests: schema-valid,
     and its values keep every one of the model's identities."""
     return {
         "schema": SCHEMA_NAME,
@@ -199,9 +202,7 @@ def valid_doc():
                 "stages": {
                     **{stage: {"count": 1, "cycles": 10.0}
                        for stage in REQUIRED_STAGES},
-                    "rbcd.tile": {"count": 2, "cycles": 10.0},
-                    "rbcd.zeb-insert": {"count": 2, "cycles": 6.0},
-                    "rbcd.z-overlap": {"count": 2, "cycles": 4.0},
+                    "rbcd": {"count": 1, "cycles": 4.0},
                 },
                 "totals": {"fragments_produced": 5,
                            "pair_records_written": 1,
@@ -209,6 +210,8 @@ def valid_doc():
                 "counters": {"gpu.frames": 1, "gpu.gpu_cycles": 100.0,
                              "gpu.geometry.geometry_cycles": 40.0,
                              "gpu.raster.raster_pipeline_cycles": 60.0,
+                             "gpu.rbcd.rbcd_fragments_in": 6,
+                             "gpu.rbcd.rbcd_cycles": 4.0,
                              "energy.total_j": 1e-3},
                 "energy": {
                     "gpu": {"geometry_j": 1e-4, "raster_j": 1e-4,
@@ -248,11 +251,11 @@ class TestValidator:
 
     @pytest.mark.parametrize("version", [4, 5])
     def test_rejects_pre_v6_documents(self, version):
-        # Only v9 is accepted: an older document is refused with a
+        # Only v10 is accepted: an older document is refused with a
         # version error, by the validator and therefore by the gate.
         old = valid_doc()
         old["version"] = version
-        with pytest.raises(ValueError, match=r"version: expected one of \(9,\)"):
+        with pytest.raises(ValueError, match=r"version: expected one of \(10,\)"):
             validate_bench_document(old)
         report = gate_against_baseline(valid_doc(), old)
         assert not report.ok
@@ -264,7 +267,7 @@ class TestValidator:
         old = valid_doc()
         old["version"] = 6
         old["config"]["tile_cache"] = False
-        with pytest.raises(ValueError, match=r"expected one of \(9,\), got 6"):
+        with pytest.raises(ValueError, match=r"expected one of \(10,\), got 6"):
             validate_bench_document(old)
 
     def test_rejects_v7_document(self):
@@ -274,7 +277,7 @@ class TestValidator:
         old["version"] = 7
         old["config"].update(runs=3, profile=False)
         old["stats"] = {"bootstrap_resamples": 2000, "confidence": 0.95}
-        with pytest.raises(ValueError, match=r"expected one of \(9,\), got 7"):
+        with pytest.raises(ValueError, match=r"expected one of \(10,\), got 7"):
             validate_bench_document(old)
 
     def test_rejects_v8_document(self):
@@ -283,7 +286,20 @@ class TestValidator:
         old = valid_doc()
         old["version"] = 8
         old["config"].update(kernel_backend="vectorized", broad_phase="lbvh")
-        with pytest.raises(ValueError, match=r"expected one of \(9,\), got 8"):
+        with pytest.raises(ValueError, match=r"expected one of \(10,\), got 8"):
+            validate_bench_document(old)
+
+    def test_rejects_v9_document(self):
+        # v10 dropped the per-tile RBCD stage entries; a v9 document is
+        # refused with an error naming its version, even with them.
+        old = valid_doc()
+        old["version"] = 9
+        old["scenes"]["crazy"]["stages"].update({
+            "rbcd.tile": {"count": 2, "cycles": 10.0},
+            "rbcd.zeb-insert": {"count": 2, "cycles": 6.0},
+            "rbcd.z-overlap": {"count": 2, "cycles": 4.0},
+        })
+        with pytest.raises(ValueError, match=r"expected one of \(10,\), got 9"):
             validate_bench_document(old)
 
     def test_accepts_enabled_tile_profile(self):
@@ -419,20 +435,24 @@ class TestIdentities:
 
     def test_unprofiled_scene_skips_the_grid_identities(self):
         doc = valid_doc()
-        doc["scenes"]["crazy"]["stages"]["rbcd.tile"]["cycles"] = 10.0
+        # Only the tile-grid identity reads the fragment counter.
+        doc["scenes"]["crazy"]["counters"]["gpu.rbcd.rbcd_fragments_in"] += 1
         validate_bench_document(doc)
-        doc["scenes"]["crazy"]["stages"]["rbcd.tile"]["cycles"] = 11.0
-        with pytest.raises(ValueError, match="breaks stages"):
+        doc["scenes"]["crazy"]["stages"]["rbcd"]["cycles"] += 1.0
+        with pytest.raises(ValueError, match=r"breaks stages\[rbcd\]"):
             validate_bench_document(doc)
 
-    def test_absent_tile_stages_count_as_no_work(self):
+    @pytest.mark.parametrize("name", [
+        "gpu.rbcd.rbcd_cycles", "gpu.rbcd.rbcd_fragments_in",
+    ])
+    def test_missing_rbcd_counter_is_reported(self, name):
         doc = valid_doc_profiled()
-        stages = doc["scenes"]["crazy"]["stages"]
-        for name in ("rbcd.tile", "rbcd.zeb-insert", "rbcd.z-overlap"):
-            del stages[name]
-        # Grids that carry cycles no span accounts for are refused.
-        with pytest.raises(ValueError, match=r"0\.0 != 10\.0"):
+        doc["scenes"]["crazy"]["counters"].pop(name)
+        with pytest.raises(ValueError) as excinfo:
             validate_bench_document(doc)
+        message = str(excinfo.value)
+        assert f"missing counter {name!r}" in message
+        assert "breaks" not in message
 
     def test_malformed_operand_is_reported_once(self):
         doc = valid_doc()

@@ -31,12 +31,15 @@ PROFILED_DOCUMENT = REPO_ROOT / "BENCH_rbcd.json"
 
 IDENTITY_NAMES = [name for name, _, _ in IDENTITIES]
 
-# The counters the identities tie a scene's gpu_cycles to.
+# The counters the identities tie a scene's gpu_cycles and stage
+# cycles to.
 CYCLE_COUNTERS = (
     "gpu.gpu_cycles",
     "gpu.geometry.geometry_cycles",
     "gpu.raster.raster_pipeline_cycles",
+    "gpu.rbcd.rbcd_cycles",
 )
+RBCD_STAGE_IDENTITY = IDENTITY_NAMES[6]
 
 
 @pytest.fixture(scope="module")
@@ -308,26 +311,30 @@ def _bump(block, key, by):
     block[key] += by
 
 
-# One hand edit of a profiled scene per identity, in IDENTITIES order;
-# each breaks that identity and no other.
+# Hand edits of a profiled scene, each as (the index in IDENTITIES of
+# the one identity it breaks, the edit); every identity has at least one.
 BREAK_ONE_IDENTITY = {
     "gpu-cycles-counter":
-        lambda s: _bump(s["counters"], "gpu.gpu_cycles", 1),
+        (0, lambda s: _bump(s["counters"], "gpu.gpu_cycles", 1)),
     "gpu-cycles-split":
-        lambda s: _bump(s["counters"], "gpu.geometry.geometry_cycles", 1),
+        (1, lambda s: _bump(s["counters"], "gpu.geometry.geometry_cycles", 1)),
     "energy-counter":
-        lambda s: _bump(s["counters"], "energy.total_j", 1e-6),
-    "energy-split": lambda s: (
+        (2, lambda s: _bump(s["counters"], "energy.total_j", 1e-6)),
+    "energy-split": (3, lambda s: (
         _bump(s["energy"], "total_j", 1e-6),
         _bump(s["counters"], "energy.total_j", 1e-6),
-    ),
-    "gpu-energy-sum": lambda s: _bump(s["energy"]["gpu"], "fragment_j", 1e-6),
-    "rbcd-energy-sum": lambda s: _bump(s["energy"]["rbcd"], "static_j", 1e-6),
-    "tile-stage-split":
-        lambda s: _bump(s["stages"]["rbcd.zeb-insert"], "cycles", 1),
-    "tile-cycles-grid": lambda s: _bump(s["tile_profile"]["cycles"], 0, 1),
+    )),
+    "gpu-energy-sum":
+        (4, lambda s: _bump(s["energy"]["gpu"], "fragment_j", 1e-6)),
+    "rbcd-energy-sum":
+        (5, lambda s: _bump(s["energy"]["rbcd"], "static_j", 1e-6)),
+    "rbcd-stage-cycles": (6, lambda s: _bump(s["stages"]["rbcd"], "cycles", 1)),
+    "rbcd-fragments-counter":
+        (7, lambda s: _bump(s["counters"], "gpu.rbcd.rbcd_fragments_in", 1)),
+    "tile-cycles-grid":
+        (7, lambda s: _bump(s["tile_profile"]["cycles"], 0, 1)),
     "tile-energy-grid":
-        lambda s: _bump(s["tile_profile"]["energy_j"], 0, 1e-6),
+        (8, lambda s: _bump(s["tile_profile"]["energy_j"], 0, 1e-6)),
 }
 
 
@@ -342,11 +349,14 @@ def hand_broken(identity_index, mutate):
 def identity_breaking_slowdown(profiled_doc, bench_doc):
     doc = copy.deepcopy(bench_doc)
     scale_cycles(doc["scenes"]["crazy"], 0.9, keep_identities=False)
-    return doc, IDENTITY_NAMES[:2]
+    return doc, [*IDENTITY_NAMES[:2], RBCD_STAGE_IDENTITY]
 
 
 def identity_breaking_hollow(profiled_doc, bench_doc):
-    return hollow_baseline(keep_identities=False), IDENTITY_NAMES[:4]
+    return (
+        hollow_baseline(keep_identities=False),
+        [*IDENTITY_NAMES[:4], RBCD_STAGE_IDENTITY],
+    )
 
 
 REFUSED = {
@@ -354,7 +364,7 @@ REFUSED = {
     "hollow-mutant": identity_breaking_hollow,
     **{
         name: hand_broken(i, mutate)
-        for i, (name, mutate) in enumerate(BREAK_ONE_IDENTITY.items())
+        for name, (i, mutate) in BREAK_ONE_IDENTITY.items()
     },
 }
 
@@ -365,7 +375,9 @@ class TestIdentityRefusal:
     it and name the identity."""
 
     def test_every_identity_has_a_hand_broken_case(self):
-        assert len(BREAK_ONE_IDENTITY) == len(IDENTITIES)
+        assert {i for i, _ in BREAK_ONE_IDENTITY.values()} == set(
+            range(len(IDENTITIES))
+        )
 
     @pytest.mark.parametrize("case", REFUSED)
     def test_check_and_gate_refuse_and_name_the_identity(

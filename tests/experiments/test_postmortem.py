@@ -61,7 +61,7 @@ def write_dump(tmp_path, name="box", breach=True):
             for tenant, monitor in monitors.items():
                 with tracer.context(tenant=tenant, frame_seq=frame):
                     with tracer.span("frame") as span:
-                        span.add_cycles(100.0 + frame)
+                        span.cycles = 100.0 + frame
                 hot = breach and tenant == "t00" and frame == 2
                 monitor.observe_frame(
                     make_stats(100.0 if hot else 5.0), make_energy()

@@ -16,6 +16,7 @@ from repro.gpu.pipeline import GPU
 from repro.observability.counters import CounterRegistry
 from repro.gpu.stats import GPUStats
 from tests.conftest import two_boxes_frame
+from tests.rbcd.tile_oracle import tile_tasks
 
 
 def frame_fingerprint(result):
@@ -147,8 +148,9 @@ class TestExecutorMachinery:
         )
         tasks = gather_tile_tasks(result.fragments, small_config)
         tiles = TileExecutor().run(small_config, tasks)
-        assert tiles.tile_index.tolist() == [t.tile_index for t in tasks]
-        assert tiles.insertions.tolist() == [t.fragment_count for t in tasks]
+        views = tile_tasks(tasks)
+        assert tiles.tile_index.tolist() == [t.tile_index for t in views]
+        assert tiles.insertions.tolist() == [t.fragment_count for t in views]
         assert tiles.zeb.insertions == tasks.fragment_count
 
 

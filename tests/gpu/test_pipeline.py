@@ -174,6 +174,31 @@ class TestRenderFrame:
         assert result.color[cy, cx, 0] == pytest.approx(1.0)  # red wins centre
 
 
+# Every span a tiled RBCD frame opens: each times real work, once.
+STAGE_SPANS = (
+    "frame",
+    "geometry", "geometry.shade", "geometry.assemble", "geometry.bin",
+    "raster", "raster.fetch", "raster.rasterize", "raster.early-z",
+    "raster.shade",
+    "rbcd",
+    "schedule",
+)
+
+
+class TestStageSpans:
+    @pytest.mark.parametrize("mode", ["tbr", "tbdr"])
+    def test_frame_opens_each_stage_span_once(self, small_config, mode):
+        from repro.observability.tracer import Tracer
+
+        tracer = Tracer()
+        gpu = GPU(small_config, rendering_mode=mode, tracer=tracer)
+        result = gpu.render_frame(two_boxes_frame(small_config, 0.8))
+        # The frame gives the RBCD unit tiles and pairs to work on.
+        assert result.stats.tiles_processed > 1
+        assert result.collisions.pair_records_written > 0
+        assert sorted(s.name for s in tracer.spans) == sorted(STAGE_SPANS)
+
+
 class TestFailedFrame:
     """A frame that raises mid-pipeline must not leave spans open."""
 
@@ -201,9 +226,8 @@ class TestFailedFrame:
         gpu.render_frame(good)
         with pytest.raises(ValueError):
             gpu.render_frame(bad)
-        assert tracer.current is None
         assert tracer.spans == []
-        tracer.reset()
+        tracer.reset()                 # raises if a span were left open
         closed.clear()
         gpu.render_frame(good)
         (frame_span,) = [s for s in closed if s.name == "frame"]

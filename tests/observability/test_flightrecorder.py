@@ -137,12 +137,12 @@ class TestSpanCapture:
     def test_spans_recorded_with_attrs_and_cycles(self, recorder):
         tracer = recorder.attach_tracer()
         with tracer.span("frame") as sp:
-            sp.add_cycles(42.0)
-            with tracer.span("rbcd.tile", tile=3):
+            sp.cycles = 42.0
+            with tracer.span("rbcd", tile=3):
                 pass
         doc = recorder.document()
         spans = doc["streams"][DEFAULT_STREAM]["spans"]
-        assert [s["name"] for s in spans] == ["rbcd.tile", "frame"]
+        assert [s["name"] for s in spans] == ["rbcd", "frame"]
         assert spans[0]["attrs"] == {"tile": 3}
         assert spans[1]["cycles"] == 42.0
         assert tracer.spans == []  # bounded: cleared after the root closed

@@ -48,8 +48,9 @@ class TestSpanTree:
         assert frame.parent == -1 and frame.depth == 0
         assert geometry.parent == frame.index and geometry.depth == 1
         assert shade.parent == geometry.index and shade.depth == 2
-        assert [s.name for s in tracer.children(frame)] == ["geometry", "raster"]
-        assert tracer.roots() == [frame]
+        assert [s.name for s in tracer.spans if s.parent == frame.index] == [
+            "geometry", "raster",
+        ]
 
     def test_wall_time_from_clock(self, tracer, clock):
         with tracer.span("outer") as outer:
@@ -77,11 +78,10 @@ class TestSpanTree:
 
     def test_cycles_attribution(self, tracer):
         with tracer.span("stage") as span:
-            span.add_cycles(10)
-            tracer.add_cycles(5)       # lands on the innermost open span
+            span.cycles = 10.0
+        assert span.cycles == 10.0
         span.cycles = 99.0             # post-close assignment is allowed
-        assert span.cycles == 99.0
-        assert tracer.total_cycles("stage") == 99.0
+        assert [s.cycles for s in tracer.by_name("stage")] == [99.0]
 
     def test_annotate_and_start_attrs(self, tracer):
         with tracer.span("stage", tile=7) as span:
@@ -104,13 +104,12 @@ class TestSpanTree:
 
     def test_queries(self, tracer):
         with tracer.span("frame"):
-            with tracer.span("tile", category="tile"):
+            with tracer.span("stage"):
                 pass
-            with tracer.span("tile", category="tile"):
+            with tracer.span("stage"):
                 pass
-        assert len(tracer.by_name("tile")) == 2
+        assert len(tracer.by_name("stage")) == 2
         assert tracer.by_name("nothing") == []
-        assert tracer.current is None
 
 
 class TestNullTracer:
@@ -119,12 +118,10 @@ class TestNullTracer:
         real = Tracer()
         assert ensure_tracer(real) is real
         assert isinstance(NULL_TRACER, NullTracer)
-        assert not NULL_TRACER.enabled
 
     def test_null_span_absorbs_all_mutation(self):
         with NULL_TRACER.span("anything", tile=3) as span:
             span.cycles = 123.0      # must not stick
-            span.add_cycles(5)
             span.annotate(x=1)
         assert span.cycles == 0.0
         assert span.attrs == {}
@@ -133,20 +130,14 @@ class TestNullTracer:
     def test_null_tracer_structural_compat(self):
         sp = NULL_TRACER.start("x")
         NULL_TRACER.end(sp)
-        NULL_TRACER.add_cycles(3)
         NULL_TRACER.reset()
-        assert NULL_TRACER.current is None
         assert NULL_TRACER.by_name("x") == []
-        assert NULL_TRACER.roots() == []
-        assert NULL_TRACER.total_wall_s("x") == 0.0
-        assert NULL_TRACER.total_cycles("x") == 0.0
 
     def test_real_span_dataclass_defaults(self):
         sp = Span(name="s")
         assert not sp.closed
         assert sp.wall_s == 0.0
-        sp.add_cycles(2.5)
-        assert sp.cycles == 2.5
+        assert sp.cycles == 0.0
 
 
 class TestContext:
@@ -156,7 +147,7 @@ class TestContext:
     def test_context_stamps_every_span(self, tracer):
         with tracer.context(tenant="t00", frame_seq=3):
             with tracer.span("frame"):
-                with tracer.span("rbcd.tile"):
+                with tracer.span("rbcd"):
                     pass
         assert all(
             s.attrs["tenant"] == "t00" and s.attrs["frame_seq"] == 3
@@ -165,7 +156,7 @@ class TestContext:
 
     def test_explicit_span_attrs_win_over_context(self, tracer):
         with tracer.context(tile=0, tenant="t00"):
-            with tracer.span("rbcd.tile", tile=7) as sp:
+            with tracer.span("rbcd", tile=7) as sp:
                 pass
         assert sp.attrs == {"tile": 7, "tenant": "t00"}
 

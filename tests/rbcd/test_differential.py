@@ -34,6 +34,7 @@ from tests.rbcd.tile_oracle import (
     compute_tile_oracle,
     mismatches,
     tile_slices,
+    tile_tasks,
 )
 from tests.rbcd.zeb_oracle import insert_sequential
 
@@ -173,7 +174,7 @@ def run_serial_reference(config: GPUConfig, soup: FragmentSoup):
     """The per-tile oracle: each tile computed alone, then absorbed
     tile by tile."""
     per_tile = {}
-    for task in gather_tile_tasks(soup, config):
+    for task in tile_tasks(gather_tile_tasks(soup, config)):
         per_tile[task.tile_index] = compute_tile_oracle(
             config, task.tile_index, task.x, task.y, task.z, task.object_id,
             task.front,
@@ -203,7 +204,7 @@ def test_tile_loop_matches_serial_reference(m, soup_seed):
     tiles = tile_slices(config, merged_unit.tiles)
 
     # Tiles come in tile-schedule order with bit-identical slices...
-    assert [r.tile_index for r in tiles] == [t.tile_index for t in tasks]
+    assert [r.tile_index for r in tiles] == tasks.tile_index.tolist()
     for result in tiles:
         assert_zeb_equal(result.zeb, per_tile[result.tile_index].zeb)
         assert result.insertion_cycles == per_tile[result.tile_index].insertion_cycles
@@ -237,7 +238,7 @@ def test_tile_loop_matches_sequential_spec_per_tile():
     tasks = gather_tile_tasks(soup, config)
     results = tile_slices(config, TileExecutor().run(config, tasks))
     ts = config.tile_size
-    for task, result in zip(tasks, results):
+    for task, result in zip(tile_tasks(tasks), results, strict=True):
         local = (task.y % ts).astype(np.int64) * ts + (task.x % ts).astype(np.int64)
         codes = quantize_depth(task.z, config.rbcd)
         reference = insert_sequential(
@@ -260,7 +261,7 @@ def test_serial_executor_is_the_reference():
 def test_gather_tile_tasks_orders_tiles_and_preserves_arrival():
     config = GPUConfig().with_screen(*SCREEN)
     soup = random_frame_soup(seed=9)
-    tasks = gather_tile_tasks(soup, config)
+    tasks = tile_tasks(gather_tile_tasks(soup, config))
     tiles = [t.tile_index for t in tasks]
     assert tiles == sorted(tiles)
     assert len(set(tiles)) == len(tiles)

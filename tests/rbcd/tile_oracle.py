@@ -7,8 +7,10 @@ once.  This module keeps the loops that replaced: every tile goes
 through the kernels on its own (:func:`compute_tile_oracle`), so no
 spare entry, pair or tally can leak between tiles, and the tiles are
 absorbed one after another with running sums and per-record appends
-(:func:`absorb_oracle`).  :func:`tile_slices` cuts a frame result into
-the same per-tile shape, so tests compare the two field by field,
+(:func:`absorb_oracle`).  :func:`tile_tasks` cuts a
+:class:`~repro.gpu.parallel.TileBatch` into per-tile :class:`TileTask`
+views for the oracle's loop.  :func:`tile_slices` cuts a frame result
+into the same per-tile shape, so tests compare the two field by field,
 dtypes included.  The kernels are the ones ``compute_tile`` calls,
 read at call time, so under the ``reference_kernels`` fixture both
 sides run the scalar walkers.
@@ -38,6 +40,43 @@ PAIR_COLUMNS = (
     "pair_row", "pair_id_a", "pair_id_b", "pair_z_front", "pair_z_back",
     "pair_case", "pair_stack_depth",
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class TileTask:
+    """One tile's collisionable fragments, in arrival order.
+
+    Coordinates are global pixel coordinates.
+    """
+
+    tile_index: int
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    object_id: np.ndarray
+    front: np.ndarray
+
+    @property
+    def fragment_count(self) -> int:
+        return int(self.x.shape[0])
+
+
+def tile_tasks(batch: TileBatch) -> list[TileTask]:
+    """``batch`` as one :class:`TileTask` view per tile, in its order."""
+    bounds = batch.offsets.tolist()
+    return [
+        TileTask(
+            tile_index=tile,
+            x=batch.x[lo:hi],
+            y=batch.y[lo:hi],
+            z=batch.z[lo:hi],
+            object_id=batch.object_id[lo:hi],
+            front=batch.front[lo:hi],
+        )
+        for tile, lo, hi in zip(
+            batch.tile_index.tolist(), bounds[:-1], bounds[1:]
+        )
+    ]
 
 
 @dataclasses.dataclass
@@ -112,7 +151,7 @@ def oracle_results(gpu_config: GPUConfig, batch: TileBatch) -> list[TileResult]:
             gpu_config, task.tile_index, task.x, task.y, task.z,
             task.object_id, task.front,
         )
-        for task in batch
+        for task in tile_tasks(batch)
     ]
 
 

@@ -184,7 +184,7 @@ class TestAdmissionControl:
 
 
 class TestTraceContext:
-    def test_every_tile_span_is_tenant_attributable(self):
+    def test_every_stage_span_is_tenant_attributable(self):
         tracer = Tracer()
         with make_service(tracer=tracer) as service:
             service.register("alice")
@@ -194,14 +194,17 @@ class TestTraceContext:
                 for tenant in ("alice", "bob"):
                     service.submit(tenant, frames[seq], stream="s1")
             service.drain()
-        tile_spans = tracer.by_name("rbcd.tile")
-        assert tile_spans, "expected per-tile spans from the served frames"
+        rbcd_spans = tracer.by_name("rbcd")
+        assert len(rbcd_spans) == 4, "one rbcd stage span per served frame"
         for span in tracer.spans:
             assert span.attrs["tenant"] in ("alice", "bob")
             assert span.attrs["stream"] == "s1"
             assert span.attrs["frame_seq"] in (0, 1)
-        # Both tenants contributed spans, distinctly labelled.
-        assert {s.attrs["tenant"] for s in tile_spans} == {"alice", "bob"}
+        # Each served frame's stage spans carry its own tenant and
+        # sequence number.
+        assert sorted(
+            (s.attrs["tenant"], s.attrs["frame_seq"]) for s in rbcd_spans
+        ) == [("alice", 0), ("alice", 1), ("bob", 0), ("bob", 1)]
 
     def test_context_does_not_leak_after_serving(self):
         tracer = Tracer()
