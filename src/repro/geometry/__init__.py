@@ -18,16 +18,12 @@ from repro.geometry.primitives import (
     make_uv_sphere,
     make_concave_l,
 )
-from repro.geometry.convex import convex_hull
-from repro.geometry.decimate import decimation_error_bound, vertex_clustering
 
 __all__ = [
     "AABB",
     "Mat4",
     "TriangleMesh",
     "Vec3",
-    "convex_hull",
-    "decimation_error_bound",
     "make_box",
     "make_capsule",
     "make_concave_l",
@@ -38,5 +34,4 @@ __all__ = [
     "make_uv_sphere",
     "transform_directions",
     "transform_points",
-    "vertex_clustering",
 ]

@@ -66,19 +66,12 @@ class AABB:
         s = self.size
         return s.x * s.y * s.z
 
-    def surface_area(self) -> float:
-        s = self.size
-        return 2.0 * (s.x * s.y + s.y * s.z + s.z * s.x)
-
     def contains_point(self, p: Vec3) -> bool:
         return (
             self.lo.x <= p.x <= self.hi.x
             and self.lo.y <= p.y <= self.hi.y
             and self.lo.z <= p.z <= self.hi.z
         )
-
-    def contains_aabb(self, other: "AABB") -> bool:
-        return self.contains_point(other.lo) and self.contains_point(other.hi)
 
     def overlaps(self, other: "AABB") -> bool:
         """Closed-interval overlap test — touching boxes count as overlapping.
@@ -105,11 +98,6 @@ class AABB:
         if lo.x > hi.x or lo.y > hi.y or lo.z > hi.z:
             return None
         return AABB(lo, hi)
-
-    def expanded(self, margin: float) -> "AABB":
-        """Box grown by ``margin`` on every side (negative shrinks)."""
-        m = Vec3(margin, margin, margin)
-        return AABB(self.lo - m, self.hi + m)
 
     def corners(self) -> np.ndarray:
         """The 8 corner points as an (8, 3) array."""

@@ -55,12 +55,12 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.observability.live import (
-    WINDOW_SERIES,
     aggregate_window_values,
+    new_series,
+    push_series,
 )
 from repro.observability.log import _RESERVED, get_logger, log_event
 from repro.observability.tracer import Span, Tracer
-from repro.observability.window import Ewma, QuantileSketch, SlidingWindow
 
 __all__ = [
     "SCHEMA_NAME",
@@ -345,24 +345,14 @@ class FlightRecorder:
     # -- recording -----------------------------------------------------------
 
     def record_span(self, span: Span, stream: str = DEFAULT_STREAM) -> None:
+        """Keep the closed ``span`` itself, not a copy: the pipeline sets
+        some stages' cycles after their spans close, so a span becomes a
+        record only when a document is built (:func:`_span_record`)."""
         stream = str(span.attrs.get("tenant", stream))
-        self._record(
-            lambda: self._stream_locked(stream).spans,
-            {
-                "kind": "span",
-                "stream": stream,
-                "name": span.name,
-                "category": span.category,
-                "index": span.index,
-                "parent": span.parent,
-                "depth": span.depth,
-                "cycles": span.cycles,
-                "attrs": dict(span.attrs),
-                "t_start": span.t_start,
-                "t_end": span.t_end,
-                "wall_s": span.wall_s,
-            },
-        )
+        with self._lock:
+            self._stream_locked(stream).spans.append(
+                (next(self._seq), stream, span)
+            )
 
     def _on_monitor_event(self, stream: str, kind: str, payload) -> None:
         if kind == "snapshot":
@@ -514,7 +504,10 @@ class FlightRecorder:
                         if rings.monitor_meta is not None else None
                     ),
                     "counters": {},
-                    "spans": rings.spans.snapshot(),
+                    "spans": [
+                        _span_record(*entry)
+                        for entry in rings.spans.snapshot()
+                    ],
                     "snapshots": rings.snapshots.snapshot(),
                     "alerts": rings.alerts.snapshot(),
                     "rejections": rings.rejections.snapshot(),
@@ -582,6 +575,24 @@ class FlightRecorder:
         self.close()
 
 
+def _span_record(seq: int, stream: str, span: Span) -> dict[str, Any]:
+    return {
+        "seq": seq,
+        "kind": "span",
+        "stream": stream,
+        "name": span.name,
+        "category": span.category,
+        "index": span.index,
+        "parent": span.parent,
+        "depth": span.depth,
+        "cycles": span.cycles,
+        "attrs": dict(span.attrs),
+        "t_start": span.t_start,
+        "t_end": span.t_end,
+        "wall_s": span.wall_s,
+    }
+
+
 # -- determinism helpers -----------------------------------------------------
 
 
@@ -610,26 +621,17 @@ def window_values_from_snapshots(
     Rebuilds the exact per-frame series ``LiveMonitor.observe_frame``
     pushes — every input is read back from snapshot fields that are
     bitwise equal to what the live monitor saw (JSON round-trips
-    Python floats exactly) — then aggregates through the shared
+    Python floats exactly) — into state built and pushed by the
+    monitor's own :func:`~repro.observability.live.new_series` and
+    :func:`~repro.observability.live.push_series`, then aggregates
+    through the shared
     :func:`~repro.observability.live.aggregate_window_values`.  Feeding
     the same frames therefore reproduces the live values bit for bit.
     """
-    windows = {name: SlidingWindow(window) for name in WINDOW_SERIES}
-    ewmas = {
-        "frame.wall_ms": Ewma(ewma_alpha),
-        "rbcd.activity_ratio": Ewma(ewma_alpha),
-    }
-    sketches = {
-        "frame.wall_ms": QuantileSketch(sketch_accuracy),
-        "frame.sim_ms": QuantileSketch(sketch_accuracy),
-        "rbcd.activity_ratio": QuantileSketch(sketch_accuracy),
-    }
+    windows, ewmas, sketches = new_series(window, sketch_accuracy, ewma_alpha)
     for record in snapshots:
         counters = record["counters"]
         derived = record["derived"]
-        wall_ms = float(record["wall_s"]) * 1e3
-        sim_ms = float(record["sim_s"]) * 1e3
-        activity = float(derived["rbcd.activity_ratio"])
         push = {
             "rbcd_cycles": float(counters["gpu.rbcd.rbcd_cycles"]),
             "gpu_cycles": float(record["gpu_cycles"]),
@@ -641,17 +643,14 @@ def window_values_from_snapshots(
             "zeb_lists_analyzed":
                 float(counters["gpu.rbcd.zeb_lists_analyzed"]),
             "energy_j": float(derived["energy.joules"]),
-            "wall_ms": wall_ms,
-            "sim_ms": sim_ms,
+            "wall_ms": float(record["wall_s"]) * 1e3,
+            "sim_ms": float(record["sim_s"]) * 1e3,
             "pairs": float(counters["gpu.rbcd.collision_pairs_emitted"]),
         }
-        for name in WINDOW_SERIES:
-            windows[name].push(push[name])
-        ewmas["frame.wall_ms"].update(wall_ms)
-        ewmas["rbcd.activity_ratio"].update(activity)
-        sketches["frame.wall_ms"].add(wall_ms)
-        sketches["frame.sim_ms"].add(sim_ms)
-        sketches["rbcd.activity_ratio"].add(activity)
+        push_series(
+            windows, ewmas, sketches, push,
+            float(derived["rbcd.activity_ratio"]),
+        )
     return aggregate_window_values(windows, ewmas, sketches)
 
 

@@ -67,6 +67,48 @@ WINDOW_SERIES = (
     "energy_j", "wall_ms", "sim_ms", "pairs",
 )
 
+
+def new_series(
+    window: int, sketch_accuracy: float, ewma_alpha: float
+) -> tuple[dict[str, SlidingWindow], dict[str, Ewma], dict[str, QuantileSketch]]:
+    """The per-frame series state a monitor aggregates: one sliding
+    window per :data:`WINDOW_SERIES` name, the EWMAs and the quantile
+    sketches.  :class:`LiveMonitor` and the flight recorder's
+    post-mortem replay both build it here, so they hold the same series.
+    """
+    return (
+        {name: SlidingWindow(window) for name in WINDOW_SERIES},
+        {
+            "frame.wall_ms": Ewma(ewma_alpha),
+            "rbcd.activity_ratio": Ewma(ewma_alpha),
+        },
+        {
+            "frame.wall_ms": QuantileSketch(sketch_accuracy),
+            "frame.sim_ms": QuantileSketch(sketch_accuracy),
+            "rbcd.activity_ratio": QuantileSketch(sketch_accuracy),
+        },
+    )
+
+
+def push_series(
+    windows: Mapping[str, SlidingWindow],
+    ewmas: Mapping[str, Ewma],
+    sketches: Mapping[str, QuantileSketch],
+    values: Mapping[str, float],
+    activity: float,
+) -> None:
+    """Push one frame into :func:`new_series` state: ``values`` holds
+    every :data:`WINDOW_SERIES` name, ``activity`` the frame's
+    ``rbcd.activity_ratio``."""
+    for name in WINDOW_SERIES:
+        windows[name].push(values[name])
+    ewmas["frame.wall_ms"].update(values["wall_ms"])
+    ewmas["rbcd.activity_ratio"].update(activity)
+    sketches["frame.wall_ms"].add(values["wall_ms"])
+    sketches["frame.sim_ms"].add(values["sim_ms"])
+    sketches["rbcd.activity_ratio"].add(activity)
+
+
 _OPS = {
     "gt": lambda a, b: a > b,
     "ge": lambda a, b: a >= b,
@@ -312,18 +354,9 @@ class LiveMonitor(FrameObserver):
         self._counter_specs: dict = {}
         # Per-frame series windows (raw numerators/denominators, so
         # windowed rates are ratios of window sums).
-        self._windows: dict[str, SlidingWindow] = {
-            name: SlidingWindow(window) for name in WINDOW_SERIES
-        }
-        self._ewma = {
-            "frame.wall_ms": Ewma(ewma_alpha),
-            "rbcd.activity_ratio": Ewma(ewma_alpha),
-        }
-        self._sketches = {
-            "frame.wall_ms": QuantileSketch(sketch_accuracy),
-            "frame.sim_ms": QuantileSketch(sketch_accuracy),
-            "rbcd.activity_ratio": QuantileSketch(sketch_accuracy),
-        }
+        self._windows, self._ewma, self._sketches = new_series(
+            window, sketch_accuracy, ewma_alpha
+        )
 
     def add_listener(self, fn) -> None:
         """Call ``fn(kind, payload)`` after each ingested frame:
@@ -409,16 +442,9 @@ class LiveMonitor(FrameObserver):
                 "sim_ms": sim_s * 1e3,
                 "pairs": float(stats.collision_pairs_emitted),
             }
-            for name, value in push.items():
-                self._windows[name].push(value)
-            self._ewma["frame.wall_ms"].update(wall_s * 1e3)
-            self._ewma["rbcd.activity_ratio"].update(
-                derived["rbcd.activity_ratio"]
-            )
-            self._sketches["frame.wall_ms"].add(wall_s * 1e3)
-            self._sketches["frame.sim_ms"].add(sim_s * 1e3)
-            self._sketches["rbcd.activity_ratio"].add(
-                derived["rbcd.activity_ratio"]
+            push_series(
+                self._windows, self._ewma, self._sketches, push,
+                derived["rbcd.activity_ratio"],
             )
             events = [("snapshot", snapshot)]
             events.extend(self._evaluate_rules(snapshot.frame))

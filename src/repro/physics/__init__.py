@@ -1,18 +1,18 @@
 """Software collision detection (the paper's CPU baselines).
 
 From-scratch, instrumented equivalents of the Bullet-based baselines of
-Section 4.3: an AABB broad phase (brute-force and sweep-and-prune) and
-a GJK narrow phase (plus EPA penetration depth for the dynamics
-examples).  Every implementation counts the arithmetic, comparison,
-memory and branch operations it executes; the ``repro.cpu`` model
-prices those counts into Cortex-A9-like cycles and energy.
+Section 4.3: an all-pairs AABB broad phase (plus the LBVH broad phase
+the exact oracle uses) and a GJK narrow phase (plus EPA penetration
+depth for the dynamics examples).  Every implementation counts the
+arithmetic, comparison, memory and branch operations it executes; the
+``repro.cpu`` model prices those counts into Cortex-A9-like cycles and
+energy.
 """
 
 from repro.physics.counters import OpCounter
 from repro.physics.broadphase import (
     BroadPhaseResult,
     aabb_bruteforce_pairs,
-    sweep_and_prune_pairs,
     world_aabbs,
 )
 from repro.physics.shapes import ConvexShape, SupportPoint
@@ -36,6 +36,5 @@ __all__ = [
     "aabb_bruteforce_pairs",
     "epa_penetration",
     "gjk_intersect",
-    "sweep_and_prune_pairs",
     "world_aabbs",
 ]

@@ -4,9 +4,8 @@ Models the paper's CPU broad baseline ("the most simple broad phase, an
 AABB overlap test", Section 5.1): every frame, each collisionable
 object's world AABB is recomputed from its transformed mesh vertices —
 exactly what Bullet does for mesh-backed collision shapes — and then
-the pairwise overlap tests run, either brute force (all pairs, the
-baseline) or sweep-and-prune (the classic O(n log n) refinement, kept
-as an ablation).
+every pair gets the overlap test.  The exact LBVH broad phase
+(:mod:`repro.physics.lbvh`) consumes the same world AABBs.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.geometry.vec import Mat4, Vec3, transform_points
+from repro.geometry.vec import Mat4, transform_points
 from repro.physics.counters import AABB_FOLD_CMPS, TRANSFORM_POINT_FLOPS, OpCounter
 
 
@@ -76,49 +75,4 @@ def aabb_bruteforce_pairs(
             if _overlap_counted(boxes[i], boxes[j], ops):
                 a, b = ids[i], ids[j]
                 pairs.append((a, b) if a <= b else (b, a))
-    return BroadPhaseResult(pairs=sorted(pairs), ops=ops)
-
-
-def sweep_and_prune_pairs(
-    boxes: list[AABB], ids: list[int], ops: OpCounter, axis: int = 0
-) -> BroadPhaseResult:
-    """Sweep-and-prune along one axis, full test on survivors.
-
-    Endpoints are sorted (counted as the comparison cost of the sort),
-    then a sweep keeps an active interval set; interval-overlapping
-    pairs get the full 6-compare test.  Produces exactly the same pairs
-    as brute force.
-    """
-    if len(boxes) != len(ids):
-        raise ValueError("need one id per box")
-    if not 0 <= axis <= 2:
-        raise ValueError("axis must be 0, 1 or 2")
-    n = len(boxes)
-    if n < 2:
-        return BroadPhaseResult(pairs=[], ops=ops)
-
-    events: list[tuple[float, int, int]] = []  # (coord, is_end, index)
-    for i, box in enumerate(boxes):
-        events.append((box.lo[axis], 0, i))
-        events.append((box.hi[axis], 1, i))
-    events.sort()
-    m = len(events)
-    ops.add_all(
-        cmp=m * np.log2(m) if m > 1 else 0,  # comparison sort
-        mem=2 * m * np.log2(m) if m > 1 else 0,
-        branch=m,
-    )
-
-    active: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for _, is_end, i in events:
-        ops.add_all(mem=2, branch=1)
-        if is_end:
-            active.discard(i)
-            continue
-        for j in active:
-            if _overlap_counted(boxes[i], boxes[j], ops):
-                a, b = ids[i], ids[j]
-                pairs.append((a, b) if a <= b else (b, a))
-        active.add(i)
     return BroadPhaseResult(pairs=sorted(pairs), ops=ops)

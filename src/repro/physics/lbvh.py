@@ -1,10 +1,10 @@
 """Linear BVH broad phase: Morton codes + radix sort + radix tree.
 
-The fourth broad-phase backend (after brute force, sweep-and-prune and
-the dynamic AABB tree), and the default oracle broad phase.  The LBVH
-is the standard GPU-friendly decomposition of broad-phase CD — build a
-spatial tree in three data-parallel passes instead of incremental
-insertion:
+The second broad-phase backend of
+:class:`~repro.physics.world.CollisionWorld` (next to the brute-force
+baseline), and the exact oracle's broad phase.  The LBVH is the
+standard GPU-friendly decomposition of broad-phase CD — build a spatial
+tree in three data-parallel passes instead of incremental insertion:
 
 1. Quantize each object's AABB centroid onto a ``2^10``-per-axis grid
    over the scene bounds and interleave the bits into a 30-bit
@@ -32,7 +32,7 @@ degenerate clouds.
 Operation counting mirrors the scalar algorithm the counters price
 elsewhere: per-element quantize/encode flops, per-pass radix loads and
 stores, one counted delta evaluation per binary-search probe, and the
-same 6-compare/12-load node visit cost as the DBVT traversal.
+same 6-compare/12-load node visit cost as a brute-force pair test.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """CollisionWorld: the CPU-side CD pipelines (Bullet-equivalent).
 
-Two configurations, exactly the two baselines of Section 4.3:
+Three modes: the two baselines of Section 4.3, plus an exact oracle.
 
 ``mode="broad"``
     Per-frame world-AABB recompute over every collisionable mesh plus
@@ -14,6 +14,11 @@ Two configurations, exactly the two baselines of Section 4.3:
     "often the most computationally-intensive task".  Kept as a third
     baseline/oracle; it is far costlier than GJK.
 
+The broad phase is one of :data:`BROAD_ALGOS`: ``"bruteforce"`` (the
+paper's all-pairs baseline, the default) or ``"lbvh"`` (the linear BVH
+of :mod:`repro.physics.lbvh`, the exact oracle's broad phase).  Both
+return the same pairs; only the operation tally differs.
+
 Every frame returns the detected pairs *and* the operation tally, which
 ``repro.cpu`` prices into Cortex-A9 time and energy.
 """
@@ -26,14 +31,14 @@ import numpy as np
 
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.vec import Mat4
-from repro.physics.broadphase import aabb_bruteforce_pairs, sweep_and_prune_pairs, world_aabbs
+from repro.physics.broadphase import aabb_bruteforce_pairs, world_aabbs
 from repro.physics.counters import OpCounter
 from repro.physics.epa import epa_penetration
 from repro.physics.gjk import gjk_intersect
 from repro.physics.shapes import ConvexShape
 
 MODES = ("broad", "broad+narrow", "broad+exact")
-BROAD_ALGOS = ("bruteforce", "sap", "tree", "lbvh")
+BROAD_ALGOS = ("bruteforce", "lbvh")
 
 
 @dataclass
@@ -82,7 +87,6 @@ class CollisionWorld:
             raise ValueError(f"broad_algorithm must be one of {BROAD_ALGOS}")
         self.broad_algorithm = broad_algorithm
         self._objects: dict[int, CollisionObject] = {}
-        self._tree = None  # persistent DBVT for the "tree" backend
 
     def add_object(self, object_id: int, mesh: TriangleMesh) -> CollisionObject:
         if object_id in self._objects:
@@ -112,15 +116,7 @@ class CollisionWorld:
         ids = [o.object_id for o in objs]
 
         boxes = world_aabbs([o.mesh.vertices for o in objs], [o.model for o in objs], ops)
-        if self.broad_algorithm == "sap":
-            broad = sweep_and_prune_pairs(boxes, ids, ops)
-        elif self.broad_algorithm == "tree":
-            from repro.physics.aabbtree import tree_broadphase_pairs
-            from repro.physics.broadphase import BroadPhaseResult
-
-            pairs, self._tree = tree_broadphase_pairs(boxes, ids, ops, self._tree)
-            broad = BroadPhaseResult(pairs=pairs, ops=ops)
-        elif self.broad_algorithm == "lbvh":
+        if self.broad_algorithm == "lbvh":
             from repro.physics.lbvh import lbvh_broadphase_pairs
 
             broad = lbvh_broadphase_pairs(boxes, ids, ops)

@@ -166,6 +166,27 @@ class TestSpanCapture:
         assert recorder.stats()["streams"][DEFAULT_STREAM]["spans"] == 1
         assert len(mine.spans) == 1  # keep_spans untouched on foreign tracers
 
+    def test_dumped_stage_cycles_equal_the_traced_spans(self, recorder):
+        """The pipeline sets some stages' cycles after their spans close
+        (``geometry.*`` and ``raster``); the dump still carries them."""
+        from repro.gpu.pipeline import GPU
+        from repro.scenes.benchmarks import workload_by_alias
+        from tests.gpu.test_pipeline import STAGE_SPANS
+
+        config = GPUConfig().with_screen(160, 96)
+        frame = workload_by_alias("cap", detail=1).scene.frame_at(1.0, config)
+        tracer = recorder.attach_tracer(Tracer())
+        GPU(config, tracer=tracer).render_frame(frame)
+        traced = {s.name: s.cycles for s in tracer.spans}
+        dumped = {
+            s["name"]: s["cycles"]
+            for s in recorder.document()["streams"][DEFAULT_STREAM]["spans"]
+        }
+        assert sorted(traced) == sorted(dumped) == sorted(STAGE_SPANS)
+        for name in STAGE_SPANS:
+            assert dumped[name] == traced[name], name
+        assert dumped["geometry.shade"] > 0 and dumped["raster"] > 0
+
 
 class TestLogCapture:
     def test_repro_log_events_land_in_the_ring(self, recorder):

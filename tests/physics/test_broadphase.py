@@ -1,15 +1,13 @@
-"""Broad-phase tests: correctness and brute-force/SAP agreement."""
+"""Broad-phase tests: world-AABB recompute and the brute-force baseline."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import make_box
 from repro.geometry.vec import Mat4, Vec3
 from repro.physics.broadphase import (
     aabb_bruteforce_pairs,
-    sweep_and_prune_pairs,
     world_aabb_of_mesh,
     world_aabbs,
 )
@@ -74,50 +72,3 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             aabb_bruteforce_pairs(boxes_at([(0, 0, 0)]), [], OpCounter())
 
-
-class TestSweepAndPrune:
-    def test_matches_bruteforce_simple(self):
-        positions = [(0, 0, 0), (0.8, 0, 0), (0.8, 0.8, 0), (5, 5, 5)]
-        boxes = boxes_at(positions)
-        ids = [1, 2, 3, 4]
-        brute = aabb_bruteforce_pairs(boxes, ids, OpCounter())
-        sap = sweep_and_prune_pairs(boxes, ids, OpCounter())
-        assert brute.pairs == sap.pairs
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-10, max_value=10, allow_nan=False),
-                st.floats(min_value=-10, max_value=10, allow_nan=False),
-                st.floats(min_value=-10, max_value=10, allow_nan=False),
-            ),
-            min_size=0,
-            max_size=15,
-        ),
-        st.integers(min_value=0, max_value=2),
-    )
-    def test_sap_equals_bruteforce_property(self, positions, axis):
-        boxes = boxes_at(positions)
-        ids = list(range(len(boxes)))
-        brute = aabb_bruteforce_pairs(boxes, ids, OpCounter())
-        sap = sweep_and_prune_pairs(boxes, ids, OpCounter(), axis=axis)
-        assert brute.pairs == sap.pairs
-
-    def test_sap_cheaper_on_spread_scenes(self):
-        # Widely separated boxes: SAP's sweep avoids most pair tests.
-        boxes = boxes_at([(i * 10, 0, 0) for i in range(30)])
-        ids = list(range(30))
-        brute_ops = OpCounter()
-        aabb_bruteforce_pairs(boxes, ids, brute_ops)
-        sap_ops = OpCounter()
-        sweep_and_prune_pairs(boxes, ids, sap_ops)
-        assert sap_ops.cmp < brute_ops.cmp
-
-    def test_axis_validation(self):
-        with pytest.raises(ValueError):
-            sweep_and_prune_pairs([], [], OpCounter(), axis=3)
-
-    def test_fewer_than_two_boxes(self):
-        result = sweep_and_prune_pairs(boxes_at([(0, 0, 0)]), [1], OpCounter())
-        assert result.pairs == []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry.primitives import make_box, make_concave_l, make_uv_sphere
 from repro.geometry.vec import Mat4, Vec3
-from repro.physics.world import CollisionWorld
+from repro.physics.world import BROAD_ALGOS, CollisionWorld
 
 
 def two_box_world(separation: float) -> CollisionWorld:
@@ -34,6 +34,14 @@ class TestManagement:
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ValueError):
             CollisionWorld("bvh")
+
+    def test_only_bruteforce_and_lbvh(self):
+        assert BROAD_ALGOS == ("bruteforce", "lbvh")
+
+    @pytest.mark.parametrize("algo", ["sap", "tree"])
+    def test_deleted_broad_backends_rejected(self, algo):
+        with pytest.raises(ValueError, match="broad_algorithm"):
+            CollisionWorld(algo)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -91,22 +99,13 @@ class TestDetection:
         narrow = world.detect("broad+narrow")
         assert narrow.ops.total > broad.ops.total
 
-    @pytest.mark.parametrize("algo", ["sap", "tree"])
+    @pytest.mark.parametrize("algo", ["lbvh"])
     def test_alternate_broad_backends(self, algo):
         world = CollisionWorld(algo)
         world.add_object(1, make_box())
         world.add_object(2, make_box())
         world.set_transform(2, Mat4.translation(Vec3(0.5, 0, 0)))
         assert world.detect("broad").pairs == [(1, 2)]
-
-    def test_tree_backend_persistent_across_frames(self):
-        world = CollisionWorld("tree")
-        world.add_object(1, make_box())
-        world.add_object(2, make_box())
-        for dx in (3.0, 2.0, 1.0, 0.5):
-            world.set_transform(2, Mat4.translation(Vec3(dx, 0, 0)))
-            result = world.detect("broad")
-        assert result.pairs == [(1, 2)]
 
     def test_three_objects_pair_list(self):
         world = two_box_world(0.8)
