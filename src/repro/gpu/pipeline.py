@@ -188,7 +188,9 @@ class GPU:
 
         ``tracer`` accepts a :class:`repro.observability.Tracer`; every
         frame then records stage spans (frame → geometry/raster/rbcd/
-        schedule → sub-stages) carrying host wall time and simulated
+        schedule → sub-stages) carrying host wall time and, except for
+        the four ``raster.*`` sub-spans (0: the schedule prices the
+        raster pipeline as a whole, on the ``raster`` span), simulated
         cycles.  Tracing is purely observational — it changes no result
         and no cycle count — and defaults to the zero-overhead null
         tracer.

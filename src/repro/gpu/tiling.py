@@ -17,6 +17,7 @@ import numpy as np
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.caches import Cache
 from repro.gpu.config import GPUConfig
+from repro.gpu.kernels import triangle_bounds
 from repro.gpu.stats import GPUStats
 
 
@@ -60,15 +61,15 @@ def bin_triangles(
         offsets = np.zeros(config.tile_count + 1, dtype=np.int64)
         return TileBinning(empty, empty, offsets, empty)
 
-    xs = soup.xy[:, :, 0]
-    ys = soup.xy[:, :, 1]
     # Pixel-center sampling means a bbox touching a tile by less than
-    # half a pixel can't produce fragments, but hardware bins by raw
-    # bbox; we follow the hardware.
-    tx0 = np.clip(np.floor(xs.min(axis=1) / ts), 0, tiles_x - 1).astype(np.int64)
-    tx1 = np.clip(np.floor(xs.max(axis=1) / ts), 0, tiles_x - 1).astype(np.int64)
-    ty0 = np.clip(np.floor(ys.min(axis=1) / ts), 0, tiles_y - 1).astype(np.int64)
-    ty1 = np.clip(np.floor(ys.max(axis=1) / ts), 0, tiles_y - 1).astype(np.int64)
+    # half a pixel can't produce fragments (the rasterizer walks only
+    # the centres near its box), but hardware bins by raw bbox; we
+    # follow the hardware.
+    min_x, max_x, min_y, max_y = triangle_bounds(soup.xy)
+    tx0 = np.clip(np.floor(min_x / ts), 0, tiles_x - 1).astype(np.int64)
+    tx1 = np.clip(np.floor(max_x / ts), 0, tiles_x - 1).astype(np.int64)
+    ty0 = np.clip(np.floor(min_y / ts), 0, tiles_y - 1).astype(np.int64)
+    ty1 = np.clip(np.floor(max_y / ts), 0, tiles_y - 1).astype(np.int64)
 
     spans_x = tx1 - tx0 + 1
     spans_y = ty1 - ty0 + 1

@@ -27,7 +27,11 @@ Each span records two clocks:
 
 * **wall seconds** — how long the *host simulation* spent in the stage;
 * **simulated cycles** — the modelled hardware's cost of the stage
-  (assigned by the pipeline from its cycle model).
+  (assigned by the pipeline from its cycle model).  The four raster
+  sub-spans (``raster.fetch``, ``raster.rasterize``, ``raster.early-z``,
+  ``raster.shade``) read 0: the model prices the raster pipeline per
+  tile, not per sub-stage, so ``raster`` carries the tile schedule's
+  total and its children carry wall time only.
 
 Tracing is strictly observational: span bookkeeping never feeds back
 into the cycle model, so enabling a tracer changes no collision pair,

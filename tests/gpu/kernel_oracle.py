@@ -2,15 +2,21 @@
 
 The executable specification :mod:`repro.gpu.kernels` is held to, kept
 as a test oracle.  The rasterizer scan-converts one triangle at a time
-over its bounding box; early-Z tests one fragment at a time against the
-running Z-buffer.  ``tests/gpu/test_kernel_conformance.py`` compares the
-vectorized kernels with these, and the ``reference_kernels`` fixture
-(``tests/conftest.py``) runs the whole pipeline on them.
+over its raster box, the pixels whose centres lie within ``BOX_EPS``
+(2^-8 px) of its bounding box; early-Z tests one fragment at a time
+against the running Z-buffer.  ``tests/gpu/test_kernel_conformance.py``
+compares the vectorized kernels with these, and the
+``reference_kernels`` fixture (``tests/conftest.py``) runs the whole
+pipeline on them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# How far past its triangle's float bounding box a scanned pixel
+# centre may lie, in pixels.
+BOX_EPS = 2.0**-8
 
 
 def rasterize_triangle(xy: np.ndarray, z: np.ndarray, width: int, height: int):
@@ -28,13 +34,15 @@ def rasterize_triangle(xy: np.ndarray, z: np.ndarray, width: int, height: int):
         return None
     sign = 1.0 if area2 > 0 else -1.0
 
-    # Bbox widened to whole pixels; the edge tests decide inclusion, so
-    # a slightly generous box only costs a few extra tests and keeps
-    # shared edges watertight even at half-integer coordinates.
-    x0 = max(int(np.floor(xy[:, 0].min())), 0)
-    x1 = min(int(np.ceil(xy[:, 0].max())), width - 1)
-    y0 = max(int(np.floor(xy[:, 1].min())), 0)
-    y1 = min(int(np.ceil(xy[:, 1].max())), height - 1)
+    # The raster box: every pixel whose centre lies within BOX_EPS of
+    # the float bbox, clamped to the screen.  A centre farther out is
+    # outside the triangle, so the edge tests could accept it only by
+    # rounding on a sliver; the margin keeps centres that a vertex
+    # misses by an ulp, which the edge tests of a fat triangle accept.
+    x0 = max(int(np.ceil(xy[:, 0].min() - 0.5 - BOX_EPS)), 0)
+    x1 = min(int(np.floor(xy[:, 0].max() - 0.5 + BOX_EPS)), width - 1)
+    y0 = max(int(np.ceil(xy[:, 1].min() - 0.5 - BOX_EPS)), 0)
+    y1 = min(int(np.floor(xy[:, 1].max() - 0.5 + BOX_EPS)), height - 1)
     if x1 < x0 or y1 < y0:
         return None
 

@@ -347,9 +347,19 @@ ON_EDGE_CENTRES = [
 ]
 
 
+# Fat triangles with a vertex one ulp past a pixel centre that their
+# edge tests accept: a raster box with no margin misses that fragment.
+VERTEX_ULP_CENTRES = [
+    [[7.500000000000001, 2.5], [25.5, 7.5], [18.5, 7.5]],
+    [[14.5, 9.5], [5.500000000000001, 21.5], [24.5, 20.75]],
+    [[24.5, 4.375], [4.500000000000001, 23.5], [32.5, 2.5]],
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(batch=st.lists(raster_triangle(), min_size=1, max_size=8))
 @example(batch=[(tri, [0.2, 0.5, 0.8]) for tri in ON_EDGE_CENTRES])
+@example(batch=[(tri, [0.2, 0.5, 0.8]) for tri in VERTEX_ULP_CENTRES])
 def test_vectorized_rasterizer_matches_reference_on_adversarial_triangles(batch):
     xy = np.array([tri for tri, _ in batch], dtype=np.float64)
     z = np.array([depths for _, depths in batch], dtype=np.float64)
@@ -413,6 +423,59 @@ def test_crossed_over_span_beyond_a_box_edge_stays_empty():
     # From row 13 on the wedge lies past column 63.
     np.testing.assert_array_equal(lo > hi, row_y >= 13)
     assert (lo >= x0[0]).all() and (hi <= x1[0]).all()
+
+
+# A sliver whose edge tests accept, by rounding, the centre of pixel
+# (11, 2), 0.6 px past its bounding box.
+SLIVER_PAST_ITS_BOX = [[10.9, 1.9], [6.900000000000001, -2.1], [6.9, -2.1]]
+
+
+def test_sliver_centre_past_its_box_emits_nothing():
+    """The raster box never visits a centre past the sliver's box."""
+    xy = np.array([SLIVER_PAST_ITS_BOX])
+    z = np.array([[0.2, 0.5, 0.8]])
+    for backend in BACKENDS:
+        px, py, _, _ = backend.rasterize_triangles(xy, z, 16, 8)
+        assert px.size == 0 and py.size == 0
+
+
+@pytest.mark.parametrize("tri", VERTEX_ULP_CENTRES)
+def test_raster_box_without_margin_fails_conformance(monkeypatch, tri):
+    """The raster box's margin is needed: with none, each triangle
+    loses the fragment at the pixel centre its vertex misses by an
+    ulp."""
+
+    def zero_margin(lo, hi, size):
+        first = np.maximum(np.ceil(lo - 0.5), 0.0)
+        last = np.minimum(np.floor(hi - 0.5), float(size - 1))
+        return first.astype(np.int64), last.astype(np.int64)
+
+    xy = np.array([tri], dtype=np.float64)
+    z = np.array([[0.2, 0.5, 0.8]])
+    reference = REFERENCE.rasterize_triangles(xy, z, 40, 40)
+    assert_fragments_equal(
+        kernels.rasterize_triangles(xy, z, 40, 40), reference
+    )
+    monkeypatch.setattr(kernels, "_centre_range", zero_margin)
+    narrowed = kernels.rasterize_triangles(xy, z, 40, 40)
+    assert narrowed[0].size == reference[0].size - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(raster_triangle(), min_size=1, max_size=8))
+@example(batch=[(SLIVER_PAST_ITS_BOX, [0.2, 0.5, 0.8])])
+def test_fragment_centres_lie_within_eps_of_their_box(batch):
+    """Every fragment's pixel centre lies within 2^-8 px of its
+    triangle's float bounding box."""
+    xy = np.array([tri for tri, _ in batch], dtype=np.float64)
+    z = np.array([depths for _, depths in batch], dtype=np.float64)
+    px, py, _, tri = kernels.rasterize_triangles(xy, z, RASTER_W, RASTER_H)
+    eps = 2.0**-8
+    for lo, hi, centre in (
+        (xy[tri, :, 0].min(axis=1), xy[tri, :, 0].max(axis=1), px + 0.5),
+        (xy[tri, :, 1].min(axis=1), xy[tri, :, 1].max(axis=1), py + 0.5),
+    ):
+        assert (centre >= lo - eps).all() and (centre <= hi + eps).all()
 
 
 # Coordinates on both sides of the span-safe bound, and pixel-scale

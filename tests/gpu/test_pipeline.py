@@ -198,6 +198,42 @@ class TestStageSpans:
         assert result.collisions.pair_records_written > 0
         assert sorted(s.name for s in tracer.spans) == sorted(STAGE_SPANS)
 
+    def test_span_cycles(self, small_config):
+        """Eight spans carry their modelled cycles; the four raster
+        sub-spans carry none (the raster span holds the schedule's
+        total, which the model does not split by sub-stage)."""
+        from repro.gpu.shading import vertex_stage_cycles
+        from repro.observability.tracer import Tracer
+
+        tracer = Tracer()
+        config = small_config
+        gpu = GPU(config, tracer=tracer)
+        stats = gpu.render_frame(two_boxes_frame(config, 0.8)).stats
+        cycles = {s.name: s.cycles for s in tracer.spans}
+        assert cycles == {
+            "frame": stats.gpu_cycles,
+            "geometry": stats.geometry_cycles,
+            "geometry.shade": vertex_stage_cycles(stats, config),
+            "geometry.assemble": (
+                stats.triangles_assembled
+                / config.primitive_assembly_tris_per_cycle
+            ),
+            "geometry.bin": (
+                stats.prim_tile_pairs * config.binning_cycles_per_prim_tile
+                + stats.tile_cache_store_misses
+                * config.l2_cache.latency_cycles
+            ),
+            "raster": stats.raster_pipeline_cycles,
+            "raster.fetch": 0.0,
+            "raster.rasterize": 0.0,
+            "raster.early-z": 0.0,
+            "raster.shade": 0.0,
+            "rbcd": stats.rbcd_cycles,
+            "schedule": stats.raster_stall_cycles,
+        }
+        assert stats.raster_pipeline_cycles > 0.0
+        assert stats.rbcd_cycles > 0.0
+
 
 class TestFailedFrame:
     """A frame that raises mid-pipeline must not leave spans open."""

@@ -1,7 +1,10 @@
 """Tiling engine (polygon list builder) tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.assembly import TriangleSoup
 from repro.gpu.caches import Cache
@@ -81,6 +84,95 @@ class TestBinning:
         binning = bin_triangles(TriangleSoup.empty(), CFG, GPUStats())
         assert binning.pair_count == 0
         assert binning.tile_offsets.shape == (CFG.tile_count + 1,)
+
+
+def bin_reference(xy, config):
+    """Binning one triangle at a time: its bbox from ``min``/``max`` over
+    the vertices, then its tiles row-major.  Returns ``(tile, prim,
+    record address)`` per pair, in submission order."""
+    ts = config.tile_size
+    pairs = []
+    for prim, tri in enumerate(xy.tolist()):
+        xs, ys = [v[0] for v in tri], [v[1] for v in tri]
+        tx0, tx1, ty0, ty1 = (
+            min(max(math.floor(v / ts), 0), tiles - 1)
+            for v, tiles in (
+                (min(xs), config.tiles_x), (max(xs), config.tiles_x),
+                (min(ys), config.tiles_y), (max(ys), config.tiles_y),
+            )
+        )
+        for ty in range(ty0, ty1 + 1):
+            for tx in range(tx0, tx1 + 1):
+                pairs.append((ty * config.tiles_x + tx, prim))
+    return [
+        (tile, prim, k * config.tile_list_record_bytes)
+        for k, (tile, prim) in enumerate(pairs)
+    ]
+
+
+# Tile boundaries (multiples of 16) and values an ulp either side,
+# off-screen and far-off coordinates, and free ones.
+tile_edge = st.integers(-3, 6).map(lambda k: 16.0 * k)
+bin_coord = (
+    tile_edge
+    | tile_edge.flatmap(lambda v: st.sampled_from(
+        [np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    ))
+    | st.floats(-1e6, 1e6)
+    | st.floats(-40.0, 110.0)
+)
+
+
+@st.composite
+def bin_triangle(draw):
+    tri = [[draw(bin_coord), draw(bin_coord)] for _ in range(3)]
+    # Zero-width boxes: every vertex on one vertical or horizontal line.
+    axis = draw(st.sampled_from([None, 0, 1]))
+    if axis is not None:
+        for vertex in tri[1:]:
+            vertex[axis] = tri[0][axis]
+    return tri
+
+
+class TestBinningDifferential:
+    """``bin_triangles`` against a per-triangle loop, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tris=st.lists(bin_triangle(), min_size=1, max_size=30),
+        screen=st.sampled_from([(64, 48), (72, 40)]),
+    )
+    def test_matches_per_triangle_loop(self, tris, screen):
+        config = GPUConfig().with_screen(*screen)
+        soup = soup_of(tris)
+        stats = GPUStats()
+        cache = Cache(config.tile_cache)
+        binning = bin_triangles(soup, config, stats, cache)
+
+        pairs = bin_reference(soup.xy, config)
+        reference_cache = Cache(config.tile_cache)
+        misses = sum(
+            reference_cache.access_many(np.array([address]))
+            for _, _, address in pairs
+        )
+        pairs.sort(key=lambda pair: pair[0])  # stable: submission order
+        tile, prim, address = (
+            np.array(column, dtype=np.int64) for column in zip(*pairs)
+        )
+        offsets = np.searchsorted(tile, np.arange(config.tile_count + 1))
+
+        np.testing.assert_array_equal(binning.pair_tile, tile)
+        np.testing.assert_array_equal(binning.pair_prim, prim)
+        np.testing.assert_array_equal(binning.tile_offsets, offsets)
+        np.testing.assert_array_equal(binning.record_addresses, address)
+        assert (
+            stats.prim_tile_pairs, stats.tile_cache_stores,
+            stats.tile_cache_store_misses,
+        ) == (len(pairs), len(pairs), misses)
+        assert (cache.accesses, cache.misses) == (
+            reference_cache.accesses, reference_cache.misses
+        )
+        assert cache.resident_lines() == reference_cache.resident_lines()
 
 
 class TestTileFetch:

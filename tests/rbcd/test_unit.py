@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig
 from repro.rbcd.unit import RBCDUnit, _multi_object_lists, compute_tile
-from repro.rbcd.zeb import build_zeb
+from repro.rbcd.zeb import ZEBTile, build_zeb
 from tests.rbcd.tile_oracle import tile_batch
 
 CFG = GPUConfig().with_screen(64, 32)  # 4 x 2 tiles
@@ -148,6 +149,67 @@ class TestMultiObjectFilter:
         unit.absorb(result)
         assert result.analyzed_lists.tolist() == [1]
         assert result.analyzed_elements.tolist() == [4]
+
+
+def multi_object_any(zeb):
+    """The multi-object filter as one ``any`` over the (P, L) matrix."""
+    if zeb.non_empty_lists == 0:
+        return np.zeros(0, dtype=bool)
+    cols = np.arange(zeb.z_codes.shape[1])
+    valid = cols[None, :] < zeb.counts[:, None]
+    first = zeb.object_ids[:, 0]
+    return ((zeb.object_ids != first[:, None]) & valid).any(axis=1)
+
+
+def lists_tile(counts, object_ids):
+    """A ZEB holding the given (P, L) lists; entries past ``counts`` pad."""
+    object_ids = np.asarray(object_ids, dtype=np.int64).reshape(len(counts), -1)
+    return ZEBTile(
+        pixel_index=np.arange(len(counts), dtype=np.int64),
+        counts=np.asarray(counts, dtype=np.int64),
+        z_codes=np.zeros(object_ids.shape, dtype=np.int64),
+        object_ids=object_ids,
+        is_front=np.ones(object_ids.shape, dtype=bool),
+    )
+
+
+class TestMultiObjectDifferential:
+    """The column-wise filter against one ``any`` over the list matrix."""
+
+    @pytest.mark.parametrize("counts, ids, expected", [
+        # Padding past counts differs from the list's id: ignored.
+        ([1, 2], [[3, 9, 9], [3, 3, 9]], [False, False]),
+        # One-element lists, whatever their padding.
+        ([1, 1, 1], [[0], [5], [8191]], [False, False, False]),
+        # All-same-id lists of every length.
+        ([1, 2, 3], [[4, 4, 4]] * 3, [False, False, False]),
+        # The first differing id sits at the last valid slot.
+        ([3, 2], [[1, 1, 2], [7, 6, 6]], [True, True]),
+    ])
+    def test_edge_lists(self, counts, ids, expected):
+        tile = lists_tile(counts, ids)
+        assert _multi_object_lists(tile).tolist() == expected
+        assert multi_object_any(tile).tolist() == expected
+
+    def test_empty_zeb(self):
+        assert _multi_object_lists(ZEBTile.empty()).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_any_over_lists(self, data):
+        rows = data.draw(st.integers(1, 40))
+        length = data.draw(st.integers(1, 10))
+        counts = data.draw(st.lists(
+            st.integers(1, length), min_size=rows, max_size=rows
+        ))
+        ids = data.draw(st.lists(
+            st.integers(0, 3), min_size=rows * length,
+            max_size=rows * length,
+        ))
+        tile = lists_tile(counts, ids)
+        np.testing.assert_array_equal(
+            _multi_object_lists(tile), multi_object_any(tile)
+        )
 
 
 class TestFallback:
